@@ -1,26 +1,36 @@
 """Tiered identification of Galois groups of integer polynomials.
 
-The tiers, cheapest first:
+Degrees 1..5 are decided exactly by ``exact_small_degree``: discriminant
+squareness, the resolvent cubic, a frozen degree-6 quintic resolvent,
+and factor degrees of the pairwise-difference resolvent.
 
-1. ``dedekind_cycle_type`` — the factorization shape of f mod p is the
-   cycle type of a Frobenius element, whenever p is unramified.
-2. ``exact_small_degree`` — degrees 1..5 decided exactly: discriminant
-   squareness, the resolvent cubic, a frozen degree-6 quintic resolvent,
-   and factor degrees of the pairwise-difference resolvent.
-3. ``eliminate_degree_le7`` — degrees 6 and 7 narrowed against the
-   census of transitive groups by discarding every group missing an
-   observed cycle type (plus a parity filter).  A unique survivor is a
-   proof; otherwise the verdict is honest about the remaining set.
-4. ``sn_an_certificate`` — degree >= 8: a cycle of prime length q with
-   n/2 < q < n - 2 forces the alternating group (Jordan), and the
-   discriminant picks between A_n and S_n.
-5. ``cyclic_heuristic`` — uniform cycle types plus a full-length cycle
-   suggest the cyclic group; never reported as proven.
-6. ``wreath_structure`` — f(x) = g(x^2) or x*g(x^2) gives a proven
-   embedding into C2 wr Gal(g) with an order lower bound.
+From degree 6 on, the evidence is Frobenius cycle types: the
+factorization shape of f mod p (``dedekind_cycle_type``) at every prime
+p where f stays squarefree.  ``FrobeniusSamples`` draws these shapes
+once per polynomial, prime by prime, and every sampling tier reads the
+same stream with its own stopping rule:
 
-``classify`` runs the tiers in order, and ``verify_identification``
-re-derives every evidence item of a verdict from scratch.
+- ``eliminate_degree_le7`` — degrees 6 and 7 narrowed against the
+  census of transitive groups by discarding every group missing an
+  observed cycle type (plus a parity filter); it stops at one survivor
+  or once the set has been stable for a streak of samples.  A unique
+  survivor is a proof; otherwise the verdict is honest about the
+  remaining set.
+- ``cyclic_heuristic`` — uniform cycle types plus a full-length cycle
+  suggest the cyclic group; it stops at the first non-uniform type or
+  once enough samples hold an n-cycle.  Never reported as proven.
+- ``sn_an_certificate`` — degree >= 8: a cycle of prime length q with
+  n/2 < q < n - 2 forces the alternating group (Jordan), and the
+  discriminant picks between A_n and S_n; it stops at the first such
+  cycle.
+- ``wreath_structure`` — f(x) = g(x^2) or x*g(x^2) gives a proven
+  embedding into C2 wr Gal(g); the element orders of the first samples
+  give an order lower bound.
+
+``classify`` runs the tiers on the largest irreducible factor of f; when
+f is irreducible that is its primitive part with a positive leading
+coefficient.  ``verify_identification`` re-derives every evidence item
+of a verdict from scratch on that same polynomial.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt, lcm
 
 from .factor import factor_over_integers, is_irreducible, rational_roots
@@ -64,12 +75,13 @@ ELIMINATION_STABLE_STREAK = 80
 # Frobenius samples used for the wreath-tier order lower bound.
 WREATH_ORDER_SAMPLES = 120
 
-# In the combined classify pass for degree >= 8, stop hunting for a
-# Jordan cycle after this many usable samples: in a group that actually
-# contains the alternating group, the density of types containing a
-# usable prime-length cycle is on the order of 1/5 or better, so 150
-# misses in a row make the symmetric/alternating case astronomically
-# unlikely — the verdict then honestly falls through to the next tier.
+# When classify hunts for a Jordan cycle at degree >= 8, it stops after
+# this many usable samples, or at the sample that refuted cyclicity if
+# that came later: in a group that actually contains the alternating
+# group, the density of types containing a usable prime-length cycle is
+# on the order of 1/5 or better, so 150 misses in a row make the
+# symmetric/alternating case astronomically unlikely — the verdict then
+# honestly falls through to the next tier.
 SN_AN_CLASSIFY_SAMPLE_CAP = 150
 
 PROVEN = "proven"
@@ -246,6 +258,42 @@ def dedekind_cycle_type(f: IntPoly, p: int) -> CycleType | None:
     return CycleType(tuple(gf_ddf_degree_multiset(fb, p)))
 
 
+class FrobeniusSamples:
+    """The ``(p, CycleType)`` pairs of f over its usable primes up to a bound.
+
+    The pairs are drawn lazily, in ascending order of p, and kept; every
+    iteration starts again from the smallest prime, so tiers that share
+    one stream never sample a prime twice.  A stream serves a single
+    polynomial for the length of one classification.
+    """
+
+    def __init__(self, f: IntPoly, prime_bound: int):
+        self._f = f
+        self._pairs: list[tuple[int, CycleType]] = []
+        self._primes = primes_from(2)
+        self._prime_bound = prime_bound
+        self._exhausted = False
+
+    def __iter__(self):
+        index = 0
+        while index < len(self._pairs) or self._draw():
+            yield self._pairs[index]
+            index += 1
+
+    def _draw(self) -> bool:
+        """Append the next usable sample; False once past the bound."""
+        while not self._exhausted:
+            p = next(self._primes)
+            if p > self._prime_bound:
+                self._exhausted = True
+                break
+            t = dedekind_cycle_type(self._f, p)
+            if t is not None:
+                self._pairs.append((p, t))
+                return True
+        return False
+
+
 def disc_is_square(f) -> bool:
     """True when disc(f) is a square in Q, i.e. the group is even.
 
@@ -359,27 +407,54 @@ def _squarefree_int(f: IntPoly) -> bool:
     return int_poly_gcd(f, f.derivative()).degree() == 0
 
 
-def _difference_degrees(g: IntPoly):
-    """Sorted factor degrees of the difference resolvent of monic irreducible g.
+def _resolvent_base(f: IntPoly, shift) -> IntPoly | None:
+    """The monic polynomial a resolvent is built from.
+
+    That is f made monic, then sent through the Tschirnhaus transform
+    ``shift`` when one is given; None when the transform is reducible,
+    since only an irreducible transform keeps the splitting field.
+    """
+    g = _monicize(f)
+    if shift is None:
+        return g
+    base = _tschirnhaus_quadratic(g, *shift)
+    return base if is_irreducible(base) else None
+
+
+def _squarefree_resolvent(f: IntPoly, build, what: str):
+    """(build(base), shift) for the first shift whose resolvent is squarefree.
+
+    Tries f itself, then each of _TSCHIRNHAUS_TRIALS in order.
+    """
+    for shift in (None,) + _TSCHIRNHAUS_TRIALS:
+        base = _resolvent_base(f, shift)
+        if base is None:
+            continue
+        resolvent = build(base)
+        if _squarefree_int(resolvent):
+            return resolvent, shift
+    raise RuntimeError(f"no squarefree {what} found")
+
+
+def _difference_degrees(f: IntPoly):
+    """Sorted factor degrees of the difference resolvent of irreducible f.
 
     Returns (degrees, shift) where shift is the Tschirnhaus pair used to
     dodge coinciding root differences, or None when none was needed.
     The degrees are the orbit sizes of the Galois group acting on ordered
     pairs of distinct roots.
     """
-    for trial in (None,) + _TSCHIRNHAUS_TRIALS:
-        if trial is None:
-            base = g
-        else:
-            base = _tschirnhaus_quadratic(g, *trial)
-            if not _squarefree_int(base) or not is_irreducible(base):
-                continue
-        diff = _difference_resolvent(base)
-        if not _squarefree_int(diff):
-            continue
-        fac = factor_over_integers(diff)
-        return sorted(fac.degree_multiset()), trial
-    raise RuntimeError("no squarefree difference resolvent found")
+    diff, shift = _squarefree_resolvent(
+        f, _difference_resolvent, "difference resolvent"
+    )
+    return sorted(factor_over_integers(diff).degree_multiset()), shift
+
+
+def _resolvent_cubic(f: IntPoly) -> IntPoly:
+    """Resolvent cubic of a quartic, from its monic form."""
+    g = _monicize(f)
+    e, d, c, b = g.coeffs[0], g.coeffs[1], g.coeffs[2], g.coeffs[3]
+    return IntPoly((-(b * b * e - 4 * c * e + d * d), b * d - 4 * e, -c, 1))
 
 
 def _depressed_quintic(g: IntPoly) -> IntPoly:
@@ -501,27 +576,12 @@ def _quintic_sextic_resolvent(p: int, q: int, r: int, s: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _quintic_resolvent_data(f: IntPoly):
-    """Squarefree sextic resolvent for irreducible quintic f.
-
-    Returns (sextic, shift); a quadratic Tschirnhaus transform is applied
-    first whenever the resolvent of f itself has repeated roots.
-    """
-    g = _monicize(f)
-    for trial in (None,) + _TSCHIRNHAUS_TRIALS:
-        if trial is None:
-            base = g
-        else:
-            base = _tschirnhaus_quadratic(g, *trial)
-            if not _squarefree_int(base) or not is_irreducible(base):
-                continue
-        h = _depressed_quintic(base)
-        sextic = _quintic_sextic_resolvent(
-            h.coeffs[3], h.coeffs[2], h.coeffs[1], h.coeffs[0]
-        )
-        if _squarefree_int(sextic):
-            return sextic, trial
-    raise RuntimeError("no squarefree quintic resolvent found")
+def _quintic_resolvent(base: IntPoly) -> IntPoly:
+    """Sextic resolvent of a monic quintic, through its depressed form."""
+    h = _depressed_quintic(base)
+    return _quintic_sextic_resolvent(
+        h.coeffs[3], h.coeffs[2], h.coeffs[1], h.coeffs[0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +594,7 @@ def _ident(name, t, degree, certainty, evidence) -> GaloisIdentification:
 
 
 def _quartic_group(f: IntPoly, square: bool, ev) -> GaloisIdentification:
-    g = _monicize(f)
-    e, d, c, b = g.coeffs[0], g.coeffs[1], g.coeffs[2], g.coeffs[3]
-    cubic = IntPoly((-(b * b * e - 4 * c * e + d * d), b * d - 4 * e, -c, 1))
+    cubic = _resolvent_cubic(f)
     roots = rational_roots(cubic)
     ev.append(
         {
@@ -554,7 +612,7 @@ def _quartic_group(f: IntPoly, square: bool, ev) -> GaloisIdentification:
         return _ident("S4", "4T5", 4, Certainty.proven(), ev)
     # exactly one rational root: the group is C4 or D4, distinguished by
     # the orbit sizes on ordered root pairs (4+4+4 versus 8+4)
-    degrees, shift = _difference_degrees(g)
+    degrees, shift = _difference_degrees(f)
     ev.append(
         {"kind": "difference_degrees", "degrees": degrees, "shift": shift}
     )
@@ -564,7 +622,9 @@ def _quartic_group(f: IntPoly, square: bool, ev) -> GaloisIdentification:
 
 
 def _quintic_group(f: IntPoly, square: bool, ev) -> GaloisIdentification:
-    sextic, shift = _quintic_resolvent_data(f)
+    sextic, shift = _squarefree_resolvent(
+        f, _quintic_resolvent, "quintic resolvent"
+    )
     roots = rational_roots(sextic)
     ev.append(
         {
@@ -582,7 +642,7 @@ def _quintic_group(f: IntPoly, square: bool, ev) -> GaloisIdentification:
         return _ident("F20", "5T3", 5, Certainty.proven(), ev)
     # solvable with square discriminant: C5 or D5; orbit sizes on ordered
     # root pairs are 5+5+5+5 for C5 and 10+10 for D5
-    degrees, dshift = _difference_degrees(_monicize(f))
+    degrees, dshift = _difference_degrees(f)
     ev.append(
         {"kind": "difference_degrees", "degrees": degrees, "shift": dshift}
     )
@@ -597,10 +657,13 @@ def exact_small_degree(
     """Exact Galois group of an irreducible polynomial of degree 1..5.
 
     Always returns a proven verdict; raises ValueError on reducible input
-    or degree outside 1..5.
+    or degree outside 1..5.  As with classify, the resolvents are built
+    from the primitive part of f with a positive leading coefficient,
+    which is where verify_identification replays them.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
+    f = f.primitive_part()
     n = f.degree()
     if not 1 <= n <= 5:
         raise ValueError("degree must be between 1 and 5")
@@ -635,6 +698,7 @@ def eliminate_degree_le7(
     prime_bound: int = DEFAULT_PRIME_BOUND,
     *,
     _assume_irreducible: bool = False,
+    _samples: FrobeniusSamples | None = None,
 ) -> GaloisIdentification:
     """Narrow the group of an irreducible degree-6/7 polynomial.
 
@@ -656,18 +720,14 @@ def eliminate_degree_le7(
     survivors = [
         r for r in transitive_groups(n) if r.all_even == square
     ]
+    if _samples is None:
+        _samples = FrobeniusSamples(f, prime_bound)
     ev: list[dict] = []
     observed: set[tuple[int, ...]] = set()
     samples = 0
     streak = 0
     last_prime = 2
-    for p in primes_from(2):
-        if p > prime_bound:
-            break
-        t = dedekind_cycle_type(f, p)
-        if t is None:
-            continue
-        samples += 1
+    for samples, (p, t) in enumerate(_samples, 1):
         last_prime = p
         if t.parts in observed:
             streak += 1
@@ -705,6 +765,31 @@ def eliminate_degree_le7(
     )
 
 
+def _block_order_cut(inner_group: str, t: int, names, n: int):
+    """(wreath_order, survivors) of the Lagrange cut by C2 wr inner_group.
+
+    wreath_order = 2^t * |inner_group| for the degree-t census group of
+    that name, and survivors are the degree-n census groups among names
+    whose order divides it.  None when inner_group is not in the census.
+    """
+    inner_order = 1
+    if t > 1:
+        inner_order = next(
+            (r.order for r in transitive_groups(t) if r.name == inner_group),
+            None,
+        )
+        if inner_order is None:
+            return None
+    wreath_order = 2**t * inner_order
+    orders = {r.name: r.order for r in transitive_groups(n)}
+    survivors = tuple(
+        name
+        for name in names
+        if name in orders and wreath_order % orders[name] == 0
+    )
+    return wreath_order, survivors
+
+
 def _block_order_filter(
     g: IntPoly, ident: GaloisIdentification, prime_bound: int
 ) -> GaloisIdentification:
@@ -725,27 +810,14 @@ def _block_order_filter(
     inner = classify(inner_poly, prime_bound)
     if not inner.certainty.is_proven:
         return ident
-    t = inner_poly.degree()
-    if t == 1:
-        inner_order = 1
-    else:
-        inner_order = next(
-            (
-                r.order
-                for r in transitive_groups(t)
-                if r.name == inner.group_name
-            ),
-            None,
-        )
-        if inner_order is None:
-            return ident
-    wreath_order = 2**t * inner_order
     n = g.degree()
-    orders = {r.name: r.order for r in transitive_groups(n)}
     before = ident.certainty.candidates
-    after = tuple(
-        name for name in before if wreath_order % orders[name] == 0
+    cut = _block_order_cut(
+        inner.group_name, inner_poly.degree(), before, n
     )
+    if cut is None:
+        return ident
+    wreath_order, after = cut
     if not after:
         raise RuntimeError(
             "block-order filter emptied the candidate set; "
@@ -803,6 +875,8 @@ def sn_an_certificate(
     prime_bound: int = DEFAULT_PRIME_BOUND,
     *,
     _assume_irreducible: bool = False,
+    _samples: FrobeniusSamples | None = None,
+    _sample_cap: int | None = None,
 ) -> GaloisIdentification:
     """Prove A_n or S_n for irreducible f of degree n >= 8.
 
@@ -811,7 +885,8 @@ def sn_an_certificate(
     length in such a sample is < q, so some power of the Frobenius
     element is a pure q-cycle.  The discriminant then decides between
     A_n and S_n.  Returns an unknown verdict with the observed types
-    when no such sample appears below the bound.
+    when no such sample appears below the bound (or in the first
+    ``_sample_cap`` samples, when classify sets that cap).
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
@@ -823,17 +898,13 @@ def sn_an_certificate(
     window = {q for q in range(n // 2 + 1, n - 2) if is_prime(q)}
     if not window:
         raise RuntimeError(f"no usable prime cycle length for degree {n}")
+    if _samples is None:
+        _samples = FrobeniusSamples(f, prime_bound)
     observed: list[dict] = []
     seen: set[tuple[int, ...]] = set()
     samples = 0
     last_prime = 2
-    for p in primes_from(2):
-        if p > prime_bound:
-            break
-        t = dedekind_cycle_type(f, p)
-        if t is None:
-            continue
-        samples += 1
+    for samples, (p, t) in enumerate(islice(_samples, _sample_cap), 1):
         last_prime = p
         hit = next((q for q in t.parts if q in window), None)
         if hit is not None:
@@ -878,6 +949,7 @@ def cyclic_heuristic(
     prime_bound: int = DEFAULT_PRIME_BOUND,
     *,
     _assume_irreducible: bool = False,
+    _samples: FrobeniusSamples | None = None,
 ) -> GaloisIdentification:
     """Heuristic test for a cyclic group: never returns a proof.
 
@@ -895,16 +967,12 @@ def cyclic_heuristic(
         raise ValueError("need a nonconstant polynomial")
     if not _assume_irreducible and not is_irreducible(f):
         raise ValueError("polynomial is reducible")
+    if _samples is None:
+        _samples = FrobeniusSamples(f, prime_bound)
     samples = 0
     ncycle_prime = None
     last_prime = 2
-    for p in primes_from(2):
-        if p > prime_bound:
-            break
-        t = dedekind_cycle_type(f, p)
-        if t is None:
-            continue
-        samples += 1
+    for samples, (p, t) in enumerate(_samples, 1):
         last_prime = p
         if not t.is_uniform():
             return _ident(
@@ -963,7 +1031,10 @@ def cyclic_heuristic(
 
 
 def wreath_structure(
-    f: IntPoly, prime_bound: int = DEFAULT_PRIME_BOUND
+    f: IntPoly,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
+    *,
+    _samples: FrobeniusSamples | None = None,
 ) -> WreathReport:
     """Detect f(x) = g(x^2) or x*g(x^2) and analyze the block structure.
 
@@ -989,16 +1060,10 @@ def wreath_structure(
         return WreathReport(detected=False)
     inner = classify(inner_poly, prime_bound)
     t = inner_poly.degree()
-    orders = []
-    samples = 0
-    for p in primes_from(2):
-        if samples >= WREATH_ORDER_SAMPLES or p > prime_bound:
-            break
-        ct = dedekind_cycle_type(f, p)
-        if ct is None:
-            continue
-        samples += 1
-        orders.append(ct.order())
+    if _samples is None:
+        _samples = FrobeniusSamples(f, prime_bound)
+    orders = [ct.order() for _, ct in islice(_samples, WREATH_ORDER_SAMPLES)]
+    samples = len(orders)
     bound = lcm(*orders) if orders else 1
     # H <= K implies C2 wr H <= C2 wr K, so a "subgroup of" inner verdict
     # folds into the outer embedding claim.
@@ -1041,106 +1106,16 @@ def wreath_structure(
 # ---------------------------------------------------------------------------
 
 
-def _sampled_high_degree(
-    g: IntPoly, prime_bound: int
-) -> GaloisIdentification:
-    """Shared Frobenius-sampling pass for irreducible g of degree >= 8.
-
-    Walks the prime list once instead of twice: a cycle of prime length
-    in the window (n/2, n-2) proves A_n/S_n on the spot, a non-uniform
-    type refutes cyclicity (after which the hunt for such a cycle
-    continues alone, up to SN_AN_CLASSIFY_SAMPLE_CAP usable samples),
-    and an all-uniform run containing an n-cycle over at least
-    MIN_CYCLIC_SAMPLES usable primes yields the heuristic cyclic
-    verdict.  Verdict content matches what sn_an_certificate followed
-    by cyclic_heuristic would produce on the same input.
-    """
-    n = g.degree()
-    window = {q for q in range(n // 2 + 1, n - 2) if is_prime(q)}
-    observed: list[dict] = []
-    seen: set[tuple[int, ...]] = set()
-    samples = 0
-    last_prime = 2
-    uniform = True
-    ncycle_prime = None
-    for p in primes_from(2):
-        if p > prime_bound:
-            break
-        t = dedekind_cycle_type(g, p)
-        if t is None:
-            continue
-        samples += 1
-        last_prime = p
-        hit = next((q for q in t.parts if q in window), None)
-        if hit is not None:
-            square = disc_is_square(g)
-            ev = [
-                {
-                    "kind": "jordan_cycle",
-                    "prime": p,
-                    "cycle_length": hit,
-                    "parts": list(t.parts),
-                },
-                {"kind": "disc_square", "square": square},
-                {"kind": "samples", "count": samples, "prime_bound": p},
-            ]
-            name = f"A{n}" if square else f"S{n}"
-            return _ident(name, None, n, Certainty.proven(), ev)
-        if uniform and not t.is_uniform():
-            uniform = False
-        if t.parts == (n,) and ncycle_prime is None:
-            ncycle_prime = p
-        if t.parts not in seen and len(seen) < 30:
-            seen.add(t.parts)
-            observed.append(
-                {"kind": "cycle_type", "prime": p, "parts": list(t.parts)}
-            )
-        if uniform:
-            if samples >= MIN_CYCLIC_SAMPLES and ncycle_prime is not None:
-                break
-        elif samples >= SN_AN_CLASSIFY_SAMPLE_CAP:
-            break
-    if (
-        uniform
-        and ncycle_prime is not None
-        and samples >= MIN_CYCLIC_SAMPLES
-    ):
-        return _ident(
-            f"C{n}",
-            None,
-            n,
-            Certainty.heuristic(samples, last_prime),
-            [
-                {"kind": "cycle_type", "prime": ncycle_prime, "parts": [n]},
-                {
-                    "kind": "samples",
-                    "count": samples,
-                    "prime_bound": last_prime,
-                    "all_uniform": True,
-                },
-            ],
-        )
-    observed.append(
-        {"kind": "samples", "count": samples, "prime_bound": last_prime}
-    )
-    return _ident(
-        "unknown",
-        None,
-        n,
-        Certainty.unknown(samples, last_prime),
-        observed,
-    )
-
-
 def _classify_irreducible(
     g: IntPoly, prime_bound: int
 ) -> GaloisIdentification:
     n = g.degree()
     if n <= 5:
         return exact_small_degree(g, _assume_irreducible=True)
+    stream = FrobeniusSamples(g, prime_bound)
     if n <= 7:
         ident = eliminate_degree_le7(
-            g, prime_bound, _assume_irreducible=True
+            g, prime_bound, _assume_irreducible=True, _samples=stream
         )
         if not ident.certainty.is_proven:
             ident = _block_order_filter(g, ident, prime_bound)
@@ -1149,7 +1124,9 @@ def _classify_irreducible(
             or f"C{n}" not in ident.certainty.candidates
         ):
             return ident
-        cyc = cyclic_heuristic(g, prime_bound, _assume_irreducible=True)
+        cyc = cyclic_heuristic(
+            g, prime_bound, _assume_irreducible=True, _samples=stream
+        )
         if (
             cyc.certainty.kind == HEURISTIC
             and cyc.group_name in ident.certainty.candidates
@@ -1169,10 +1146,25 @@ def _classify_irreducible(
                 cyc, certainty=merged, evidence=cyc.evidence + extra
             )
         return ident
-    ident = _sampled_high_degree(g, prime_bound)
-    if ident.certainty.is_proven or ident.certainty.kind == HEURISTIC:
+    cyc = cyclic_heuristic(
+        g, prime_bound, _assume_irreducible=True, _samples=stream
+    )
+    if cyc.certainty.kind == HEURISTIC:
+        return cyc
+    # A Jordan sample is never uniform, so none comes before the sample
+    # that refuted cyclicity; past it, the hunt runs to the classify cap.
+    ident = sn_an_certificate(
+        g,
+        prime_bound,
+        _assume_irreducible=True,
+        _samples=stream,
+        _sample_cap=max(
+            cyc.certainty.sample_count, SN_AN_CLASSIFY_SAMPLE_CAP
+        ),
+    )
+    if ident.certainty.is_proven:
         return ident
-    report = wreath_structure(g, prime_bound)
+    report = wreath_structure(g, prime_bound, _samples=stream)
     if report.detected:
         return GaloisIdentification(
             f"subgroup of {report.embedding}",
@@ -1239,12 +1231,9 @@ def classify_all_factors(
 
 
 def _verify_difference_degrees(target: IntPoly, item: dict) -> bool:
-    base = _monicize(target)
-    shift = item.get("shift")
-    if shift is not None:
-        base = _tschirnhaus_quadratic(base, *shift)
-        if not is_irreducible(base):
-            return False
+    base = _resolvent_base(target, item.get("shift"))
+    if base is None:
+        return False
     diff = _difference_resolvent(base)
     if not _squarefree_int(diff):
         return False
@@ -1253,16 +1242,10 @@ def _verify_difference_degrees(target: IntPoly, item: dict) -> bool:
 
 
 def _verify_quintic_resolvent(target: IntPoly, item: dict) -> bool:
-    base = _monicize(target)
-    shift = item.get("shift")
-    if shift is not None:
-        base = _tschirnhaus_quadratic(base, *shift)
-        if not is_irreducible(base):
-            return False
-    h = _depressed_quintic(base)
-    sextic = _quintic_sextic_resolvent(
-        h.coeffs[3], h.coeffs[2], h.coeffs[1], h.coeffs[0]
-    )
+    base = _resolvent_base(target, item.get("shift"))
+    if base is None:
+        return False
+    sextic = _quintic_resolvent(base)
     if list(sextic.coeffs) != list(item.get("coeffs", [])):
         return False
     roots = [str(r) for r in rational_roots(sextic)]
@@ -1274,11 +1257,13 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
 
     Returns False as soon as any item fails to reproduce; tampering with
     the evidence or pairing a verdict with the wrong polynomial is meant
-    to be caught here.
+    to be caught here.  Like classify, the replay concerns the primitive
+    part of f with a positive leading coefficient, or the factor that a
+    ``reducible`` item selects.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
-    target = f
+    target = f.primitive_part()
     record = None
     if ident.t_notation is not None and 2 <= ident.degree <= 7:
         degree, t_number = ident.t_notation.split("T")
@@ -1318,11 +1303,7 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
             if disc_is_square(target) != item[key]:
                 return False
         elif kind == "resolvent_cubic":
-            g = _monicize(target)
-            e, d, c, b = g.coeffs[0], g.coeffs[1], g.coeffs[2], g.coeffs[3]
-            cubic = IntPoly(
-                (-(b * b * e - 4 * c * e + d * d), b * d - 4 * e, -c, 1)
-            )
+            cubic = _resolvent_cubic(target)
             if list(cubic.coeffs) != list(item["coeffs"]):
                 return False
             roots = [str(r) for r in rational_roots(cubic)]
@@ -1369,32 +1350,15 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
                 return False
             if inner_ident.group_name != item["inner_group"]:
                 return False
-            t = inner.degree()
-            if t == 1:
-                inner_order = 1
-            else:
-                inner_order = next(
-                    (
-                        r.order
-                        for r in transitive_groups(t)
-                        if r.name == item["inner_group"]
-                    ),
-                    None,
-                )
-                if inner_order is None:
-                    return False
-            if item["wreath_order"] != 2**t * inner_order:
+            cut = _block_order_cut(
+                item["inner_group"],
+                inner.degree(),
+                item["before"],
+                target.degree(),
+            )
+            if cut != (item["wreath_order"], tuple(item["after"])):
                 return False
-            orders = {
-                r.name: r.order for r in transitive_groups(target.degree())
-            }
-            survivors = [
-                name
-                for name in item["before"]
-                if name in orders and item["wreath_order"] % orders[name] == 0
-            ]
-            if survivors != list(item["after"]):
-                return False
+            survivors = cut[1]
             if ident.certainty.is_proven and (
                 len(survivors) != 1 or survivors[0] != ident.group_name
             ):

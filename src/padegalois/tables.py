@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cache import ResultCache
-from .factor import factor_over_integers
 from .galois import (
     DEFAULT_PRIME_BOUND,
     GaloisIdentification,
@@ -328,7 +327,6 @@ def _classify_cell(
             "ident": ident.to_dict(),
             "poly": format_poly(poly),
             "poly_degree": poly.degree(),
-            "factor_degrees": factor_over_integers(poly).degree_multiset(),
         }
 
     payload = {

@@ -1,6 +1,8 @@
 """Group identification: exact small degrees, elimination, certificates."""
 
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -8,6 +10,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padegalois import galois
 from padegalois.factor import factor_mod_p, factor_over_integers
 from padegalois.galois import (
     Certainty,
@@ -501,7 +504,85 @@ class TestClassify:
             classify(IntPoly((3,)))
 
 
+# SHA-256 of json.dumps(classify(f).to_dict(), sort_keys=True), recorded
+# while every sampling tier still walked the primes on its own: sharing
+# one Frobenius stream must leave each verdict byte for byte as it was.
+_GOLDEN_VERDICTS = (
+    (  # C6, heuristic after elimination
+        parse_int_poly("x^6 + x^3 + 1"),
+        "542f2f394760b2f3f4b6f97996e0a9b2a364279e4c8d21ce937e2a44b3b9e289",
+    ),
+    (  # eliminated set after the block-order filter
+        parse_int_poly("x^6 - 2"),
+        "bd2a49b6c871e79ca5e33ef1ce97291d5bab6998681309644d0ee01cb8354021",
+    ),
+    (  # S7, proven by elimination
+        parse_int_poly("x^7 - x - 1"),
+        "9ca0dbdedcf9f19e7a0e57578ac7e928ed8e5af2956b1bf9ebd430a69fa0bf09",
+    ),
+    (  # A8, Jordan certificate
+        scale_to_monic_integer(8),
+        "835e519c4ce7b1ea37a34f93f7cfd275e8b4fd22d0f293c64a23537900328569",
+    ),
+    (  # C8, heuristic: the InvSqrtPade order-17 numerator
+        pade_diagonal(SeriesId.INV_SQRT_MINUS, 17).numerator,
+        "f27c6b7aafb0894ebc74aa2acb90ff77ce47539a746a482801cfba45d28ddff4",
+    ),
+    (  # subgroup of a wreath product
+        parse_int_poly("x^8 + x^4 + 7"),
+        "84109870c381bc50e38ba97d0d630a87550a63cb63703bf259373bbc67591a58",
+    ),
+    (  # unknown once the Jordan hunt reaches its classify cap
+        parse_int_poly(
+            "x^8 + 4*x^7 + 10*x^6 + 16*x^5 + 19*x^4 + 16*x^3 + 10*x^2"
+            " + 4*x + 3"
+        ),
+        "baf06a7a616b4bc435f5bf896004234422f387a5aed171a3aded74cb057a957f",
+    ),
+    (  # dense S11, Jordan certificate
+        parse_int_poly(
+            "x^11 + 2*x^10 - 3*x^9 + x^8 + 5*x^7 - x^6 + 4*x^5 - 2*x^4"
+            " + x^3 + 3*x^2 - x + 5"
+        ),
+        "a5a0468647b7cf8628451fa46aefbfd6e79cdf4c1f7ea3c328a9a9590974e324",
+    ),
+)
+
+
+class TestFrobeniusStream:
+    @pytest.mark.parametrize(("f", "digest"), _GOLDEN_VERDICTS)
+    def test_golden_verdicts(self, f, digest):
+        text = json.dumps(classify(f).to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("text", ["x^6 + x^3 + 1", "x^8 + x^4 + 7"])
+    def test_no_prime_sampled_twice(self, monkeypatch, text):
+        # the cyclic tier re-reads the elimination samples at degree 6,
+        # and the wreath order bound the Jordan/cyclic ones at degree 8
+        calls = []
+        original = galois.dedekind_cycle_type
+
+        def counting(f, p):
+            calls.append((f.coeffs, p))
+            return original(f, p)
+
+        monkeypatch.setattr(galois, "dedekind_cycle_type", counting)
+        classify(parse_int_poly(text))
+        assert calls
+        assert len(calls) == len(set(calls))
+
+
 class TestVerifyIdentification:
+    @pytest.mark.parametrize(
+        "text",
+        ["2*x^4 - 4", "2*x^7 - 14*x + 6", "-x^8 + 2", "-x^6 + 2"],
+    )
+    def test_replay_uses_primitive_part(self, text):
+        # classify decides on the primitive part with a positive leading
+        # coefficient; the replay has to start from the same polynomial
+        f = parse_int_poly(text)
+        assert verify_identification(f, classify(f))
+
     def test_tampered_evidence_fails(self):
         f = IntPoly((1, 1, 0, 1))
         ident = classify(f)
