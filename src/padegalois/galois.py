@@ -27,10 +27,17 @@ same stream with its own stopping rule:
   embedding into C2 wr Gal(g); the element orders of the first samples
   give an order lower bound.
 
+Every tier only gathers evidence items; ``_verdict`` holds the rules
+that turn a list of items into a group name, a T-notation and a
+certainty, and every tier names its result through it.
+
 ``classify`` runs the tiers on the largest irreducible factor of f; when
 f is irreducible that is its primitive part with a positive leading
-coefficient.  ``verify_identification`` re-derives every evidence item
-of a verdict from scratch on that same polynomial.
+coefficient.  ``verify_identification`` rebuilds every evidence item of
+a verdict from scratch on that same polynomial, then re-derives the
+name and the certainty from the items with ``_verdict``.  The
+``samples`` and ``order_lower_bound`` items are stated claims that are
+not replayed.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from itertools import islice
 from math import isqrt, lcm
 
 from .factor import factor_over_integers, is_irreducible, rational_roots
-from .groupdata import TransitiveGroupRecord, transitive_groups
+from .groupdata import transitive_groups
 from .modp import (
     gf_ddf_degree_multiset,
     gf_deriv,
@@ -407,47 +414,32 @@ def _squarefree_int(f: IntPoly) -> bool:
     return int_poly_gcd(f, f.derivative()).degree() == 0
 
 
-def _resolvent_base(f: IntPoly, shift) -> IntPoly | None:
-    """The monic polynomial a resolvent is built from.
+def _squarefree_resolvent(f: IntPoly, build, shift) -> IntPoly | None:
+    """build(base), or None when that is not squarefree.
 
-    That is f made monic, then sent through the Tschirnhaus transform
-    ``shift`` when one is given; None when the transform is reducible,
-    since only an irreducible transform keeps the splitting field.
+    base is f made monic, then sent through the Tschirnhaus transform
+    ``shift`` when one is given; a reducible transform also gives None,
+    since only an irreducible one keeps the splitting field.
     """
-    g = _monicize(f)
-    if shift is None:
-        return g
-    base = _tschirnhaus_quadratic(g, *shift)
-    return base if is_irreducible(base) else None
+    base = _monicize(f)
+    if shift is not None:
+        base = _tschirnhaus_quadratic(base, *shift)
+        if not is_irreducible(base):
+            return None
+    resolvent = build(base)
+    return resolvent if _squarefree_int(resolvent) else None
 
 
-def _squarefree_resolvent(f: IntPoly, build, what: str):
-    """(build(base), shift) for the first shift whose resolvent is squarefree.
+def _first_shift_item(item_at, f: IntPoly, what: str) -> dict:
+    """item_at(f, shift) for the first shift whose resolvent is squarefree.
 
     Tries f itself, then each of _TSCHIRNHAUS_TRIALS in order.
     """
     for shift in (None,) + _TSCHIRNHAUS_TRIALS:
-        base = _resolvent_base(f, shift)
-        if base is None:
-            continue
-        resolvent = build(base)
-        if _squarefree_int(resolvent):
-            return resolvent, shift
+        item = item_at(f, shift)
+        if item is not None:
+            return item
     raise RuntimeError(f"no squarefree {what} found")
-
-
-def _difference_degrees(f: IntPoly):
-    """Sorted factor degrees of the difference resolvent of irreducible f.
-
-    Returns (degrees, shift) where shift is the Tschirnhaus pair used to
-    dodge coinciding root differences, or None when none was needed.
-    The degrees are the orbit sizes of the Galois group acting on ordered
-    pairs of distinct roots.
-    """
-    diff, shift = _squarefree_resolvent(
-        f, _difference_resolvent, "difference resolvent"
-    )
-    return sorted(factor_over_integers(diff).degree_multiset()), shift
 
 
 def _resolvent_cubic(f: IntPoly) -> IntPoly:
@@ -585,70 +577,282 @@ def _quintic_resolvent(base: IntPoly) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
+# Evidence items and the verdict rules
+# ---------------------------------------------------------------------------
+# Each kind of evidence item is built by one helper below: the tier that
+# emits the item calls it on the polynomial it classifies, and
+# verify_identification calls it again on the polynomial under test and
+# compares the two.
+
+
+def _degree_item(f: IntPoly) -> dict:
+    return {"kind": "degree", "value": f.degree()}
+
+
+def _disc_item(f: IntPoly, kind: str = "disc_square") -> dict:
+    """Whether disc(f) is a square, as a disc_square or a parity item."""
+    key = "square" if kind == "disc_square" else "disc_square"
+    return {"kind": kind, key: disc_is_square(f)}
+
+
+def _resolvent_cubic_item(f: IntPoly) -> dict:
+    cubic = _resolvent_cubic(f)
+    return {
+        "kind": "resolvent_cubic",
+        "coeffs": list(cubic.coeffs),
+        "rational_roots": [str(r) for r in rational_roots(cubic)],
+    }
+
+
+def _quintic_resolvent_item(f: IntPoly, shift) -> dict | None:
+    """The sextic resolvent through shift; None as _squarefree_resolvent."""
+    sextic = _squarefree_resolvent(f, _quintic_resolvent, shift)
+    if sextic is None:
+        return None
+    return {
+        "kind": "quintic_resolvent",
+        "shift": shift,
+        "coeffs": list(sextic.coeffs),
+        "rational_roots": [str(r) for r in rational_roots(sextic)],
+    }
+
+
+def _difference_degrees_item(f: IntPoly, shift) -> dict | None:
+    """Sorted factor degrees of the difference resolvent through shift.
+
+    For irreducible f they are the orbit sizes of the Galois group on
+    ordered pairs of distinct roots.  None as _squarefree_resolvent.
+    """
+    diff = _squarefree_resolvent(f, _difference_resolvent, shift)
+    if diff is None:
+        return None
+    degrees = sorted(factor_over_integers(diff).degree_multiset())
+    return {"kind": "difference_degrees", "degrees": degrees, "shift": shift}
+
+
+def _cycle_type_item(p: int, t: CycleType, note: str | None = None) -> dict:
+    item = {"kind": "cycle_type", "prime": p, "parts": list(t.parts)}
+    if note is not None:
+        item["note"] = note
+    return item
+
+
+def _jordan_window(n: int) -> set[int]:
+    """The primes q with n/2 < q < n - 2."""
+    return {q for q in range(n // 2 + 1, n - 2) if is_prime(q)}
+
+
+def _jordan_item(p: int, t: CycleType, window) -> dict | None:
+    """The sample (p, t) as a Jordan cycle, if a part of t lies in window."""
+    q = next((q for q in t.parts if q in window), None)
+    if q is None:
+        return None
+    return {
+        "kind": "jordan_cycle",
+        "prime": p,
+        "cycle_length": q,
+        "parts": list(t.parts),
+    }
+
+
+def _block_structure(f: IntPoly):
+    """(block_structure item, h) for f = h(x^2) or x*h(x^2), else None."""
+    if f.is_even_polynomial():
+        pattern, inner = "g(x^2)", f.even_part_compressed()
+    elif f.is_odd_polynomial() and f.degree() >= 3:
+        pattern, inner = "x*g(x^2)", IntPoly(f.coeffs[1::2])
+    else:
+        return None
+    if inner.degree() < 1:
+        return None
+    item = {
+        "kind": "block_structure",
+        "pattern": pattern,
+        "inner": format_poly(inner),
+    }
+    return item, inner
+
+
+def _inner_group_item(inner: GaloisIdentification) -> dict:
+    return {
+        "kind": "inner_group",
+        "name": inner.group_name,
+        "certainty": inner.certainty.kind,
+    }
+
+
+def _block_order_cut(inner_group: str, t: int, names, n: int):
+    """(wreath_order, survivors) of the Lagrange cut by C2 wr inner_group.
+
+    wreath_order = 2^t * |inner_group| for the degree-t census group of
+    that name, and survivors are the degree-n census groups among names
+    whose order divides it.  None when inner_group is not in the census.
+    """
+    inner_order = 1
+    if t > 1:
+        inner_order = next(
+            (r.order for r in transitive_groups(t) if r.name == inner_group),
+            None,
+        )
+        if inner_order is None:
+            return None
+    wreath_order = 2**t * inner_order
+    orders = {r.name: r.order for r in transitive_groups(n)}
+    survivors = tuple(
+        name
+        for name in names
+        if name in orders and wreath_order % orders[name] == 0
+    )
+    return wreath_order, survivors
+
+
+def _block_order_item(f: IntPoly, inner_group: str, before) -> dict | None:
+    """The Lagrange cut of names before, for f = h(x^2) with Gal(h) named
+    inner_group; None without that shape or outside the census.
+    """
+    found = _block_structure(f)
+    if found is None or found[0]["pattern"] != "g(x^2)":
+        return None
+    structure, inner = found
+    cut = _block_order_cut(inner_group, inner.degree(), before, f.degree())
+    if cut is None:
+        return None
+    return {
+        **structure,
+        "kind": "block_order_filter",
+        "inner_group": inner_group,
+        "wreath_order": cut[0],
+        "before": list(before),
+        "after": list(cut[1]),
+    }
+
+
+def _t_label(n: int, name: str) -> str | None:
+    """T-notation of the degree-n census group of that name, if any."""
+    if not 2 <= n <= 7:
+        return None
+    return next(
+        (r.t_label for r in transitive_groups(n) if r.name == name), None
+    )
+
+
+def _verdict(n: int, evidence, inner: GaloisIdentification | None = None):
+    """(group_name, t_notation, certainty) that degree-n evidence implies.
+
+    These are the tier rules, written once: every tier names its result
+    here, and verify_identification re-derives a stored verdict here
+    once its items have been replayed.  Only the items are read, with
+    the census and, for the block rules, ``inner``: the verdict on h
+    where f = h(x^2) or x*h(x^2).  The ``samples`` counts and the
+    candidates of a cyclic verdict are taken as stated.  Raises
+    ValueError when the items imply no verdict, RuntimeError when they
+    leave no census group.
+    """
+    first: dict[str, dict] = {}
+    for item in evidence:
+        first.setdefault(item["kind"], item)
+    types = {tuple(e["parts"]) for e in evidence if e["kind"] == "cycle_type"}
+    if "block_structure" in first:
+        if inner is None:
+            raise ValueError("a block verdict needs its inner verdict")
+        # H <= K implies C2 wr H <= C2 wr K, so a "subgroup of" inner
+        # verdict folds into the outer embedding claim.
+        inner_name = inner.group_name.removeprefix("subgroup of ")
+        certainty = (
+            Certainty.proven() if inner.certainty.is_proven else inner.certainty
+        )
+        return f"subgroup of C2 wr {inner_name}", None, certainty
+    if "samples" not in first:
+        # the exact tier, degree 1..5
+        if n <= 2:
+            if first["degree"]["value"] != n:
+                raise ValueError("degree item disagrees with the verdict")
+            return f"C{n}", f"{n}T1", Certainty.proven()
+        square = first["disc_square"]["square"]
+        if n == 3:
+            name = "C3" if square else "S3"
+        elif n == 4:
+            roots = len(first["resolvent_cubic"]["rational_roots"])
+            if roots == 3:
+                # all squareness of disc forced: the group sits inside A4
+                name = "V4"
+            elif roots == 0:
+                name = "A4" if square else "S4"
+            else:
+                # C4 or D4: orbits on ordered root pairs 4+4+4 or 8+4
+                degrees = first["difference_degrees"]["degrees"]
+                name = "D4" if max(degrees) == 8 else "C4"
+        elif n == 5:
+            if not first["quintic_resolvent"]["rational_roots"]:
+                name = "A5" if square else "S5"
+            elif not square:
+                name = "F20"
+            else:
+                # C5 or D5: orbits on ordered root pairs 5+5+5+5 or 10+10
+                degrees = first["difference_degrees"]["degrees"]
+                name = "D5" if max(degrees) == 10 else "C5"
+        else:
+            raise ValueError(f"no exact rule at degree {n}")
+        return name, _t_label(n, name), Certainty.proven()
+    count = first["samples"]["count"]
+    bound = first["samples"]["prime_bound"]
+    if "jordan_cycle" in first:
+        name = f"A{n}" if first["disc_square"]["square"] else f"S{n}"
+        return name, None, Certainty.proven()
+    if "parity" in first:
+        # census elimination: every observed type and the parity must fit
+        square = first["parity"]["disc_square"]
+        names = tuple(
+            r.name
+            for r in transitive_groups(n)
+            if r.all_even == square and types <= r.cycle_types
+        )
+        cut = first.get("block_order_filter")
+        if cut is not None:
+            proven_inner = inner is not None and inner.certainty.is_proven
+            if not proven_inner or cut["before"] != list(names):
+                raise ValueError("block-order cut does not fit the evidence")
+            names = _block_order_cut(inner.group_name, n // 2, names, n)[1]
+        if not names:
+            raise RuntimeError(
+                "no census group fits the evidence; input was not irreducible"
+            )
+        if len(names) == 1:
+            return names[0], _t_label(n, names[0]), Certainty.proven()
+        if first.get("candidates", {}).get("names") != list(names):
+            raise ValueError("candidates item disagrees with the evidence")
+        return (
+            "one of " + ", ".join(names),
+            None,
+            Certainty.eliminated_to_set(names, count, bound),
+        )
+    if first["samples"].get("all_uniform"):
+        name = f"C{n}"
+        stated = first.get("candidates")
+        candidates = tuple(stated["names"]) if stated else ()
+        if (
+            count < MIN_CYCLIC_SAMPLES
+            or (n,) not in types
+            or any(len(set(t)) > 1 for t in types)
+            or (stated and name not in candidates)
+        ):
+            raise ValueError("the samples do not make a cyclic verdict")
+        return (
+            name,
+            _t_label(n, name),
+            Certainty.heuristic(count, bound, candidates),
+        )
+    return "unknown", None, Certainty.unknown(count, bound)
+
+
+def _ident(n: int, evidence, inner=None) -> GaloisIdentification:
+    name, t, certainty = _verdict(n, evidence, inner)
+    return GaloisIdentification(name, t, n, certainty, tuple(evidence))
+
+
+# ---------------------------------------------------------------------------
 # Tier 2: exact identification through degree 5
 # ---------------------------------------------------------------------------
-
-
-def _ident(name, t, degree, certainty, evidence) -> GaloisIdentification:
-    return GaloisIdentification(name, t, degree, certainty, tuple(evidence))
-
-
-def _quartic_group(f: IntPoly, square: bool, ev) -> GaloisIdentification:
-    cubic = _resolvent_cubic(f)
-    roots = rational_roots(cubic)
-    ev.append(
-        {
-            "kind": "resolvent_cubic",
-            "coeffs": list(cubic.coeffs),
-            "rational_roots": [str(r) for r in roots],
-        }
-    )
-    if len(roots) == 3:
-        # all squareness of disc forced: the group sits inside A4
-        return _ident("V4", "4T2", 4, Certainty.proven(), ev)
-    if len(roots) == 0:
-        if square:
-            return _ident("A4", "4T4", 4, Certainty.proven(), ev)
-        return _ident("S4", "4T5", 4, Certainty.proven(), ev)
-    # exactly one rational root: the group is C4 or D4, distinguished by
-    # the orbit sizes on ordered root pairs (4+4+4 versus 8+4)
-    degrees, shift = _difference_degrees(f)
-    ev.append(
-        {"kind": "difference_degrees", "degrees": degrees, "shift": shift}
-    )
-    if max(degrees) == 8:
-        return _ident("D4", "4T3", 4, Certainty.proven(), ev)
-    return _ident("C4", "4T1", 4, Certainty.proven(), ev)
-
-
-def _quintic_group(f: IntPoly, square: bool, ev) -> GaloisIdentification:
-    sextic, shift = _squarefree_resolvent(
-        f, _quintic_resolvent, "quintic resolvent"
-    )
-    roots = rational_roots(sextic)
-    ev.append(
-        {
-            "kind": "quintic_resolvent",
-            "shift": shift,
-            "coeffs": list(sextic.coeffs),
-            "rational_roots": [str(r) for r in roots],
-        }
-    )
-    if not roots:
-        if square:
-            return _ident("A5", "5T4", 5, Certainty.proven(), ev)
-        return _ident("S5", "5T5", 5, Certainty.proven(), ev)
-    if not square:
-        return _ident("F20", "5T3", 5, Certainty.proven(), ev)
-    # solvable with square discriminant: C5 or D5; orbit sizes on ordered
-    # root pairs are 5+5+5+5 for C5 and 10+10 for D5
-    degrees, dshift = _difference_degrees(f)
-    ev.append(
-        {"kind": "difference_degrees", "degrees": degrees, "shift": dshift}
-    )
-    if max(degrees) == 10:
-        return _ident("D5", "5T2", 5, Certainty.proven(), ev)
-    return _ident("C5", "5T1", 5, Certainty.proven(), ev)
 
 
 def exact_small_degree(
@@ -669,23 +873,28 @@ def exact_small_degree(
         raise ValueError("degree must be between 1 and 5")
     if not _assume_irreducible and not is_irreducible(f):
         raise ValueError("polynomial is reducible")
-    if n == 1:
-        return _ident(
-            "C1", "1T1", 1, Certainty.proven(), [{"kind": "degree", "value": 1}]
-        )
-    if n == 2:
-        return _ident(
-            "C2", "2T1", 2, Certainty.proven(), [{"kind": "degree", "value": 2}]
-        )
-    square = disc_is_square(f)
-    ev = [{"kind": "disc_square", "square": square}]
-    if n == 3:
-        if square:
-            return _ident("C3", "3T1", 3, Certainty.proven(), ev)
-        return _ident("S3", "3T2", 3, Certainty.proven(), ev)
+    if n <= 2:
+        return _ident(n, [_degree_item(f)])
+    ev = [_disc_item(f)]
     if n == 4:
-        return _quartic_group(f, square, ev)
-    return _quintic_group(f, square, ev)
+        ev.append(_resolvent_cubic_item(f))
+        # one rational root of the cubic leaves C4 against D4
+        cyclic_or_dihedral = len(ev[1]["rational_roots"]) not in (0, 3)
+    elif n == 5:
+        ev.append(
+            _first_shift_item(_quintic_resolvent_item, f, "quintic resolvent")
+        )
+        # a rational root with a square discriminant leaves C5 against D5
+        cyclic_or_dihedral = bool(ev[1]["rational_roots"]) and ev[0]["square"]
+    else:
+        cyclic_or_dihedral = False
+    if cyclic_or_dihedral:
+        ev.append(
+            _first_shift_item(
+                _difference_degrees_item, f, "difference resolvent"
+            )
+        )
+    return _ident(n, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +925,9 @@ def eliminate_degree_le7(
         raise ValueError("degree must be 6 or 7")
     if not _assume_irreducible and not is_irreducible(f):
         raise ValueError("polynomial is reducible")
-    square = disc_is_square(f)
+    parity = _disc_item(f, "parity")
     survivors = [
-        r for r in transitive_groups(n) if r.all_even == square
+        r for r in transitive_groups(n) if r.all_even == parity["disc_square"]
     ]
     if _samples is None:
         _samples = FrobeniusSamples(f, prime_bound)
@@ -733,61 +942,21 @@ def eliminate_degree_le7(
             streak += 1
         else:
             observed.add(t.parts)
-            ev.append(
-                {"kind": "cycle_type", "prime": p, "parts": list(t.parts)}
-            )
+            ev.append(_cycle_type_item(p, t))
             before = len(survivors)
             survivors = [r for r in survivors if t.parts in r.cycle_types]
             streak = streak + 1 if len(survivors) == before else 0
         if len(survivors) <= 1 or streak >= ELIMINATION_STABLE_STREAK:
             break
-    if not survivors:
-        raise RuntimeError(
-            "every census group was eliminated; input was not irreducible"
-        )
-    ev.append({"kind": "parity", "disc_square": square})
+    ev.append(parity)
     ev.append(
         {"kind": "samples", "count": samples, "prime_bound": last_prime}
     )
-    if len(survivors) == 1:
-        record = survivors[0]
-        return _ident(
-            record.name, record.t_label, n, Certainty.proven(), ev
+    if len(survivors) > 1:
+        ev.append(
+            {"kind": "candidates", "names": [r.name for r in survivors]}
         )
-    names = tuple(r.name for r in survivors)
-    ev.append({"kind": "candidates", "names": list(names)})
-    return _ident(
-        "one of " + ", ".join(names),
-        None,
-        n,
-        Certainty.eliminated_to_set(names, samples, last_prime),
-        ev,
-    )
-
-
-def _block_order_cut(inner_group: str, t: int, names, n: int):
-    """(wreath_order, survivors) of the Lagrange cut by C2 wr inner_group.
-
-    wreath_order = 2^t * |inner_group| for the degree-t census group of
-    that name, and survivors are the degree-n census groups among names
-    whose order divides it.  None when inner_group is not in the census.
-    """
-    inner_order = 1
-    if t > 1:
-        inner_order = next(
-            (r.order for r in transitive_groups(t) if r.name == inner_group),
-            None,
-        )
-        if inner_order is None:
-            return None
-    wreath_order = 2**t * inner_order
-    orders = {r.name: r.order for r in transitive_groups(n)}
-    survivors = tuple(
-        name
-        for name in names
-        if name in orders and wreath_order % orders[name] == 0
-    )
-    return wreath_order, survivors
+    return _ident(n, ev)
 
 
 def _block_order_filter(
@@ -802,67 +971,20 @@ def _block_order_filter(
     inside the symmetric one's, so S_6 shadows C2 wr S3 forever — which
     is why the two sources of information only decide together.
     """
-    if not g.is_even_polynomial():
+    found = _block_structure(g)
+    if found is None or found[0]["pattern"] != "g(x^2)":
         return ident
-    inner_poly = g.even_part_compressed()
-    if inner_poly.degree() < 1:
-        return ident
-    inner = classify(inner_poly, prime_bound)
+    inner = classify(found[1], prime_bound)
     if not inner.certainty.is_proven:
         return ident
-    n = g.degree()
     before = ident.certainty.candidates
-    cut = _block_order_cut(
-        inner.group_name, inner_poly.degree(), before, n
-    )
-    if cut is None:
+    item = _block_order_item(g, inner.group_name, before)
+    if item is None or item["after"] == list(before):
         return ident
-    wreath_order, after = cut
-    if not after:
-        raise RuntimeError(
-            "block-order filter emptied the candidate set; "
-            "input was not irreducible"
-        )
-    if after == before:
-        return ident
-    base_ev = tuple(
-        item for item in ident.evidence if item.get("kind") != "candidates"
-    )
-    filter_item = {
-        "kind": "block_order_filter",
-        "pattern": "g(x^2)",
-        "inner": format_poly(inner_poly),
-        "inner_group": inner.group_name,
-        "wreath_order": wreath_order,
-        "before": list(before),
-        "after": list(after),
-    }
-    if len(after) == 1:
-        record = next(
-            r for r in transitive_groups(n) if r.name == after[0]
-        )
-        return _ident(
-            record.name,
-            record.t_label,
-            n,
-            Certainty.proven(),
-            base_ev + (filter_item,),
-        )
-    ev = base_ev + (
-        filter_item,
-        {"kind": "candidates", "names": list(after)},
-    )
-    return _ident(
-        "one of " + ", ".join(after),
-        None,
-        n,
-        Certainty.eliminated_to_set(
-            after,
-            ident.certainty.sample_count,
-            ident.certainty.prime_bound,
-        ),
-        ev,
-    )
+    ev = [e for e in ident.evidence if e["kind"] != "candidates"] + [item]
+    if len(item["after"]) > 1:
+        ev.append({"kind": "candidates", "names": list(item["after"])})
+    return _ident(g.degree(), ev, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +1017,7 @@ def sn_an_certificate(
         raise ValueError("degree must be at least 8")
     if not _assume_irreducible and not is_irreducible(f):
         raise ValueError("polynomial is reducible")
-    window = {q for q in range(n // 2 + 1, n - 2) if is_prime(q)}
+    window = _jordan_window(n)
     if not window:
         raise RuntimeError(f"no usable prime cycle length for degree {n}")
     if _samples is None:
@@ -906,37 +1028,23 @@ def sn_an_certificate(
     last_prime = 2
     for samples, (p, t) in enumerate(islice(_samples, _sample_cap), 1):
         last_prime = p
-        hit = next((q for q in t.parts if q in window), None)
-        if hit is not None:
-            square = disc_is_square(f)
-            ev = [
-                {
-                    "kind": "jordan_cycle",
-                    "prime": p,
-                    "cycle_length": hit,
-                    "parts": list(t.parts),
-                },
-                {"kind": "disc_square", "square": square},
-                {"kind": "samples", "count": samples, "prime_bound": p},
-            ]
-            if square:
-                return _ident(f"A{n}", None, n, Certainty.proven(), ev)
-            return _ident(f"S{n}", None, n, Certainty.proven(), ev)
+        jordan = _jordan_item(p, t, window)
+        if jordan is not None:
+            return _ident(
+                n,
+                [
+                    jordan,
+                    _disc_item(f),
+                    {"kind": "samples", "count": samples, "prime_bound": p},
+                ],
+            )
         if t.parts not in seen and len(seen) < 30:
             seen.add(t.parts)
-            observed.append(
-                {"kind": "cycle_type", "prime": p, "parts": list(t.parts)}
-            )
+            observed.append(_cycle_type_item(p, t))
     observed.append(
         {"kind": "samples", "count": samples, "prime_bound": last_prime}
     )
-    return _ident(
-        "unknown",
-        None,
-        n,
-        Certainty.unknown(samples, last_prime),
-        observed,
-    )
+    return _ident(n, observed)
 
 
 # ---------------------------------------------------------------------------
@@ -970,58 +1078,36 @@ def cyclic_heuristic(
     if _samples is None:
         _samples = FrobeniusSamples(f, prime_bound)
     samples = 0
-    ncycle_prime = None
+    ncycle = None
     last_prime = 2
     for samples, (p, t) in enumerate(_samples, 1):
         last_prime = p
         if not t.is_uniform():
+            note = "non-uniform type refutes cyclicity"
             return _ident(
-                "unknown",
-                None,
                 n,
-                Certainty.unknown(samples, p),
                 [
-                    {
-                        "kind": "cycle_type",
-                        "prime": p,
-                        "parts": list(t.parts),
-                        "note": "non-uniform type refutes cyclicity",
-                    },
+                    _cycle_type_item(p, t, note),
                     {"kind": "samples", "count": samples, "prime_bound": p},
                 ],
             )
-        if t.parts == (n,) and ncycle_prime is None:
-            ncycle_prime = p
-        if samples >= MIN_CYCLIC_SAMPLES and ncycle_prime is not None:
-            break
-    if samples >= MIN_CYCLIC_SAMPLES and ncycle_prime is not None:
-        t_label = None
-        if 2 <= n <= 7:
-            for record in transitive_groups(n):
-                if record.name == f"C{n}":
-                    t_label = record.t_label
-                    break
-        return _ident(
-            f"C{n}",
-            t_label,
-            n,
-            Certainty.heuristic(samples, last_prime),
-            [
-                {"kind": "cycle_type", "prime": ncycle_prime, "parts": [n]},
-                {
-                    "kind": "samples",
-                    "count": samples,
-                    "prime_bound": last_prime,
-                    "all_uniform": True,
-                },
-            ],
-        )
+        if t.parts == (n,) and ncycle is None:
+            ncycle = (p, t)
+        if samples >= MIN_CYCLIC_SAMPLES and ncycle is not None:
+            return _ident(
+                n,
+                [
+                    _cycle_type_item(*ncycle),
+                    {
+                        "kind": "samples",
+                        "count": samples,
+                        "prime_bound": p,
+                        "all_uniform": True,
+                    },
+                ],
+            )
     return _ident(
-        "unknown",
-        None,
-        n,
-        Certainty.unknown(samples, last_prime),
-        [{"kind": "samples", "count": samples, "prime_bound": last_prime}],
+        n, [{"kind": "samples", "count": samples, "prime_bound": last_prime}]
     )
 
 
@@ -1048,53 +1134,30 @@ def wreath_structure(
         raise TypeError("expected an IntPoly")
     if f.degree() < 1:
         raise ValueError("need a nonconstant polynomial")
-    if f.is_even_polynomial():
-        pattern = "g(x^2)"
-        inner_poly = f.even_part_compressed()
-    elif f.is_odd_polynomial() and f.degree() >= 3:
-        pattern = "x*g(x^2)"
-        inner_poly = IntPoly(f.coeffs[1::2])
-    else:
+    found = _block_structure(f)
+    if found is None:
         return WreathReport(detected=False)
-    if inner_poly.degree() < 1:
-        return WreathReport(detected=False)
+    structure, inner_poly = found
     inner = classify(inner_poly, prime_bound)
-    t = inner_poly.degree()
     if _samples is None:
         _samples = FrobeniusSamples(f, prime_bound)
     orders = [ct.order() for _, ct in islice(_samples, WREATH_ORDER_SAMPLES)]
     samples = len(orders)
     bound = lcm(*orders) if orders else 1
-    # H <= K implies C2 wr H <= C2 wr K, so a "subgroup of" inner verdict
-    # folds into the outer embedding claim.
-    inner_name = inner.group_name
-    if inner_name.startswith("subgroup of "):
-        inner_name = inner_name[len("subgroup of "):]
-    embedding = f"C2 wr {inner_name}"
     evidence = (
-        {
-            "kind": "block_structure",
-            "pattern": pattern,
-            "inner": format_poly(inner_poly),
-        },
-        {
-            "kind": "inner_group",
-            "name": inner.group_name,
-            "certainty": inner.certainty.kind,
-        },
+        structure,
+        _inner_group_item(inner),
         {"kind": "order_lower_bound", "value": bound, "samples": samples},
     )
-    embedding_certainty = (
-        Certainty.proven() if inner.certainty.is_proven else inner.certainty
-    )
+    name, _, embedding_certainty = _verdict(f.degree(), evidence, inner)
     return WreathReport(
         detected=True,
-        pattern=pattern,
+        pattern=structure["pattern"],
         inner_polynomial=inner_poly,
         inner=inner,
-        embedding=embedding,
+        embedding=name.removeprefix("subgroup of "),
         embedding_certainty=embedding_certainty,
-        full_claim=f"C2 wr S{t}",
+        full_claim=f"C2 wr S{inner_poly.degree()}",
         full_claim_certainty=Certainty.heuristic(samples, prime_bound),
         order_lower_bound=bound,
         evidence=evidence,
@@ -1127,25 +1190,12 @@ def _classify_irreducible(
         cyc = cyclic_heuristic(
             g, prime_bound, _assume_irreducible=True, _samples=stream
         )
-        if (
-            cyc.certainty.kind == HEURISTIC
-            and cyc.group_name in ident.certainty.candidates
-        ):
-            merged = Certainty.heuristic(
-                cyc.certainty.sample_count,
-                cyc.certainty.prime_bound,
-                ident.certainty.candidates,
-            )
-            extra = (
-                {
-                    "kind": "candidates",
-                    "names": list(ident.certainty.candidates),
-                },
-            )
-            return dataclasses.replace(
-                cyc, certainty=merged, evidence=cyc.evidence + extra
-            )
-        return ident
+        if cyc.certainty.kind != HEURISTIC:
+            return ident
+        candidates = list(ident.certainty.candidates)
+        return _ident(
+            n, cyc.evidence + ({"kind": "candidates", "names": candidates},)
+        )
     cyc = cyclic_heuristic(
         g, prime_bound, _assume_irreducible=True, _samples=stream
     )
@@ -1166,13 +1216,7 @@ def _classify_irreducible(
         return ident
     report = wreath_structure(g, prime_bound, _samples=stream)
     if report.detected:
-        return GaloisIdentification(
-            f"subgroup of {report.embedding}",
-            None,
-            n,
-            report.embedding_certainty,
-            report.evidence,
-        )
+        return _ident(n, report.evidence, report.inner)
     return ident
 
 
@@ -1213,7 +1257,12 @@ def classify(
 def classify_all_factors(
     f: IntPoly, prime_bound: int = DEFAULT_PRIME_BOUND
 ):
-    """One (factor, verdict) pair per distinct irreducible factor of f."""
+    """One (factor, verdict) pair per distinct irreducible factor of f.
+
+    A verdict concerns its factor alone and carries no ``reducible``
+    item, so it replays against that factor, not against f:
+    ``verify_identification(factor, ident)``.
+    """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
     if f.degree() < 1:
@@ -1226,148 +1275,96 @@ def classify_all_factors(
 
 
 # ---------------------------------------------------------------------------
-# Independent re-validation of a verdict's evidence
+# Independent re-validation of a verdict
 # ---------------------------------------------------------------------------
 
 
-def _verify_difference_degrees(target: IntPoly, item: dict) -> bool:
-    base = _resolvent_base(target, item.get("shift"))
-    if base is None:
-        return False
-    diff = _difference_resolvent(base)
-    if not _squarefree_int(diff):
-        return False
-    degrees = sorted(factor_over_integers(diff).degree_multiset())
-    return degrees == sorted(item.get("degrees", []))
+def _sample_at(f: IntPoly, p: int) -> CycleType:
+    t = dedekind_cycle_type(f, p)
+    if t is None:
+        raise ValueError(f"{p} is not a usable prime for {format_poly(f)}")
+    return t
 
 
-def _verify_quintic_resolvent(target: IntPoly, item: dict) -> bool:
-    base = _resolvent_base(target, item.get("shift"))
-    if base is None:
-        return False
-    sextic = _quintic_resolvent(base)
-    if list(sextic.coeffs) != list(item.get("coeffs", [])):
-        return False
-    roots = [str(r) for r in rational_roots(sextic)]
-    return roots == list(item.get("rational_roots", []))
+# kind -> (f, item, inner) -> the item rebuilt on f from its own
+# parameters (prime, shift, candidates before a cut) and the inner
+# verdict.  A ``reducible`` item has chosen f, and the sampling claims
+# are read by _verdict but not replayed: those come back as they are.
+_REBUILD = {
+    "degree": lambda f, item, inner: _degree_item(f),
+    "disc_square": lambda f, item, inner: _disc_item(f, "disc_square"),
+    "parity": lambda f, item, inner: _disc_item(f, "parity"),
+    "resolvent_cubic": lambda f, item, inner: _resolvent_cubic_item(f),
+    "quintic_resolvent": lambda f, item, inner: _quintic_resolvent_item(
+        f, item["shift"]
+    ),
+    "difference_degrees": lambda f, item, inner: _difference_degrees_item(
+        f, item["shift"]
+    ),
+    "cycle_type": lambda f, item, inner: _cycle_type_item(
+        item["prime"], _sample_at(f, item["prime"]), item.get("note")
+    ),
+    "jordan_cycle": lambda f, item, inner: _jordan_item(
+        item["prime"], _sample_at(f, item["prime"]), _jordan_window(f.degree())
+    ),
+    "block_structure": lambda f, item, inner: (
+        _block_structure(f) or (None,)
+    )[0],
+    "inner_group": lambda f, item, inner: _inner_group_item(inner),
+    "block_order_filter": lambda f, item, inner: (
+        inner.certainty.is_proven
+        and _block_order_item(f, inner.group_name, item["before"])
+    ),
+    "reducible": lambda f, item, inner: item,
+    "samples": lambda f, item, inner: item,
+    "order_lower_bound": lambda f, item, inner: item,
+    "candidates": lambda f, item, inner: item,
+}
 
 
 def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
-    """Recompute every evidence item of a verdict from scratch.
+    """Replay a verdict's evidence on f, then re-derive the verdict.
 
-    Returns False as soon as any item fails to reproduce; tampering with
-    the evidence or pairing a verdict with the wrong polynomial is meant
-    to be caught here.  Like classify, the replay concerns the primitive
-    part of f with a positive leading coefficient, or the factor that a
-    ``reducible`` item selects.
+    Three steps.  The target is the polynomial classify decided on: the
+    primitive part of f with a positive leading coefficient, or the
+    factor that a ``reducible`` item selects.  Every item is rebuilt on
+    the target from scratch and must come out the same; the inner
+    verdict of a block item is re-derived by ``classify`` at the default
+    prime bound.  Last, ``_verdict`` must turn the items into the stated
+    name, T-notation and certainty.  The ``samples`` and
+    ``order_lower_bound`` items are stated claims and are not replayed.
+    Returns False, and never raises, on a verdict that does not fit f,
+    tampered or malformed evidence included.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
-    target = f.primitive_part()
-    record = None
-    if ident.t_notation is not None and 2 <= ident.degree <= 7:
-        degree, t_number = ident.t_notation.split("T")
-        if int(degree) != ident.degree:
+    try:
+        target = f.primitive_part()
+        for item in ident.evidence:
+            if item["kind"] == "reducible":
+                target = parse_int_poly(item["selected"])
+                if not target.divides(f):
+                    return False
+        if target.degree() != ident.degree:
             return False
-        for r in transitive_groups(ident.degree):
-            if r.t_number == int(t_number):
-                record = r
-                break
-        if record is None or (
-            ident.certainty.is_proven and record.name != ident.group_name
+        inner = None
+        if any(
+            item["kind"] in ("inner_group", "block_order_filter")
+            for item in ident.evidence
+        ):
+            found = _block_structure(target)
+            if found is None:
+                return False
+            inner = classify(found[1])
+        if any(
+            _REBUILD[item["kind"]](target, item, inner) != item
+            for item in ident.evidence
         ):
             return False
-    for item in ident.evidence:
-        kind = item.get("kind")
-        if kind == "reducible":
-            target = parse_int_poly(item["selected"])
-            if not target.divides(f):
-                return False
-            if target.degree() != ident.degree:
-                return False
-        elif kind in ("cycle_type", "jordan_cycle"):
-            t = dedekind_cycle_type(target, item["prime"])
-            if t is None or list(t.parts) != list(item["parts"]):
-                return False
-            if kind == "jordan_cycle":
-                q = item["cycle_length"]
-                n = target.degree()
-                if q not in t.parts or not is_prime(q):
-                    return False
-                if not (n / 2 < q < n - 2):
-                    return False
-            elif record is not None and t.parts not in record.cycle_types:
-                return False
-        elif kind in ("disc_square", "parity"):
-            key = "square" if kind == "disc_square" else "disc_square"
-            if disc_is_square(target) != item[key]:
-                return False
-        elif kind == "resolvent_cubic":
-            cubic = _resolvent_cubic(target)
-            if list(cubic.coeffs) != list(item["coeffs"]):
-                return False
-            roots = [str(r) for r in rational_roots(cubic)]
-            if roots != list(item["rational_roots"]):
-                return False
-        elif kind == "quintic_resolvent":
-            if not _verify_quintic_resolvent(target, item):
-                return False
-        elif kind == "difference_degrees":
-            if not _verify_difference_degrees(target, item):
-                return False
-        elif kind == "degree":
-            if target.degree() != item["value"]:
-                return False
-        elif kind == "candidates":
-            if ident.certainty.kind == ELIMINATED and ident.group_name not in (
-                "one of " + ", ".join(item["names"]),
-            ):
-                return False
-        elif kind == "block_structure":
-            inner = parse_int_poly(item["inner"])
-            if item["pattern"] == "g(x^2)":
-                if not target.is_even_polynomial():
-                    return False
-                if inner != target.even_part_compressed():
-                    return False
-            elif item["pattern"] == "x*g(x^2)":
-                if not target.is_odd_polynomial():
-                    return False
-                if inner != IntPoly(target.coeffs[1::2]):
-                    return False
-            else:
-                return False
-        elif kind == "block_order_filter":
-            if item["pattern"] != "g(x^2)":
-                return False
-            if not target.is_even_polynomial():
-                return False
-            inner = parse_int_poly(item["inner"])
-            if inner != target.even_part_compressed():
-                return False
-            inner_ident = classify(inner)
-            if not inner_ident.certainty.is_proven:
-                return False
-            if inner_ident.group_name != item["inner_group"]:
-                return False
-            cut = _block_order_cut(
-                item["inner_group"],
-                inner.degree(),
-                item["before"],
-                target.degree(),
-            )
-            if cut != (item["wreath_order"], tuple(item["after"])):
-                return False
-            survivors = cut[1]
-            if ident.certainty.is_proven and (
-                len(survivors) != 1 or survivors[0] != ident.group_name
-            ):
-                return False
-        elif kind == "order_lower_bound":
-            if record is not None and item["value"] > record.order:
-                return False
-        elif kind in ("samples", "inner_group"):
-            continue
-        else:
-            return False
-    return True
+        return _verdict(ident.degree, ident.evidence, inner) == (
+            ident.group_name,
+            ident.t_notation,
+            ident.certainty,
+        )
+    except (ArithmeticError, LookupError, RuntimeError, TypeError, ValueError):
+        return False

@@ -469,6 +469,9 @@ class TestClassify:
         results = classify_all_factors(f)
         names = sorted(ident.group_name for _, ident in results)
         assert names == ["C1", "C2", "S3"]
+        # each verdict replays against its own factor
+        for factor, ident in results:
+            assert verify_identification(factor, ident)
 
     def test_wreath_fallback_for_blocked_octic(self):
         f = IntPoly((7, 0, 0, 0, 1, 0, 0, 0, 1))
@@ -572,7 +575,102 @@ class TestFrobeniusStream:
         assert len(calls) == len(set(calls))
 
 
+def _changed_item(ident, kind, **changes):
+    """The evidence of ident with every item of that kind changed."""
+    return tuple(
+        {**item, **changes} if item["kind"] == kind else item
+        for item in ident.evidence
+    )
+
+
+_TAMPER_TARGETS = {
+    "C8": lambda: pade_diagonal(SeriesId.INV_SQRT_MINUS, 17).numerator,
+    "A8": lambda: scale_to_monic_integer(8),
+    "S5": lambda: parse_int_poly("x^5 - x - 1"),
+    "D4": lambda: parse_int_poly("x^4 - 2"),
+    "one of D6, C2wrC3, C2wrS3": lambda: parse_int_poly("x^6 - 2"),
+    "subgroup of C2 wr S4": lambda: parse_int_poly("x^8 + 3*x^2 + 1"),
+}
+
+# (verdict, tamper): true evidence under a name or a certainty it does
+# not imply
+_TAMPERS = {
+    "C8-renamed-S8": ("C8", lambda v: dataclasses.replace(v, group_name="S8")),
+    "C8-relabelled-proven": (
+        "C8",
+        lambda v: dataclasses.replace(
+            v, certainty=dataclasses.replace(v.certainty, kind="proven")
+        ),
+    ),
+    "C8-sample-count": (
+        "C8",
+        lambda v: dataclasses.replace(
+            v, evidence=_changed_item(v, "samples", count=100000)
+        ),
+    ),
+    "A8-renamed-S8": ("A8", lambda v: dataclasses.replace(v, group_name="S8")),
+    "S5-renamed-A5": (
+        "S5",
+        lambda v: dataclasses.replace(v, group_name="A5", t_notation="5T4"),
+    ),
+    "D4-renamed-C4": (
+        "D4",
+        lambda v: dataclasses.replace(v, group_name="C4", t_notation="4T1"),
+    ),
+    "D6-set-cut": (
+        "one of D6, C2wrC3, C2wrS3",
+        lambda v: dataclasses.replace(
+            v, certainty=dataclasses.replace(v.certainty, candidates=("D6",))
+        ),
+    ),
+    "wreath-renamed": (
+        "subgroup of C2 wr S4",
+        lambda v: dataclasses.replace(v, group_name="subgroup of C2 wr C4"),
+    ),
+    "wreath-renamed-with-inner": (
+        "subgroup of C2 wr S4",
+        lambda v: dataclasses.replace(
+            v,
+            group_name="subgroup of C2 wr C4",
+            evidence=_changed_item(v, "inner_group", name="C4"),
+        ),
+    ),
+}
+
+# a verdict of x^7 - x - 1 -> one that does not fit it
+_UNFIT = {
+    "other-degree": lambda v: classify(parse_int_poly("x^5 - x - 1")),
+    "prime-4": lambda v: dataclasses.replace(
+        v, evidence=_changed_item(v, "cycle_type", prime=4)
+    ),
+    "no-prime": lambda v: dataclasses.replace(
+        v,
+        evidence=tuple(
+            {k: x for k, x in item.items() if k != "prime"}
+            for item in v.evidence
+        ),
+    ),
+    "bad-T-notation": lambda v: dataclasses.replace(v, t_notation="7X7"),
+}
+
+
 class TestVerifyIdentification:
+    @pytest.mark.parametrize("case", list(_TAMPERS))
+    def test_tampered_verdict_fails(self, case):
+        name, tamper = _TAMPERS[case]
+        f = _TAMPER_TARGETS[name]()
+        ident = classify(f)
+        assert ident.group_name == name
+        assert verify_identification(f, ident)
+        assert not verify_identification(f, tamper(ident))
+
+    @pytest.mark.parametrize("case", list(_UNFIT))
+    def test_unfit_verdict_returns_false(self, case):
+        # evidence read back from a cache may be malformed; the verifier
+        # answers False instead of raising
+        f = parse_int_poly("x^7 - x - 1")
+        assert not verify_identification(f, _UNFIT[case](classify(f)))
+
     @pytest.mark.parametrize(
         "text",
         ["2*x^4 - 4", "2*x^7 - 14*x + 6", "-x^8 + 2", "-x^6 + 2"],
