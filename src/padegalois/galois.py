@@ -1327,7 +1327,9 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
 
     Three steps.  The target is the polynomial classify decided on: the
     primitive part of f with a positive leading coefficient, or the
-    factor that a ``reducible`` item selects.  Every item is rebuilt on
+    factor that a ``reducible`` item selects; it must have the verdict's
+    degree and be irreducible, since every tier reads the Galois group
+    of an irreducible polynomial.  Every item is rebuilt on
     the target from scratch and must come out the same; the inner
     verdict of a block item is re-derived by ``classify`` at the default
     prime bound.  Last, ``_verdict`` must turn the items into the stated
@@ -1345,7 +1347,7 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
                 target = parse_int_poly(item["selected"])
                 if not target.divides(f):
                     return False
-        if target.degree() != ident.degree:
+        if target.degree() != ident.degree or not is_irreducible(target):
             return False
         inner = None
         if any(

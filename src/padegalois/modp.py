@@ -6,6 +6,15 @@ Every function takes the modulus explicitly and assumes it is prime.
 This layer is deliberately list-based: the factor engine and the
 cycle-type sampler call it in tight loops.
 
+``gf_distinct_degree`` is the one distinct-degree loop; every cycle
+type, irreducibility test and modular factorization goes through it.
+It works with the Frobenius matrix of f (von zur Gathen and Shoup,
+"Computing Frobenius maps and factoring polynomials", 1992): the p-th
+power map is linear over the prime field, so once x^p mod f is known,
+the rows x^(ip) mod f follow by multiplication, and each x^(p^d) comes
+from the one before by a matrix-vector product.  One modular power per
+(f, p) replaces one per degree.
+
 Randomized steps (equal-degree splitting) take an explicit
 ``random.Random`` instance so callers control the seed and results are
 reproducible.
@@ -101,14 +110,16 @@ def gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
     quot = [0] * (len(a) - db)
+    # rem is reduced lazily: each leading coefficient when it is read, the
+    # db remainder coefficients once at the end
     for i in range(len(quot) - 1, -1, -1):
         c = rem[i + db] % p
         if c:
             q = c * inv % p
             quot[i] = q
             for j in range(db + 1):
-                rem[i + j] = (rem[i + j] - q * b[j]) % p
-    return gf_trim(quot), gf_trim(rem)
+                rem[i + j] -= q * b[j]
+    return gf_trim(quot), gf_trim([c % p for c in rem[:db]])
 
 
 def gf_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -175,19 +186,40 @@ def gf_squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
 
 def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Distinct-degree stages of squarefree monic f: list of (product, d)
-    where product collects all irreducible factors of degree exactly d."""
+    where product collects all irreducible factors of degree exactly d.
+
+    Stage d is gcd(x^(p^d) - x, work), work being f with the stages
+    below d divided out.  Each h = x^(p^d) comes from the one before
+    through the Frobenius matrix of f: raising to the p-th power is
+    linear over the prime field, so h^p = sum_i h_i * x^(ip) mod f.  Only
+    x^p mod f needs a modular power; the rows x^(ip) mod f are built by
+    repeated multiplication by it, as far as the degree of h asks.  h
+    stays reduced modulo the original f, so one matrix serves every
+    stage: work divides f, so gcd(h - x, work) is the same as with h
+    reduced modulo work.
+    """
     out: list[tuple[list[int], int]] = []
     h = [0, 1]
     work = f[:]
+    n = len(f) - 1
+    rows: list[list[int]] = []
     d = 0
     while len(work) - 1 > 2 * (d + 1) - 1:
         d += 1
-        h = gf_pow_mod(h, p, work, p)
+        if not rows:
+            rows = [[1], gf_pow_mod([0, 1], p, f, p)]
+        while len(rows) < len(h):
+            rows.append(gf_mod(gf_mul(rows[-1], rows[1], p), f, p))
+        acc = [0] * n
+        for hi, row in zip(h, rows):
+            if hi:
+                for j, r in enumerate(row):
+                    acc[j] += hi * r
+        h = gf_trim([c % p for c in acc])
         g = gf_gcd(gf_sub(h, [0, 1], p), work, p)
         if len(g) - 1 > 0:
             out.append((g, d))
             work = gf_divmod(work, g, p)[0]
-            h = gf_mod(h, work, p)
     if len(work) - 1 > 0:
         out.append((work, len(work) - 1))
     return out

@@ -10,6 +10,9 @@ in the package, so agreement is meaningful:
   the Hankel linear system for the denominator coefficients directly.
 * ``kronecker_factor``      -- complete integer factorization by
   Kronecker's interpolation method (small degrees only).
+* ``ddf_by_powering``       -- distinct-degree factorization mod p that
+  raises h to the p-th power by square-and-multiply at every degree,
+  modulo the shrinking remaining product.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from padegalois.modp import gf_divmod, gf_gcd, gf_mod, gf_pow_mod, gf_sub
 from padegalois.polynomials import IntPoly, RatPoly
 
 
@@ -337,3 +341,22 @@ def _best_run_start(f: IntPoly, length: int) -> int:
         s += 1
 
 
+def ddf_by_powering(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Distinct-degree stages (product, d) of squarefree monic f mod p,
+    computing x^(p^d) mod the remaining product by one modular power per
+    degree."""
+    out: list[tuple[list[int], int]] = []
+    h = [0, 1]
+    work = f[:]
+    d = 0
+    while len(work) - 1 > 2 * (d + 1) - 1:
+        d += 1
+        h = gf_pow_mod(h, p, work, p)
+        g = gf_gcd(gf_sub(h, [0, 1], p), work, p)
+        if len(g) - 1 > 0:
+            out.append((g, d))
+            work = gf_divmod(work, g, p)[0]
+            h = gf_mod(h, work, p)
+    if len(work) - 1 > 0:
+        out.append((work, len(work) - 1))
+    return out

@@ -639,18 +639,40 @@ _TAMPERS = {
 
 # a verdict of x^7 - x - 1 -> one that does not fit it
 _UNFIT = {
-    "other-degree": lambda v: classify(parse_int_poly("x^5 - x - 1")),
-    "prime-4": lambda v: dataclasses.replace(
-        v, evidence=_changed_item(v, "cycle_type", prime=4)
+    "other-degree": (
+        "x^7 - x - 1",
+        lambda v: classify(parse_int_poly("x^5 - x - 1")),
     ),
-    "no-prime": lambda v: dataclasses.replace(
-        v,
-        evidence=tuple(
-            {k: x for k, x in item.items() if k != "prime"}
-            for item in v.evidence
+    "prime-4": (
+        "x^7 - x - 1",
+        lambda v: dataclasses.replace(
+            v, evidence=_changed_item(v, "cycle_type", prime=4)
         ),
     ),
-    "bad-T-notation": lambda v: dataclasses.replace(v, t_notation="7X7"),
+    "no-prime": (
+        "x^7 - x - 1",
+        lambda v: dataclasses.replace(
+            v,
+            evidence=tuple(
+                {k: x for k, x in item.items() if k != "prime"}
+                for item in v.evidence
+            ),
+        ),
+    ),
+    "bad-T-notation": (
+        "x^7 - x - 1",
+        lambda v: dataclasses.replace(v, t_notation="7X7"),
+    ),
+    # proven S3 and C2 verdicts whose items all reproduce on a reducible
+    # polynomial of the same degree: (x - 1)(x^2 + 2x + 5) and (x - 1)(x + 1)
+    "reducible-cubic": (
+        "x^3 + x^2 + 3*x - 5",
+        lambda v: classify(parse_int_poly("x^3 + x + 1")),
+    ),
+    "reducible-quadratic": (
+        "x^2 - 1",
+        lambda v: classify(parse_int_poly("x^2 + 1")),
+    ),
 }
 
 
@@ -668,8 +690,9 @@ class TestVerifyIdentification:
     def test_unfit_verdict_returns_false(self, case):
         # evidence read back from a cache may be malformed; the verifier
         # answers False instead of raising
-        f = parse_int_poly("x^7 - x - 1")
-        assert not verify_identification(f, _UNFIT[case](classify(f)))
+        text, unfit = _UNFIT[case]
+        f = parse_int_poly(text)
+        assert not verify_identification(f, unfit(classify(f)))
 
     @pytest.mark.parametrize(
         "text",

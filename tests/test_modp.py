@@ -2,12 +2,15 @@
 
 from random import Random
 
+import pytest
 from hypothesis import given, strategies as st
 
+from padegalois import modp
 from padegalois.modp import (
     gf_mul_scalar,
     gf_add,
     gf_ddf_degree_multiset,
+    gf_distinct_degree,
     gf_divmod,
     gf_equal_degree,
     gf_factor_monic,
@@ -21,7 +24,35 @@ from padegalois.modp import (
     gf_squarefree,
 )
 
+from .oracles import ddf_by_powering
+
 PRIMES = [2, 3, 5, 7, 13, 101]
+# small primes, where factors of every degree are common, up to primes
+# near the default prime bound of the Frobenius sampler
+DDF_PRIMES = [2, 3, 5, 7, 11, 13, 101, 1009, 9929, 9941, 9949, 9967, 9973]
+
+
+def radical(f, p):
+    """Product of the distinct monic irreducible factors of f mod p."""
+    out = [1]
+    for part, _ in gf_squarefree(gf_monic(f, p), p):
+        out = gf_mul(out, part, p)
+    return out
+
+
+@st.composite
+def squarefree_monic(draw):
+    """(f, p): f squarefree monic of degree 1..20 mod p, made as the
+    radical of a product of up to four random monic factors, so low-degree
+    stages often split off before the last one."""
+    p = draw(st.sampled_from(DDF_PRIMES))
+    n = draw(st.integers(1, 20))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    f = [1]
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        tail = draw(st.lists(st.integers(0, p - 1), min_size=hi - lo, max_size=hi - lo))
+        f = gf_mul(f, tail + [1], p)
+    return radical(f, p), p
 
 
 def brute_roots(f, p):
@@ -186,3 +217,41 @@ class TestFactorization:
         # a non-square mod 5, hence stays irreducible
         f = gf_mul(gf_mul([1, 1], [4, 1], p), [1, 1, 1], p)
         assert gf_ddf_degree_multiset(gf_monic(f, p), p) == [1, 1, 2]
+
+
+class TestDistinctDegree:
+    @given(squarefree_monic())
+    def test_matches_powering_oracle(self, case):
+        f, p = case
+        assert gf_distinct_degree(f, p) == ddf_by_powering(f, p)
+
+    @pytest.mark.parametrize("p", DDF_PRIMES)
+    def test_early_stage_shrinks_work(self, p):
+        # two linear factors split off at d = 1; later stages are found
+        # with h still reduced modulo the whole of f
+        rng = Random(p)
+        for _ in range(10):
+            dense = [rng.randrange(p) for _ in range(12)] + [1]
+            f = radical(gf_mul(gf_mul([1, 1], [2 % p, 1], p), dense, p), p)
+            stages = gf_distinct_degree(f, p)
+            assert stages[0][1] == 1
+            assert stages == ddf_by_powering(f, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 9973])
+    @pytest.mark.parametrize("n", [2, 3, 8, 20])
+    def test_one_modular_power_per_call(self, monkeypatch, p, n):
+        # the Frobenius matrix is built from x^p mod f alone; the rows and
+        # every later x^(p^d) come from multiplications, not powers
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gf_pow_mod(*args)
+
+        monkeypatch.setattr(modp, "gf_pow_mod", counting)
+        rng = Random(n * p)
+        f = radical([rng.randrange(p) for _ in range(n)] + [1], p)
+        while len(f) - 1 < 2:
+            f = radical([rng.randrange(p) for _ in range(n)] + [1], p)
+        gf_distinct_degree(f, p)
+        assert len(calls) == 1

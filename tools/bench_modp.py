@@ -1,0 +1,77 @@
+"""Time one Frobenius sample by degree: the mod-p DDF layer seen from above.
+
+For one fixed, seeded, squarefree monic integer polynomial of each degree
+in ``DEGREES``, this times ``dedekind_cycle_type(f, p)`` once at each of
+the first ``USABLE_PRIMES`` usable primes (p not dividing the leading
+coefficient, f squarefree mod p) and prints, as one JSON object, the
+median of those times for each degree.  The polynomials depend only on
+``SEED``, so two checkouts measured on the same machine compare directly.
+Nothing is cached between calls: every call factors f mod p afresh.
+
+Run from the repository root:  python3 tools/bench_modp.py
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import platform
+import random
+import statistics
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from padegalois.galois import dedekind_cycle_type  # noqa: E402
+from padegalois.polynomials import IntPoly, int_poly_gcd  # noqa: E402
+from padegalois.primes import primes_from  # noqa: E402
+
+DEGREES = (6, 8, 10, 12, 15, 20)
+USABLE_PRIMES = 200
+SEED = 20201
+COEFF_BOUND = 50
+
+
+def squarefree_poly(degree: int, rng: random.Random) -> IntPoly:
+    """A monic squarefree polynomial of the given degree, dense coefficients."""
+    while True:
+        tail = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(degree)]
+        f = IntPoly(tail + [1])
+        if int_poly_gcd(f, f.derivative()).degree() == 0:
+            return f
+
+
+def time_samples(f: IntPoly) -> dict:
+    """Median seconds of one usable sample over the first usable primes."""
+    times = []
+    primes = primes_from(2)
+    last = 0
+    while len(times) < USABLE_PRIMES:
+        p = next(primes)
+        start = time.perf_counter()
+        cycle_type = dedekind_cycle_type(f, p)
+        elapsed = time.perf_counter() - start
+        if cycle_type is not None:
+            times.append(elapsed)
+            last = p
+    return {
+        "median_s": statistics.median(times),
+        "samples": len(times),
+        "largest_prime": last,
+    }
+
+
+def main() -> None:
+    rng = random.Random(SEED)
+    polys = {n: squarefree_poly(n, rng) for n in DEGREES}
+    result = {
+        "python": platform.python_version(),
+        "seed": SEED,
+        "by_degree": {str(n): time_samples(f) for n, f in polys.items()},
+    }
+    print(json.dumps(result, indent=2))
+
+
+if __name__ == "__main__":
+    main()
