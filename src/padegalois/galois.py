@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 from .factor import factor_over_integers, is_irreducible, rational_roots
 from .groupdata import transitive_groups
@@ -59,12 +58,10 @@ from .modp import (
 )
 from .polynomials import (
     IntPoly,
-    RatPoly,
     discriminant,
     format_poly,
     int_poly_gcd,
     parse_int_poly,
-    resultant,
 )
 from .primes import is_prime, primes_from
 
@@ -335,55 +332,62 @@ def _monicize(f: IntPoly) -> IntPoly:
     )
 
 
-def _interpolate_int_poly(points) -> IntPoly:
-    """Exact Lagrange interpolation through integer points -> IntPoly."""
-    total = RatPoly.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term = RatPoly.constant(Fraction(yi))
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                term = term * RatPoly(
-                    (Fraction(-xj, xi - xj), Fraction(1, xi - xj))
-                )
-        total = total + term
-    return total.to_int_checked()
+def _power_sums(f: IntPoly, m: int) -> list[int]:
+    """s_0..s_m, the power sums of the roots of monic f (Newton)."""
+    n = f.degree()
+    c, s = f.coeffs[::-1] + (0,) * m, [n]
+    for k in range(1, m + 1):
+        s.append(-k * c[k] - sum(c[i] * s[k - i] for i in range(1, min(k, n + 1))))
+    return s
+
+
+def _from_power_sums(P, m: int) -> IntPoly:
+    """The monic degree-m polynomial whose roots have power sums P_1..P_m.
+
+    Newton backwards, k c_k = -sum_(i<=k) c_(k-i) P_i; ArithmeticError
+    when a division by k is not exact (no monic integer polynomial).
+    """
+    c = [1]
+    for k in range(1, m + 1):
+        q, r = divmod(-sum(c[k - i] * P[i] for i in range(1, k + 1)), k)
+        if r:
+            raise ArithmeticError("power sums of no monic integer polynomial")
+        c.append(q)
+    return IntPoly(c[::-1])
 
 
 def _difference_resolvent(f: IntPoly) -> IntPoly:
     """Polynomial of degree n(n-1) whose roots are the root differences.
 
-    For monic f, Res_y(f(y), f(y + x)) equals prod_{i,j} (x - (a_i - a_j))
-    over all ordered pairs; stripping the x^n factor from the diagonal
-    leaves exactly the differences over pairs i != j.  Computed by exact
-    interpolation from integer resultant values.
+    The a_i - a_j over ordered pairs i != j of roots of monic f have the
+    power sums P_k = sum_l C(k,l) (-1)^(k-l) s_l s_(k-l), s_l those of f
+    (the pairs i = j add 0 for k >= 1); all in integers, as in Casperson
+    and McKay, "Symmetric functions, m-sets, and Galois groups", Math.
+    Comp. 1994.
     """
-    n = f.degree()
-    m = n * n
-    lo = -(m // 2)
-    points = []
-    for c in range(lo, lo + m + 1):
-        points.append((c, int(resultant(f, f.shift_argument(c)))))
-    full = _interpolate_int_poly(points)
-    return full.exact_div(IntPoly.x() ** n)
+    m = f.degree() * (f.degree() - 1)
+    s = _power_sums(f, m)
+    P = [
+        sum(comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l] for l in range(k + 1))
+        for k in range(m + 1)
+    ]
+    return _from_power_sums(P, m)
 
 
 def _tschirnhaus_quadratic(f: IntPoly, a: int, b: int) -> IntPoly:
     """Characteristic polynomial of beta = alpha^2 + a*alpha + b.
 
-    Res_x(f(x), y - (x^2 + a x + b)) for monic f is the monic polynomial
-    whose roots are the transformed roots; when it is irreducible it
-    generates the same field, hence the same Galois group.
+    For monic f the betas have the power sums
+    P_k = sum_j [x^j](x^2 + a x + b)^k s_j, s_j those of f (Casperson and
+    McKay, as above).  When it is irreducible it generates the same
+    field, hence the same Galois group.
     """
     n = f.degree()
-    points = []
-    for c in range(n + 1):
-        points.append((c, int(resultant(f, IntPoly((c - b, -a, -1))))))
-    g = _interpolate_int_poly(points)
-    if g.coeffs[-1] < 0:
-        g = g * -1
-    return g
+    s, P, power = _power_sums(f, 2 * n), [n], IntPoly.one()
+    for _ in range(n):
+        power = power * IntPoly((b, a, 1))
+        P.append(sum(c * s[j] for j, c in enumerate(power.coeffs)))
+    return _from_power_sums(P, n)
 
 
 # Quadratic Tschirnhaus transforms tried, in order, whenever an auxiliary
@@ -450,16 +454,13 @@ def _resolvent_cubic(f: IntPoly) -> IntPoly:
 
 
 def _depressed_quintic(g: IntPoly) -> IntPoly:
-    """5^5 * g((x - b)/5) for monic quintic g with y^4 coefficient b.
+    """5^5 * g((x - b)/5) for monic quintic g with x^4 coefficient b.
 
-    Monic, integer, no x^4 term, same splitting field.
+    Written as h(x - b) with h(x) = sum c_i 5^(5-i) x^i, so it is built
+    in integers: monic, no x^4 term, same splitting field.
     """
-    b = g.coeffs[4]
-    scaled = RatPoly(
-        tuple(Fraction(c) / Fraction(5) ** i for i, c in enumerate(g.coeffs))
-    )
-    shifted = scaled.shift_argument(Fraction(-b))
-    return (shifted * RatPoly.constant(5**5)).to_int_checked()
+    h = IntPoly([c * 5 ** (5 - i) for i, c in enumerate(g.coeffs)])
+    return h.shift_argument(-g.coeffs[4])
 
 
 # Degree-6 resolvent of the depressed monic quintic
@@ -1329,7 +1330,8 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     primitive part of f with a positive leading coefficient, or the
     factor that a ``reducible`` item selects; it must have the verdict's
     degree and be irreducible, since every tier reads the Galois group
-    of an irreducible polynomial.  Every item is rebuilt on
+    of an irreducible polynomial (an n-cycle item, recomputed at its
+    prime, proves that without factoring).  Every item is rebuilt on
     the target from scratch and must come out the same; the inner
     verdict of a block item is re-derived by ``classify`` at the default
     prime bound.  Last, ``_verdict`` must turn the items into the stated
@@ -1347,7 +1349,15 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
                 target = parse_int_poly(item["selected"])
                 if not target.divides(f):
                     return False
-        if target.degree() != ident.degree or not is_irreducible(target):
+        n = ident.degree
+        if target.degree() != n:
+            return False
+        if not any(
+            item["kind"] == "cycle_type"
+            and item.get("parts") == [n]
+            and dedekind_cycle_type(target, item["prime"]) == CycleType((n,))
+            for item in ident.evidence
+        ) and not is_irreducible(target):
             return False
         inner = None
         if any(

@@ -377,16 +377,6 @@ class RatPoly(_BasePoly):
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def shift_argument(self, a) -> "RatPoly":
-        """Return f(x + a)."""
-        a = Fraction(a)
-        coeffs = list(self.coeffs)
-        n = len(coeffs)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                coeffs[j] += a * coeffs[j + 1]
-        return RatPoly(coeffs)
-
     def truncate(self, order: int) -> "RatPoly":
         """Reduce mod x^order."""
         return RatPoly(self.coeffs[:order])

@@ -13,6 +13,12 @@ in the package, so agreement is meaningful:
 * ``ddf_by_powering``       -- distinct-degree factorization mod p that
   raises h to the p-th power by square-and-multiply at every degree,
   modulo the shrinking remaining product.
+* ``difference_resolvent_by_interpolation`` -- the root-difference
+  resolvent of a monic polynomial as Res_y(f(y), f(y + x)) / x^n, by
+  Lagrange interpolation over Fraction through integer resultant values.
+* ``tschirnhaus_by_resultants`` -- the characteristic polynomial of
+  alpha^2 + a*alpha + b as Res_x(f(x), y - (x^2 + a x + b)), interpolated
+  the same way.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 from fractions import Fraction
 
 from padegalois.modp import gf_divmod, gf_gcd, gf_mod, gf_pow_mod, gf_sub
-from padegalois.polynomials import IntPoly, RatPoly
+from padegalois.polynomials import IntPoly, RatPoly, resultant
 
 
 def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
@@ -360,3 +366,44 @@ def ddf_by_powering(f: list[int], p: int) -> list[tuple[list[int], int]]:
     if len(work) - 1 > 0:
         out.append((work, len(work) - 1))
     return out
+
+
+def _interpolate_int_poly(points) -> IntPoly:
+    """Exact Lagrange interpolation through integer points -> IntPoly."""
+    total = RatPoly.zero()
+    for i, (xi, yi) in enumerate(points):
+        if yi == 0:
+            continue
+        term = RatPoly.constant(Fraction(yi))
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term = term * RatPoly(
+                    (Fraction(-xj, xi - xj), Fraction(1, xi - xj))
+                )
+        total = total + term
+    return total.to_int_checked()
+
+
+def difference_resolvent_by_interpolation(f: IntPoly) -> IntPoly:
+    """prod_{i != j} (x - (a_i - a_j)) over the roots a_i of monic f.
+
+    Res_y(f(y), f(y + x)) is the product over all ordered pairs; the
+    pairs i = j give the factor x^n, which is divided out.
+    """
+    n = f.degree()
+    m = n * n
+    lo = -(m // 2)
+    points = [
+        (c, int(resultant(f, f.shift_argument(c)))) for c in range(lo, lo + m + 1)
+    ]
+    return _interpolate_int_poly(points).exact_div(IntPoly.x() ** n)
+
+
+def tschirnhaus_by_resultants(f: IntPoly, a: int, b: int) -> IntPoly:
+    """prod_i (y - (a_i^2 + a*a_i + b)) over the roots a_i of monic f."""
+    points = [
+        (c, int(resultant(f, IntPoly((c - b, -a, -1)))))
+        for c in range(f.degree() + 1)
+    ]
+    g = _interpolate_int_poly(points)
+    return g * -1 if g.coeffs[-1] < 0 else g

@@ -17,9 +17,13 @@ from padegalois.galois import (
     CycleType,
     GaloisIdentification,
     QUINTIC_RESOLVENT_TABLE,
+    _TSCHIRNHAUS_TRIALS,
+    _depressed_quintic,
     _difference_resolvent,
+    _from_power_sums,
     _monicize,
     _quintic_sextic_resolvent,
+    _tschirnhaus_quadratic,
     classify,
     classify_all_factors,
     cyclic_heuristic,
@@ -35,6 +39,11 @@ from padegalois.groupdata import group_record
 from padegalois.pade import pade_diagonal
 from padegalois.polynomials import IntPoly, RatPoly, parse_int_poly
 from padegalois.series import SeriesId, scale_to_monic_integer, taylor
+
+from .oracles import (
+    difference_resolvent_by_interpolation,
+    tschirnhaus_by_resultants,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +251,50 @@ class TestExactSmallDegree:
         assert diff.degree() == 12
         fac = factor_over_integers(diff)
         assert sorted(fac.degree_multiset()) == [4, 4, 4]
+
+
+_SMALL = st.integers(min_value=-6, max_value=6)
+
+# dense quartics and quintics, monic or not, and even quartics x^4 + a x^2 + b
+_QUARTIC_OR_QUINTIC = st.one_of(
+    st.builds(
+        lambda n, tail, lead: IntPoly(tail[:n] + [lead]),
+        st.sampled_from([4, 5]),
+        st.lists(_SMALL, min_size=5, max_size=5),
+        st.sampled_from([1, 2, 3, -1, -2]),
+    ),
+    st.builds(lambda a, b: IntPoly((b, 0, a, 0, 1)), _SMALL, _SMALL),
+)
+
+
+class TestPowerSumResolvents:
+    @settings(max_examples=10, deadline=None)
+    @given(_QUARTIC_OR_QUINTIC)
+    def test_match_resultant_oracles(self, f):
+        oracle = difference_resolvent_by_interpolation
+        base = _monicize(f)
+        assert _difference_resolvent(base) == oracle(base)
+        for shift in _TSCHIRNHAUS_TRIALS:
+            g = _tschirnhaus_quadratic(base, *shift)
+            assert g == tschirnhaus_by_resultants(base, *shift)
+            assert _difference_resolvent(g) == oracle(g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_QUARTIC_OR_QUINTIC.filter(lambda f: f.degree() == 5))
+    def test_depressed_quintic(self, f):
+        # 5^5 g((x - b)/5): at x = 5t + b it takes the value 5^5 g(t)
+        g = _monicize(f)
+        h = _depressed_quintic(g)
+        assert h.degree() == 5 and h.coeffs[4] == 0 and h.coeffs[5] == 1
+        b = g.coeffs[4]
+        for t in range(-3, 4):
+            assert h.evaluate(5 * t + b) == 5**5 * g.evaluate(t)
+
+    def test_inexact_power_sums_raise(self):
+        # P_1 = 1, P_2 = 0 would need c_2 = 1/2
+        assert _from_power_sums([2, 1, 1], 2) == IntPoly((0, -1, 1))
+        with pytest.raises(ArithmeticError):
+            _from_power_sums([2, 1, 0], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +563,8 @@ class TestClassify:
 # SHA-256 of json.dumps(classify(f).to_dict(), sort_keys=True), recorded
 # while every sampling tier still walked the primes on its own: sharing
 # one Frobenius stream must leave each verdict byte for byte as it was.
+# The quartics and quintics at the end were recorded while the resolvents
+# were still built from resultants by Lagrange interpolation.
 _GOLDEN_VERDICTS = (
     (  # C6, heuristic after elimination
         parse_int_poly("x^6 + x^3 + 1"),
@@ -548,6 +603,26 @@ _GOLDEN_VERDICTS = (
             " + x^3 + 3*x^2 - x + 5"
         ),
         "a5a0468647b7cf8628451fa46aefbfd6e79cdf4c1f7ea3c328a9a9590974e324",
+    ),
+    (  # D4, difference resolvent through the Tschirnhaus shift (1, 0)
+        parse_int_poly("x^4 - 2*x^2 + 2"),
+        "18bb60920d75a4a1a742745f1b19103ddf102c9ba6ca3b1ccf6abdec8cd7eb35",
+    ),
+    (  # C4, difference resolvent through the Tschirnhaus shift (1, 0)
+        parse_int_poly("x^4 + 5*x^2 + 5"),
+        "1d0f984f6dc26e58cfc22fe76c900a2b224e50836096c0451df80d2d7fdf9b45",
+    ),
+    (  # D5, quintic and difference resolvents
+        parse_int_poly("x^5 - 5*x + 12"),
+        "84e38bd9bc4e43eaab927e8b896bd2091c67d49b1c01543150a08054ddb33edd",
+    ),
+    (  # C5, quintic and difference resolvents
+        parse_int_poly("x^5 + x^4 - 4*x^3 - 3*x^2 + 3*x + 1"),
+        "dcf024a1124ea769448e1ba0842a6d708693b7fb727e5e45e9ab77a81dc89942",
+    ),
+    (  # F20, quintic resolvent with a rational root
+        parse_int_poly("x^5 - 2"),
+        "4e3f260ab865aeea50f25c235044d8d0f25c1ecd47275489ba79ac3d84391b1e",
     ),
 )
 
@@ -693,6 +768,24 @@ class TestVerifyIdentification:
         text, unfit = _UNFIT[case]
         f = parse_int_poly(text)
         assert not verify_identification(f, unfit(classify(f)))
+
+    def test_full_cycle_item_proves_irreducibility(self, monkeypatch):
+        # the proven S7 verdict holds the 7-cycle at p = 2, which the
+        # verifier recomputes instead of factoring the target
+        f = parse_int_poly("x^7 - x - 1")
+        ident = classify(f)
+        calls = []
+        original = galois.is_irreducible
+
+        def counting(g, *args, **kwargs):
+            calls.append(g)
+            return original(g, *args, **kwargs)
+
+        monkeypatch.setattr(galois, "is_irreducible", counting)
+        assert ident.group_name == "S7" and ident.certainty.is_proven
+        assert {"kind": "cycle_type", "prime": 2, "parts": [7]} in ident.evidence
+        assert verify_identification(f, ident)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "text",

@@ -1,12 +1,20 @@
-"""Time one Frobenius sample by degree: the mod-p DDF layer seen from above.
+"""Layer bench: one Frobenius sample by degree, and the exact-tier resolvents.
 
-For one fixed, seeded, squarefree monic integer polynomial of each degree
-in ``DEGREES``, this times ``dedekind_cycle_type(f, p)`` once at each of
-the first ``USABLE_PRIMES`` usable primes (p not dividing the leading
-coefficient, f squarefree mod p) and prints, as one JSON object, the
-median of those times for each degree.  The polynomials depend only on
+``by_degree``: for one fixed, seeded, squarefree monic integer polynomial
+of each degree in ``DEGREES``, this times ``dedekind_cycle_type(f, p)``
+once at each of the first ``USABLE_PRIMES`` usable primes (p not dividing
+the leading coefficient, f squarefree mod p) and reports the median of
+those times for each degree.  Nothing is cached between calls: every
+call factors f mod p afresh.  This is the mod-p DDF layer seen from
+above.
+
+``resolvents``: for ``RESOLVENT_POLYS`` seeded squarefree monic quartics
+and as many quintics, the median time of one ``_difference_resolvent(f)``
+and of one ``_tschirnhaus_quadratic(f, a, b)``, the latter over every
+shift (a, b) in ``_TSCHIRNHAUS_TRIALS``.
+
+Everything is printed as one JSON object.  The polynomials depend only on
 ``SEED``, so two checkouts measured on the same machine compare directly.
-Nothing is cached between calls: every call factors f mod p afresh.
 
 Run from the repository root:  python3 tools/bench_modp.py
 """
@@ -23,12 +31,19 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from padegalois.galois import dedekind_cycle_type  # noqa: E402
+from padegalois.galois import (  # noqa: E402
+    _TSCHIRNHAUS_TRIALS,
+    _difference_resolvent,
+    _tschirnhaus_quadratic,
+    dedekind_cycle_type,
+)
 from padegalois.polynomials import IntPoly, int_poly_gcd  # noqa: E402
 from padegalois.primes import primes_from  # noqa: E402
 
 DEGREES = (6, 8, 10, 12, 15, 20)
 USABLE_PRIMES = 200
+RESOLVENT_DEGREES = (4, 5)
+RESOLVENT_POLYS = 20
 SEED = 20201
 COEFF_BOUND = 50
 
@@ -62,6 +77,35 @@ def time_samples(f: IntPoly) -> dict:
     }
 
 
+def median_call_s(calls) -> float:
+    """Median seconds of one call over the given argument-free calls."""
+    times = []
+    for call in calls:
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def time_resolvents(rng: random.Random) -> dict:
+    """Median seconds of each resolvent over seeded quartics and quintics."""
+    out = {}
+    for n in RESOLVENT_DEGREES:
+        polys = [squarefree_poly(n, rng) for _ in range(RESOLVENT_POLYS)]
+        out[str(n)] = {
+            "difference_median_s": median_call_s(
+                lambda f=f: _difference_resolvent(f) for f in polys
+            ),
+            "tschirnhaus_median_s": median_call_s(
+                lambda f=f, shift=shift: _tschirnhaus_quadratic(f, *shift)
+                for f in polys
+                for shift in _TSCHIRNHAUS_TRIALS
+            ),
+            "polynomials": len(polys),
+        }
+    return out
+
+
 def main() -> None:
     rng = random.Random(SEED)
     polys = {n: squarefree_poly(n, rng) for n in DEGREES}
@@ -69,6 +113,7 @@ def main() -> None:
         "python": platform.python_version(),
         "seed": SEED,
         "by_degree": {str(n): time_samples(f) for n, f in polys.items()},
+        "resolvents": time_resolvents(rng),
     }
     print(json.dumps(result, indent=2))
 
