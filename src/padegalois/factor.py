@@ -68,6 +68,10 @@ __all__ = [
 
 DEFAULT_EDF_SEED = 0x5EED
 RECOMBINATION_CUTOFF = 24
+# good primes the degree-set test of ``is_irreducible`` tries before it
+# hands the polynomial to the full engine; every table target certifies
+# within 14
+_DEGREE_SET_PRIMES = 20
 
 
 class FactorCutoffError(RuntimeError):
@@ -572,13 +576,17 @@ def largest_factor(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> IntPoly:
 
 def is_irreducible(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> bool:
     """True when the primitive part of f is irreducible over the
-    rationals.  Fast paths: degree one, an Eisenstein certificate, or a
-    single mod-p factorization staying irreducible; otherwise the full
-    engine decides."""
+    rationals.  Fast paths: degree one, an Eisenstein certificate, or the
+    degree-set test (Musser, "On the efficiency of a polynomial
+    irreducibility test", JACM 1978): the degree of a rational factor is a
+    sum of factor degrees mod every good prime, so once the subset sums of
+    the DDF degrees, intersected over a few primes, leave only 0 and n, f
+    is irreducible.  Otherwise the full engine decides."""
     if f.degree() < 1:
         raise ValueError("irreducibility is about nonconstant polynomials")
     _, prim, _ = f.content_primitive()
-    if prim.degree() == 1:
+    n = prim.degree()
+    if n == 1:
         return True
     if prim.constant_coefficient() == 0:
         return False
@@ -586,11 +594,17 @@ def is_irreducible(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> bool:
         return False
     if _eisenstein_irreducible(prim):
         return True
+    # bit k of `possible` stays set while a factor of degree k is possible
+    possible = (1 << (n + 1)) - 1
     gen = good_primes(prim)
-    for _ in range(3):
+    for _ in range(_DEGREE_SET_PRIMES):
         p = next(gen)
         fm = gf_monic(gf_from_int_coeffs(prim.coeffs, p), p)
-        if gf_ddf_degree_multiset(fm, p) == [prim.degree()]:
+        sums = 1
+        for d in gf_ddf_degree_multiset(fm, p):
+            sums |= sums << d
+        possible &= sums
+        if possible == 1 | 1 << n:
             return True
     fac = factor_over_integers(prim, seed)
     return fac.is_single_irreducible()

@@ -15,6 +15,13 @@ the rows x^(ip) mod f follow by multiplication, and each x^(p^d) comes
 from the one before by a matrix-vector product.  One modular power per
 (f, p) replaces one per degree.
 
+Three kernels carry that loop.  ``gf_pow_mod`` works left to right:
+square, then multiply by the reduced base on each set bit, so for base x
+the multiply is a shift.  ``gf_mod`` keeps no quotient and accepts
+coefficients not yet reduced mod p.  A product modulo f is formed in
+integers and handed straight to ``gf_mod``, so it is reduced mod p once;
+a square takes each cross term once.
+
 Randomized steps (equal-degree splitting) take an explicit
 ``random.Random`` instance so callers control the seed and results are
 reproducible.
@@ -74,15 +81,31 @@ def gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
     return gf_trim(out)
 
 
-def gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """The integer product of a and b, not reduced mod p.  A square (b is
+    a) takes each cross term once."""
     if not a or not b:
         return []
+    if a is b:
+        n = len(a)
+        out = [0] * (2 * n - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[2 * i] += c * c
+                c += c
+                for j in range(i + 1, n):
+                    out[i + j] += c * a[j]
+        return out
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return gf_trim([c % p for c in out])
+    return out
+
+
+def gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    return gf_trim([c % p for c in _product(a, b)])
 
 
 def gf_mul_scalar(a: list[int], s: int, p: int) -> list[int]:
@@ -105,7 +128,7 @@ def gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
     if not b:
         raise ZeroDivisionError("mod-p polynomial division by zero")
     if len(a) < len(b):
-        return [], a[:]
+        return [], gf_trim([c % p for c in a])
     rem = a[:]
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
@@ -123,7 +146,29 @@ def gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
 
 
 def gf_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    return gf_divmod(a, b, p)[1]
+    """Remainder of a by b, without the quotient.  The coefficients of a
+    need not be reduced mod p: each leading one is reduced when it is
+    read, the remainder once at the end.  A monic b needs no inverse."""
+    if not b:
+        raise ZeroDivisionError("mod-p polynomial division by zero")
+    db = len(b) - 1
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    rem = a[:]
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] % p
+        if c:
+            if inv != 1:
+                c = c * inv % p
+            k = i - db
+            for j in range(db):
+                rem[k + j] -= c * b[j]
+    return gf_trim([c % p for c in rem[:db]])
+
+
+def _mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a * b mod f: the integer product goes straight to ``gf_mod``, so it
+    is reduced mod p once."""
+    return gf_mod(_product(a, b), f, p)
 
 
 def gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -133,13 +178,21 @@ def gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
+    """base^e mod (mod, p), left to right: square, then multiply by the
+    reduced base on each set bit of e.  For base x, the only base the
+    distinct-degree loop and ``gf_roots`` use, that multiply is a shift
+    and one reduction step."""
+    if not e:
+        return [1]
     base = gf_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = gf_mod(gf_mul(result, base, p), mod, p)
-        base = gf_mod(gf_mul(base, base, p), mod, p)
-        e >>= 1
+    shift = base == [0, 1]
+    result = base
+    for bit in bin(e)[3:]:
+        result = _mulmod(result, result, mod, p)
+        if bit == "1" and shift:
+            result = gf_mod([0] + result, mod, p)
+        elif bit == "1":
+            result = _mulmod(result, base, mod, p)
     return result
 
 
@@ -209,7 +262,7 @@ def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
         if not rows:
             rows = [[1], gf_pow_mod([0, 1], p, f, p)]
         while len(rows) < len(h):
-            rows.append(gf_mod(gf_mul(rows[-1], rows[1], p), f, p))
+            rows.append(_mulmod(rows[-1], rows[1], f, p))
         acc = [0] * n
         for hi, row in zip(h, rows):
             if hi:

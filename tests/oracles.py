@@ -13,6 +13,12 @@ in the package, so agreement is meaningful:
 * ``ddf_by_powering``       -- distinct-degree factorization mod p that
   raises h to the p-th power by square-and-multiply at every degree,
   modulo the shrinking remaining product.
+* ``mod_by_long_division``  -- remainder mod p as a - q*b, the quotient q
+  found digit by digit by schoolbook long division, every coefficient
+  reduced as soon as it is formed.
+* ``gcd_by_long_division``  -- monic Euclidean gcd mod p on that remainder.
+* ``pow_mod_right_to_left`` -- modular power by right-to-left
+  square-and-multiply: a product, then a remainder, at every step.
 * ``difference_resolvent_by_interpolation`` -- the root-difference
   resolvent of a monic polynomial as Res_y(f(y), f(y + x)) / x^n, by
   Lagrange interpolation over Fraction through integer resultant values.
@@ -366,6 +372,63 @@ def ddf_by_powering(f: list[int], p: int) -> list[tuple[list[int], int]]:
     if len(work) - 1 > 0:
         out.append((work, len(work) - 1))
     return out
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mul_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % p
+    return _trim(out)
+
+
+def mod_by_long_division(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a (coefficients any integers) by b (leading coefficient
+    prime to p) mod p, as a - q*b with q from long division."""
+    rem = [c % p for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        q = rem[i + db] * inv % p
+        quot[i] = q
+        for j in range(db + 1):
+            rem[i + j] = (rem[i + j] - q * b[j]) % p
+    qb = _mul_mod_p(quot, [c % p for c in b], p)
+    out = [c % p for c in a] + [0] * max(len(qb) - len(a), 0)
+    for i, c in enumerate(qb):
+        out[i] = (out[i] - c) % p
+    return _trim(out)
+
+
+def gcd_by_long_division(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b mod p by Euclid on ``mod_by_long_division``."""
+    while b:
+        a, b = b, mod_by_long_division(a, b, p)
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def pow_mod_right_to_left(
+    base: list[int], e: int, mod: list[int], p: int
+) -> list[int]:
+    """base^e mod (mod, p) by right-to-left square-and-multiply."""
+    result = [1]
+    base = mod_by_long_division(base, mod, p)
+    while e:
+        if e & 1:
+            result = mod_by_long_division(_mul_mod_p(result, base, p), mod, p)
+        base = mod_by_long_division(_mul_mod_p(base, base, p), mod, p)
+        e >>= 1
+    return result
 
 
 def _interpolate_int_poly(points) -> IntPoly:

@@ -292,6 +292,37 @@ class TestLargestFactorAndIrreducibility:
         assert not is_irreducible(IntPoly((1, 2, 1)))
         assert is_irreducible(IntPoly((2, 2)))  # content stripped first
 
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        """The argument tuples of every ``factor_over_integers`` call."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return factor_over_integers(*args)
+
+        monkeypatch.setattr(factor_mod, "factor_over_integers", counting)
+        return calls
+
+    def test_degree_set_certifies_without_engine(self, engine_calls):
+        # a degree-9 ExpPade target: reducible mod every one of the first
+        # 13 good primes, and only the 14th degree set rules out the last
+        # factor degree
+        target = IntPoly(
+            (-8821612800, 4670265600, -1167566400, 181621440, -19459440)
+            + (1496880, -83160, 3240, -81, 1)
+        )
+        assert is_irreducible(target)
+        assert engine_calls == []
+
+    def test_degree_set_falls_back_to_engine(self, engine_calls):
+        # x^4 - 10x^2 + 1 (minimal polynomial of sqrt2 + sqrt3) splits
+        # into factors of degree <= 2 mod every prime, so the degree sets
+        # always leave 2; the engine decides
+        assert is_irreducible(IntPoly((1, 0, -10, 0, 1)))
+        assert len(engine_calls) == 1
+        assert not is_irreducible(IntPoly((1, 0, 1)) * IntPoly((1, 1, 0, 1)))
+
     def test_irreducible_rejects_constant(self):
         with pytest.raises(ValueError):
             is_irreducible(IntPoly((3,)))

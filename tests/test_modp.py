@@ -3,7 +3,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from padegalois import modp
 from padegalois.modp import (
@@ -17,6 +17,7 @@ from padegalois.modp import (
     gf_from_int_coeffs,
     gf_gcd,
     gf_is_irreducible,
+    gf_mod,
     gf_monic,
     gf_mul,
     gf_pow_mod,
@@ -24,9 +25,15 @@ from padegalois.modp import (
     gf_squarefree,
 )
 
-from .oracles import ddf_by_powering
+from .oracles import (
+    ddf_by_powering,
+    gcd_by_long_division,
+    mod_by_long_division,
+    pow_mod_right_to_left,
+)
 
 PRIMES = [2, 3, 5, 7, 13, 101]
+KERNEL_PRIMES = [2, 3, 5, 13, 1009, 9973]
 # small primes, where factors of every degree are common, up to primes
 # near the default prime bound of the Frobenius sampler
 DDF_PRIMES = [2, 3, 5, 7, 11, 13, 101, 1009, 9929, 9941, 9949, 9967, 9973]
@@ -53,6 +60,16 @@ def squarefree_monic(draw):
         tail = draw(st.lists(st.integers(0, p - 1), min_size=hi - lo, max_size=hi - lo))
         f = gf_mul(f, tail + [1], p)
     return radical(f, p), p
+
+
+@st.composite
+def modulus(draw):
+    """(f, p): f of degree 0..8 mod p, monic or not."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    n = draw(st.integers(0, 8))
+    low = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    lead = draw(st.sampled_from([1, p - 1]) | st.integers(1, p - 1))
+    return low + [lead], p
 
 
 def brute_roots(f, p):
@@ -97,6 +114,12 @@ class TestArithmetic:
         # x^13 = x*(x^2)^6 = x*(-1)^6 = x mod x^2+1
         assert xp == [0, 1]
 
+    def test_short_dividend_is_reduced(self):
+        assert gf_divmod([5, 0], [1, 1, 1], 3) == ([], [2])
+        assert gf_mod([5, 0], [1, 1, 1], 3) == [2]
+        assert gf_mod([5, 0, 0, 0], [1, 1, 1], 3) == [2]
+        assert gf_mod([3, 6], [1, 1, 1], 3) == []
+
     @given(
         st.sampled_from(PRIMES),
         st.lists(st.integers(0, 200), min_size=1, max_size=7),
@@ -110,6 +133,40 @@ class TestArithmetic:
         q, r = gf_divmod(a, b, p)
         assert gf_add(gf_mul(q, b, p), r, p) == a
         assert len(r) - 1 < len(b) - 1
+
+
+class TestKernelOracles:
+    """The remainder, gcd and power kernels against the quotient-based and
+    right-to-left references of ``oracles``."""
+
+    @given(modulus(), st.lists(st.integers(-(10**7), 10**7), max_size=24))
+    @example(([4], 5), [-7, 3, 11])
+    @example(([2, 3], 13), [-(10**6), 5, 0, 7])
+    def test_mod_matches_long_division(self, case, a):
+        # unreduced and negative coefficients, as a raw product has
+        b, p = case
+        assert gf_mod(a, b, p) == mod_by_long_division(a, b, p)
+
+    @given(modulus(), st.lists(st.integers(0, 10**4), max_size=12))
+    def test_gcd_matches_long_division(self, case, raw):
+        b, p = case
+        a = gf_from_int_coeffs(raw, p)
+        assert gf_gcd(a, b, p) == gcd_by_long_division(a, b, p)
+        assert gf_gcd(b, a, p) == gcd_by_long_division(b, a, p)
+
+    @given(
+        modulus(),
+        st.lists(st.integers(0, 10**4), max_size=10),
+        st.sampled_from(["0", "1", "2", "p", "p^2", "any"]),
+        st.integers(0, 10**12),
+    )
+    @example(([3], 5), [2, 1], "any", 7)
+    @example(([1, 2], 9973), [5, 0, 3], "p^2", 0)
+    def test_pow_mod_matches_right_to_left(self, case, raw, which, any_e):
+        b, p = case
+        e = {"0": 0, "1": 1, "2": 2, "p": p, "p^2": p * p, "any": any_e}[which]
+        for base in (gf_from_int_coeffs(raw, p), [0, 1]):
+            assert gf_pow_mod(base, e, b, p) == pow_mod_right_to_left(base, e, b, p)
 
 
 class TestRoots:

@@ -1,4 +1,5 @@
-"""Layer bench: one Frobenius sample by degree, and the exact-tier resolvents.
+"""Layer bench: one Frobenius sample by degree, the mod-p kernels under it,
+and the exact-tier resolvents.
 
 ``by_degree``: for one fixed, seeded, squarefree monic integer polynomial
 of each degree in ``DEGREES``, this times ``dedekind_cycle_type(f, p)``
@@ -7,6 +8,12 @@ the leading coefficient, f squarefree mod p) and reports the median of
 those times for each degree.  Nothing is cached between calls: every
 call factors f mod p afresh.  This is the mod-p DDF layer seen from
 above.
+
+``kernels``: for the same polynomial of each degree and the same usable
+primes, the median time of one ``gf_pow_mod([0, 1], p, f, p)`` (x^p mod
+f, the one modular power of a sample), one ``gf_gcd(f, f', p)`` and one
+product then remainder, ``gf_mod(gf_mul(a, b, p), f, p)`` with a and b
+the residues x^p and x^(2p) mod f.
 
 ``resolvents``: for ``RESOLVENT_POLYS`` seeded squarefree monic quartics
 and as many quintics, the median time of one ``_difference_resolvent(f)``
@@ -36,6 +43,14 @@ from padegalois.galois import (  # noqa: E402
     _difference_resolvent,
     _tschirnhaus_quadratic,
     dedekind_cycle_type,
+)
+from padegalois.modp import (  # noqa: E402
+    gf_deriv,
+    gf_from_int_coeffs,
+    gf_gcd,
+    gf_mod,
+    gf_mul,
+    gf_pow_mod,
 )
 from padegalois.polynomials import IntPoly, int_poly_gcd  # noqa: E402
 from padegalois.primes import primes_from  # noqa: E402
@@ -87,6 +102,35 @@ def median_call_s(calls) -> float:
     return statistics.median(times)
 
 
+def time_kernels(f: IntPoly) -> dict:
+    """Median seconds of each mod-p kernel over the usable primes of
+    ``time_samples``: f is monic, so usable means squarefree mod p."""
+    cases = []
+    primes = primes_from(2)
+    while len(cases) < USABLE_PRIMES:
+        p = next(primes)
+        fm = gf_from_int_coeffs(f.coeffs, p)
+        dfm = gf_deriv(fm, p)
+        if len(gf_gcd(fm, dfm, p)) == 1:
+            xp = gf_pow_mod([0, 1], p, fm, p)
+            cases.append((fm, dfm, xp, gf_mod(gf_mul(xp, xp, p), fm, p), p))
+    return {
+        "pow_x_p_median_s": median_call_s(
+            lambda fm=fm, p=p: gf_pow_mod([0, 1], p, fm, p)
+            for fm, _, _, _, p in cases
+        ),
+        "gcd_median_s": median_call_s(
+            lambda fm=fm, dfm=dfm, p=p: gf_gcd(fm, dfm, p)
+            for fm, dfm, _, _, p in cases
+        ),
+        "mul_mod_median_s": median_call_s(
+            lambda fm=fm, a=a, b=b, p=p: gf_mod(gf_mul(a, b, p), fm, p)
+            for fm, _, a, b, p in cases
+        ),
+        "primes": len(cases),
+    }
+
+
 def time_resolvents(rng: random.Random) -> dict:
     """Median seconds of each resolvent over seeded quartics and quintics."""
     out = {}
@@ -113,6 +157,7 @@ def main() -> None:
         "python": platform.python_version(),
         "seed": SEED,
         "by_degree": {str(n): time_samples(f) for n, f in polys.items()},
+        "kernels": {str(n): time_kernels(f) for n, f in polys.items()},
         "resolvents": time_resolvents(rng),
     }
     print(json.dumps(result, indent=2))
