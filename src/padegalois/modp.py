@@ -3,8 +3,6 @@
 Polynomials are plain Python lists of ints in ``[0, p)``, ascending by
 exponent, with trailing zeros stripped; the zero polynomial is ``[]``.
 Every function takes the modulus explicitly and assumes it is prime.
-This layer is deliberately list-based: the factor engine and the
-cycle-type sampler call it in tight loops.
 
 ``gf_distinct_degree`` is the one distinct-degree loop; every cycle
 type, irreducibility test and modular factorization goes through it.
@@ -15,12 +13,27 @@ the rows x^(ip) mod f follow by multiplication, and each x^(p^d) comes
 from the one before by a matrix-vector product.  One modular power per
 (f, p) replaces one per degree.
 
-Three kernels carry that loop.  ``gf_pow_mod`` works left to right:
-square, then multiply by the reduced base on each set bit, so for base x
-the multiply is a shift.  ``gf_mod`` keeps no quotient and accepts
-coefficients not yet reduced mod p.  A product modulo f is formed in
-integers and handed straight to ``gf_mod``, so it is reduced mod p once;
-a square takes each cross term once.
+The work modulo f runs on packed integers (Kronecker substitution; see
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", 2009).  A polynomial of degree < n is packed one
+coefficient per slot of k 64-bit words, so a product of two polynomials
+is one big-integer product and a combination sum_i c_i * row_i is a sum
+of big integers.  Packing and unpacking go through ``array`` and
+``int.to_bytes`` / ``int.from_bytes``, in C, with no per-coefficient
+shifts.  Every slot sum formed stays below 2n(p - 1)^2 (a product slot
+and a reduction slot, each at most n(p - 1)^2), so k is the least word
+count with 2n(p - 1)^2 < 2^(64k): one word up to p of about
+2^32 / sqrt(2n), 6.8e8 at n = 20, and two beyond.  No slot carries into
+the next, and each product modulo f is reduced mod p once, when it is
+unpacked.
+
+``gf_pow_mod`` works left to right: square, then multiply by the base on
+each set bit.  The high half of a product is reduced with a packed table
+of x^(n+j) mod f, j < n; for base x the multiply is a shift of the
+packed square.  ``gf_distinct_degree`` forms each row x^(ip) mod f, and
+each h^p, as a vector times a packed matrix.  ``gf_mod`` keeps no
+quotient and accepts coefficients not yet reduced mod p.  ``gf_mul`` and
+the gcds stay list-based.
 
 Randomized steps (equal-degree splitting) take an explicit
 ``random.Random`` instance so callers control the seed and results are
@@ -29,7 +42,11 @@ reproducible.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from operator import mul
 from random import Random
+from typing import Sequence
 
 __all__ = [
     "gf_trim",
@@ -165,10 +182,52 @@ def gf_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return gf_trim([c % p for c in rem[:db]])
 
 
-def _mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a * b mod f: the integer product goes straight to ``gf_mod``, so it
-    is reduced mod p once."""
-    return gf_mod(_product(a, b), f, p)
+# the one-word path reads the native words of an array('Q') as little-endian
+_LITTLE = sys.byteorder == "little"
+
+
+def _slot_words(n: int, p: int) -> int:
+    """64-bit words per slot for polynomials of degree < n mod p: the
+    least k with 2n(p - 1)^2 < 2^(64k)."""
+    return ((2 * n * (p - 1) ** 2).bit_length() + 63) // 64
+
+
+def _pack(a: list[int], k: int) -> int:
+    """The integer holding the coefficients of a (each in [0, 2^(64k)))
+    in k-word slots, lowest first."""
+    if k == 1 and _LITTLE:
+        return int.from_bytes(array("Q", a), "little")
+    w = 8 * k
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+
+
+def _unpack(x: int, m: int, k: int) -> Sequence[int]:
+    """The m lowest k-word slots of x (no slot above them), lowest first."""
+    if k == 1 and _LITTLE:
+        return array("Q", x.to_bytes(8 * m, "little"))
+    w = 8 * k
+    b = x.to_bytes(w * m, "little")
+    return [int.from_bytes(b[i : i + w], "little") for i in range(0, w * m, w)]
+
+
+def _dot(
+    coeffs: list[int], rows: list[int], start: int, n: int, k: int, p: int
+) -> list[int]:
+    """start + sum_i coeffs[i] * rows[i], on packed integers of n slots,
+    unpacked and reduced mod p: n coefficients, not trimmed."""
+    return [c % p for c in _unpack(sum(map(mul, coeffs, rows), start), n, k)]
+
+
+def _times_x(row: list[int], m: int, f: list[int], p: int) -> list[list[int]]:
+    """row, x*row, ..., x^(m-1)*row mod monic f of degree n, row and every
+    result given as n coefficients."""
+    xn = [-c % p for c in f[:-1]]  # x^n mod f
+    rows = [row]
+    for _ in range(m - 1):
+        top = row[-1]
+        row = [(c + top * r) % p for c, r in zip([0] + row, xn)]
+        rows.append(row)
+    return rows
 
 
 def gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -178,22 +237,53 @@ def gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """base^e mod (mod, p), left to right: square, then multiply by the
-    reduced base on each set bit of e.  For base x, the only base the
-    distinct-degree loop and ``gf_roots`` use, that multiply is a shift
-    and one reduction step."""
+    """base^e mod (mod, p), e >= 0, left to right: square, then multiply
+    by the reduced base on each set bit of e.  For base x, the only base
+    the distinct-degree loop and ``gf_roots`` use, that multiply is a
+    shift of the packed square.  Each product of 2n slots is reduced once:
+    its high n slots, reduced mod p, weight the packed table x^(n+j) mod
+    f, j < n, whose sum with the low n slots is unpacked and reduced mod p.
+    A non-monic modulus gives the same remainders as its monic associate,
+    which the table is built from."""
+    if e < 0:
+        raise ValueError("negative exponent in gf_pow_mod")
     if not e:
         return [1]
     base = gf_mod(base, mod, p)
+    if not base:
+        return []
+    f = gf_monic(mod, p)
+    n = len(f) - 1
     shift = base == [0, 1]
+    bits = bin(e)[3:]
     result = base
-    for bit in bin(e)[3:]:
-        result = _mulmod(result, result, mod, p)
+    if shift:  # x^m is its own remainder while m < n: skip those leading bits
+        m = 1
+        while bits and 2 * m + (bits[0] == "1") < n:
+            m = 2 * m + (bits[0] == "1")
+            bits = bits[1:]
+        result = [0] * m + [1]
+    if not bits:
+        return result
+    k = _slot_words(n, p)
+    width = 64 * k * n
+    low = (1 << width) - 1
+    table = [_pack(r, k) for r in _times_x([-c % p for c in f[:-1]], n, f, p)]
+
+    def reduce(prod: int) -> list[int]:
+        high = [c % p for c in _unpack(prod >> width, n, k)]
+        return _dot(high, table, prod & low, n, k, p)
+
+    packed_base = _pack(base, k)
+    for bit in bits:
+        square = _pack(result, k)
+        square *= square
         if bit == "1" and shift:
-            result = gf_mod([0] + result, mod, p)
-        elif bit == "1":
-            result = _mulmod(result, base, mod, p)
-    return result
+            square <<= 64 * k
+        result = reduce(square)
+        if bit == "1" and not shift:
+            result = reduce(_pack(result, k) * packed_base)
+    return gf_trim(result)
 
 
 def gf_eval(a: list[int], x: int, p: int) -> int:
@@ -245,30 +335,35 @@ def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     below d divided out.  Each h = x^(p^d) comes from the one before
     through the Frobenius matrix of f: raising to the p-th power is
     linear over the prime field, so h^p = sum_i h_i * x^(ip) mod f.  Only
-    x^p mod f needs a modular power; the rows x^(ip) mod f are built by
-    repeated multiplication by it, as far as the degree of h asks.  h
-    stays reduced modulo the original f, so one matrix serves every
-    stage: work divides f, so gcd(h - x, work) is the same as with h
-    reduced modulo work.
+    x^p mod f needs a modular power.  The rows x^(ip) mod f are built as
+    far as the degree of h asks, each from the one before as a vector
+    times the matrix of multiplication by x^p, whose rows x^(p+j) mod f
+    come from x^p by shifts.  Rows and matrix are kept packed.  h stays
+    reduced modulo the original f, so one matrix serves every stage: work
+    divides f, so gcd(h - x, work) is the same as with h reduced modulo
+    work.
     """
     out: list[tuple[list[int], int]] = []
     h = [0, 1]
     work = f[:]
     n = len(f) - 1
-    rows: list[list[int]] = []
+    k = _slot_words(n, p)
+    rows: list[int] = []  # x^(ip) mod f, packed
+    last: list[int] = []  # the last of them, as n coefficients
+    times_xp: list[int] = []  # x^(p+j) mod f, j < n, packed
     d = 0
     while len(work) - 1 > 2 * (d + 1) - 1:
         d += 1
         if not rows:
-            rows = [[1], gf_pow_mod([0, 1], p, f, p)]
+            xp = gf_pow_mod([0, 1], p, f, p)
+            last = xp + [0] * (n - len(xp))
+            rows = [1, _pack(last, k)]
         while len(rows) < len(h):
-            rows.append(_mulmod(rows[-1], rows[1], f, p))
-        acc = [0] * n
-        for hi, row in zip(h, rows):
-            if hi:
-                for j, r in enumerate(row):
-                    acc[j] += hi * r
-        h = gf_trim([c % p for c in acc])
+            if not times_xp:
+                times_xp = [_pack(r, k) for r in _times_x(last, n, gf_monic(f, p), p)]
+            last = _dot(last, times_xp, 0, n, k, p)
+            rows.append(_pack(last, k))
+        h = gf_trim(_dot(h, rows, 0, n, k, p))
         g = gf_gcd(gf_sub(h, [0, 1], p), work, p)
         if len(g) - 1 > 0:
             out.append((g, d))

@@ -1,9 +1,10 @@
 """Prime-field polynomial layer: arithmetic, DDF/EDF, squarefree parts."""
 
+import math
 from random import Random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padegalois import modp
 from padegalois.modp import (
@@ -23,7 +24,9 @@ from padegalois.modp import (
     gf_pow_mod,
     gf_roots,
     gf_squarefree,
+    gf_trim,
 )
+from padegalois.primes import is_prime, next_prime
 
 from .oracles import (
     ddf_by_powering,
@@ -72,6 +75,29 @@ def modulus(draw):
     return low + [lead], p
 
 
+def one_word_primes(n):
+    """The largest prime p with 2n(p - 1)^2 < 2^64, where the packed
+    kernels keep one 64-bit word per slot for moduli of degree n, and the
+    first prime above it, where they take two."""
+    p = math.isqrt((2**64 - 1) // (2 * n)) + 1
+    while not is_prime(p):
+        p -= 1
+    return p, next_prime(p)
+
+
+# each degree at the two sides of its one-word bound; and a prime past
+# 2^32, where a single product of two coefficients needs a second word
+SLOT_BOUNDARY = [(n, p) for n in (2, 8, 20, 25) for p in one_word_primes(n)]
+SLOT_BOUNDARY += [(n, next_prime(2**40)) for n in (2, 8)]
+
+
+def boundary_coeffs(draw, p, size):
+    """size coefficients mod p, often 0, 1 or near p, where the slot sums
+    of the packed kernels are largest."""
+    coeff = st.sampled_from([0, 1, p - 2, p - 1]) | st.integers(0, p - 1)
+    return draw(st.lists(coeff, min_size=size, max_size=size))
+
+
 def brute_roots(f, p):
     from padegalois.modp import gf_eval
 
@@ -113,6 +139,12 @@ class TestArithmetic:
         xp = gf_pow_mod([0, 1], p, f, p)
         # x^13 = x*(x^2)^6 = x*(-1)^6 = x mod x^2+1
         assert xp == [0, 1]
+
+    def test_pow_mod_rejects_negative_exponent(self):
+        for base in ([2, 1], [0, 1]):
+            for e in (-1, -3):
+                with pytest.raises(ValueError):
+                    gf_pow_mod(base, e, [1, 0, 1], 13)
 
     def test_short_dividend_is_reduced(self):
         assert gf_divmod([5, 0], [1, 1, 1], 3) == ([], [2])
@@ -167,6 +199,41 @@ class TestKernelOracles:
         e = {"0": 0, "1": 1, "2": 2, "p": p, "p^2": p * p, "any": any_e}[which]
         for base in (gf_from_int_coeffs(raw, p), [0, 1]):
             assert gf_pow_mod(base, e, b, p) == pow_mod_right_to_left(base, e, b, p)
+
+
+class TestSlotBoundary:
+    """The packed kernels on both sides of the one-word slot bound, against
+    the list-based references of ``oracles``."""
+
+    @pytest.mark.parametrize("n", [2, 8, 20, 25])
+    def test_slot_words_switch_at_bound(self, n):
+        below, above = one_word_primes(n)
+        assert modp._slot_words(n, below) == 1
+        assert modp._slot_words(n, above) == 2
+
+    @pytest.mark.parametrize("n, p", SLOT_BOUNDARY)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_pow_mod_matches_right_to_left(self, n, p, data):
+        low = boundary_coeffs(data.draw, p, n)
+        lead = data.draw(st.sampled_from([1, p - 1]) | st.integers(1, p - 1))
+        raw = boundary_coeffs(data.draw, p, data.draw(st.integers(0, n + 2)))
+        e = data.draw(st.sampled_from([p, 2 * p + 1]) | st.integers(2, 2**64))
+        f = low + [lead]
+        for base in (gf_trim(raw), [0, 1]):
+            assert gf_pow_mod(base, e, f, p) == pow_mod_right_to_left(base, e, f, p)
+
+    @pytest.mark.parametrize("n, p", SLOT_BOUNDARY)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_distinct_degree_matches_powering_oracle(self, n, p, data):
+        # a product of monic factors of low degree and a random rest, so
+        # more than one stage is common
+        f = [1]
+        for d in [1, 2, n - 3] if n >= 3 else [1, 1]:
+            f = gf_mul(f, boundary_coeffs(data.draw, p, d) + [1], p)
+        f = radical(f, p)
+        assert gf_distinct_degree(f, p) == ddf_by_powering(f, p)
 
 
 class TestRoots:

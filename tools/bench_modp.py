@@ -11,17 +11,23 @@ above.
 
 ``kernels``: for the same polynomial of each degree and the same usable
 primes, the median time of one ``gf_pow_mod([0, 1], p, f, p)`` (x^p mod
-f, the one modular power of a sample), one ``gf_gcd(f, f', p)`` and one
-product then remainder, ``gf_mod(gf_mul(a, b, p), f, p)`` with a and b
-the residues x^p and x^(2p) mod f.
+f, the one modular power of a sample), one ``gf_gcd(f, f', p)``, one
+Frobenius row product (the packed x^p mod f times the packed matrix of
+multiplication by x^p, which gives x^(2p) mod f, the first row the DDF
+builds) and one whole ``gf_distinct_degree(f, p)``.
 
 ``resolvents``: for ``RESOLVENT_POLYS`` seeded squarefree monic quartics
 and as many quintics, the median time of one ``_difference_resolvent(f)``
 and of one ``_tschirnhaus_quadratic(f, a, b)``, the latter over every
 shift (a, b) in ``_TSCHIRNHAUS_TRIALS``.
 
-Everything is printed as one JSON object.  The polynomials depend only on
-``SEED``, so two checkouts measured on the same machine compare directly.
+Every time is in seconds at nominal machine speed: ``perfbench/speed.py``
+samples the speed of the host all through the run, and each timed call is
+scaled by the speed sampled around it, which takes out most of a shared
+host's swings.  Everything is printed as one JSON object, with the git
+revision, the Python version and the machine.  The polynomials depend only
+on ``SEED``, so two checkouts measured on the same machine compare
+directly.
 
 Run from the repository root:  python3 tools/bench_modp.py
 """
@@ -29,14 +35,19 @@ Run from the repository root:  python3 tools/bench_modp.py
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import platform
 import random
 import statistics
+import subprocess
 import sys
-import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from speed import MachineSpeed  # noqa: E402
 
 from padegalois.galois import (  # noqa: E402
     _TSCHIRNHAUS_TRIALS,
@@ -45,11 +56,14 @@ from padegalois.galois import (  # noqa: E402
     dedekind_cycle_type,
 )
 from padegalois.modp import (  # noqa: E402
+    _dot,
+    _pack,
+    _slot_words,
+    _times_x,
     gf_deriv,
+    gf_distinct_degree,
     gf_from_int_coeffs,
     gf_gcd,
-    gf_mod,
-    gf_mul,
     gf_pow_mod,
 )
 from padegalois.polynomials import IntPoly, int_poly_gcd  # noqa: E402
@@ -72,93 +86,148 @@ def squarefree_poly(degree: int, rng: random.Random) -> IntPoly:
             return f
 
 
-def time_samples(f: IntPoly) -> dict:
+def median_s(speed: MachineSpeed, spans) -> float:
+    """Median nominal seconds over timed spans (start, end, spent)."""
+    return statistics.median(speed.seconds(*span) for span in spans)
+
+
+def median_call_s(speed: MachineSpeed, calls):
+    """Time each argument-free call; return a thunk that gives the median
+    in nominal seconds, to be called once the run is over, when the speed
+    samples after the last call exist too."""
+    spans = [speed.timed(call)[1:] for call in calls]
+    return lambda: median_s(speed, spans)
+
+
+def time_samples(speed: MachineSpeed, f: IntPoly) -> dict:
     """Median seconds of one usable sample over the first usable primes."""
-    times = []
+    spans = []
     primes = primes_from(2)
     last = 0
-    while len(times) < USABLE_PRIMES:
+    while len(spans) < USABLE_PRIMES:
         p = next(primes)
-        start = time.perf_counter()
-        cycle_type = dedekind_cycle_type(f, p)
-        elapsed = time.perf_counter() - start
+        cycle_type, *span = speed.timed(dedekind_cycle_type, f, p)
         if cycle_type is not None:
-            times.append(elapsed)
+            spans.append(span)
             last = p
     return {
-        "median_s": statistics.median(times),
-        "samples": len(times),
+        "median_s": lambda: median_s(speed, spans),
+        "samples": len(spans),
         "largest_prime": last,
     }
 
 
-def median_call_s(calls) -> float:
-    """Median seconds of one call over the given argument-free calls."""
-    times = []
-    for call in calls:
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
-def time_kernels(f: IntPoly) -> dict:
+def time_kernels(speed: MachineSpeed, f: IntPoly) -> dict:
     """Median seconds of each mod-p kernel over the usable primes of
     ``time_samples``: f is monic, so usable means squarefree mod p."""
     cases = []
     primes = primes_from(2)
+    n = f.degree()
     while len(cases) < USABLE_PRIMES:
         p = next(primes)
         fm = gf_from_int_coeffs(f.coeffs, p)
         dfm = gf_deriv(fm, p)
         if len(gf_gcd(fm, dfm, p)) == 1:
             xp = gf_pow_mod([0, 1], p, fm, p)
-            cases.append((fm, dfm, xp, gf_mod(gf_mul(xp, xp, p), fm, p), p))
+            xp += [0] * (n - len(xp))
+            k = _slot_words(n, p)
+            times_xp = [_pack(r, k) for r in _times_x(xp, n, fm, p)]
+            cases.append((fm, dfm, xp, times_xp, k, p))
     return {
         "pow_x_p_median_s": median_call_s(
-            lambda fm=fm, p=p: gf_pow_mod([0, 1], p, fm, p)
-            for fm, _, _, _, p in cases
+            speed,
+            (lambda fm=fm, p=p: gf_pow_mod([0, 1], p, fm, p) for fm, *_, p in cases),
         ),
         "gcd_median_s": median_call_s(
-            lambda fm=fm, dfm=dfm, p=p: gf_gcd(fm, dfm, p)
-            for fm, dfm, _, _, p in cases
+            speed,
+            (lambda fm=fm, d=dfm, p=p: gf_gcd(fm, d, p) for fm, dfm, *_, p in cases),
         ),
-        "mul_mod_median_s": median_call_s(
-            lambda fm=fm, a=a, b=b, p=p: gf_mod(gf_mul(a, b, p), fm, p)
-            for fm, _, a, b, p in cases
+        "frobenius_row_median_s": median_call_s(
+            speed,
+            (
+                lambda xp=xp, m=m, k=k, p=p: _dot(xp, m, 0, n, k, p)
+                for _, _, xp, m, k, p in cases
+            ),
+        ),
+        "ddf_median_s": median_call_s(
+            speed,
+            (lambda fm=fm, p=p: gf_distinct_degree(fm, p) for fm, *_, p in cases),
         ),
         "primes": len(cases),
     }
 
 
-def time_resolvents(rng: random.Random) -> dict:
+def time_resolvents(speed: MachineSpeed, rng: random.Random) -> dict:
     """Median seconds of each resolvent over seeded quartics and quintics."""
     out = {}
     for n in RESOLVENT_DEGREES:
         polys = [squarefree_poly(n, rng) for _ in range(RESOLVENT_POLYS)]
         out[str(n)] = {
             "difference_median_s": median_call_s(
-                lambda f=f: _difference_resolvent(f) for f in polys
+                speed, (lambda f=f: _difference_resolvent(f) for f in polys)
             ),
             "tschirnhaus_median_s": median_call_s(
-                lambda f=f, shift=shift: _tschirnhaus_quadratic(f, *shift)
-                for f in polys
-                for shift in _TSCHIRNHAUS_TRIALS
+                speed,
+                (
+                    lambda f=f, shift=shift: _tschirnhaus_quadratic(f, *shift)
+                    for f in polys
+                    for shift in _TSCHIRNHAUS_TRIALS
+                ),
             ),
             "polynomials": len(polys),
         }
     return out
 
 
+def resolve(obj):
+    """obj with every thunk replaced by its value."""
+    if isinstance(obj, dict):
+        return {key: resolve(value) for key, value in obj.items()}
+    return obj() if callable(obj) else obj
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def git_revision() -> str | None:
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
+        )
+    except OSError:
+        return None
+    return out.stdout.strip() or None
+
+
 def main() -> None:
     rng = random.Random(SEED)
     polys = {n: squarefree_poly(n, rng) for n in DEGREES}
+    with MachineSpeed() as speed:
+        timed = {
+            "by_degree": {str(n): time_samples(speed, f) for n, f in polys.items()},
+            "kernels": {str(n): time_kernels(speed, f) for n, f in polys.items()},
+            "resolvents": time_resolvents(speed, rng),
+        }
     result = {
+        "git_revision": git_revision(),
         "python": platform.python_version(),
+        "machine": {
+            "platform": platform.platform(),
+            "arch": platform.machine(),
+            "cpu": cpu_model(),
+            "nproc": len(os.sched_getaffinity(0)),
+        },
+        "calibration_ms": speed.median_ms(),
         "seed": SEED,
-        "by_degree": {str(n): time_samples(f) for n, f in polys.items()},
-        "kernels": {str(n): time_kernels(f) for n, f in polys.items()},
-        "resolvents": time_resolvents(rng),
+        **resolve(timed),
     }
     print(json.dumps(result, indent=2))
 
