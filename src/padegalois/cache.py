@@ -137,7 +137,14 @@ class ResultCache:
             "timestamp": time.time(),
             "value": value,
         }
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
-        os.replace(tmp, path)
+        # a temporary file of its own (a random name, created exclusively),
+        # so two writers of one key never share it; the entry appears
+        # whole, by the rename, or not at all
+        tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "x", encoding="utf-8") as fh:
+                json.dump(entry, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise

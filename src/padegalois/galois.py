@@ -52,6 +52,7 @@ from .groupdata import transitive_groups
 from .modp import (
     gf_ddf_degree_multiset,
     gf_deriv,
+    gf_frobenius_order,
     gf_from_int_coeffs,
     gf_gcd,
     gf_monic,
@@ -246,7 +247,11 @@ def dedekind_cycle_type(f: IntPoly, p: int) -> CycleType | None:
     squarefree mod p; then the degrees of the irreducible factors of
     f mod p form the cycle type of an element of the Galois group acting
     on the roots.  Only distinct-degree factorization is needed, so the
-    sample is deterministic.
+    sample is deterministic.  Squarefreeness mostly comes for free: when
+    x^(p^L) = x mod f for some L <= n (``gf_frobenius_order``), f divides
+    the squarefree x^(p^L) - x.  Only when there is no such L, because f
+    has a repeated factor mod p or because the lcm of the factor degrees
+    exceeds n, is gcd(f, f') taken.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
@@ -257,7 +262,8 @@ def dedekind_cycle_type(f: IntPoly, p: int) -> CycleType | None:
     if f.coeffs[-1] % p == 0:
         return None
     fb = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
-    if len(gf_gcd(fb, gf_deriv(fb, p), p)) != 1:
+    closed = gf_frobenius_order(fb, p) is not None
+    if not closed and len(gf_gcd(fb, gf_deriv(fb, p), p)) != 1:
         return None
     return CycleType(tuple(gf_ddf_degree_multiset(fb, p)))
 

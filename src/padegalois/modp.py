@@ -13,6 +13,17 @@ the rows x^(ip) mod f follow by multiplication, and each x^(p^d) comes
 from the one before by a matrix-vector product.  One modular power per
 (f, p) replaces one per degree.
 
+The loop finds the Frobenius order first and takes gcds afterwards.  It
+walks h_d = x^(p^d) mod f until h_d = x, or until d = n, and takes no
+gcd on the way.  For squarefree f the walk closes at L, the lcm of the
+factor degrees, whenever L <= n; then the stage gcds are taken only at
+the proper divisors of L, because a factor degree e < L that divides L
+divides L/q for some prime q (the idea of Rabin's irreducibility test,
+"Probabilistic algorithms in finite fields", 1980).  A walk that closes
+also proves f squarefree, as f then divides x^(p^L) - x, whose
+derivative is -1; ``gf_frobenius_order`` gives the order for that use.
+A walk that runs to n takes a stage at every degree, as before.
+
 The work modulo f runs on packed integers (Kronecker substitution; see
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", 2009).  A polynomial of degree < n is packed one
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import lru_cache
 from operator import mul
 from random import Random
 from typing import Sequence
@@ -63,6 +75,7 @@ __all__ = [
     "gf_eval",
     "gf_deriv",
     "gf_squarefree",
+    "gf_frobenius_order",
     "gf_distinct_degree",
     "gf_equal_degree",
     "gf_factor_monic",
@@ -327,49 +340,86 @@ def gf_squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Distinct-degree stages of squarefree monic f: list of (product, d)
-    where product collects all irreducible factors of degree exactly d.
-
-    Stage d is gcd(x^(p^d) - x, work), work being f with the stages
-    below d divided out.  Each h = x^(p^d) comes from the one before
-    through the Frobenius matrix of f: raising to the p-th power is
-    linear over the prime field, so h^p = sum_i h_i * x^(ip) mod f.  Only
-    x^p mod f needs a modular power.  The rows x^(ip) mod f are built as
-    far as the degree of h asks, each from the one before as a vector
-    times the matrix of multiplication by x^p, whose rows x^(p+j) mod f
-    come from x^p by shifts.  Rows and matrix are kept packed.  h stays
-    reduced modulo the original f, so one matrix serves every stage: work
-    divides f, so gcd(h - x, work) is the same as with h reduced modulo
-    work.
-    """
-    out: list[tuple[list[int], int]] = []
-    h = [0, 1]
-    work = f[:]
+@lru_cache(maxsize=1)
+def _frobenius_walk(
+    f: tuple[int, ...], p: int
+) -> tuple[list[list[int]], int | None]:
+    """The walk h_d = x^(p^d) mod f, d = 1, 2, ..., of monic f of degree
+    n, up to the first d with h_d = x or to d = n: (h_1, ..., h_d), and
+    that d if h_d = x, else None.  Only x^p mod f needs a modular power:
+    raising to the p-th power is linear over the prime field, so h^p =
+    sum_i h_i * x^(ip) mod f.  The rows x^(ip) mod f are built as far as
+    the degree of h asks, each from the one before as a vector times the
+    matrix of multiplication by x^p, whose rows x^(p+j) mod f come from
+    x^p by shifts.  Rows and matrix are kept packed.  The walk of the
+    last (f, p) is kept, so asking for the order and then for the stages
+    walks once; its lists are shared, and no caller may change them."""
     n = len(f) - 1
+    if n < 2:  # x mod f is a constant: nothing to walk
+        return [], 1
+    f = list(f)
     k = _slot_words(n, p)
-    rows: list[int] = []  # x^(ip) mod f, packed
-    last: list[int] = []  # the last of them, as n coefficients
+    h = gf_pow_mod([0, 1], p, f, p)
+    last = h + [0] * (n - len(h))  # the last row x^(ip) mod f, as n coefficients
+    rows = [1, _pack(last, k)]  # x^(ip) mod f, packed
     times_xp: list[int] = []  # x^(p+j) mod f, j < n, packed
-    d = 0
-    while len(work) - 1 > 2 * (d + 1) - 1:
-        d += 1
-        if not rows:
-            xp = gf_pow_mod([0, 1], p, f, p)
-            last = xp + [0] * (n - len(xp))
-            rows = [1, _pack(last, k)]
+    walk = [h]
+    while h != [0, 1] and len(walk) < n:
         while len(rows) < len(h):
             if not times_xp:
                 times_xp = [_pack(r, k) for r in _times_x(last, n, gf_monic(f, p), p)]
             last = _dot(last, times_xp, 0, n, k, p)
             rows.append(_pack(last, k))
         h = gf_trim(_dot(h, rows, 0, n, k, p))
-        g = gf_gcd(gf_sub(h, [0, 1], p), work, p)
+        walk.append(h)
+    return walk, (len(walk) if h == [0, 1] else None)
+
+
+def gf_frobenius_order(f: list[int], p: int) -> int | None:
+    """The least L <= n with x^(p^L) = x mod monic f of degree n >= 1, or
+    None when there is none.  For squarefree f, L is the lcm of the
+    degrees of its irreducible factors, and None means that lcm exceeds
+    n.  An L proves f squarefree: f then divides x^(p^L) - x, which is
+    squarefree (its derivative is -1)."""
+    return _frobenius_walk(tuple(f), p)[1]
+
+
+def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Distinct-degree stages of squarefree monic f: list of (product, d)
+    where product collects all irreducible factors of degree exactly d.
+
+    Stage d is gcd(h_d - x, work), with h_d = x^(p^d) mod f and work
+    being f with the stages below d divided out.  The order comes first:
+    the walk of ``_frobenius_walk`` finds the least L with h_L = x, and
+    takes no gcd.  When there is such an L, every factor degree divides
+    L, so only the stages at the proper divisors d of L are taken, in
+    ascending order, and every factor left has degree L.  A degree e < L that
+    divides L divides L/q for a prime q, so no lower degree is missed.
+    When the walk ends at d = n without reaching x, the lcm of the
+    degrees exceeds n, and every stage is taken in turn.  Either way the
+    stages stop once work has degree below 2d: at most one factor is
+    left, and its degree is that of work.  h_d stays reduced modulo the
+    original f, so one walk serves every stage: work divides f, so
+    gcd(h_d - x, work) is the same as with h_d reduced modulo work.
+    """
+    walk, order = _frobenius_walk(tuple(f), p)
+    if order is None:
+        degrees = range(1, len(walk) + 1)
+    else:
+        degrees = [d for d in range(1, order) if order % d == 0]
+    out: list[tuple[list[int], int]] = []
+    work = f[:]
+    rest = order  # the degree of every factor left after the stages
+    for d in degrees:
+        if len(work) - 1 < 2 * d:
+            rest = len(work) - 1
+            break
+        g = gf_gcd(gf_sub(walk[d - 1], [0, 1], p), work, p)
         if len(g) - 1 > 0:
             out.append((g, d))
             work = gf_divmod(work, g, p)[0]
     if len(work) - 1 > 0:
-        out.append((work, len(work) - 1))
+        out.append((work, rest))
     return out
 
 
@@ -465,6 +515,6 @@ def gf_is_irreducible(f: list[int], p: int) -> bool:
     f = gf_monic(f, p)
     if gf_eval(f, 0, p) == 0:
         return False
-    if len(gf_gcd(f, gf_deriv(f, p), p)) - 1 > 0:
+    if gf_frobenius_order(f, p) != n:  # an irreducible f has order n
         return False
     return gf_ddf_degree_multiset(f, p) == [n]

@@ -13,6 +13,10 @@ in the package, so agreement is meaningful:
 * ``ddf_by_powering``       -- distinct-degree factorization mod p that
   raises h to the p-th power by square-and-multiply at every degree,
   modulo the shrinking remaining product.
+* ``cycle_type_by_gcd``     -- the Frobenius cycle type of an integer
+  polynomial at p by the plain rule: leading coefficient, then
+  gcd(f, f') for squarefreeness, then ``ddf_by_powering``, a stage at
+  every degree.
 * ``mod_by_long_division``  -- remainder mod p as a - q*b, the quotient q
   found digit by digit by schoolbook long division, every coefficient
   reduced as soon as it is formed.
@@ -372,6 +376,23 @@ def ddf_by_powering(f: list[int], p: int) -> list[tuple[list[int], int]]:
     if len(work) - 1 > 0:
         out.append((work, len(work) - 1))
     return out
+
+
+def cycle_type_by_gcd(f: IntPoly, p: int) -> tuple[int, ...] | None:
+    """The degrees of the irreducible factors of f mod p, descending, or
+    None when p divides the leading coefficient or f mod p is not
+    squarefree."""
+    if f.coeffs[-1] % p == 0:
+        return None
+    inv = pow(f.coeffs[-1], -1, p)
+    fm = [c * inv % p for c in f.coeffs]
+    deriv = _trim([i * c % p for i, c in enumerate(fm)][1:])
+    if len(gcd_by_long_division(fm, deriv, p)) != 1:
+        return None
+    parts = []
+    for stage, d in ddf_by_powering(fm, p):
+        parts += [d] * ((len(stage) - 1) // d)
+    return tuple(sorted(parts, reverse=True))
 
 
 def _trim(a: list[int]) -> list[int]:

@@ -38,9 +38,12 @@ from padegalois.galois import (
 from padegalois.groupdata import group_record
 from padegalois.pade import pade_diagonal
 from padegalois.polynomials import IntPoly, RatPoly, parse_int_poly
+from padegalois.primes import primes_in_range
 from padegalois.series import SeriesId, scale_to_monic_integer, taylor
+from padegalois.tables import TABLES, _column_polys
 
 from .oracles import (
+    cycle_type_by_gcd,
     difference_resolvent_by_interpolation,
     tschirnhaus_by_resultants,
 )
@@ -163,6 +166,27 @@ class TestDedekind:
             full = factor_mod_p(f, p)
             assert sorted(t.parts) == full.degree_multiset()
             checked += 1
+
+    def test_matches_gcd_rule_on_table_targets(self):
+        # every distinct polynomial the six tables classify (as classify
+        # picks it: the factor of largest degree, ties broken by
+        # coefficients), at the first 50 primes: the same usable primes and
+        # the same cycle types as the plain rule, which always takes
+        # gcd(f, f')
+        targets = {}
+        for table_id, spec in TABLES.items():
+            for order in spec.orders:
+                for poly in _column_polys(table_id, order):
+                    g = max(
+                        (g for g, _ in factor_over_integers(poly).factors),
+                        key=lambda g: (g.degree(), g.coeffs),
+                    )
+                    targets[g.coeffs] = g
+        for g in targets.values():
+            for p in primes_in_range(2, 230):
+                t = dedekind_cycle_type(g, p)
+                parts = t.parts if t is not None else None
+                assert parts == cycle_type_by_gcd(g, p), (g.coeffs, p)
 
     def test_cycle_type_helpers(self):
         t = CycleType((1, 3, 2, 3))

@@ -1,12 +1,14 @@
 """Prime-field polynomial layer: arithmetic, DDF/EDF, squarefree parts."""
 
 import math
+from itertools import product
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padegalois import modp
+from padegalois.galois import dedekind_cycle_type
 from padegalois.modp import (
     gf_mul_scalar,
     gf_add,
@@ -15,6 +17,7 @@ from padegalois.modp import (
     gf_divmod,
     gf_equal_degree,
     gf_factor_monic,
+    gf_frobenius_order,
     gf_from_int_coeffs,
     gf_gcd,
     gf_is_irreducible,
@@ -26,6 +29,7 @@ from padegalois.modp import (
     gf_squarefree,
     gf_trim,
 )
+from padegalois.polynomials import IntPoly
 from padegalois.primes import is_prime, next_prime
 
 from .oracles import (
@@ -106,8 +110,6 @@ def brute_roots(f, p):
 
 def brute_irreducible(f, p):
     """Trial division by every lower-degree monic polynomial (tiny p, deg)."""
-    from itertools import product
-
     n = len(f) - 1
     for d in range(1, n // 2 + 1):
         for tail in product(range(p), repeat=d):
@@ -379,3 +381,138 @@ class TestDistinctDegree:
             f = radical([rng.randrange(p) for _ in range(n)] + [1], p)
         gf_distinct_degree(f, p)
         assert len(calls) == 1
+
+
+# the walk of the order-first DDF at small and table primes, and at the
+# slot-boundary primes of the packed kernels
+ORDER_PRIMES = [2, 3, 13, 9973] + sorted({p for _, p in SLOT_BOUNDARY})
+# the inputs are drawn from a seeded Random: hypothesis shrinks its own
+# random draws towards 0, and a search for an irreducible fed zeros never
+# ends
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def random_irreducible(rng, d, p, exclude):
+    """A random monic irreducible of degree d mod p not in exclude, or None
+    when 200 draws find none (at p = 2 there are few of each degree)."""
+    for _ in range(200):
+        g = [rng.randrange(p) for _ in range(d)] + [1]
+        if tuple(g) in exclude or len(gf_gcd(g, modp.gf_deriv(g, p), p)) != 1:
+            continue
+        if ddf_by_powering(g, p) == [(g, d)]:
+            return g
+    return None
+
+
+def product_of_irreducibles(rng, degrees, p):
+    """(f, the degrees of its factors): f the product of distinct monic
+    irreducibles mod p, one of each degree asked for that could be found."""
+    found: set[tuple[int, ...]] = set()
+    f, got = [1], []
+    for d in degrees:
+        g = random_irreducible(rng, d, p, found)
+        if g is not None:
+            found.add(tuple(g))
+            f = gf_mul(f, g, p)
+            got.append(d)
+    return f, got
+
+
+def lcm_of(degrees):
+    return math.lcm(*degrees) if degrees else 1
+
+
+class TestOrderFirst:
+    """The order-first DDF against the stage-per-degree oracle, on inputs
+    sorted by how the walk ends: it closes at the lcm L of the factor
+    degrees when L <= n, and runs to n otherwise."""
+
+    def check(self, f, got, p):
+        n = len(f) - 1
+        order = lcm_of(got)
+        assert gf_frobenius_order(f, p) == (order if order <= n else None)
+        assert gf_distinct_degree(f, p) == ddf_by_powering(f, p)
+        assert gf_ddf_degree_multiset(f, p) == sorted(got)
+
+    @given(st.sampled_from(ORDER_PRIMES), st.integers(1, 6), st.integers(1, 4), SEEDS)
+    @settings(max_examples=40)
+    def test_same_degree(self, p, d, count, seed):
+        # order d: no divisor stage splits anything, and what is left,
+        # of degree count * d, is one stage of degree d
+        rng = Random(seed)
+        f, got = product_of_irreducibles(rng, [d] * count, p)
+        self.check(f, got, p)
+
+    @given(
+        st.sampled_from(ORDER_PRIMES),
+        st.sampled_from([2, 3, 4, 6, 8, 12]),
+        st.lists(st.integers(1, 6), max_size=4),
+        SEEDS,
+    )
+    @settings(max_examples=40)
+    def test_lcm_within_degree(self, p, top, more, seed):
+        # one factor of degree L, the others of degrees dividing L
+        rng = Random(seed)
+        degrees = [top] + [d for d in more if top % d == 0]
+        f, got = product_of_irreducibles(rng, degrees, p)
+        assert lcm_of(got) <= len(f) - 1
+        self.check(f, got, p)
+
+    @given(
+        st.sampled_from(ORDER_PRIMES),
+        st.sampled_from(
+            [(2, 3), (2, 5, 1, 1), (3, 4, 1, 1), (3, 5, 1), (4, 5, 1, 1, 1), (2, 3, 5)]
+        ),
+        SEEDS,
+    )
+    @settings(max_examples=40)
+    def test_lcm_past_degree(self, p, degrees, seed):
+        # coprime degrees, whose lcm exceeds the sum even with the linear
+        # factors: the walk does not close, and every stage is taken
+        rng = Random(seed)
+        f, got = product_of_irreducibles(rng, degrees, p)
+        assert lcm_of(got) > len(f) - 1
+        self.check(f, got, p)
+
+    @given(st.sampled_from(ORDER_PRIMES), st.integers(1, 12), SEEDS)
+    @settings(max_examples=30)
+    def test_all_linear(self, p, count, seed):
+        rng = Random(seed)
+        roots = sorted({rng.randrange(p) for _ in range(count)})
+        f = [1]
+        for r in roots:
+            f = gf_mul(f, [-r % p, 1], p)
+        assert gf_frobenius_order(f, p) == 1
+        assert gf_distinct_degree(f, p) == [(f, 1)] == ddf_by_powering(f, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 13])
+    def test_every_squarefree_of_degree_one_and_two(self, p):
+        for n in (1, 2):
+            for tail in product(range(p), repeat=n):
+                f = list(tail) + [1]
+                if len(gf_gcd(f, modp.gf_deriv(f, p), p)) != 1:
+                    continue
+                assert gf_distinct_degree(f, p) == ddf_by_powering(f, p)
+                assert gf_frobenius_order(f, p) in (1, 2)
+
+    @pytest.mark.parametrize("p", ORDER_PRIMES)
+    def test_random_of_degree_one_and_two(self, p):
+        rng = Random(p)
+        for n in (1, 2):
+            for _ in range(20):
+                f = radical([rng.randrange(p) for _ in range(n)] + [1], p)
+                assert gf_distinct_degree(f, p) == ddf_by_powering(f, p)
+
+    @given(st.sampled_from(ORDER_PRIMES), st.integers(1, 4), st.integers(0, 6), SEEDS)
+    @settings(max_examples=40)
+    def test_square_factor_never_closes(self, p, dg, dh, seed):
+        # f = g^2 h mod p has a repeated factor, so no x^(p^d) - x is a
+        # multiple of it: the walk runs to n, and the sample is unusable
+        rng = Random(seed)
+        g = random_irreducible(rng, dg, p, set())
+        h = [rng.randrange(p) for _ in range(dh)] + [1]
+        f = gf_mul(gf_mul(g, g, p), h, p)
+        assert gf_frobenius_order(f, p) is None
+        # integer coefficients congruent to f, shifted by multiples of p
+        coeffs = [c + p * rng.randrange(-2, 3) for c in f[:-1]] + [f[-1]]
+        assert dedekind_cycle_type(IntPoly(coeffs), p) is None

@@ -109,6 +109,29 @@ class TestResultCache:
         fresh.get_or_compute("op", {"x": 1}, lambda: "good")
         assert fresh.hits == 1
 
+    def test_writers_of_one_key_do_not_collide(self, monkeypatch, tmp_path):
+        # a second writer stores the same key while the first is still
+        # writing: each must write its own temporary file
+        original = json.dump
+        nested = []
+
+        def dump_with_a_second_writer(obj, fh, **kwargs):
+            if not nested:
+                nested.append(1)
+                other = ResultCache(tmp_path)
+                assert other.get_or_compute("op", {"x": 1}, lambda: "same") == "same"
+            original(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_with_a_second_writer)
+        cache = ResultCache(tmp_path)
+        assert cache.get_or_compute("op", {"x": 1}, lambda: "same") == "same"
+        monkeypatch.undo()
+        assert nested
+        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+        fresh = ResultCache(tmp_path)
+        assert fresh.get_or_compute("op", {"x": 1}, lambda: "other") == "same"
+        assert fresh.hits == 1
+
     def test_default_dir_honors_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PADEGALOIS_CACHE_DIR", str(tmp_path / "via-env"))
         assert default_cache_dir() == tmp_path / "via-env"

@@ -16,6 +16,11 @@ Frobenius row product (the packed x^p mod f times the packed matrix of
 multiplication by x^p, which gives x^(2p) mod f, the first row the DDF
 builds) and one whole ``gf_distinct_degree(f, p)``.
 
+``cyclic``: the same median for the minimal polynomial of 2cos(2 pi/m),
+m in ``CYCLIC_MODULI``, of degree (m - 1)/2 and Galois group C_(m-1)/2:
+every usable prime gives a uniform cycle type, the kind of sample the
+cyclic cells of the InvSqrtPade table draw by the hundred.
+
 ``resolvents``: for ``RESOLVENT_POLYS`` seeded squarefree monic quartics
 and as many quintics, the median time of one ``_difference_resolvent(f)``
 and of one ``_tschirnhaus_quadratic(f, a, b)``, the latter over every
@@ -42,6 +47,7 @@ import random
 import statistics
 import subprocess
 import sys
+from itertools import zip_longest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -71,6 +77,7 @@ from padegalois.primes import primes_from  # noqa: E402
 
 DEGREES = (6, 8, 10, 12, 15, 20)
 USABLE_PRIMES = 200
+CYCLIC_MODULI = (13, 17, 19, 23, 29, 31)
 RESOLVENT_DEGREES = (4, 5)
 RESOLVENT_POLYS = 20
 SEED = 20201
@@ -84,6 +91,20 @@ def squarefree_poly(degree: int, rng: random.Random) -> IntPoly:
         f = IntPoly(tail + [1])
         if int_poly_gcd(f, f.derivative()).degree() == 0:
             return f
+
+
+def cos_minimal_poly(m: int) -> IntPoly:
+    """The minimal polynomial of 2cos(2 pi/m), m an odd prime.  With
+    x = z + 1/z and D_k(x) = z^k + z^-k (D_0 = 2, D_1 = x, D_(k+1) =
+    x D_k - D_(k-1)), the cyclotomic z^-r (1 + z + ... + z^(m-1)), r =
+    (m - 1)/2, is 1 + D_1(x) + ... + D_r(x)."""
+    prev, cur = [2], [0, 1]
+    total = [1]
+    for _ in range((m - 1) // 2):
+        total = [a + b for a, b in zip_longest(total, cur, fillvalue=0)]
+        shifted = [0] + cur
+        prev, cur = cur, [a - b for a, b in zip_longest(shifted, prev, fillvalue=0)]
+    return IntPoly(total)
 
 
 def median_s(speed: MachineSpeed, spans) -> float:
@@ -214,6 +235,9 @@ def main() -> None:
         timed = {
             "by_degree": {str(n): time_samples(speed, f) for n, f in polys.items()},
             "kernels": {str(n): time_kernels(speed, f) for n, f in polys.items()},
+            "cyclic": {
+                str(m): time_samples(speed, cos_minimal_poly(m)) for m in CYCLIC_MODULI
+            },
             "resolvents": time_resolvents(speed, rng),
         }
     result = {
