@@ -24,7 +24,7 @@ from .cache import (
     ResultCache,
     default_cache_dir,
 )
-from .factor import Factorization, factor_over_integers
+from .factor import FactorCutoffError, Factorization, factor_over_integers
 from .galois import (
     DEFAULT_PRIME_BOUND,
     classify,
@@ -50,7 +50,13 @@ from .schur import (
     theorem_expectation,
 )
 from .series import SeriesId, scale_to_monic_integer, taylor
-from .tables import TableError, TABLES, normalize_table_id, reproduce
+from .tables import (
+    TableError,
+    TABLES,
+    _names_match,
+    normalize_table_id,
+    reproduce,
+)
 
 
 class CliError(Exception):
@@ -84,10 +90,9 @@ def _load_poly(arg: str) -> IntPoly:
         raise CliError("empty polynomial input")
     if text.startswith("["):
         try:
-            strings = json.loads(text)
-        except json.JSONDecodeError as exc:
+            return int_poly_from_strings(json.loads(text))
+        except ValueError as exc:
             raise CliError(f"bad coefficient array: {exc}")
-        return int_poly_from_strings(strings)
     try:
         return parse_int_poly(text)
     except ValueError as exc:
@@ -370,9 +375,6 @@ def _cmd_galois(args) -> int:
     return 0
 
 
-_GROUP_ALIASES = {"S1": "C1", "A1": "C1", "A2": "C1", "S2": "C2", "A3": "C3"}
-
-
 def _cmd_schur(args) -> int:
     n = args.n
     if n < 1:
@@ -416,10 +418,7 @@ def _cmd_schur(args) -> int:
     }
     if args.all_checks:
         ident = classify(q, args.prime_bound)
-        expected = payload["expected_group"]
-        matches = _GROUP_ALIASES.get(expected, expected) == _GROUP_ALIASES.get(
-            ident.group_name, ident.group_name
-        )
+        matches = _names_match(payload["expected_group"], ident.group_name)
         payload["verdict"] = ident.to_dict()
         payload["matches_expectation"] = bool(
             matches and ident.certainty.is_proven
@@ -638,6 +637,7 @@ def main(argv=None) -> int:
         TableError,
         PadeDefectError,
         CacheMismatchError,
+        FactorCutoffError,
         ValueError,
         OSError,
     ) as exc:

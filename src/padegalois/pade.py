@@ -66,11 +66,6 @@ class PadePair:
         """Numerator of the actual rational function (sign and scale folded in)."""
         return self.numerator.to_rat() * (self.scale * self.overall_sign)
 
-    def as_fraction_strings(self) -> tuple[str, str]:
-        from .polynomials import format_poly
-
-        return format_poly(self.numerator), format_poly(self.denominator)
-
 
 def _euclid_pade(order: int, trunc: RatPoly) -> tuple[RatPoly, RatPoly]:
     """Extended Euclid on (x^order, trunc), stopped at the diagonal cut.

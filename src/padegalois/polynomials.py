@@ -9,9 +9,16 @@ Trailing zeros are always stripped, so representations are canonical and
 equality is tuple equality.  The zero polynomial is the empty tuple and has
 degree -1 (a sentinel, never used in arithmetic).
 
-Resultants are computed with the subresultant pseudo-remainder sequence in
-pure integer arithmetic; no floating point is used anywhere.  The
-discriminant follows the product-of-root-differences convention::
+The constructors (``zero``, ``one``, ``x``, ``constant``, ``monomial``) and
+the ring operations (``+``, ``-``, ``*`` by a polynomial or a scalar, ``**``,
+``derivative``) live once, on ``_BasePoly``, and build the class they are
+called on.  The two subclasses add only what their coefficient domain
+needs: content and primitive parts over Z, long division over Q.
+
+One subresultant pseudo-remainder sequence, ``_subresultant_prs``, in pure
+integer arithmetic, serves ``int_poly_gcd``, ``resultant`` and
+``discriminant``; no floating point is used anywhere.  The discriminant
+follows the product-of-root-differences convention::
 
     disc(f) = (-1)^(d(d-1)/2) * res(f, f') / lc(f)
 
@@ -24,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 BigRat = Fraction
 
@@ -78,10 +85,70 @@ def _mul(a: Sequence, b: Sequence) -> tuple:
 
 
 class _BasePoly:
-    """Shared behaviour; subclasses fix the coefficient domain."""
+    """Shared behaviour: the constructors and the ring operations build
+    ``type(self)``, and subclasses fix the coefficient domain in their
+    ``__init__`` and the scalars they multiply by in ``_SCALARS``."""
 
     __slots__ = ("coeffs",)
     coeffs: tuple
+    _SCALARS = ()
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @classmethod
+    def one(cls):
+        return cls((1,))
+
+    @classmethod
+    def x(cls):
+        return cls((0, 1))
+
+    @classmethod
+    def constant(cls, c):
+        return cls((c,))
+
+    @classmethod
+    def monomial(cls, k: int, c=1):
+        return cls((0,) * k + (c,))
+
+    # -- ring operations ----------------------------------------------
+
+    def __add__(self, other):
+        return type(self)(_add(self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        return type(self)(_add(self.coeffs, _neg(other.coeffs)))
+
+    def __neg__(self):
+        return type(self)(_neg(self.coeffs))
+
+    def __mul__(self, other):
+        cls = type(self)
+        if isinstance(other, cls):
+            return cls(_mul(self.coeffs, other.coeffs))
+        if isinstance(other, self._SCALARS):
+            return cls(tuple(c * other for c in self.coeffs))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out, base = self.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def derivative(self):
+        return type(self)(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def degree(self) -> int:
         """Degree, with -1 as the sentinel for the zero polynomial."""
@@ -131,66 +198,11 @@ class IntPoly(_BasePoly):
     """Dense polynomial over the integers, coefficients ascending."""
 
     coeffs: tuple
+    _SCALARS = (int,)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cleaned = _strip([int(c) for c in coeffs])
         object.__setattr__(self, "coeffs", cleaned)
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "IntPoly":
-        return IntPoly(())
-
-    @staticmethod
-    def one() -> "IntPoly":
-        return IntPoly((1,))
-
-    @staticmethod
-    def x() -> "IntPoly":
-        return IntPoly((0, 1))
-
-    @staticmethod
-    def constant(c: int) -> "IntPoly":
-        return IntPoly((c,))
-
-    @staticmethod
-    def monomial(k: int, c: int = 1) -> "IntPoly":
-        return IntPoly((0,) * k + (c,))
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(_add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(_add(self.coeffs, _neg(other.coeffs)))
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(_neg(self.coeffs))
-
-    def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, IntPoly):
-            return IntPoly(_mul(self.coeffs, other.coeffs))
-        if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out, base = IntPoly.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def shift_argument(self, a: int) -> "IntPoly":
         """Return f(x + a) (Taylor shift by synthetic division)."""
@@ -213,9 +225,7 @@ class IntPoly(_BasePoly):
         """
         if not self.coeffs:
             return 0, IntPoly.zero(), 1
-        content = 0
-        for c in self.coeffs:
-            content = math.gcd(content, c)
+        content = math.gcd(*self.coeffs)
         sign = 1 if self.coeffs[-1] > 0 else -1
         prim = IntPoly(tuple(c // (sign * content) for c in self.coeffs))
         return content, prim, sign
@@ -227,9 +237,6 @@ class IntPoly(_BasePoly):
 
     def max_norm(self) -> int:
         return max((abs(c) for c in self.coeffs), default=0)
-
-    def one_norm(self) -> int:
-        return sum(abs(c) for c in self.coeffs)
 
     def divmod_exact(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Rational division, demanding integer results.
@@ -258,14 +265,6 @@ class IntPoly(_BasePoly):
     def to_rat(self) -> "RatPoly":
         return RatPoly(tuple(Fraction(c) for c in self.coeffs))
 
-    def reduce_mod(self, p: int) -> list[int]:
-        """Coefficient list mod p (ascending, possibly with trailing zeros
-        stripped), for handing to the mod-p layer."""
-        out = [c % p for c in self.coeffs]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
     def reversed_coefficients(self) -> "IntPoly":
         """x^deg * f(1/x): coefficient sequence reversed."""
         return IntPoly(tuple(reversed(self.coeffs)))
@@ -286,68 +285,15 @@ class RatPoly(_BasePoly):
     """Dense polynomial over the rationals, coefficients ascending."""
 
     coeffs: tuple
+    _SCALARS = (int, Fraction)
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()):
         cleaned = _strip([Fraction(c) for c in coeffs])
         object.__setattr__(self, "coeffs", cleaned)
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RatPoly":
-        return RatPoly(())
-
-    @staticmethod
-    def one() -> "RatPoly":
-        return RatPoly((1,))
-
-    @staticmethod
-    def x() -> "RatPoly":
-        return RatPoly((0, 1))
-
-    @staticmethod
-    def constant(c) -> "RatPoly":
-        return RatPoly((Fraction(c),))
-
-    @staticmethod
-    def monomial(k: int, c=1) -> "RatPoly":
-        return RatPoly((Fraction(0),) * k + (Fraction(c),))
-
     @staticmethod
     def from_int(coeffs: Iterable[int]) -> "RatPoly":
-        return RatPoly(tuple(Fraction(c) for c in coeffs))
-
-    # -- field-coefficient operations ----------------------------------
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        return RatPoly(_add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return RatPoly(_add(self.coeffs, _neg(other.coeffs)))
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(_neg(self.coeffs))
-
-    def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, RatPoly):
-            return RatPoly(_mul(self.coeffs, other.coeffs))
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return RatPoly(tuple(c * f for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "RatPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out, base = RatPoly.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return RatPoly(coeffs)
 
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         """Long division; ``x divmod x^2`` is ``(0, x)``."""
@@ -373,9 +319,6 @@ class RatPoly(_BasePoly):
 
     def __mod__(self, other: "RatPoly") -> "RatPoly":
         return divmod(self, other)[1]
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def truncate(self, order: int) -> "RatPoly":
         """Reduce mod x^order."""
@@ -439,15 +382,10 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
-def _int_content(c: Sequence[int]) -> int:
-    g = 0
-    for v in c:
-        g = math.gcd(g, v)
-    return g
-
-
-def _subresultant_prs(A: list[int], B: list[int]) -> list[list[int]]:
-    """The full subresultant remainder sequence, starting at [A, B]."""
+def _subresultant_prs(A: list[int], B: list[int]) -> tuple[list[list[int]], int]:
+    """The subresultant remainder sequence of primitive A and B (deg A >=
+    deg B), starting at [A, B] and ending at the first constant or zero
+    remainder, and its final h."""
     seq = [A, B]
     g, h = 1, 1
     a, b = A, B
@@ -464,7 +402,7 @@ def _subresultant_prs(A: list[int], B: list[int]) -> list[list[int]]:
         g = a[-1]
         if delta:
             h = g**delta // h ** (delta - 1)
-    return seq
+    return seq, h
 
 
 def int_poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -482,87 +420,68 @@ def int_poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     A, B = list(pa.coeffs), list(pb.coeffs)
     if len(A) < len(B):
         A, B = B, A
-    seq = _subresultant_prs(A, B)
+    seq, _ = _subresultant_prs(A, B)
     last = next(s for s in reversed(seq) if s)
     prim = IntPoly(last).primitive_part()
     return prim * cg
 
 
-def _resultant_int(A: list[int], B: list[int]) -> int:
-    """Resultant of two nonzero integer coefficient lists (ascending)."""
-    da, db = len(A) - 1, len(B) - 1
+def _resultant_int(A: Sequence[int], B: Sequence[int]) -> int:
+    """Resultant of two nonconstant integer coefficient lists (ascending).
+
+    It is read off the subresultant sequence of the primitive parts: the
+    sign flips once for each consecutive pair of odd degrees, and a final
+    constant remainder c after a term of degree d gives c^d / h^(d-1)
+    (Brown and Traub, JACM 1971).
+    """
     sign = 1
-    if da < db:
+    if len(A) < len(B):
         A, B = B, A
-        da, db = db, da
+        if (len(A) - 1) & (len(B) - 1) & 1:
+            sign = -1
+    ca, cb = math.gcd(*A), math.gcd(*B)
+    seq, h = _subresultant_prs([c // ca for c in A], [c // cb for c in B])
+    if not seq[-1]:
+        return 0
+    degrees = [len(s) - 1 for s in seq]
+    for da, db in zip(degrees, degrees[1:]):
         if da & db & 1:
             sign = -sign
-    if db == 0:
-        return sign * B[0] ** da
-    ca, A = _int_content(A), A
-    cb, B = _int_content(B), B
-    A = [c // ca for c in A]
-    B = [c // cb for c in B]
-    scale = ca**db * cb**da
-    s = sign
-    g, h = 1, 1
-    a, b = A, B
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da & db & 1:
-            s = -s
-        r = _pseudo_rem(a, b)
-        if not r:
-            return 0
-        div = g * h**delta
-        r = [c // div for c in r]
-        a, b = b, r
-        g = a[-1]
-        if delta:
-            h = g**delta // h ** (delta - 1)
-        if len(b) - 1 == 0:
-            # constant remainder: finish with the standard correction
-            da = len(a) - 1
-            hfin = b[0] ** da // h ** (da - 1) if da > 1 else b[0] ** da * h ** (1 - da)
-            return s * scale * hfin
+    d = degrees[-2]
+    scale = ca ** (len(B) - 1) * cb ** (len(A) - 1)
+    return sign * scale * (seq[-1][0] ** d // h ** (d - 1))
 
 
 def resultant(a: RatPoly | IntPoly, b: RatPoly | IntPoly) -> Fraction:
     """res(a, b) with the Sylvester convention: res(x-1, x+1) == 2.
 
-    Inputs may be integer or rational polynomials; the computation clears
-    denominators and runs the subresultant sequence over Z.  Zero inputs
-    (or a shared factor) give 0; two nonzero constants give 1.
+    Inputs may be integer or rational polynomials; rational ones have their
+    denominators cleared, and the subresultant sequence runs over Z.  Zero
+    inputs (or a shared factor) give 0; two nonzero constants give 1.
     """
-    ra = a.to_rat() if isinstance(a, IntPoly) else a
-    rb = b.to_rat() if isinstance(b, IntPoly) else b
-    if ra.is_zero() or rb.is_zero():
+    if a.is_zero() or b.is_zero():
         return Fraction(0)
-    da, db = ra.degree(), rb.degree()
+    da, db = a.degree(), b.degree()
     if da == 0 and db == 0:
         return Fraction(1)
     if da == 0:
-        return Fraction(ra.coeffs[0] ** db)
+        return Fraction(a.coeffs[0] ** db)
     if db == 0:
-        return Fraction(rb.coeffs[0] ** da)
-    dena, A = ra.clear_denominators()
-    denb, B = rb.clear_denominators()
-    res = _resultant_int(list(A.coeffs), list(B.coeffs))
-    return Fraction(res, dena**db * denb**da)
+        return Fraction(b.coeffs[0] ** da)
+    dena, A = (1, a) if isinstance(a, IntPoly) else a.clear_denominators()
+    denb, B = (1, b) if isinstance(b, IntPoly) else b.clear_denominators()
+    return Fraction(_resultant_int(A.coeffs, B.coeffs), dena**db * denb**da)
 
 
 def discriminant(f: RatPoly | IntPoly) -> Fraction:
     """disc(f) = (-1)^(d(d-1)/2) res(f, f') / lc(f), degree >= 1 required."""
-    rf = f.to_rat() if isinstance(f, IntPoly) else f
-    d = rf.degree()
+    d = f.degree()
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
     if d == 1:
         return Fraction(1)
-    res = resultant(rf, rf.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res / rf.leading_coefficient()
+    return sign * resultant(f, f.derivative()) / f.leading_coefficient()
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +581,17 @@ def coeff_strings(poly: _BasePoly) -> list[str]:
     return [_format_coeff(c) for c in poly.coeffs]
 
 
-def int_poly_from_strings(strings: Iterable[str]) -> IntPoly:
-    return IntPoly(tuple(int(s) for s in strings))
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def int_poly_from_strings(strings: Iterable[int | str]) -> IntPoly:
+    """Ascending coefficients, each an int (not a bool) or a decimal-integer
+    string; anything else, a float or a list say, raises ``ValueError``."""
+    coeffs = list(strings)
+    for s in coeffs:
+        if type(s) is not int and not (isinstance(s, str) and _INT_RE.fullmatch(s)):
+            raise ValueError(f"coefficient {s!r} is not an integer")
+    return IntPoly(coeffs)
 
 
 def rat_poly_from_strings(strings: Iterable[str]) -> RatPoly:

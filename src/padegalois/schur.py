@@ -10,6 +10,7 @@ S_N (otherwise).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -212,13 +213,6 @@ class DiscComparison(NamedTuple):
         return self.claimed_sign == self.oracle_sign
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def closed_form_disc(n: int) -> DiscComparison:
     """(N!)^N with the printed sign and the exact sign, for disc(Q_N).
 
@@ -227,7 +221,7 @@ def closed_form_disc(n: int) -> DiscComparison:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    magnitude = _factorial(n) ** n
+    magnitude = math.factorial(n) ** n
     claimed_sign = -1 if (n * (n - 1) // 2 + n) % 2 else 1
     if n == 1:
         return DiscComparison(magnitude, claimed_sign, 1)

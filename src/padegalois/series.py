@@ -31,7 +31,6 @@ __all__ = [
     "taylor",
     "taylor_coefficients",
     "scale_to_monic_integer",
-    "truncated_exp_monic",
     "derivative_sum_transform",
     "SERIES_TAGS",
 ]
@@ -158,11 +157,6 @@ def scale_to_monic_integer(n: int) -> IntPoly:
     for k in range(n - 1, -1, -1):
         coeffs[k] = coeffs[k + 1] * (k + 1)
     return IntPoly(coeffs)
-
-
-# The rescaled truncated exponential is used all over the certificate
-# module; give it a descriptive alias.
-truncated_exp_monic = scale_to_monic_integer
 
 
 def derivative_sum_transform(p: RatPoly) -> RatPoly:

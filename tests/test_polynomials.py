@@ -200,3 +200,103 @@ class TestTextFormats:
     @given(int_polys(max_degree=7, coeff=st.integers(-10**6, 10**6)))
     def test_format_parse_round_trip(self, f):
         assert parse_poly(format_poly(f)) == f.to_rat()
+
+
+small_fraction = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def rat_polys(max_degree=5):
+    return st.lists(small_fraction, min_size=0, max_size=max_degree + 1).map(
+        lambda cs: RatPoly(tuple(cs))
+    )
+
+
+class TestSharedCore:
+    """The constructors and ring operations live once, on the base class:
+    on IntPoly they must agree with the same operation on RatPoly."""
+
+    @given(int_polys(), int_polys(), small_int, small_fraction, st.integers(0, 4))
+    def test_int_ops_match_rat_ops(self, a, b, k, q, n):
+        ra, rb = a.to_rat(), b.to_rat()
+        assert (a + b).to_rat() == ra + rb
+        assert (a - b).to_rat() == ra - rb
+        assert (-a).to_rat() == -ra
+        assert (a * b).to_rat() == ra * rb
+        assert (a * k).to_rat() == ra * k == k * ra
+        assert (k * a).to_rat() == ra * k
+        assert (a**n).to_rat() == ra**n
+        assert a.derivative().to_rat() == ra.derivative()
+        assert ra * q == q * ra == RatPoly(tuple(c * q for c in ra.coeffs))
+
+    def test_fraction_scalar_is_not_an_integer_scalar(self):
+        with pytest.raises(TypeError):
+            IntPoly((1, 1)) * Fraction(1, 2)
+
+    @pytest.mark.parametrize("cls", [IntPoly, RatPoly])
+    def test_constructors_return_their_class(self, cls):
+        made = [
+            cls.zero(),
+            cls.one(),
+            cls.x(),
+            cls.constant(3),
+            cls.monomial(2),
+            cls.monomial(3, -2),
+            cls.x() ** 2,
+            -cls.x(),
+            cls.x().derivative(),
+        ]
+        for poly in made:
+            assert type(poly) is cls
+        assert [p.coeffs for p in made] == [
+            (),
+            (1,),
+            (0, 1),
+            (3,),
+            (0, 0, 1),
+            (0, 0, 0, -2),
+            (0, 0, 1),
+            (0, -1),
+            (1,),
+        ]
+
+    @given(rat_polys(), rat_polys())
+    def test_resultant_rat_vs_sylvester(self, a, b):
+        if a.degree() < 1 or b.degree() < 1:
+            return
+        assert resultant(a, b) == sylvester_resultant(a, b)
+
+    @given(int_polys(max_degree=5), rat_polys())
+    def test_resultant_mixed_vs_sylvester(self, a, b):
+        if a.degree() < 1 or b.degree() < 1:
+            return
+        expected = sylvester_resultant(a, b)
+        assert resultant(a, b) == expected
+        sign = -1 if a.degree() * b.degree() % 2 else 1
+        assert resultant(b, a) == sign * expected
+
+    @given(rat_polys(max_degree=6))
+    def test_disc_rat_vs_oracle(self, f):
+        if f.degree() < 2:
+            return
+        assert discriminant(f) == disc_from_resultant(f)
+
+    @given(int_polys(max_degree=6), st.integers(1, 12))
+    def test_disc_int_and_scaled_rat_agree(self, f, den):
+        if f.degree() < 2:
+            return
+        scaled = f.to_rat() * Fraction(1, den)
+        d = f.degree()
+        assert discriminant(scaled) == discriminant(f) / Fraction(den) ** (2 * d - 2)
+        assert discriminant(scaled) == disc_from_resultant(scaled)
+
+
+class TestCoefficientArrays:
+    def test_ints_and_decimal_strings(self):
+        assert int_poly_from_strings([-3, "4", "+2", "-0"]) == IntPoly((-3, 4, 2))
+
+    @pytest.mark.parametrize(
+        "bad", [0.5, 1.9, True, False, None, [1], "1.0", "1e3", " 7", "1_000", "x"]
+    )
+    def test_anything_else_raises_value_error(self, bad):
+        with pytest.raises(ValueError):
+            int_poly_from_strings([1, bad])

@@ -23,6 +23,7 @@ from padegalois.tables import (
 )
 
 import padegalois.cache
+import padegalois.factor
 import padegalois.tables
 
 
@@ -487,3 +488,41 @@ class TestCliCommands:
         rc = main(["series", "--id", "bogus", "--order", "3"])
         assert rc == 2
         assert "unknown series tag" in capsys.readouterr().err
+
+    def test_schur_all_checks_aliased_group(self, capsys):
+        rc = main(["schur", "--n", "2", "--all-checks", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert payload["expected_group"] == "S2"
+        assert payload["verdict"]["group_name"] == "C2"
+        assert payload["matches_expectation"] is True
+
+    @pytest.mark.parametrize(
+        "command, array",
+        [
+            ("factor", "[0.5, 1]"),
+            ("factor", "[1.9, 0, 1]"),
+            ("galois", "[true, 0, 1]"),
+            ("factor", "[[1], 2]"),
+            ("factor", "[null]"),
+        ],
+    )
+    def test_loose_coefficient_array_exit_two(self, command, array, capsys):
+        rc = main([command, "--poly", array])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["factor", "galois"])
+    def test_factor_cutoff_exit_two(self, command, monkeypatch, capsys):
+        # x^4 - 10x^2 + 1 splits mod every prime, so no prime meets a
+        # cutoff of one modular factor
+        monkeypatch.setattr(padegalois.factor, "RECOMBINATION_CUTOFF", 1)
+        rc = main([command, "--poly", "x^4 - 10*x^2 + 1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: every probed prime")
+        assert captured.err.count("\n") == 1

@@ -26,6 +26,14 @@ and as many quintics, the median time of one ``_difference_resolvent(f)``
 and of one ``_tschirnhaus_quadratic(f, a, b)``, the latter over every
 shift (a, b) in ``_TSCHIRNHAUS_TRIALS``.
 
+``polynomials``: for the scaled exponential truncation
+``scale_to_monic_integer(n)``, n in ``TRUNCATION_ORDERS`` (keys
+``trunc_<n>``), and for the numerator of the exp Padé approximant of order
+``PADE_ORDER`` (key ``pade_<order>``), the median time over ``POLY_REPS``
+calls of each of ``discriminant(f)``, ``resultant(f, f')`` and
+``int_poly_gcd(f, f')``: the exact core under ``disc_is_square`` and the
+squarefree tests.
+
 Every time is in seconds at nominal machine speed: ``perfbench/speed.py``
 samples the speed of the host all through the run, and each timed call is
 scaled by the speed sampled around it, which takes out most of a shared
@@ -72,14 +80,24 @@ from padegalois.modp import (  # noqa: E402
     gf_gcd,
     gf_pow_mod,
 )
-from padegalois.polynomials import IntPoly, int_poly_gcd  # noqa: E402
+from padegalois.pade import pade_diagonal  # noqa: E402
+from padegalois.polynomials import (  # noqa: E402
+    IntPoly,
+    discriminant,
+    int_poly_gcd,
+    resultant,
+)
 from padegalois.primes import primes_from  # noqa: E402
+from padegalois.series import SeriesId, scale_to_monic_integer  # noqa: E402
 
 DEGREES = (6, 8, 10, 12, 15, 20)
 USABLE_PRIMES = 200
 CYCLIC_MODULI = (13, 17, 19, 23, 29, 31)
 RESOLVENT_DEGREES = (4, 5)
 RESOLVENT_POLYS = 20
+TRUNCATION_ORDERS = (8, 12, 16, 20, 25)
+PADE_ORDER = 42
+POLY_REPS = 25
 SEED = 20201
 COEFF_BOUND = 50
 
@@ -200,6 +218,29 @@ def time_resolvents(speed: MachineSpeed, rng: random.Random) -> dict:
     return out
 
 
+def time_polynomials(speed: MachineSpeed) -> dict:
+    """Median seconds of the discriminant, the resultant with the
+    derivative and the gcd with the derivative, for each bench polynomial."""
+    polys = {f"trunc_{n}": scale_to_monic_integer(n) for n in TRUNCATION_ORDERS}
+    polys[f"pade_{PADE_ORDER}"] = pade_diagonal(SeriesId.EXP, PADE_ORDER).numerator
+    out = {}
+    for name, f in polys.items():
+        df = f.derivative()
+        out[name] = {
+            "degree": f.degree(),
+            "discriminant_median_s": median_call_s(
+                speed, (lambda: discriminant(f) for _ in range(POLY_REPS))
+            ),
+            "resultant_median_s": median_call_s(
+                speed, (lambda: resultant(f, df) for _ in range(POLY_REPS))
+            ),
+            "gcd_median_s": median_call_s(
+                speed, (lambda: int_poly_gcd(f, df) for _ in range(POLY_REPS))
+            ),
+        }
+    return out
+
+
 def resolve(obj):
     """obj with every thunk replaced by its value."""
     if isinstance(obj, dict):
@@ -239,6 +280,7 @@ def main() -> None:
                 str(m): time_samples(speed, cos_minimal_poly(m)) for m in CYCLIC_MODULI
             },
             "resolvents": time_resolvents(speed, rng),
+            "polynomials": time_polynomials(speed),
         }
     result = {
         "git_revision": git_revision(),
