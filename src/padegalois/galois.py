@@ -35,16 +35,17 @@ certainty, and every tier names its result through it.
 f is irreducible that is its primitive part with a positive leading
 coefficient.  ``verify_identification`` rebuilds every evidence item of
 a verdict from scratch on that same polynomial, then re-derives the
-name and the certainty from the items with ``_verdict``.  The
-``samples`` and ``order_lower_bound`` items are stated claims that are
-not replayed.
+name and the certainty from the items with ``_verdict``.  The census
+candidates of a cyclic verdict are re-derived by running the
+elimination again on a fresh stream; only the ``samples`` and
+``order_lower_bound`` items are stated claims that are not replayed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, takewhile
 from math import comb, isqrt, lcm
 
 from .factor import factor_over_integers, is_irreducible, rational_roots
@@ -80,13 +81,14 @@ ELIMINATION_STABLE_STREAK = 80
 # Frobenius samples used for the wreath-tier order lower bound.
 WREATH_ORDER_SAMPLES = 120
 
-# When classify hunts for a Jordan cycle at degree >= 8, it stops after
-# this many usable samples, or at the sample that refuted cyclicity if
-# that came later: in a group that actually contains the alternating
-# group, the density of types containing a usable prime-length cycle is
-# on the order of 1/5 or better, so 150 misses in a row make the
-# symmetric/alternating case astronomically unlikely — the verdict then
-# honestly falls through to the next tier.
+# The hunt for a Jordan cycle at degree >= 8 stops after this many usable
+# samples, or after all that its stream already holds if there are more
+# (in classify, up to the sample that refuted cyclicity): in a group that
+# actually contains the alternating group, the density of types
+# containing a usable prime-length cycle is on the order of 1/5 or
+# better, so 150 misses in a row make the symmetric/alternating case
+# astronomically unlikely — the verdict then honestly falls through to
+# the next tier.
 SN_AN_CLASSIFY_SAMPLE_CAP = 150
 
 PROVEN = "proven"
@@ -274,15 +276,15 @@ class FrobeniusSamples:
     The pairs are drawn lazily, in ascending order of p, and kept; every
     iteration starts again from the smallest prime, so tiers that share
     one stream never sample a prime twice.  A stream serves a single
-    polynomial for the length of one classification.
+    polynomial for the length of one classification, or for one replay
+    of the census elimination in ``verify_identification``.
     """
 
     def __init__(self, f: IntPoly, prime_bound: int):
-        self._f = f
+        primes = takewhile(lambda p: p <= prime_bound, primes_from(2))
+        types = ((p, dedekind_cycle_type(f, p)) for p in primes)
+        self._fresh = ((p, t) for p, t in types if t is not None)
         self._pairs: list[tuple[int, CycleType]] = []
-        self._primes = primes_from(2)
-        self._prime_bound = prime_bound
-        self._exhausted = False
 
     def __iter__(self):
         index = 0
@@ -290,18 +292,37 @@ class FrobeniusSamples:
             yield self._pairs[index]
             index += 1
 
+    def drawn(self) -> int:
+        """How many usable samples the stream holds so far."""
+        return len(self._pairs)
+
     def _draw(self) -> bool:
         """Append the next usable sample; False once past the bound."""
-        while not self._exhausted:
-            p = next(self._primes)
-            if p > self._prime_bound:
-                self._exhausted = True
-                break
-            t = dedekind_cycle_type(self._f, p)
-            if t is not None:
-                self._pairs.append((p, t))
-                return True
-        return False
+        pair = next(self._fresh, None)
+        if pair is not None:
+            self._pairs.append(pair)
+        return pair is not None
+
+
+def _tier_stream(
+    f, prime_bound, stream, lo=1, hi=None, message=None, irreducible=True
+) -> FrobeniusSamples:
+    """The Frobenius stream that a sampling tier reads.
+
+    classify passes its own stream, on a target it has already factored,
+    and gets it back unchecked.  Otherwise f must be an IntPoly of degree
+    lo..hi (else ValueError with ``message``) and, if ``irreducible``, be
+    irreducible; then a fresh stream of f up to prime_bound is opened.
+    """
+    if stream is not None:
+        return stream
+    if not isinstance(f, IntPoly):
+        raise TypeError("expected an IntPoly")
+    if f.degree() < lo or (hi is not None and f.degree() > hi):
+        raise ValueError(message or "need a nonconstant polynomial")
+    if irreducible and not is_irreducible(f):
+        raise ValueError("polynomial is reducible")
+    return FrobeniusSamples(f, prime_bound)
 
 
 def disc_is_square(f) -> bool:
@@ -644,6 +665,11 @@ def _cycle_type_item(p: int, t: CycleType, note: str | None = None) -> dict:
     return item
 
 
+def _samples_item(count: int, p: int, **extra) -> dict:
+    """How many usable samples a tier read, and the last prime among them."""
+    return {"kind": "samples", "count": count, "prime_bound": p, **extra}
+
+
 def _jordan_window(n: int) -> set[int]:
     """The primes q with n/2 < q < n - 2."""
     return {q for q in range(n // 2 + 1, n - 2) if is_prime(q)}
@@ -713,21 +739,24 @@ def _block_order_cut(inner_group: str, t: int, names, n: int):
     return wreath_order, survivors
 
 
-def _block_order_item(f: IntPoly, inner_group: str, before) -> dict | None:
-    """The Lagrange cut of names before, for f = h(x^2) with Gal(h) named
-    inner_group; None without that shape or outside the census.
+def _block_order_item(f: IntPoly, inner, before) -> dict | None:
+    """The Lagrange cut of names before, for f = h(x^2) with the proven
+    verdict inner on h; None without that shape or proof, or outside the
+    census.
     """
     found = _block_structure(f)
-    if found is None or found[0]["pattern"] != "g(x^2)":
+    if not inner.certainty.is_proven or found is None:
         return None
-    structure, inner = found
-    cut = _block_order_cut(inner_group, inner.degree(), before, f.degree())
+    structure, h = found
+    if structure["pattern"] != "g(x^2)":
+        return None
+    cut = _block_order_cut(inner.group_name, h.degree(), before, f.degree())
     if cut is None:
         return None
     return {
         **structure,
         "kind": "block_order_filter",
-        "inner_group": inner_group,
+        "inner_group": inner.group_name,
         "wreath_order": cut[0],
         "before": list(before),
         "after": list(cut[1]),
@@ -750,8 +779,9 @@ def _verdict(n: int, evidence, inner: GaloisIdentification | None = None):
     here, and verify_identification re-derives a stored verdict here
     once its items have been replayed.  Only the items are read, with
     the census and, for the block rules, ``inner``: the verdict on h
-    where f = h(x^2) or x*h(x^2).  The ``samples`` counts and the
-    candidates of a cyclic verdict are taken as stated.  Raises
+    where f = h(x^2) or x*h(x^2).  The ``samples`` counts are taken as
+    stated, and so are the candidates of a cyclic verdict, which
+    verify_identification re-derives apart.  Raises
     ValueError when the items imply no verdict, RuntimeError when they
     leave no census group.
     """
@@ -905,7 +935,7 @@ def exact_small_degree(
 
 
 # ---------------------------------------------------------------------------
-# Tier 3: elimination against the transitive-group census (degrees 6, 7)
+# Sampling tiers: stopping rules over one Frobenius stream
 # ---------------------------------------------------------------------------
 
 
@@ -913,8 +943,7 @@ def eliminate_degree_le7(
     f: IntPoly,
     prime_bound: int = DEFAULT_PRIME_BOUND,
     *,
-    _assume_irreducible: bool = False,
-    _samples: FrobeniusSamples | None = None,
+    _stream: FrobeniusSamples | None = None,
 ) -> GaloisIdentification:
     """Narrow the group of an irreducible degree-6/7 polynomial.
 
@@ -925,26 +954,19 @@ def eliminate_degree_le7(
     provable this way — its type set is contained in the dihedral one —
     which is exactly what the heuristic tier is for.
     """
-    if not isinstance(f, IntPoly):
-        raise TypeError("expected an IntPoly")
+    stream = _tier_stream(
+        f, prime_bound, _stream, 6, 7, "degree must be 6 or 7"
+    )
     n = f.degree()
-    if n not in (6, 7):
-        raise ValueError("degree must be 6 or 7")
-    if not _assume_irreducible and not is_irreducible(f):
-        raise ValueError("polynomial is reducible")
     parity = _disc_item(f, "parity")
     survivors = [
         r for r in transitive_groups(n) if r.all_even == parity["disc_square"]
     ]
-    if _samples is None:
-        _samples = FrobeniusSamples(f, prime_bound)
     ev: list[dict] = []
     observed: set[tuple[int, ...]] = set()
-    samples = 0
     streak = 0
-    last_prime = 2
-    for samples, (p, t) in enumerate(_samples, 1):
-        last_prime = p
+    count, p = 0, 2
+    for count, (p, t) in enumerate(stream, 1):
         if t.parts in observed:
             streak += 1
         else:
@@ -955,10 +977,7 @@ def eliminate_degree_le7(
             streak = streak + 1 if len(survivors) == before else 0
         if len(survivors) <= 1 or streak >= ELIMINATION_STABLE_STREAK:
             break
-    ev.append(parity)
-    ev.append(
-        {"kind": "samples", "count": samples, "prime_bound": last_prime}
-    )
+    ev += [parity, _samples_item(count, p)]
     if len(survivors) > 1:
         ev.append(
             {"kind": "candidates", "names": [r.name for r in survivors]}
@@ -966,27 +985,28 @@ def eliminate_degree_le7(
     return _ident(n, ev)
 
 
-def _block_order_filter(
-    g: IntPoly, ident: GaloisIdentification, prime_bound: int
+def _census_verdict(
+    g: IntPoly, prime_bound: int, stream: FrobeniusSamples
 ) -> GaloisIdentification:
-    """Intersect an eliminated-to-set verdict with a proven block bound.
+    """The census elimination of g on stream, cut by a proven block bound.
 
-    When g(x) = h(x^2) the group embeds into C2 wr Gal(h), so by
-    Lagrange its order divides 2^t * |Gal(h)|; census survivors whose
-    order does not are discarded.  Cycle-type sampling alone can never
-    make this cut — e.g. the hyperoctahedral group's type set sits
-    inside the symmetric one's, so S_6 shadows C2 wr S3 forever — which
-    is why the two sources of information only decide together.
+    When the elimination leaves a set and g(x) = h(x^2), the group embeds
+    into C2 wr Gal(h), so by Lagrange its order divides 2^t * |Gal(h)|;
+    census survivors whose order does not are discarded.  Cycle-type
+    sampling alone can never make this cut — e.g. the hyperoctahedral
+    group's type set sits inside the symmetric one's, so S_6 shadows
+    C2 wr S3 forever — which is why the two sources of information only
+    decide together.
     """
+    ident = eliminate_degree_le7(g, prime_bound, _stream=stream)
+    if ident.certainty.is_proven:
+        return ident
     found = _block_structure(g)
     if found is None or found[0]["pattern"] != "g(x^2)":
         return ident
     inner = classify(found[1], prime_bound)
-    if not inner.certainty.is_proven:
-        return ident
-    before = ident.certainty.candidates
-    item = _block_order_item(g, inner.group_name, before)
-    if item is None or item["after"] == list(before):
+    item = _block_order_item(g, inner, ident.certainty.candidates)
+    if item is None or item["after"] == item["before"]:
         return ident
     ev = [e for e in ident.evidence if e["kind"] != "candidates"] + [item]
     if len(item["after"]) > 1:
@@ -994,18 +1014,11 @@ def _block_order_filter(
     return _ident(g.degree(), ev, inner)
 
 
-# ---------------------------------------------------------------------------
-# Tier 4: symmetric/alternating certificates for degree >= 8
-# ---------------------------------------------------------------------------
-
-
 def sn_an_certificate(
     f: IntPoly,
     prime_bound: int = DEFAULT_PRIME_BOUND,
     *,
-    _assume_irreducible: bool = False,
-    _samples: FrobeniusSamples | None = None,
-    _sample_cap: int | None = None,
+    _stream: FrobeniusSamples | None = None,
 ) -> GaloisIdentification:
     """Prove A_n or S_n for irreducible f of degree n >= 8.
 
@@ -1013,58 +1026,37 @@ def sn_an_certificate(
     n/2 < q < n - 2 contains the alternating group; every other cycle
     length in such a sample is < q, so some power of the Frobenius
     element is a pure q-cycle.  The discriminant then decides between
-    A_n and S_n.  Returns an unknown verdict with the observed types
-    when no such sample appears below the bound (or in the first
-    ``_sample_cap`` samples, when classify sets that cap).
+    A_n and S_n.  The hunt reads SN_AN_CLASSIFY_SAMPLE_CAP samples, or
+    all that its stream already holds when there are more; it returns
+    an unknown verdict with the observed types when no such sample
+    appears among them or below the bound.
     """
-    if not isinstance(f, IntPoly):
-        raise TypeError("expected an IntPoly")
+    stream = _tier_stream(
+        f, prime_bound, _stream, 8, message="degree must be at least 8"
+    )
     n = f.degree()
-    if n < 8:
-        raise ValueError("degree must be at least 8")
-    if not _assume_irreducible and not is_irreducible(f):
-        raise ValueError("polynomial is reducible")
     window = _jordan_window(n)
     if not window:
         raise RuntimeError(f"no usable prime cycle length for degree {n}")
-    if _samples is None:
-        _samples = FrobeniusSamples(f, prime_bound)
     observed: list[dict] = []
     seen: set[tuple[int, ...]] = set()
-    samples = 0
-    last_prime = 2
-    for samples, (p, t) in enumerate(islice(_samples, _sample_cap), 1):
-        last_prime = p
+    count, p = 0, 2
+    cap = max(stream.drawn(), SN_AN_CLASSIFY_SAMPLE_CAP)
+    for count, (p, t) in enumerate(islice(stream, cap), 1):
         jordan = _jordan_item(p, t, window)
         if jordan is not None:
-            return _ident(
-                n,
-                [
-                    jordan,
-                    _disc_item(f),
-                    {"kind": "samples", "count": samples, "prime_bound": p},
-                ],
-            )
+            return _ident(n, [jordan, _disc_item(f), _samples_item(count, p)])
         if t.parts not in seen and len(seen) < 30:
             seen.add(t.parts)
             observed.append(_cycle_type_item(p, t))
-    observed.append(
-        {"kind": "samples", "count": samples, "prime_bound": last_prime}
-    )
-    return _ident(n, observed)
-
-
-# ---------------------------------------------------------------------------
-# Tier 5: cyclic heuristic
-# ---------------------------------------------------------------------------
+    return _ident(n, observed + [_samples_item(count, p)])
 
 
 def cyclic_heuristic(
     f: IntPoly,
     prime_bound: int = DEFAULT_PRIME_BOUND,
     *,
-    _assume_irreducible: bool = False,
-    _samples: FrobeniusSamples | None = None,
+    _stream: FrobeniusSamples | None = None,
 ) -> GaloisIdentification:
     """Heuristic test for a cyclic group: never returns a proof.
 
@@ -1075,59 +1067,29 @@ def cyclic_heuristic(
     primes, yields a heuristic C_n verdict.  A single non-uniform sample
     refutes cyclicity outright (reported as unknown with the witness).
     """
-    if not isinstance(f, IntPoly):
-        raise TypeError("expected an IntPoly")
+    stream = _tier_stream(f, prime_bound, _stream)
     n = f.degree()
-    if n < 1:
-        raise ValueError("need a nonconstant polynomial")
-    if not _assume_irreducible and not is_irreducible(f):
-        raise ValueError("polynomial is reducible")
-    if _samples is None:
-        _samples = FrobeniusSamples(f, prime_bound)
-    samples = 0
     ncycle = None
-    last_prime = 2
-    for samples, (p, t) in enumerate(_samples, 1):
-        last_prime = p
+    count, p = 0, 2
+    for count, (p, t) in enumerate(stream, 1):
         if not t.is_uniform():
             note = "non-uniform type refutes cyclicity"
             return _ident(
-                n,
-                [
-                    _cycle_type_item(p, t, note),
-                    {"kind": "samples", "count": samples, "prime_bound": p},
-                ],
+                n, [_cycle_type_item(p, t, note), _samples_item(count, p)]
             )
         if t.parts == (n,) and ncycle is None:
             ncycle = (p, t)
-        if samples >= MIN_CYCLIC_SAMPLES and ncycle is not None:
-            return _ident(
-                n,
-                [
-                    _cycle_type_item(*ncycle),
-                    {
-                        "kind": "samples",
-                        "count": samples,
-                        "prime_bound": p,
-                        "all_uniform": True,
-                    },
-                ],
-            )
-    return _ident(
-        n, [{"kind": "samples", "count": samples, "prime_bound": last_prime}]
-    )
-
-
-# ---------------------------------------------------------------------------
-# Tier 6: wreath/block structure for even polynomials
-# ---------------------------------------------------------------------------
+        if count >= MIN_CYCLIC_SAMPLES and ncycle is not None:
+            uniform = _samples_item(count, p, all_uniform=True)
+            return _ident(n, [_cycle_type_item(*ncycle), uniform])
+    return _ident(n, [_samples_item(count, p)])
 
 
 def wreath_structure(
     f: IntPoly,
     prime_bound: int = DEFAULT_PRIME_BOUND,
     *,
-    _samples: FrobeniusSamples | None = None,
+    _stream: FrobeniusSamples | None = None,
 ) -> WreathReport:
     """Detect f(x) = g(x^2) or x*g(x^2) and analyze the block structure.
 
@@ -1137,20 +1099,15 @@ def wreath_structure(
     group C2 wr S_t stays heuristic; an order lower bound from sampled
     Frobenius element orders is attached for calibration.
     """
-    if not isinstance(f, IntPoly):
-        raise TypeError("expected an IntPoly")
-    if f.degree() < 1:
-        raise ValueError("need a nonconstant polynomial")
+    stream = _tier_stream(f, prime_bound, _stream, irreducible=False)
     found = _block_structure(f)
     if found is None:
         return WreathReport(detected=False)
     structure, inner_poly = found
     inner = classify(inner_poly, prime_bound)
-    if _samples is None:
-        _samples = FrobeniusSamples(f, prime_bound)
-    orders = [ct.order() for _, ct in islice(_samples, WREATH_ORDER_SAMPLES)]
+    orders = [t.order() for _, t in islice(stream, WREATH_ORDER_SAMPLES)]
     samples = len(orders)
-    bound = lcm(*orders) if orders else 1
+    bound = lcm(*orders)
     evidence = (
         structure,
         _inner_group_item(inner),
@@ -1184,44 +1141,28 @@ def _classify_irreducible(
         return exact_small_degree(g, _assume_irreducible=True)
     stream = FrobeniusSamples(g, prime_bound)
     if n <= 7:
-        ident = eliminate_degree_le7(
-            g, prime_bound, _assume_irreducible=True, _samples=stream
-        )
-        if not ident.certainty.is_proven:
-            ident = _block_order_filter(g, ident, prime_bound)
+        ident = _census_verdict(g, prime_bound, stream)
+        if f"C{n}" not in ident.certainty.candidates:
+            return ident
+        cyc = cyclic_heuristic(g, prime_bound, _stream=stream)
+        # verify_identification replays the census up to the prime bound
+        # of the merged verdict, so that bound has to cover it
         if (
-            ident.certainty.is_proven
-            or f"C{n}" not in ident.certainty.candidates
+            cyc.certainty.kind != HEURISTIC
+            or cyc.certainty.prime_bound < ident.certainty.prime_bound
         ):
             return ident
-        cyc = cyclic_heuristic(
-            g, prime_bound, _assume_irreducible=True, _samples=stream
-        )
-        if cyc.certainty.kind != HEURISTIC:
-            return ident
-        candidates = list(ident.certainty.candidates)
-        return _ident(
-            n, cyc.evidence + ({"kind": "candidates", "names": candidates},)
-        )
-    cyc = cyclic_heuristic(
-        g, prime_bound, _assume_irreducible=True, _samples=stream
-    )
+        names = next(e for e in ident.evidence if e["kind"] == "candidates")
+        return _ident(n, cyc.evidence + (names,))
+    cyc = cyclic_heuristic(g, prime_bound, _stream=stream)
     if cyc.certainty.kind == HEURISTIC:
         return cyc
     # A Jordan sample is never uniform, so none comes before the sample
-    # that refuted cyclicity; past it, the hunt runs to the classify cap.
-    ident = sn_an_certificate(
-        g,
-        prime_bound,
-        _assume_irreducible=True,
-        _samples=stream,
-        _sample_cap=max(
-            cyc.certainty.sample_count, SN_AN_CLASSIFY_SAMPLE_CAP
-        ),
-    )
+    # that refuted cyclicity; the hunt reads on past it to its cap.
+    ident = sn_an_certificate(g, prime_bound, _stream=stream)
     if ident.certainty.is_proven:
         return ident
-    report = wreath_structure(g, prime_bound, _samples=stream)
+    report = wreath_structure(g, prime_bound, _stream=stream)
     if report.detected:
         return _ident(n, report.evidence, report.inner)
     return ident
@@ -1295,8 +1236,10 @@ def _sample_at(f: IntPoly, p: int) -> CycleType:
 
 # kind -> (f, item, inner) -> the item rebuilt on f from its own
 # parameters (prime, shift, candidates before a cut) and the inner
-# verdict.  A ``reducible`` item has chosen f, and the sampling claims
-# are read by _verdict but not replayed: those come back as they are.
+# verdict.  A ``reducible`` item has chosen f, the sampling claims are
+# read by _verdict but not replayed, and the candidates are checked by
+# _verdict or, for a cyclic verdict, by a replay of the census: those
+# come back as they are.
 _REBUILD = {
     "degree": lambda f, item, inner: _degree_item(f),
     "disc_square": lambda f, item, inner: _disc_item(f, "disc_square"),
@@ -1318,9 +1261,8 @@ _REBUILD = {
         _block_structure(f) or (None,)
     )[0],
     "inner_group": lambda f, item, inner: _inner_group_item(inner),
-    "block_order_filter": lambda f, item, inner: (
-        inner.certainty.is_proven
-        and _block_order_item(f, inner.group_name, item["before"])
+    "block_order_filter": lambda f, item, inner: _block_order_item(
+        f, inner, item["before"]
     ),
     "reducible": lambda f, item, inner: item,
     "samples": lambda f, item, inner: item,
@@ -1332,7 +1274,7 @@ _REBUILD = {
 def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     """Replay a verdict's evidence on f, then re-derive the verdict.
 
-    Three steps.  The target is the polynomial classify decided on: the
+    Four steps.  The target is the polynomial classify decided on: the
     primitive part of f with a positive leading coefficient, or the
     factor that a ``reducible`` item selects; it must have the verdict's
     degree and be irreducible, since every tier reads the Galois group
@@ -1340,11 +1282,14 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     prime, proves that without factoring).  Every item is rebuilt on
     the target from scratch and must come out the same; the inner
     verdict of a block item is re-derived by ``classify`` at the default
-    prime bound.  Last, ``_verdict`` must turn the items into the stated
-    name, T-notation and certainty.  The ``samples`` and
-    ``order_lower_bound`` items are stated claims and are not replayed.
-    Returns False, and never raises, on a verdict that does not fit f,
-    tampered or malformed evidence included.
+    prime bound.  The census candidates of a cyclic verdict (one with a
+    ``candidates`` item but no ``parity`` item) are re-derived by running
+    the elimination and the block-order cut again, on a fresh stream up
+    to the verdict's own prime bound.  Last, ``_verdict`` must turn the
+    items into the stated name, T-notation and certainty.  Only the
+    ``samples`` and ``order_lower_bound`` items are stated claims that
+    are not replayed.  Returns False, and never raises, on a verdict
+    that does not fit f, tampered or malformed evidence included.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
@@ -1365,11 +1310,9 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
             for item in ident.evidence
         ) and not is_irreducible(target):
             return False
+        kinds = {item["kind"] for item in ident.evidence}
         inner = None
-        if any(
-            item["kind"] in ("inner_group", "block_order_filter")
-            for item in ident.evidence
-        ):
+        if kinds & {"inner_group", "block_order_filter"}:
             found = _block_structure(target)
             if found is None:
                 return False
@@ -1379,6 +1322,13 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
             for item in ident.evidence
         ):
             return False
+        if "candidates" in kinds and "parity" not in kinds:
+            bound = ident.certainty.prime_bound
+            census = _census_verdict(
+                target, bound, FrobeniusSamples(target, bound)
+            )
+            if census.certainty.candidates != ident.certainty.candidates:
+                return False
         return _verdict(ident.degree, ident.evidence, inner) == (
             ident.group_name,
             ident.t_notation,

@@ -17,6 +17,7 @@ from padegalois.galois import (
     CycleType,
     GaloisIdentification,
     QUINTIC_RESOLVENT_TABLE,
+    SN_AN_CLASSIFY_SAMPLE_CAP,
     _TSCHIRNHAUS_TRIALS,
     _depressed_quintic,
     _difference_resolvent,
@@ -37,7 +38,12 @@ from padegalois.galois import (
 )
 from padegalois.groupdata import group_record
 from padegalois.pade import pade_diagonal
-from padegalois.polynomials import IntPoly, RatPoly, parse_int_poly
+from padegalois.polynomials import (
+    IntPoly,
+    RatPoly,
+    format_poly,
+    parse_int_poly,
+)
 from padegalois.primes import primes_in_range
 from padegalois.series import SeriesId, scale_to_monic_integer, taylor
 from padegalois.tables import TABLES, _column_polys
@@ -384,6 +390,27 @@ class TestSnAnCertificate:
         assert ident.certainty.kind == "unknown"
         assert ident.certainty.sample_count > 50
 
+    def test_hunt_stops_at_the_cap(self):
+        # the primes below 2000 give far more usable samples than the
+        # cap, and a direct call stops at the cap as classify does
+        f = IntPoly((7, 0, 0, 0, 1, 0, 0, 0, 1))
+        ident = sn_an_certificate(f, prime_bound=2000)
+        assert ident.certainty.sample_count == SN_AN_CLASSIFY_SAMPLE_CAP
+        assert verify_identification(f, ident)
+
+    def test_hunt_reads_every_sample_the_stream_holds(self):
+        # the root sqrt2 + sqrt3 + sqrt5 - 1 has group C2^3, which acts
+        # regularly: every type is uniform and none is an 8-cycle, so in
+        # classify the cyclic tier reads the whole stream, and the Jordan
+        # hunt reads all of it again, past the cap
+        f = parse_int_poly(
+            "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576"
+        ).shift_argument(1)
+        ident = classify(f, prime_bound=2000)
+        assert ident.certainty.kind == "unknown"
+        assert ident.certainty.sample_count > SN_AN_CLASSIFY_SAMPLE_CAP
+        assert verify_identification(f, ident)
+
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):
             sn_an_certificate(IntPoly((1, 1, 0, 0, 1)))
@@ -648,6 +675,26 @@ _GOLDEN_VERDICTS = (
         parse_int_poly("x^5 - 2"),
         "4e3f260ab865aeea50f25c235044d8d0f25c1ecd47275489ba79ac3d84391b1e",
     ),
+    # The rows below were recorded while each sampling tier still checked
+    # its own input and counted its own samples.
+    (  # C2wrS3, proven by the block-order cut
+        parse_int_poly("x^6 + x^2 + 1"),
+        "93ffd2991e754fc90e35245a444e10afd39457f51bf84a40aa61b0de634fca6c",
+    ),
+    (  # C7, heuristic after elimination
+        parse_int_poly(
+            "x^7 + x^6 - 12*x^5 - 7*x^4 + 28*x^3 + 14*x^2 - 9*x + 1"
+        ),
+        "4600a158e63f848b830f4a5c255e3e302ce597fede6f1b703684f878af0c4080",
+    ),
+    (  # the set {PSL(3,2), A7}, with no block-order cut
+        parse_int_poly("x^7 - 7*x + 3"),
+        "7de2f854e27838dbcb30a16402398ca98b202dc5f1f0a20588c77cd6ce3ca612",
+    ),
+    (  # S7 behind a reducible prefix: (x^2 + 1)(x^7 - x - 1)
+        parse_int_poly("x^2 + 1") * parse_int_poly("x^7 - x - 1"),
+        "617f178b3f3240e93f8057601ed2453b03068ad3f49aed6d6d259917e56cdbdb",
+    ),
 )
 
 
@@ -657,10 +704,19 @@ class TestFrobeniusStream:
         text = json.dumps(classify(f).to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("text", ["x^6 + x^3 + 1", "x^8 + x^4 + 7"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^6 + x^3 + 1",
+            "x^8 + x^4 + 7",
+            "x^7 + x^6 - 12*x^5 - 7*x^4 + 28*x^3 + 14*x^2 - 9*x + 1",
+            format_poly(scale_to_monic_integer(9)),
+        ],
+    )
     def test_no_prime_sampled_twice(self, monkeypatch, text):
-        # the cyclic tier re-reads the elimination samples at degree 6,
-        # and the wreath order bound the Jordan/cyclic ones at degree 8
+        # the cyclic tier re-reads the elimination samples at degrees 6
+        # and 7, the Jordan hunt the cyclic ones and the wreath order
+        # bound the Jordan/cyclic ones at degree 8
         calls = []
         original = galois.dedekind_cycle_type
 
@@ -683,6 +739,7 @@ def _changed_item(ident, kind, **changes):
 
 
 _TAMPER_TARGETS = {
+    "C6": lambda: parse_int_poly("x^6 + x^3 + 1"),
     "C8": lambda: pade_diagonal(SeriesId.INV_SQRT_MINUS, 17).numerator,
     "A8": lambda: scale_to_monic_integer(8),
     "S5": lambda: parse_int_poly("x^5 - x - 1"),
@@ -720,6 +777,15 @@ _TAMPERS = {
         "one of D6, C2wrC3, C2wrS3",
         lambda v: dataclasses.replace(
             v, certainty=dataclasses.replace(v.certainty, candidates=("D6",))
+        ),
+    ),
+    # the census candidates of a cyclic verdict are re-derived, not stated
+    "C6-candidates-cut": (
+        "C6",
+        lambda v: dataclasses.replace(
+            v,
+            certainty=dataclasses.replace(v.certainty, candidates=("C6",)),
+            evidence=_changed_item(v, "candidates", names=["C6"]),
         ),
     ),
     "wreath-renamed": (

@@ -1,5 +1,5 @@
 """Layer bench: one Frobenius sample by degree, the mod-p kernels under it,
-and the exact-tier resolvents.
+the exact-tier resolvents, integer factoring and Padé construction.
 
 ``by_degree``: for one fixed, seeded, squarefree monic integer polynomial
 of each degree in ``DEGREES``, this times ``dedekind_cycle_type(f, p)``
@@ -34,6 +34,21 @@ calls of each of ``discriminant(f)``, ``resultant(f, f')`` and
 ``int_poly_gcd(f, f')``: the exact core under ``disc_is_square`` and the
 squarefree tests.
 
+``factoring``: the distinct polynomials that ``classify`` is called on in
+one pass of ``reproduce(t, cache=None, verify=True)`` over the six tables
+(recorded in set-up), split into the ``irreducible`` ones and the
+``reducible`` ones (those whose factor degrees are not just their own
+degree, as ``classify`` decides).  For each group, the median time of one
+``factor_over_integers(f)`` over ``FACTOR_REPS`` calls on every input
+(``median_s``), and the sum over the inputs of each input's median
+(``total_s``), which is what one such pass spends factoring them.
+
+``pade``: for each Padé table and each of its orders (keys
+``<table>_<order>``, 25 in all), the median time over ``PADE_REPS`` calls
+of ``tables._column_polys(table, order)``, which is ``pade_diagonal`` of
+that table's series at that order, and the sum of those medians
+(``total_s``).
+
 Every time is in seconds at nominal machine speed: ``perfbench/speed.py``
 samples the speed of the host all through the run, and each timed call is
 scaled by the speed sampled around it, which takes out most of a shared
@@ -63,6 +78,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from speed import MachineSpeed  # noqa: E402
 
+from padegalois import galois, tables  # noqa: E402
+from padegalois.factor import factor_over_integers  # noqa: E402
 from padegalois.galois import (  # noqa: E402
     _TSCHIRNHAUS_TRIALS,
     _difference_resolvent,
@@ -89,6 +106,7 @@ from padegalois.polynomials import (  # noqa: E402
 )
 from padegalois.primes import primes_from  # noqa: E402
 from padegalois.series import SeriesId, scale_to_monic_integer  # noqa: E402
+from padegalois.tables import TABLES, _column_polys, reproduce  # noqa: E402
 
 DEGREES = (6, 8, 10, 12, 15, 20)
 USABLE_PRIMES = 200
@@ -98,6 +116,9 @@ RESOLVENT_POLYS = 20
 TRUNCATION_ORDERS = (8, 12, 16, 20, 25)
 PADE_ORDER = 42
 POLY_REPS = 25
+FACTOR_REPS = 3
+PADE_REPS = 5
+PADE_TABLES = ("ExpPade", "InvSqrtPade", "Atanh2Pade")
 SEED = 20201
 COEFF_BOUND = 50
 
@@ -241,6 +262,69 @@ def time_polynomials(speed: MachineSpeed) -> dict:
     return out
 
 
+def classify_inputs() -> list[IntPoly]:
+    """The distinct polynomials classify is called on in one pass over the
+    six tables, with verification, in the order of their first call."""
+    seen = {}
+    original = galois.classify
+
+    def recording(f, *args, **kwargs):
+        seen.setdefault(f.coeffs, f)
+        return original(f, *args, **kwargs)
+
+    galois.classify = tables.classify = recording
+    try:
+        for table_id in TABLES:
+            reproduce(table_id, cache=None, verify=True)
+    finally:
+        galois.classify = tables.classify = original
+    return list(seen.values())
+
+
+def time_factoring(speed: MachineSpeed, polys) -> dict:
+    """Median and summed seconds of factor_over_integers, for the
+    irreducible and the reducible classify inputs."""
+    groups = {"irreducible": [], "reducible": []}
+    for f in polys:
+        shape = factor_over_integers(f).degree_multiset()
+        groups["irreducible" if shape == [f.degree()] else "reducible"].append(f)
+    out = {}
+    for name, group in groups.items():
+        spans = [
+            [speed.timed(factor_over_integers, f)[1:] for _ in range(FACTOR_REPS)]
+            for f in group
+        ]
+        out[name] = {
+            "median_s": lambda spans=spans: median_s(
+                speed, [span for per_input in spans for span in per_input]
+            ),
+            "total_s": lambda spans=spans: sum(
+                median_s(speed, per_input) for per_input in spans
+            ),
+            "inputs": len(group),
+            "degrees": sorted(f.degree() for f in group),
+        }
+    return out
+
+
+def time_pade(speed: MachineSpeed) -> dict:
+    """Median seconds of pade_diagonal at every order of the Padé tables."""
+    out = {
+        f"{table_id}_{order}": median_call_s(
+            speed,
+            (
+                lambda t=table_id, order=order: _column_polys(t, order)
+                for _ in range(PADE_REPS)
+            ),
+        )
+        for table_id in PADE_TABLES
+        for order in TABLES[table_id].orders
+    }
+    medians = list(out.values())
+    out["total_s"] = lambda: sum(median() for median in medians)
+    return out
+
+
 def resolve(obj):
     """obj with every thunk replaced by its value."""
     if isinstance(obj, dict):
@@ -272,6 +356,7 @@ def git_revision() -> str | None:
 def main() -> None:
     rng = random.Random(SEED)
     polys = {n: squarefree_poly(n, rng) for n in DEGREES}
+    inputs = classify_inputs()
     with MachineSpeed() as speed:
         timed = {
             "by_degree": {str(n): time_samples(speed, f) for n, f in polys.items()},
@@ -281,6 +366,8 @@ def main() -> None:
             },
             "resolvents": time_resolvents(speed, rng),
             "polynomials": time_polynomials(speed),
+            "factoring": time_factoring(speed, inputs),
+            "pade": time_pade(speed),
         }
     result = {
         "git_revision": git_revision(),
