@@ -9,9 +9,13 @@ subset recombination with a trailing-coefficient quick test.
 Determinism: equal-degree splitting uses a seeded pseudo-random stream;
 the seed is fixed by default and recorded in every ``ModPFactorization``.
 
-Prime policy: the smallest prime >= 13 not dividing the leading
-coefficient and keeping the input squarefree is used; when it yields more
-than ``RECOMBINATION_CUTOFF`` modular factors, further good primes are
+Prime policy: a prime is usable when it does not divide the leading
+coefficient and keeps the input squarefree.  ``_modular_degrees`` reads
+the factor degrees mod a usable prime for the cycle types of ``galois``,
+the prime choice and the degree-set test, which lets ``galois.classify``
+prove most inputs irreducible without factoring them.  The smallest
+usable prime >= 13 is used; when it yields more than
+``RECOMBINATION_CUTOFF`` modular factors, further usable primes are
 probed, and only if all of them bust the cutoff does the engine raise
 ``FactorCutoffError`` (subset recombination is exponential past that
 point, and this toolkit's inputs never legitimately reach it).
@@ -38,6 +42,7 @@ from .modp import (
     gf_divmod,
     gf_equal_degree,
     gf_factor_monic,
+    gf_frobenius_order,
     gf_from_int_coeffs,
     gf_gcd,
     gf_monic,
@@ -48,7 +53,7 @@ from .modp import (
     gf_sub,
 )
 from .polynomials import IntPoly, int_poly_gcd
-from .primes import primes_from
+from .primes import is_prime, primes_from
 
 __all__ = [
     "Factorization",
@@ -68,9 +73,8 @@ __all__ = [
 
 DEFAULT_EDF_SEED = 0x5EED
 RECOMBINATION_CUTOFF = 24
-# good primes the degree-set test of ``is_irreducible`` tries before it
-# hands the polynomial to the full engine; every table target certifies
-# within 14
+# degree lists the degree-set test reads before it gives up; every table
+# target certifies within 14
 _DEGREE_SET_PRIMES = 20
 
 
@@ -138,22 +142,69 @@ class ModPFactorization:
 # ---------------------------------------------------------------------------
 
 
+def _squarefree(f: IntPoly) -> bool:
+    return int_poly_gcd(f, f.derivative()).degree() == 0
+
+
 def good_primes(f: IntPoly, start: int = 13):
     """Primes p >= start with p not dividing lc(f) and f squarefree mod p.
 
-    Requires f squarefree over the integers (otherwise no prime qualifies
-    and the generator is empty-in-spirit but would loop; callers pass
-    squarefree parts only).
+    Raises ValueError when f is not squarefree over the integers, where
+    no prime qualifies.  A squarefree f fails at primes dividing its
+    discriminant only, so that is checked once more than deg f have failed.
     """
     lc = f.leading_coefficient()
+    failed = 0
     for p in primes_from(start):
         if lc % p == 0:
             continue
         fm = gf_from_int_coeffs(f.coeffs, p)
-        if len(fm) - 1 != f.degree():
-            continue
         if len(gf_gcd(fm, gf_deriv(fm, p), p)) == 1:
             yield p
+            continue
+        failed += 1
+        if failed == f.degree() + 1 and not _squarefree(f):
+            raise ValueError("no good prime: the polynomial is not squarefree")
+
+
+def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
+    """Sorted degrees of the irreducible factors of f mod p, or None when
+    p divides lc(f) or f is not squarefree mod p.  When x^(p^L) = x mod f
+    for some L <= n (``gf_frobenius_order``), f divides the squarefree
+    x^(p^L) - x; only when there is no such L is gcd(f, f') taken.
+    """
+    if f.coeffs[-1] % p == 0:
+        return None
+    fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
+    closed = gf_frobenius_order(fm, p) is not None
+    if not closed and len(gf_gcd(fm, gf_deriv(fm, p), p)) != 1:
+        return None
+    return gf_ddf_degree_multiset(fm, p)
+
+
+def _usable_degrees(f: IntPoly):
+    """(p, _modular_degrees(f, p)) over the primes good_primes(f) yields."""
+    for p in primes_from(13):
+        degrees = _modular_degrees(f, p)
+        if degrees is not None:
+            yield p, degrees
+
+
+def _degree_set_irreducible(n: int, degree_lists) -> bool:
+    """Musser's degree-set test (JACM 1978): a rational factor's degree is
+    a sum of factor degrees mod every usable prime, so a degree-n f is
+    irreducible once the subset sums of at most ``_DEGREE_SET_PRIMES`` of
+    its degree lists have only 0 and n in common.  False means no proof."""
+    # bit k of `possible` stays set while a factor of degree k is possible
+    possible = (1 << (n + 1)) - 1
+    for degrees in itertools.islice(degree_lists, _DEGREE_SET_PRIMES):
+        sums = 1
+        for d in degrees:
+            sums |= sums << d
+        possible &= sums
+        if possible == 1 | 1 << n:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +439,7 @@ def _select_prime(f: IntPoly) -> tuple[int, list[int]]:
     """Smallest good prime >= 13 and the factor-degree multiset; probes
     further primes only when the count busts the recombination cutoff."""
     best: tuple[int, list[int]] | None = None
-    gen = good_primes(f)
-    for _ in range(12):
-        p = next(gen)
-        multiset = gf_ddf_degree_multiset(gf_monic(gf_from_int_coeffs(f.coeffs, p), p), p)
+    for p, multiset in itertools.islice(_usable_degrees(f), 12):
         if len(multiset) <= RECOMBINATION_CUTOFF:
             return p, multiset
         if best is None or len(multiset) < len(best[1]):
@@ -493,8 +541,6 @@ def _eisenstein_irreducible(f: IntPoly) -> bool:
 def _bounded_prime_divisors(n: int, limit: int = 100000) -> list[int]:
     """Prime divisors of n found by trial division up to the limit, plus
     the cofactor when it is itself prime."""
-    from .primes import is_prime
-
     out = []
     n = abs(n)
     d = 2
@@ -577,11 +623,10 @@ def largest_factor(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> IntPoly:
 def is_irreducible(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> bool:
     """True when the primitive part of f is irreducible over the
     rationals.  Fast paths: degree one, an Eisenstein certificate, or the
-    degree-set test (Musser, "On the efficiency of a polynomial
-    irreducibility test", JACM 1978): the degree of a rational factor is a
-    sum of factor degrees mod every good prime, so once the subset sums of
-    the DDF degrees, intersected over a few primes, leave only 0 and n, f
-    is irreducible.  Otherwise the full engine decides."""
+    degree-set test ``_degree_set_irreducible`` on the factor degrees mod
+    the good primes from 13.  Otherwise the full engine decides.
+    ``classify`` runs the same test on its Frobenius stream instead; the
+    verifier runs it on the cycle types it replays, and falls back here."""
     if f.degree() < 1:
         raise ValueError("irreducibility is about nonconstant polynomials")
     _, prim, _ = f.content_primitive()
@@ -590,21 +635,10 @@ def is_irreducible(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> bool:
         return True
     if prim.constant_coefficient() == 0:
         return False
-    if int_poly_gcd(prim, prim.derivative()).degree() > 0:
+    if not _squarefree(prim):
         return False
     if _eisenstein_irreducible(prim):
         return True
-    # bit k of `possible` stays set while a factor of degree k is possible
-    possible = (1 << (n + 1)) - 1
-    gen = good_primes(prim)
-    for _ in range(_DEGREE_SET_PRIMES):
-        p = next(gen)
-        fm = gf_monic(gf_from_int_coeffs(prim.coeffs, p), p)
-        sums = 1
-        for d in gf_ddf_degree_multiset(fm, p):
-            sums |= sums << d
-        possible &= sums
-        if possible == 1 | 1 << n:
-            return True
-    fac = factor_over_integers(prim, seed)
-    return fac.is_single_irreducible()
+    if _degree_set_irreducible(n, (d for _, d in _usable_degrees(prim))):
+        return True
+    return factor_over_integers(prim, seed).is_single_irreducible()

@@ -33,7 +33,9 @@ certainty, and every tier names its result through it.
 
 ``classify`` runs the tiers on the largest irreducible factor of f; when
 f is irreducible that is its primitive part with a positive leading
-coefficient.  ``verify_identification`` rebuilds every evidence item of
+coefficient.  From degree 6 on, classify first runs the degree-set test
+on the stream of that part and factors f only when it gives no proof.
+``verify_identification`` rebuilds every evidence item of
 a verdict from scratch on that same polynomial, then re-derives the
 name and the certainty from the items with ``_verdict``.  The census
 candidates of a cyclic verdict are re-derived by running the
@@ -48,21 +50,19 @@ from dataclasses import dataclass
 from itertools import islice, takewhile
 from math import comb, isqrt, lcm
 
-from .factor import factor_over_integers, is_irreducible, rational_roots
-from .groupdata import transitive_groups
-from .modp import (
-    gf_ddf_degree_multiset,
-    gf_deriv,
-    gf_frobenius_order,
-    gf_from_int_coeffs,
-    gf_gcd,
-    gf_monic,
+from .factor import (
+    _degree_set_irreducible,
+    _modular_degrees,
+    _squarefree,
+    factor_over_integers,
+    is_irreducible,
+    rational_roots,
 )
+from .groupdata import transitive_groups
 from .polynomials import (
     IntPoly,
     discriminant,
     format_poly,
-    int_poly_gcd,
     parse_int_poly,
 )
 from .primes import is_prime, primes_from
@@ -247,13 +247,9 @@ def dedekind_cycle_type(f: IntPoly, p: int) -> CycleType | None:
 
     Usable means p does not divide the leading coefficient and f stays
     squarefree mod p; then the degrees of the irreducible factors of
-    f mod p form the cycle type of an element of the Galois group acting
-    on the roots.  Only distinct-degree factorization is needed, so the
-    sample is deterministic.  Squarefreeness mostly comes for free: when
-    x^(p^L) = x mod f for some L <= n (``gf_frobenius_order``), f divides
-    the squarefree x^(p^L) - x.  Only when there is no such L, because f
-    has a repeated factor mod p or because the lcm of the factor degrees
-    exceeds n, is gcd(f, f') taken.
+    f mod p, which ``factor._modular_degrees`` reads off distinct-degree
+    factorization, form the cycle type of an element of the Galois group
+    acting on the roots.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
@@ -261,13 +257,8 @@ def dedekind_cycle_type(f: IntPoly, p: int) -> CycleType | None:
         raise ValueError("need a nonconstant polynomial")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if f.coeffs[-1] % p == 0:
-        return None
-    fb = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
-    closed = gf_frobenius_order(fb, p) is not None
-    if not closed and len(gf_gcd(fb, gf_deriv(fb, p), p)) != 1:
-        return None
-    return CycleType(tuple(gf_ddf_degree_multiset(fb, p)))
+    degrees = _modular_degrees(f, p)
+    return None if degrees is None else CycleType(tuple(degrees))
 
 
 class FrobeniusSamples:
@@ -277,10 +268,13 @@ class FrobeniusSamples:
     iteration starts again from the smallest prime, so tiers that share
     one stream never sample a prime twice.  A stream serves a single
     polynomial for the length of one classification, or for one replay
-    of the census elimination in ``verify_identification``.
+    of the census elimination in ``verify_identification``.  A bound
+    below 2 leaves no prime to sample and raises ValueError.
     """
 
     def __init__(self, f: IntPoly, prime_bound: int):
+        if prime_bound < 2:
+            raise ValueError(f"prime bound {prime_bound} leaves no prime to sample")
         primes = takewhile(lambda p: p <= prime_bound, primes_from(2))
         types = ((p, dedekind_cycle_type(f, p)) for p in primes)
         self._fresh = ((p, t) for p, t in types if t is not None)
@@ -441,10 +435,6 @@ _TSCHIRNHAUS_TRIALS = (
 )
 
 
-def _squarefree_int(f: IntPoly) -> bool:
-    return int_poly_gcd(f, f.derivative()).degree() == 0
-
-
 def _squarefree_resolvent(f: IntPoly, build, shift) -> IntPoly | None:
     """build(base), or None when that is not squarefree.
 
@@ -458,7 +448,7 @@ def _squarefree_resolvent(f: IntPoly, build, shift) -> IntPoly | None:
         if not is_irreducible(base):
             return None
     resolvent = build(base)
-    return resolvent if _squarefree_int(resolvent) else None
+    return resolvent if _squarefree(resolvent) else None
 
 
 def _first_shift_item(item_at, f: IntPoly, what: str) -> dict:
@@ -1134,12 +1124,11 @@ def wreath_structure(
 
 
 def _classify_irreducible(
-    g: IntPoly, prime_bound: int
+    g: IntPoly, prime_bound: int, stream: FrobeniusSamples
 ) -> GaloisIdentification:
     n = g.degree()
     if n <= 5:
         return exact_small_degree(g, _assume_irreducible=True)
-    stream = FrobeniusSamples(g, prime_bound)
     if n <= 7:
         ident = _census_verdict(g, prime_bound, stream)
         if f"C{n}" not in ident.certainty.candidates:
@@ -1176,15 +1165,25 @@ def classify(
     For reducible input the verdict concerns the factor of largest degree
     (ties broken by coefficient order) and says so in the evidence; use
     classify_all_factors to get one verdict per irreducible factor.
+    From degree 6 on, the degree-set test on the cycle types of the
+    Frobenius stream of the primitive part may prove it irreducible; the
+    tiers then read on in that stream, and nothing is factored.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
     if f.degree() < 1:
         raise ValueError("need a nonconstant polynomial")
+    prim = f.primitive_part()
+    stream = FrobeniusSamples(prim, prime_bound)
+    if prim.degree() >= 6 and prim.constant_coefficient() and _squarefree(prim):
+        if _degree_set_irreducible(prim.degree(), (t.parts for _, t in stream)):
+            return _classify_irreducible(prim, prime_bound, stream)
     fac = factor_over_integers(f)
     target = max(
         (poly for poly, _ in fac.factors), key=lambda g: (g.degree(), g.coeffs)
     )
+    if target != prim:
+        stream = FrobeniusSamples(target, prime_bound)
     pre: list[dict] = []
     if fac.degree_multiset() != [f.degree()]:
         pre.append(
@@ -1194,7 +1193,7 @@ def classify(
                 "selected": format_poly(target),
             }
         )
-    ident = _classify_irreducible(target, prime_bound)
+    ident = _classify_irreducible(target, prime_bound, stream)
     if pre:
         ident = dataclasses.replace(
             ident, evidence=tuple(pre) + ident.evidence
@@ -1216,10 +1215,11 @@ def classify_all_factors(
     if f.degree() < 1:
         raise ValueError("need a nonconstant polynomial")
     fac = factor_over_integers(f)
-    return tuple(
-        (poly, _classify_irreducible(poly, prime_bound))
-        for poly, _ in fac.factors
-    )
+    out = []
+    for poly, _ in fac.factors:
+        stream = FrobeniusSamples(poly, prime_bound)
+        out.append((poly, _classify_irreducible(poly, prime_bound, stream)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1278,18 +1278,19 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     primitive part of f with a positive leading coefficient, or the
     factor that a ``reducible`` item selects; it must have the verdict's
     degree and be irreducible, since every tier reads the Galois group
-    of an irreducible polynomial (an n-cycle item, recomputed at its
-    prime, proves that without factoring).  Every item is rebuilt on
-    the target from scratch and must come out the same; the inner
-    verdict of a block item is re-derived by ``classify`` at the default
-    prime bound.  The census candidates of a cyclic verdict (one with a
-    ``candidates`` item but no ``parity`` item) are re-derived by running
-    the elimination and the block-order cut again, on a fresh stream up
-    to the verdict's own prime bound.  Last, ``_verdict`` must turn the
-    items into the stated name, T-notation and certainty.  Only the
-    ``samples`` and ``order_lower_bound`` items are stated claims that
-    are not replayed.  Returns False, and never raises, on a verdict
-    that does not fit f, tampered or malformed evidence included.
+    of an irreducible polynomial (the degree-set test on the cycle types
+    of its ``cycle_type`` items, recomputed at their primes, mostly
+    proves that; ``is_irreducible`` decides the rest).  Every item is
+    rebuilt on the target from scratch and must come out the same; the
+    inner verdict of a block item is re-derived by ``classify`` at the
+    default prime bound.  The census candidates of a cyclic verdict (one
+    with a ``candidates`` item but no ``parity`` item) are re-derived by
+    running the elimination and the block-order cut again, on a fresh
+    stream up to the verdict's own prime bound.  Last, ``_verdict`` must
+    turn the items into the stated name, T-notation and certainty.  Only
+    the ``samples`` and ``order_lower_bound`` items are stated claims
+    that are not replayed.  Returns False, and never raises, on a
+    verdict that does not fit f, tampered or malformed evidence included.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
@@ -1303,12 +1304,12 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
         n = ident.degree
         if target.degree() != n:
             return False
-        if not any(
-            item["kind"] == "cycle_type"
-            and item.get("parts") == [n]
-            and dedekind_cycle_type(target, item["prime"]) == CycleType((n,))
+        replayed = (
+            _sample_at(target, item["prime"]).parts
             for item in ident.evidence
-        ) and not is_irreducible(target):
+            if item["kind"] == "cycle_type"
+        )
+        if not _degree_set_irreducible(n, replayed) and not is_irreducible(target):
             return False
         kinds = {item["kind"] for item in ident.evidence}
         inner = None

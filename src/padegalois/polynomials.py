@@ -2,7 +2,8 @@
 
 Two immutable coefficient containers back everything in this package:
 
-* ``IntPoly`` -- coefficients are Python ints, stored ascending by exponent.
+* ``IntPoly`` -- coefficients are Python ints, stored ascending by exponent;
+  the constructor refuses anything else, a bool or a Fraction included.
 * ``RatPoly`` -- coefficients are ``fractions.Fraction``, same layout.
 
 Trailing zeros are always stripped, so representations are canonical and
@@ -12,8 +13,9 @@ degree -1 (a sentinel, never used in arithmetic).
 The constructors (``zero``, ``one``, ``x``, ``constant``, ``monomial``) and
 the ring operations (``+``, ``-``, ``*`` by a polynomial or a scalar, ``**``,
 ``derivative``) live once, on ``_BasePoly``, and build the class they are
-called on.  The two subclasses add only what their coefficient domain
-needs: content and primitive parts over Z, long division over Q.
+called on; a sum or difference with a ``RatPoly`` operand is a ``RatPoly``.
+The two subclasses add only what their coefficient domain needs: content
+and primitive parts over Z, long division over Q.
 
 One subresultant pseudo-remainder sequence, ``_subresultant_prs``, in pure
 integer arithmetic, serves ``int_poly_gcd``, ``resultant`` and
@@ -117,11 +119,15 @@ class _BasePoly:
 
     # -- ring operations ----------------------------------------------
 
+    def _sum_class(self, other):
+        """RatPoly when either operand is one, else this class."""
+        return RatPoly if isinstance(other, RatPoly) else type(self)
+
     def __add__(self, other):
-        return type(self)(_add(self.coeffs, other.coeffs))
+        return self._sum_class(other)(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return type(self)(_add(self.coeffs, _neg(other.coeffs)))
+        return self._sum_class(other)(_add(self.coeffs, _neg(other.coeffs)))
 
     def __neg__(self):
         return type(self)(_neg(self.coeffs))
@@ -201,8 +207,11 @@ class IntPoly(_BasePoly):
     _SCALARS = (int,)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cleaned = _strip([int(c) for c in coeffs])
-        object.__setattr__(self, "coeffs", cleaned)
+        coeffs = tuple(coeffs)
+        if not {int}.issuperset(map(type, coeffs)):
+            bad = next(c for c in coeffs if type(c) is not int)
+            raise TypeError(f"IntPoly coefficient {bad!r} is not an int")
+        object.__setattr__(self, "coeffs", _strip(coeffs))
 
     def shift_argument(self, a: int) -> "IntPoly":
         """Return f(x + a) (Taylor shift by synthetic division)."""
@@ -591,7 +600,7 @@ def int_poly_from_strings(strings: Iterable[int | str]) -> IntPoly:
     for s in coeffs:
         if type(s) is not int and not (isinstance(s, str) and _INT_RE.fullmatch(s)):
             raise ValueError(f"coefficient {s!r} is not an integer")
-    return IntPoly(coeffs)
+    return IntPoly(int(s) for s in coeffs)
 
 
 def rat_poly_from_strings(strings: Iterable[str]) -> RatPoly:

@@ -4,7 +4,7 @@ printed factorizations."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import padegalois.factor as factor_mod
 from padegalois.factor import (
@@ -21,9 +21,16 @@ from padegalois.factor import (
     squarefree_decomposition,
 )
 from padegalois.factor import _hensel_step, _mod_poly  # white-box lift check
+from padegalois.factor import _degree_set_irreducible, _usable_degrees
+from padegalois.galois import FrobeniusSamples
 from padegalois.modp import gf_from_int_coeffs, gf_mul
 from padegalois.pade import pade_diagonal
-from padegalois.polynomials import IntPoly, format_poly, parse_int_poly
+from padegalois.polynomials import (
+    IntPoly,
+    format_poly,
+    int_poly_gcd,
+    parse_int_poly,
+)
 from padegalois.series import SeriesId, scale_to_monic_integer
 
 from .oracles import kronecker_factor
@@ -322,6 +329,30 @@ class TestLargestFactorAndIrreducibility:
         assert is_irreducible(IntPoly((1, 0, -10, 0, 1)))
         assert len(engine_calls) == 1
         assert not is_irreducible(IntPoly((1, 0, 1)) * IntPoly((1, 1, 0, 1)))
+
+    @pytest.mark.parametrize("f", [IntPoly((0, 0, 1)), IntPoly((1, 2, 1))])
+    def test_good_primes_refuses_non_squarefree(self, f):
+        # x^2 and (x + 1)^2: no prime keeps them squarefree
+        with pytest.raises(ValueError):
+            next(good_primes(f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(small_coeff, min_size=2, max_size=5),
+        st.lists(small_coeff, min_size=2, max_size=5),
+    )
+    def test_degree_set_never_proves_a_product(self, a, b):
+        # a squarefree product of two nonconstant factors has a factor of
+        # degree deg g at every usable prime, so no degree list rules it
+        # out: neither the Frobenius stream nor the good primes prove it
+        g, h = IntPoly(a), IntPoly(b)
+        assume(g.degree() >= 1 and h.degree() >= 1)
+        f = g * h
+        assume(int_poly_gcd(f, f.derivative()).degree() == 0)
+        n = f.degree()
+        stream = FrobeniusSamples(f, 10_000)
+        assert not _degree_set_irreducible(n, (t.parts for _, t in stream))
+        assert not _degree_set_irreducible(n, (d for _, d in _usable_degrees(f)))
 
     def test_irreducible_rejects_constant(self):
         with pytest.raises(ValueError):

@@ -538,6 +538,60 @@ class TestBlockOrderFilter:
 
 
 class TestClassify:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: pade_diagonal(SeriesId.INV_SQRT_MINUS, 17).numerator,
+            lambda: parse_int_poly("x^7 - x - 1"),
+            lambda: scale_to_monic_integer(8),
+        ],
+        ids=["InvSqrtPade-17-numerator", "x^7-x-1", "exp-truncation-8"],
+    )
+    def test_stream_proves_irreducibility_without_factoring(
+        self, monkeypatch, make
+    ):
+        # the degree-set test on the stream's own cycle types proves these
+        # irreducible, so the integer factoring engine never runs
+        calls = []
+        monkeypatch.setattr(
+            galois, "factor_over_integers", lambda *args: calls.append(args)
+        )
+        ident = classify(make())
+        assert calls == []
+        assert "reducible" not in {item["kind"] for item in ident.evidence}
+
+    def test_unproven_target_keeps_its_stream(self, monkeypatch):
+        # C2^3 has no cycle type that rules out a factor of degree 2, so
+        # the degree-set test gives no proof and classify factors; the
+        # target is the primitive part itself, and the tiers read on in
+        # the stream the test drew from
+        f = parse_int_poly(
+            "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576"
+        ).shift_argument(1)
+        calls = []
+        original = galois.dedekind_cycle_type
+
+        def counting(g, p):
+            calls.append((g.coeffs, p))
+            return original(g, p)
+
+        monkeypatch.setattr(galois, "dedekind_cycle_type", counting)
+        classify(f, prime_bound=2000)
+        assert calls
+        assert len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("bound", [1, 0, -5])
+    def test_prime_bound_below_two_raises(self, bound):
+        # no prime is sampled, so no verdict may name one; quintics are
+        # refused alike although their exact tier samples nothing
+        for text in ("x^7 - x - 1", "x^5 - x - 1", "x^8 + x^4 + 7"):
+            with pytest.raises(ValueError):
+                classify(parse_int_poly(text), prime_bound=bound)
+        with pytest.raises(ValueError):
+            classify_all_factors(parse_int_poly("x^7 - x - 1"), prime_bound=bound)
+        with pytest.raises(ValueError):
+            galois.FrobeniusSamples(parse_int_poly("x^7 - x - 1"), bound)
+
     def test_pade_convergents_of_exponential(self):
         pair = pade_diagonal(SeriesId.EXP, 10)
         num = classify(pair.numerator)
@@ -788,6 +842,13 @@ _TAMPERS = {
             evidence=_changed_item(v, "candidates", names=["C6"]),
         ),
     ),
+    # no prime lies below 2, so no stream can have read to that bound
+    "C6-prime-bound-1": (
+        "C6",
+        lambda v: dataclasses.replace(
+            v, certainty=dataclasses.replace(v.certainty, prime_bound=1)
+        ),
+    ),
     "wreath-renamed": (
         "subgroup of C2 wr S4",
         lambda v: dataclasses.replace(v, group_name="subgroup of C2 wr C4"),
@@ -874,6 +935,27 @@ class TestVerifyIdentification:
         monkeypatch.setattr(galois, "is_irreducible", counting)
         assert ident.group_name == "S7" and ident.certainty.is_proven
         assert {"kind": "cycle_type", "prime": 2, "parts": [7]} in ident.evidence
+        assert verify_identification(f, ident)
+        assert calls == []
+
+    def test_replayed_degree_sets_prove_irreducibility(self, monkeypatch):
+        # the S7 verdict holds no 7-cycle; its replayed types [6, 1] at
+        # p = 3 and [4, 3] at p = 5 leave only the degrees 0 and 7
+        f = parse_int_poly(
+            "2*x^7 + x^6 - 2*x^5 + 5*x^4 + 2*x^3 - 5*x^2 + 2*x + 7"
+        )
+        ident = classify(f)
+        calls = []
+        original = galois.is_irreducible
+
+        def counting(g, *args, **kwargs):
+            calls.append(g)
+            return original(g, *args, **kwargs)
+
+        monkeypatch.setattr(galois, "is_irreducible", counting)
+        types = [e["parts"] for e in ident.evidence if e["kind"] == "cycle_type"]
+        assert ident.group_name == "S7" and ident.certainty.is_proven
+        assert types[:2] == [[6, 1], [4, 3]] and [7] not in types
         assert verify_identification(f, ident)
         assert calls == []
 

@@ -300,3 +300,25 @@ class TestCoefficientArrays:
     def test_anything_else_raises_value_error(self, bad):
         with pytest.raises(ValueError):
             int_poly_from_strings([1, bad])
+
+
+class TestIntegerCoefficients:
+    def test_mixed_sum_and_difference_are_rational(self):
+        half = RatPoly((Fraction(1, 2),))
+        assert IntPoly((1, 1)) + half == RatPoly((Fraction(3, 2), 1))
+        assert IntPoly((1, 1)) - half == RatPoly((Fraction(1, 2), 1))
+        assert half + IntPoly((1, 1)) == RatPoly((Fraction(3, 2), 1))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: IntPoly([0.5, 1]),
+            lambda: IntPoly([True, 1]),
+            lambda: IntPoly.constant(Fraction(3, 2)),
+            lambda: IntPoly((Fraction(2), 1)),
+        ],
+        ids=["float", "bool", "fraction-constant", "integral-fraction"],
+    )
+    def test_non_int_coefficient_raises(self, make):
+        with pytest.raises(TypeError):
+            make()

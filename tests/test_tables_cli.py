@@ -515,6 +515,15 @@ class TestCliCommands:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("bound", ["1", "0", "-5"])
+    def test_prime_bound_below_two_exit_two(self, bound, capsys):
+        rc = main(["galois", "--poly", "x^7-x-1", "--prime-bound", bound])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: prime bound")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["factor", "galois"])
     def test_factor_cutoff_exit_two(self, command, monkeypatch, capsys):
         # x^4 - 10x^2 + 1 splits mod every prime, so no prime meets a

@@ -42,6 +42,8 @@ degree, as ``classify`` decides).  For each group, the median time of one
 ``factor_over_integers(f)`` over ``FACTOR_REPS`` calls on every input
 (``median_s``), and the sum over the inputs of each input's median
 (``total_s``), which is what one such pass spends factoring them.
+``engine_calls`` counts the ``factor_over_integers`` calls that pass makes,
+from ``classify``, the verifier and the resolvents alike.
 
 ``pade``: for each Padé table and each of its orders (keys
 ``<table>_<order>``, 25 in all), the median time over ``PADE_REPS`` calls
@@ -78,7 +80,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from speed import MachineSpeed  # noqa: E402
 
-from padegalois import galois, tables  # noqa: E402
+from padegalois import factor, galois, tables  # noqa: E402
 from padegalois.factor import factor_over_integers  # noqa: E402
 from padegalois.galois import (  # noqa: E402
     _TSCHIRNHAUS_TRIALS,
@@ -262,33 +264,44 @@ def time_polynomials(speed: MachineSpeed) -> dict:
     return out
 
 
-def classify_inputs() -> list[IntPoly]:
+def classify_inputs() -> tuple[list[IntPoly], int]:
     """The distinct polynomials classify is called on in one pass over the
-    six tables, with verification, in the order of their first call."""
+    six tables, with verification, in the order of their first call, and
+    the number of factor_over_integers calls in that pass."""
     seen = {}
+    engine_calls = 0
     original = galois.classify
 
     def recording(f, *args, **kwargs):
         seen.setdefault(f.coeffs, f)
         return original(f, *args, **kwargs)
 
+    def counting(*args, **kwargs):
+        nonlocal engine_calls
+        engine_calls += 1
+        return factor_over_integers(*args, **kwargs)
+
     galois.classify = tables.classify = recording
+    galois.factor_over_integers = factor.factor_over_integers = counting
     try:
         for table_id in TABLES:
             reproduce(table_id, cache=None, verify=True)
     finally:
         galois.classify = tables.classify = original
-    return list(seen.values())
+        galois.factor_over_integers = factor_over_integers
+        factor.factor_over_integers = factor_over_integers
+    return list(seen.values()), engine_calls
 
 
-def time_factoring(speed: MachineSpeed, polys) -> dict:
+def time_factoring(speed: MachineSpeed, polys, engine_calls: int) -> dict:
     """Median and summed seconds of factor_over_integers, for the
-    irreducible and the reducible classify inputs."""
+    irreducible and the reducible classify inputs, and the engine calls
+    of the pass that recorded them."""
     groups = {"irreducible": [], "reducible": []}
     for f in polys:
         shape = factor_over_integers(f).degree_multiset()
         groups["irreducible" if shape == [f.degree()] else "reducible"].append(f)
-    out = {}
+    out: dict = {"engine_calls": engine_calls}
     for name, group in groups.items():
         spans = [
             [speed.timed(factor_over_integers, f)[1:] for _ in range(FACTOR_REPS)]
@@ -356,7 +369,7 @@ def git_revision() -> str | None:
 def main() -> None:
     rng = random.Random(SEED)
     polys = {n: squarefree_poly(n, rng) for n in DEGREES}
-    inputs = classify_inputs()
+    inputs, engine_calls = classify_inputs()
     with MachineSpeed() as speed:
         timed = {
             "by_degree": {str(n): time_samples(speed, f) for n, f in polys.items()},
@@ -366,7 +379,7 @@ def main() -> None:
             },
             "resolvents": time_resolvents(speed, rng),
             "polynomials": time_polynomials(speed),
-            "factoring": time_factoring(speed, inputs),
+            "factoring": time_factoring(speed, inputs, engine_calls),
             "pade": time_pade(speed),
         }
     result = {
