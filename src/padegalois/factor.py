@@ -224,12 +224,16 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     _, f, _ = f.content_primitive()
     if f.degree() == 0:
         return []
-    deriv = f.derivative()
-    a = int_poly_gcd(f, deriv)
+    return _yun(f, int_poly_gcd(f, f.derivative()))
+
+
+def _yun(f: IntPoly, a: IntPoly) -> list[tuple[IntPoly, int]]:
+    """``squarefree_decomposition`` of primitive f of degree >= 1, given
+    a = gcd(f, f')."""
     if a.degree() == 0:
         return [(f, 1)]
     b = f.exact_div(a)
-    d = deriv.exact_div(a) - b.derivative()
+    d = f.derivative().exact_div(a) - b.derivative()
     out: list[tuple[IntPoly, int]] = []
     i = 1
     while b.degree() > 0:
@@ -296,8 +300,16 @@ def rational_roots(f: IntPoly) -> list[Fraction]:
     while f.degree() >= 1 and f.constant_coefficient() == 0:
         f = f.exact_div(IntPoly.x())
         roots.append(Fraction(0))
-    if f.degree() < 1:
-        return sorted(roots)
+    if f.degree() >= 1:
+        roots += _nonzero_roots(f)[0]
+    return sorted(roots)
+
+
+def _nonzero_roots(f: IntPoly) -> tuple[list[Fraction], IntPoly]:
+    """The rational roots of primitive f of degree >= 1 with f(0) != 0,
+    with multiplicity and sorted, and gcd(f, f'), whose cofactor in f is
+    the radical searched for roots."""
+    roots: list[Fraction] = []
     cof = int_poly_gcd(f, f.derivative())
     rad = f.exact_div(cof) if cof.degree() > 0 else f
     candidates: set[Fraction] = set()
@@ -318,7 +330,7 @@ def rational_roots(f: IntPoly) -> list[Fraction]:
         while linear.divides(f):
             f = f.exact_div(linear)
             roots.append(q)
-    return sorted(roots)
+    return roots, cof
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +611,14 @@ def factor_over_integers(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> Factorizat
     if prim.degree() >= 1:
         # strip rational roots first: keeps the modular factor count low
         # for inputs that are mostly products of linear factors
-        for root in rational_roots(prim):
+        roots, cof = _nonzero_roots(prim)
+        for root in roots:
             linear = IntPoly((-root.numerator, root.denominator))
             prim = prim.exact_div(linear)
             counts[linear] = counts.get(linear, 0) + 1
-    if prim.degree() >= 1:
-        for part, mult in squarefree_decomposition(prim):
+        # with no root stripped, cof is gcd(prim, prim') already
+        parts = squarefree_decomposition(prim) if roots else _yun(prim, cof)
+        for part, mult in parts:
             for irr in _zassenhaus(part, seed):
                 counts[irr] = counts.get(irr, 0) + mult
     ordered = sorted(counts.items(), key=lambda kv: (kv[0].degree(), kv[0].coeffs))

@@ -1146,15 +1146,16 @@ def _classify_irreducible(
     cyc = cyclic_heuristic(g, prime_bound, _stream=stream)
     if cyc.certainty.kind == HEURISTIC:
         return cyc
+    if _block_structure(g) is not None:
+        # No Jordan hunt: the blocks {a, -a} make the group imprimitive.  A
+        # q-cycle, q an odd prime > n/2, moves both points of some block; it
+        # cannot move that block (q moved blocks hold 2q points), so it
+        # would swap the two points, which no q-cycle does.
+        report = wreath_structure(g, prime_bound, _stream=stream)
+        return _ident(n, report.evidence, report.inner)
     # A Jordan sample is never uniform, so none comes before the sample
     # that refuted cyclicity; the hunt reads on past it to its cap.
-    ident = sn_an_certificate(g, prime_bound, _stream=stream)
-    if ident.certainty.is_proven:
-        return ident
-    report = wreath_structure(g, prime_bound, _stream=stream)
-    if report.detected:
-        return _ident(n, report.evidence, report.inner)
-    return ident
+    return sn_an_certificate(g, prime_bound, _stream=stream)
 
 
 def classify(

@@ -16,13 +16,15 @@ from the one before by a matrix-vector product.  One modular power per
 The loop finds the Frobenius order first and takes gcds afterwards.  It
 walks h_d = x^(p^d) mod f until h_d = x, or until d = n, and takes no
 gcd on the way.  For squarefree f the walk closes at L, the lcm of the
-factor degrees, whenever L <= n; then the stage gcds are taken only at
-the proper divisors of L, because a factor degree e < L that divides L
-divides L/q for some prime q (the idea of Rabin's irreducibility test,
-"Probabilistic algorithms in finite fields", 1980).  A walk that closes
-also proves f squarefree, as f then divides x^(p^L) - x, whose
-derivative is -1; ``gf_frobenius_order`` gives the order for that use.
-A walk that runs to n takes a stage at every degree, as before.
+factor degrees, whenever L <= n.  A factor degree e < L divides L/q for
+some prime q, so g = gcd(f, prod_q (h_(L/q) - x)) is the product of the
+factors of degree below L (Rabin, "Probabilistic algorithms in finite
+fields", 1980).  That one gcd comes first (none for L = 1 or L = n a
+prime power): g = 1 leaves f one stage, and otherwise the stages at the
+proper divisors of L are taken on g.  A closed walk also proves f
+squarefree, as f then divides x^(p^L) - x, whose derivative is -1;
+``gf_frobenius_order`` gives the order for that use.  A walk that runs
+to n takes a stage at every degree, as before.
 
 The work modulo f runs on packed integers (Kronecker substitution; see
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
@@ -31,12 +33,14 @@ coefficient per slot of k 64-bit words, so a product of two polynomials
 is one big-integer product and a combination sum_i c_i * row_i is a sum
 of big integers.  Packing and unpacking go through ``array`` and
 ``int.to_bytes`` / ``int.from_bytes``, in C, with no per-coefficient
-shifts.  Every slot sum formed stays below 2n(p - 1)^2 (a product slot
-and a reduction slot, each at most n(p - 1)^2), so k is the least word
-count with 2n(p - 1)^2 < 2^(64k): one word up to p of about
-2^32 / sqrt(2n), 6.8e8 at n = 20, and two beyond.  No slot carries into
-the next, and each product modulo f is reduced mod p once, when it is
-unpacked.
+shifts.  The shift tables x^j * row mod f, j < n, are built packed, one
+slot shift and one multiple of x^n mod f a step, and never reduced: each
+slot stays below n p^2.  So a slot of n coefficients in [0, p) times a
+table, plus the low half of a product (below n p^2), stays below 2n^2
+p^3, and k is the least word count with 2n^2 p^3 < 2^(64k): one word up
+to p of about 2.4e5 at n = 25, past the sampler's default prime bound
+10^4, and two beyond.  No slot carries into the next, and each product
+modulo f is reduced mod p once, when it is unpacked.
 
 ``gf_pow_mod`` works left to right: square, then multiply by the base on
 each set bit.  The high half of a product is reduced with a packed table
@@ -201,8 +205,8 @@ _LITTLE = sys.byteorder == "little"
 
 def _slot_words(n: int, p: int) -> int:
     """64-bit words per slot for polynomials of degree < n mod p: the
-    least k with 2n(p - 1)^2 < 2^(64k)."""
-    return ((2 * n * (p - 1) ** 2).bit_length() + 63) // 64
+    least k with 2n^2 p^3 < 2^(64k)."""
+    return ((2 * n * n * p**3).bit_length() + 63) // 64
 
 
 def _pack(a: list[int], k: int) -> int:
@@ -231,15 +235,19 @@ def _dot(
     return [c % p for c in _unpack(sum(map(mul, coeffs, rows), start), n, k)]
 
 
-def _times_x(row: list[int], m: int, f: list[int], p: int) -> list[list[int]]:
-    """row, x*row, ..., x^(m-1)*row mod monic f of degree n, row and every
-    result given as n coefficients."""
-    xn = [-c % p for c in f[:-1]]  # x^n mod f
-    rows = [row]
+def _times_x(row: list[int], m: int, f: list[int], p: int, k: int) -> list[int]:
+    """row, x*row, ..., x^(m-1)*row mod monic f of degree n, row given as
+    n coefficients in [0, p), packed in k-word slots.  A step shifts one
+    slot up and adds the top slot, reduced mod p, times x^n mod f: less
+    than p^2 a slot, which is never reduced, so each stays below n*p^2."""
+    n, w = len(f) - 1, 64 * k
+    top, low = w * (n - 1), (1 << (w * n)) - 1
+    xn = _pack([-c % p for c in f[:-1]], k)
+    r = _pack(row, k)
+    rows = [r]
     for _ in range(m - 1):
-        top = row[-1]
-        row = [(c + top * r) % p for c, r in zip([0] + row, xn)]
-        rows.append(row)
+        r = ((r << w) & low) + (r >> top) % p * xn
+        rows.append(r)
     return rows
 
 
@@ -281,7 +289,7 @@ def gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     k = _slot_words(n, p)
     width = 64 * k * n
     low = (1 << width) - 1
-    table = [_pack(r, k) for r in _times_x([-c % p for c in f[:-1]], n, f, p)]
+    table = _times_x([-c % p for c in f[:-1]], n, f, p, k)
 
     def reduce(prod: int) -> list[int]:
         high = [c % p for c in _unpack(prod >> width, n, k)]
@@ -367,7 +375,7 @@ def _frobenius_walk(
     while h != [0, 1] and len(walk) < n:
         while len(rows) < len(h):
             if not times_xp:
-                times_xp = [_pack(r, k) for r in _times_x(last, n, gf_monic(f, p), p)]
+                times_xp = _times_x(last, n, gf_monic(f, p), p, k)
             last = _dot(last, times_xp, 0, n, k, p)
             rows.append(_pack(last, k))
         h = gf_trim(_dot(h, rows, 0, n, k, p))
@@ -391,24 +399,36 @@ def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     Stage d is gcd(h_d - x, work), with h_d = x^(p^d) mod f and work
     being f with the stages below d divided out.  The order comes first:
     the walk of ``_frobenius_walk`` finds the least L with h_L = x, and
-    takes no gcd.  When there is such an L, every factor degree divides
-    L, so only the stages at the proper divisors d of L are taken, in
-    ascending order, and every factor left has degree L.  A degree e < L that
-    divides L divides L/q for a prime q, so no lower degree is missed.
-    When the walk ends at d = n without reaching x, the lcm of the
-    degrees exceeds n, and every stage is taken in turn.  Either way the
+    takes no gcd.  When there is such an L, a factor degree e < L divides
+    L/q for a prime q, so g = gcd(f, prod_q (h_(L/q) - x)) collects the
+    factors of degree below L (Rabin); L = 1 or L = n a prime power
+    means g = 1 with no gcd.  g = 1 makes f one stage of degree L, and
+    otherwise the stages at the proper divisors of L are taken on g, in
+    ascending order, and f/g is the stage of degree L.  A walk that ends
+    at d = n without reaching x takes every stage in turn on f.  The
     stages stop once work has degree below 2d: at most one factor is
-    left, and its degree is that of work.  h_d stays reduced modulo the
-    original f, so one walk serves every stage: work divides f, so
-    gcd(h_d - x, work) is the same as with h_d reduced modulo work.
+    left, and its degree is that of work.  h_d stays reduced modulo f:
+    work divides f, so gcd(h_d - x, work) is the same either way.
     """
     walk, order = _frobenius_walk(tuple(f), p)
+    work, top = f[:], []  # top: the stage of degree L, when taken apart
     if order is None:
         degrees = range(1, len(walk) + 1)
     else:
         degrees = [d for d in range(1, order) if order % d == 0]
+        # the maximal proper divisors L/q of L, q prime
+        maximal = [d for d in degrees if all(e % d for e in degrees if e > d)]
+        below = [1]  # the product of the factors of degree below L
+        # no gcd for L = 1 (f splits), nor for L = n a prime power (f irreducible)
+        if len(maximal) > 1 or maximal and order < len(f) - 1:
+            for d in maximal:
+                below = gf_mod(_product(below, gf_sub(walk[d - 1], [0, 1], p)), f, p)
+            below = gf_gcd(f, below, p)
+        if len(below) == 1:
+            degrees = []
+        else:
+            work, top = below, gf_divmod(f, below, p)[0]
     out: list[tuple[list[int], int]] = []
-    work = f[:]
     rest = order  # the degree of every factor left after the stages
     for d in degrees:
         if len(work) - 1 < 2 * d:
@@ -420,6 +440,8 @@ def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
             work = gf_divmod(work, g, p)[0]
     if len(work) - 1 > 0:
         out.append((work, rest))
+    if len(top) - 1 > 0:
+        out.append((top, order))
     return out
 
 

@@ -23,6 +23,8 @@ in the package, so agreement is meaningful:
 * ``gcd_by_long_division``  -- monic Euclidean gcd mod p on that remainder.
 * ``pow_mod_right_to_left`` -- modular power by right-to-left
   square-and-multiply: a product, then a remainder, at every step.
+* ``times_x_by_long_division`` -- the shift table row, x*row, ...,
+  x^(m-1)*row mod f, each row the long-division remainder of x^j * row.
 * ``difference_resolvent_by_interpolation`` -- the root-difference
   resolvent of a monic polynomial as Res_y(f(y), f(y + x)) / x^n, by
   Lagrange interpolation over Fraction through integer resultant values.
@@ -450,6 +452,18 @@ def pow_mod_right_to_left(
         base = mod_by_long_division(_mul_mod_p(base, base, p), mod, p)
         e >>= 1
     return result
+
+
+def times_x_by_long_division(
+    row: list[int], m: int, f: list[int], p: int
+) -> list[list[int]]:
+    """x^j * row mod (f, p) for j < m, each padded to deg f coefficients."""
+    n = len(f) - 1
+    out = []
+    for j in range(m):
+        r = mod_by_long_division([0] * j + row, f, p)
+        out.append(r + [0] * (n - len(r)))
+    return out
 
 
 def _interpolate_int_poly(points) -> IntPoly:

@@ -470,6 +470,39 @@ class TestWreathStructure:
     def test_no_structure(self):
         assert not wreath_structure(IntPoly((1, 1, 0, 1))).detected
 
+    @pytest.mark.parametrize(
+        ("table", "order", "digest"),
+        [
+            (  # the Q column, 35*x^8 - 1260*x^6 + ..., in C2 wr S4
+                "Atanh2Pade",
+                16,
+                "6853ed77b50b4914f5e85d9e32886ee04be2d7e753de4e0edc166ca5c0c545f5",
+            ),
+            (  # x^9 + 3024*x^5 + 362880*x: its degree-8 factor, in C2 wr D4
+                "SinSinh",
+                9,
+                "ef2d676e51c6b77cf99ea224c0ef6c41db488f9391d682de0e59440c0cc820d6",
+            ),
+        ],
+    )
+    def test_block_target_skips_the_jordan_hunt(
+        self, monkeypatch, table, order, digest
+    ):
+        # the blocks {a, -a} make the group imprimitive, where no Jordan
+        # cycle can be found; the verdict is the one the hunt led to
+        calls = []
+        original = galois.sn_an_certificate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(galois, "sn_an_certificate", counting)
+        ident = classify(_column_polys(table, order)[-1])
+        assert calls == []
+        text = json.dumps(ident.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_order_bound_divides_wreath_order(self):
         rep = wreath_structure(IntPoly((7, 0, 0, 0, 1, 0, 0, 0, 1)))
         assert rep.detected

@@ -37,6 +37,7 @@ from .oracles import (
     gcd_by_long_division,
     mod_by_long_division,
     pow_mod_right_to_left,
+    times_x_by_long_division,
 )
 
 PRIMES = [2, 3, 5, 7, 13, 101]
@@ -80,18 +81,30 @@ def modulus(draw):
 
 
 def one_word_primes(n):
-    """The largest prime p with 2n(p - 1)^2 < 2^64, where the packed
+    """The largest prime p with 2n^2 p^3 < 2^64, where the packed
     kernels keep one 64-bit word per slot for moduli of degree n, and the
     first prime above it, where they take two."""
+    p = round((2**64 / (2 * n * n)) ** (1 / 3)) + 2
+    while 2 * n * n * p**3 >= 2**64 or not is_prime(p):
+        p -= 1
+    return p, next_prime(p)
+
+
+def reduced_sum_primes(n):
+    """The largest prime p with 2n(p - 1)^2 < 2^64, where a slot sum of
+    reduced coefficients alone nearly fills a word, and the first prime
+    above it: two-word slots, whose sums carry across the word edge."""
     p = math.isqrt((2**64 - 1) // (2 * n)) + 1
     while not is_prime(p):
         p -= 1
     return p, next_prime(p)
 
 
-# each degree at the two sides of its one-word bound; and a prime past
-# 2^32, where a single product of two coefficients needs a second word
+# each degree at the two sides of its one-word bound, and of the bound
+# for reduced slot sums; and a prime past 2^32, where a single product of
+# two coefficients needs a second word
 SLOT_BOUNDARY = [(n, p) for n in (2, 8, 20, 25) for p in one_word_primes(n)]
+SLOT_BOUNDARY += [(n, p) for n in (2, 8, 20, 25) for p in reduced_sum_primes(n)]
 SLOT_BOUNDARY += [(n, next_prime(2**40)) for n in (2, 8)]
 
 
@@ -212,6 +225,19 @@ class TestSlotBoundary:
         below, above = one_word_primes(n)
         assert modp._slot_words(n, below) == 1
         assert modp._slot_words(n, above) == 2
+
+    @pytest.mark.parametrize("n, p", SLOT_BOUNDARY)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_times_x_matches_long_division(self, n, p, data):
+        # the packed shift table leaves its slots unreduced, below n*p^2
+        f = boundary_coeffs(data.draw, p, n) + [1]
+        row = boundary_coeffs(data.draw, p, n)
+        k = modp._slot_words(n, p)
+        slots = [modp._unpack(r, n, k) for r in modp._times_x(row, n, f, p, k)]
+        assert max(max(s) for s in slots) < n * p * p
+        reduced = [[c % p for c in s] for s in slots]
+        assert reduced == times_x_by_long_division(row, n, f, p)
 
     @pytest.mark.parametrize("n, p", SLOT_BOUNDARY)
     @settings(max_examples=25)
@@ -473,6 +499,43 @@ class TestOrderFirst:
         f, got = product_of_irreducibles(rng, degrees, p)
         assert lcm_of(got) > len(f) - 1
         self.check(f, got, p)
+
+    @given(
+        st.sampled_from(ORDER_PRIMES),
+        # L = 1; L = n a prime power; uniform, with L a prime power below n
+        # or with two primes in L; and closed walks with factors of degree
+        # below L
+        st.sampled_from(
+            [(1, 1, 1), (4,), (8,), (4, 4), (6, 6), (6,)]
+            + [(1, 4), (1, 2, 3), (2, 3, 6), (1, 6)]
+        ),
+        SEEDS,
+    )
+    @settings(max_examples=60)
+    def test_every_stage_branch(self, p, degrees, seed):
+        rng = Random(seed)
+        f, got = product_of_irreducibles(rng, degrees, p)
+        self.check(f, got, p)
+
+    @pytest.mark.parametrize(
+        "degrees, gcds", [((1, 1, 1), 0), ((8,), 0), ((6, 6), 1), ((6,), 1)]
+    )
+    def test_uniform_walk_takes_at_most_one_gcd(self, monkeypatch, degrees, gcds):
+        # a walk closing at L settles a uniform type with the one gcd of
+        # prod_q (h_(L/q) - x) and f, and needs none for L = 1 or L = n a
+        # prime power
+        p = 13
+        f, got = product_of_irreducibles(Random(sum(degrees)), degrees, p)
+        assert got == list(degrees)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gf_gcd(*args)
+
+        monkeypatch.setattr(modp, "gf_gcd", counting)
+        assert gf_distinct_degree(f, p) == [(f, degrees[0])]
+        assert len(calls) == gcds
 
     @given(st.sampled_from(ORDER_PRIMES), st.integers(1, 12), SEEDS)
     @settings(max_examples=30)

@@ -90,7 +90,6 @@ from padegalois.galois import (  # noqa: E402
 )
 from padegalois.modp import (  # noqa: E402
     _dot,
-    _pack,
     _slot_words,
     _times_x,
     gf_deriv,
@@ -193,7 +192,7 @@ def time_kernels(speed: MachineSpeed, f: IntPoly) -> dict:
             xp = gf_pow_mod([0, 1], p, fm, p)
             xp += [0] * (n - len(xp))
             k = _slot_words(n, p)
-            times_xp = [_pack(r, k) for r in _times_x(xp, n, fm, p)]
+            times_xp = _times_x(xp, n, fm, p, k)
             cases.append((fm, dfm, xp, times_xp, k, p))
     return {
         "pow_x_p_median_s": median_call_s(
