@@ -2,9 +2,12 @@
 
 Pipeline for ``factor_over_integers``: content/sign split, powers of x,
 Yun squarefree decomposition, then per squarefree part a modular
-factorization (distinct-degree + equal-degree splitting), quadratic
-Hensel lifting to above twice the Mignotte factor bound, and exhaustive
-subset recombination with a trailing-coefficient quick test.
+factorization (distinct-degree + equal-degree splitting), Hensel lifting
+to p^K for the least K with p^K above twice the Mignotte factor bound
+(through the exponents 1, ..., ceil(K/2), K, each step at most squaring
+the modulus), and exhaustive subset recombination mod p^K with a
+trailing-coefficient quick test.  All of it is integer work: the lifting
+runs on coefficient tuples, and exact division never leaves Z[x].
 
 Determinism: equal-degree splitting uses a seeded pseudo-random stream;
 the seed is fixed by default and recorded in every ``ModPFactorization``.
@@ -52,7 +55,7 @@ from .modp import (
     gf_roots,
     gf_sub,
 )
-from .polynomials import IntPoly, int_poly_gcd
+from .polynomials import IntPoly, _add, _mul, _neg, _strip, int_poly_gcd
 from .primes import is_prime, primes_from
 
 __all__ = [
@@ -334,7 +337,7 @@ def _nonzero_roots(f: IntPoly) -> tuple[list[Fraction], IntPoly]:
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting (quadratic, two-factor step + multifactor tree)
+# Hensel lifting (two-factor step + multifactor tree, to exactly p^K)
 # ---------------------------------------------------------------------------
 
 
@@ -348,8 +351,9 @@ def mignotte_factor_bound(f: IntPoly) -> int:
     return s * (1 << n) * f.max_norm() * abs(f.leading_coefficient())
 
 
-def _mod_poly(a: IntPoly, m: int) -> IntPoly:
-    return IntPoly(tuple(c % m for c in a.coeffs))
+def _mod_poly(a, m: int) -> tuple:
+    """Coefficient tuple a reduced into [0, m), trailing zeros stripped."""
+    return _strip([c % m for c in a])
 
 
 def _centered(c: int, m: int) -> int:
@@ -357,43 +361,24 @@ def _centered(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _centered_poly(a: IntPoly, m: int) -> IntPoly:
-    return IntPoly(tuple(_centered(c, m) for c in a.coeffs))
-
-
-def _divmod_monic_mod(a: IntPoly, b: IntPoly, m: int) -> tuple[IntPoly, IntPoly]:
-    """Division with remainder by a monic b in (Z/m)[x]."""
-    db = b.degree()
-    if a.degree() < db:
-        return IntPoly.zero(), _mod_poly(a, m)
-    rem = list(a.coeffs)
-    quot = [0] * (a.degree() - db + 1)
-    bc = b.coeffs
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + db] % m
-        if c:
-            quot[i] = c
-            for j in range(db + 1):
-                rem[i + j] = (rem[i + j] - c * bc[j]) % m
-    return IntPoly(quot), IntPoly(tuple(x % m for x in rem))
-
-
-def _hensel_step(
-    f: IntPoly, g: IntPoly, h: IntPoly, s: IntPoly, t: IntPoly, m: int
-) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
-    """One quadratic lift: from f == g*h, s*g + t*h == 1 (mod m) to the
-    same congruences mod m^2.  h must be monic; degree bounds
-    deg s < deg h, deg t < deg g are preserved."""
-    mm = m * m
-    e = _mod_poly(f - g * h, mm)
-    q, r = _divmod_monic_mod(s * e, h, mm)
-    g2 = _mod_poly(g + t * e + q * g, mm)
-    h2 = _mod_poly(h + r, mm)
-    b = _mod_poly(s * g2 + t * h2 - IntPoly.one(), mm)
-    c, d = _divmod_monic_mod(s * b, h2, mm)
-    s2 = _mod_poly(s - d, mm)
-    t2 = _mod_poly(t - t * b - c * g2, mm)
-    return g2, h2, s2, t2
+def _hensel_step(f: tuple, g: tuple, h: tuple, s: tuple, t: tuple, m: int):
+    """One Hensel step on coefficient tuples, in the form of von zur Gathen
+    and Gerhard, Algorithm 15.10, with both factors monic: from f == g*h
+    and s*g + t*h == 1 modulo some m0 to the same congruences mod m, for
+    any m with m0 | m | m0^2.  f, g and h are monic, deg s < deg h and
+    deg t < deg g.  Each correction is one remainder by a monic factor
+    mod m (``gf_mod``): g gains t*e rem g and h gains s*e rem h, where
+    e = f - g*h.  The new g and h are monic with coefficients in [0, m),
+    and the degree bounds on s and t hold again."""
+    e = _mod_poly(_add(f, _neg(_mul(g, h))), m)
+    g, h = (
+        _mod_poly(_add(g, gf_mod(list(_mul(t, e)), g, m)), m),
+        _mod_poly(_add(h, gf_mod(list(_mul(s, e)), h, m)), m),
+    )
+    b = _mod_poly(_add(_add(_mul(s, g), _mul(t, h)), (-1,)), m)
+    s = _mod_poly(_add(s, _neg(gf_mod(list(_mul(s, b)), h, m))), m)
+    t = _mod_poly(_add(t, _neg(gf_mod(list(_mul(t, b)), g, m))), m)
+    return g, h, s, t
 
 
 def _gf_bezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -416,30 +401,38 @@ def _gf_bezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     return s, t
 
 
-def _hensel_lift_multi(f: IntPoly, mods: list[list[int]], p: int, d: int) -> list[IntPoly]:
-    """Lift f == lc(f) * prod(mods) (mod p) to the same shape mod p^(2^d).
+def _hensel_lift_multi(f: IntPoly, mods: list[list[int]], p: int, K: int) -> list[IntPoly]:
+    """Lift f == lc(f) * prod(mods) (mod p) to the same shape mod p^K.
 
-    ``mods`` are monic, pairwise coprime mod p.  Returns monic factors
-    with coefficients in [0, p^(2^d))."""
-    M = p ** (1 << d)
-    lc = f.leading_coefficient()
-    if len(mods) == 1:
-        inv = pow(lc % M, -1, M)
-        return [_mod_poly(f * inv, M)]
-    k = len(mods) // 2
-    g0 = [lc % p]
-    for gi in mods[:k]:
-        g0 = gf_mul(g0, gi, p)
-    h0 = [1]
-    for gi in mods[k:]:
-        h0 = gf_mul(h0, gi, p)
-    s0, t0 = _gf_bezout(g0, h0, p)
-    g, h, s, t = IntPoly(g0), IntPoly(h0), IntPoly(s0), IntPoly(t0)
-    m = p
-    for _ in range(d):
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m = m * m
-    return _hensel_lift_multi(g, mods[:k], p, d) + _hensel_lift_multi(h, mods[k:], p, d)
+    ``mods`` are monic, pairwise coprime mod p.  The monic f / lc(f) mod
+    p^K is split into the products of the two halves of ``mods``, that
+    pair is lifted through the exponents 1, ..., ceil(K/4), ceil(K/2), K
+    (each step from m to a divisor of m^2), and each half is split again
+    (von zur Gathen and Gerhard, Algorithm 15.17).  Returns the monic
+    lifts of ``mods``, in order, with coefficients in [0, p^K)."""
+    exponents = [K]
+    while exponents[-1] > 1:
+        exponents.append((exponents[-1] + 1) // 2)
+    moduli = [p**k for k in reversed(exponents[:-1])]
+    M = p**K
+    inv = pow(f.leading_coefficient(), -1, M)
+
+    def lift(F: tuple, mods: list[list[int]]) -> list[IntPoly]:
+        if len(mods) == 1:
+            return [IntPoly(F)]
+        k = len(mods) // 2
+        g, h = [1], [1]
+        for gi in mods[:k]:
+            g = gf_mul(g, gi, p)
+        for hi in mods[k:]:
+            h = gf_mul(h, hi, p)
+        s, t = _gf_bezout(g, h, p)
+        g, h, s, t = tuple(g), tuple(h), tuple(s), tuple(t)
+        for m in moduli:
+            g, h, s, t = _hensel_step(F, g, h, s, t, m)
+        return lift(g, mods[:k]) + lift(h, mods[k:])
+
+    return lift(_mod_poly([c * inv for c in f.coeffs], M), mods)
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +479,14 @@ def _zassenhaus(f: IntPoly, seed: int) -> list[IntPoly]:
     modular: list[list[int]] = []
     for stage, deg in gf_distinct_degree(fm, p):
         modular.extend(gf_equal_degree(stage, deg, p, rng))
+    # M = p^K with K least such that M > 2 * the Mignotte bound
     bound = 2 * mignotte_factor_bound(f)
     K = 1
-    val = p
-    while val <= bound:
-        val *= p
+    M = p
+    while M <= bound:
+        M *= p
         K += 1
-    d = (K - 1).bit_length()
-    lifted = _hensel_lift_multi(f, modular, p, d)
-    M = p ** (1 << d)
+    lifted = _hensel_lift_multi(f, modular, p, K)
 
     result: list[IntPoly] = []
     avail = list(range(len(lifted)))
@@ -511,10 +503,10 @@ def _zassenhaus(f: IntPoly, seed: int) -> list[IntPoly]:
             t_cent = _centered(t_prod, M)
             if t_cent == 0 or (lc * tc) % t_cent != 0:
                 continue
-            prod = IntPoly((lc,))
+            prod = (lc,)
             for i in combo:
-                prod = _mod_poly(prod * lifted[i], M)
-            cand = _centered_poly(prod, M).primitive_part()
+                prod = _mod_poly(_mul(prod, lifted[i].coeffs), M)
+            cand = IntPoly([_centered(c, M) for c in prod]).primitive_part()
             if cand.degree() >= 1 and cand.divides(cur):
                 result.append(cand)
                 cur = cur.exact_div(cand)

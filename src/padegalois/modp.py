@@ -182,7 +182,8 @@ def gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
 def gf_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """Remainder of a by b, without the quotient.  The coefficients of a
     need not be reduced mod p: each leading one is reduced when it is
-    read, the remainder once at the end.  A monic b needs no inverse."""
+    read, the remainder once at the end.  A monic b needs no inverse, so
+    then p may be any modulus (Hensel lifting divides mod p^k)."""
     if not b:
         raise ZeroDivisionError("mod-p polynomial division by zero")
     db = len(b) - 1

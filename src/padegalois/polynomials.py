@@ -14,8 +14,8 @@ The constructors (``zero``, ``one``, ``x``, ``constant``, ``monomial``) and
 the ring operations (``+``, ``-``, ``*`` by a polynomial or a scalar, ``**``,
 ``derivative``) live once, on ``_BasePoly``, and build the class they are
 called on; a sum or difference with a ``RatPoly`` operand is a ``RatPoly``.
-The two subclasses add only what their coefficient domain needs: content
-and primitive parts over Z, long division over Q.
+The two subclasses add only what their coefficient domain needs: content,
+primitive parts and exact long division over Z, long division over Q.
 
 One subresultant pseudo-remainder sequence, ``_subresultant_prs``, in pure
 integer arithmetic, serves ``int_poly_gcd``, ``resultant`` and
@@ -84,6 +84,26 @@ def _mul(a: Sequence, b: Sequence) -> tuple:
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return _strip(out)
+
+
+def _int_divmod(a: Sequence[int], b: Sequence[int]):
+    """Long division in Z[x] by nonzero b: lists (q, r) with a == q*b + r
+    and len(r) == len(b) - 1, or None at the first quotient coefficient
+    that lc(b) does not divide (the quotient over Q is not integral)."""
+    db = len(b) - 1
+    rem = list(a)
+    quot = [0] * max(len(rem) - db, 0)
+    lc = b[-1]
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db]
+        if c:
+            q, r = divmod(c, lc)
+            if r:
+                return None
+            quot[i] = q
+            for j in range(db):
+                rem[i + j] -= q * b[j]
+    return quot, rem[:db]
 
 
 class _BasePoly:
@@ -248,22 +268,26 @@ class IntPoly(_BasePoly):
         return max((abs(c) for c in self.coeffs), default=0)
 
     def divmod_exact(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Rational division, demanding integer results.
+        """Long division in Z[x]: ``(q, r)`` with ``self == q*other + r``
+        and deg r < deg other.
 
-        Raises ``ValueError`` unless both quotient and remainder land back
-        in Z[x]; use :meth:`divides` for a tolerant test.
+        Raises ``ValueError`` when a quotient coefficient is not an integer;
+        use :meth:`divides` for a test in Q[x].
         """
-        q, r = divmod(self.to_rat(), other.to_rat())
-        qi, ri = q.to_int_checked(), r.to_int_checked()
-        return qi, ri
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        qr = _int_divmod(self.coeffs, other.coeffs)
+        if qr is None:
+            raise ValueError("non-integer quotient coefficient")
+        return IntPoly(qr[0]), IntPoly(qr[1])
 
     def divides(self, other: "IntPoly") -> bool:
-        """True when ``self`` divides ``other`` exactly in Q[x] with an
-        integer quotient check left to callers that need it."""
+        """True when ``self`` divides ``other`` in Q[x].  By Gauss's lemma
+        that is division in Z[x] by the primitive part of ``self``."""
         if self.is_zero():
             return other.is_zero()
-        q, r = divmod(other.to_rat(), self.to_rat())
-        return r.is_zero()
+        qr = _int_divmod(other.coeffs, self.primitive_part().coeffs)
+        return qr is not None and not any(qr[1])
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         q, r = self.divmod_exact(other)

@@ -31,6 +31,9 @@ in the package, so agreement is meaningful:
 * ``tschirnhaus_by_resultants`` -- the characteristic polynomial of
   alpha^2 + a*alpha + b as Res_x(f(x), y - (x^2 + a x + b)), interpolated
   the same way.
+* ``divmod_by_fractions`` / ``divides_by_fractions`` -- integer
+  polynomial division as ``RatPoly`` long division over Fraction, with
+  the integrality of the quotient and remainder checked afterwards.
 """
 
 from __future__ import annotations
@@ -505,3 +508,17 @@ def tschirnhaus_by_resultants(f: IntPoly, a: int, b: int) -> IntPoly:
     ]
     g = _interpolate_int_poly(points)
     return g * -1 if g.coeffs[-1] < 0 else g
+
+
+def divmod_by_fractions(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """divmod over Q, demanding an integral quotient and remainder
+    (ValueError otherwise; ZeroDivisionError for b = 0)."""
+    q, r = divmod(a.to_rat(), b.to_rat())
+    return q.to_int_checked(), r.to_int_checked()
+
+
+def divides_by_fractions(d: IntPoly, f: IntPoly) -> bool:
+    """Whether d divides f in Q[x], by long division over Fraction."""
+    if d.is_zero():
+        return f.is_zero()
+    return (f.to_rat() % d.to_rat()).is_zero()

@@ -1,12 +1,15 @@
 """Integer factorization engine against independent oracles and frozen
 printed factorizations."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import padegalois.factor as factor_mod
+import padegalois.galois as galois_mod
+import padegalois.tables as tables_mod
 from padegalois.factor import (
     DEFAULT_EDF_SEED,
     Factorization,
@@ -20,7 +23,8 @@ from padegalois.factor import (
     rational_roots,
     squarefree_decomposition,
 )
-from padegalois.factor import _hensel_step, _mod_poly  # white-box lift check
+# white-box lift checks
+from padegalois.factor import _gf_bezout, _hensel_lift_multi, _hensel_step, _mod_poly
 from padegalois.factor import _degree_set_irreducible, _usable_degrees
 from padegalois.galois import FrobeniusSamples
 from padegalois.modp import gf_from_int_coeffs, gf_mul
@@ -32,6 +36,7 @@ from padegalois.polynomials import (
     parse_int_poly,
 )
 from padegalois.series import SeriesId, scale_to_monic_integer
+from padegalois.tables import TABLES, reproduce
 
 from .oracles import kronecker_factor
 
@@ -260,19 +265,36 @@ class TestHenselStep:
         # x^2+4), h = x^2+3 and lift four quadratic stages
         f = IntPoly((-1, 0, 1)) * IntPoly((3, 0, 1))
         p = 5
-        g = IntPoly((4, 0, 1))
-        h = IntPoly((3, 0, 1))
-        from padegalois.factor import _gf_bezout
-
-        s_, t_ = _gf_bezout([4, 0, 1], [3, 0, 1], p)
-        s, t = IntPoly(s_), IntPoly(t_)
+        g = (4, 0, 1)
+        h = (3, 0, 1)
+        s, t = (tuple(c) for c in _gf_bezout(list(g), list(h), p))
         m = p
         for _ in range(4):
-            g, h, s, t = _hensel_step(f, g, h, s, t, m)
             m = m * m
-            assert _mod_poly(f - g * h, m).is_zero()
-            assert _mod_poly(s * g + t * h - IntPoly.one(), m).is_zero()
-            assert h.leading_coefficient() == 1
+            g, h, s, t = _hensel_step(f.coeffs, g, h, s, t, m)
+            G, H, S, T = (IntPoly(c) for c in (g, h, s, t))
+            assert _mod_poly((f - G * H).coeffs, m) == ()
+            assert _mod_poly((S * G + T * H - IntPoly.one()).coeffs, m) == ()
+            assert H.leading_coefficient() == 1
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 12])
+    def test_multifactor_lift_reaches_exactly_p_to_the_K(self, K):
+        # lc 6, squarefree mod 19 with six factors (degrees 1, 1, 1, 1, 2, 3)
+        f = IntPoly((1, 0, 3)) * IntPoly((5, -1, 0, 1)) * IntPoly((7, 2))
+        f = f * IntPoly((-4, 1, 0, 1))
+        p = 19
+        mods = [list(g) for g, _ in factor_mod_p(f, p).factors]
+        assert len(mods) == 6
+        M = p**K
+        lifted = _hensel_lift_multi(f, mods, p, K)
+        assert len(lifted) == len(mods)
+        prod = IntPoly((f.leading_coefficient(),))
+        for g, gm in zip(lifted, mods):
+            assert g.leading_coefficient() == 1
+            assert all(0 <= c < M for c in g.coeffs)
+            assert _mod_poly(g.coeffs, p) == tuple(gm)
+            prod = prod * g
+        assert _mod_poly((f - prod).coeffs, M) == ()
 
     def test_mignotte_bound_covers_factors(self):
         f = IntPoly((-1, 0, 1)) * IntPoly((5, 7, 11))
@@ -366,3 +388,77 @@ class TestLargestFactorAndIrreducibility:
             return
         fac = factor_over_integers(f)
         assert is_irreducible(f) == fac.is_single_irreducible()
+
+
+def _digest(pairs) -> str:
+    """sha256 over (input coefficients, unit, factors) of each pair."""
+    h = hashlib.sha256()
+    for f, fac in pairs:
+        factors = [(g.coeffs, m) for g, m in fac.factors]
+        h.update(repr((f.coeffs, fac.unit, factors)).encode())
+    return h.hexdigest()
+
+
+class TestIntegerWorkOnly:
+    # C4, C4, D4, D4, C5, C5, D5, D5: the exact tier factors one difference
+    # resolvent of degree n(n - 1) for each
+    CYCLIC_OR_DIHEDRAL = (
+        IntPoly((5, 0, 5, 0, 1)),
+        IntPoly((2, 0, -4, 0, 1)),
+        IntPoly((-2, 0, 0, 0, 1)),
+        IntPoly((-3, 0, 0, 0, 2)),
+        IntPoly((1, 3, -3, -4, 1, 1)),
+        IntPoly((979, 2310, -55, -110, 0, 1)),
+        IntPoly((12, -5, 0, 0, 0, 1)),
+        IntPoly((1, 0, 0, 0, -5, 12)),
+    )
+    # recorded with the Fraction-based division and the p^(2^d) lift
+    RESOLVENT_DIGEST = (
+        "19c5db9e7706e68ed22cfa0ad2974d588d03d38d08512c187a8a49ba9e7ae2c1"
+    )
+
+    def test_difference_resolvent_factorizations_golden(self, monkeypatch):
+        seen = []
+
+        def recording(f, *args):
+            fac = factor_over_integers(f, *args)
+            seen.append((f, fac))
+            return fac
+
+        monkeypatch.setattr(galois_mod, "factor_over_integers", recording)
+        for f in self.CYCLIC_OR_DIHEDRAL:
+            before = len(seen)
+            galois_mod.exact_small_degree(f)
+            n = f.degree()
+            assert [g.degree() for g, _ in seen[before:]] == [n * (n - 1)]
+        assert _digest(seen) == self.RESOLVENT_DIGEST
+
+    def test_factoring_never_divides_over_the_rationals(self, monkeypatch):
+        # the classify inputs and every engine input (difference
+        # resolvents included) of one tables pass factor the same with
+        # IntPoly.to_rat disabled
+        inputs = {}
+        classify = galois_mod.classify
+
+        def record_classify(f, *args, **kwargs):
+            inputs.setdefault(f.coeffs, f)
+            return classify(f, *args, **kwargs)
+
+        def record_engine(f, *args):
+            inputs.setdefault(f.coeffs, f)
+            return factor_over_integers(f, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(galois_mod, "classify", record_classify)
+            patch.setattr(tables_mod, "classify", record_classify)
+            patch.setattr(galois_mod, "factor_over_integers", record_engine)
+            for table_id in TABLES:
+                reproduce(table_id, cache=None, verify=True)
+        want = [(f, factor_over_integers(f)) for f in inputs.values()]
+        assert any(f.degree() == 20 for f in inputs.values())
+
+        def refuse(self):
+            raise AssertionError("IntPoly.to_rat on an integer factoring path")
+
+        monkeypatch.setattr(IntPoly, "to_rat", refuse)
+        assert [(f, factor_over_integers(f)) for f in inputs.values()] == want

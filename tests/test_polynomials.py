@@ -20,6 +20,8 @@ from padegalois.polynomials import (
 from .oracles import (
     disc_from_resultant,
     disc_from_roots,
+    divides_by_fractions,
+    divmod_by_fractions,
     poly_from_roots,
     sylvester_resultant,
 )
@@ -85,6 +87,82 @@ class TestBasics:
         assert f.is_even_polynomial()
         assert f.even_part_compressed() == IntPoly((1, -3, 2))
         assert IntPoly((0, 1, 0, 5)).is_odd_polynomial()
+
+
+class TestIntegerDivision:
+    """divmod_exact, exact_div and divides divide in integers; they must
+    agree with RatPoly long division over Fraction."""
+
+    @staticmethod
+    def check_against_fractions(a, b):
+        try:
+            want = divmod_by_fractions(a, b)
+        except ValueError:
+            want = None
+        if want is None:
+            with pytest.raises(ValueError):
+                a.divmod_exact(b)
+            with pytest.raises(ValueError):
+                a.exact_div(b)
+        else:
+            assert a.divmod_exact(b) == want
+            if want[1].is_zero():
+                assert a.exact_div(b) == want[0]
+            else:
+                with pytest.raises(ValueError):
+                    a.exact_div(b)
+        assert b.divides(a) == divides_by_fractions(b, a)
+
+    @given(int_polys(), int_polys().filter(lambda b: not b.is_zero()))
+    def test_any_pair_matches_fractions(self, a, b):
+        self.check_against_fractions(a, b)
+
+    @given(
+        int_polys(max_degree=4),
+        int_polys(max_degree=4).filter(lambda b: not b.is_zero()),
+        int_polys(max_degree=2),
+        st.integers(-6, 6).filter(bool),
+    )
+    def test_exact_and_near_exact_pairs(self, q, b, r, k):
+        # b * q is exact; k * b is a non-primitive divisor of it; adding a
+        # small r makes the division inexact most of the time
+        for a in (b * q, b * q * k, b * q + r):
+            self.check_against_fractions(a, b)
+            self.check_against_fractions(a, b * k)
+
+    def test_non_monic_non_primitive_divisor(self):
+        f = IntPoly((-1, 0, 1))  # x^2 - 1
+        d = IntPoly((2, 2))  # 2x + 2
+        assert d.divides(f)
+        with pytest.raises(ValueError):
+            f.exact_div(d)  # the quotient (x - 1)/2 is not integral
+        assert (f * 2).exact_div(d) == IntPoly((-1, 1))
+        assert IntPoly((-3, 3)).divides(f)
+        assert not IntPoly((2, 3)).divides(f)
+        self.check_against_fractions(f, d)
+
+    def test_constant_divisor_and_zero_dividend(self):
+        f = IntPoly((6, -4, 2))
+        assert f.divmod_exact(IntPoly((2,))) == (IntPoly((3, -2, 1)), IntPoly.zero())
+        assert f.divmod_exact(IntPoly((-1,))) == (-f, IntPoly.zero())
+        with pytest.raises(ValueError):
+            f.exact_div(IntPoly((4,)))
+        assert IntPoly((4,)).divides(f)
+        zero = IntPoly.zero()
+        assert zero.divmod_exact(f) == (zero, zero)
+        assert f.divides(zero) and zero.divides(zero)
+        assert not zero.divides(f)
+        for a, b in ((f, IntPoly((2,))), (f, IntPoly((4,))), (zero, f)):
+            self.check_against_fractions(a, b)
+
+    def test_zero_divisor_raises(self):
+        f = IntPoly((1, 1))
+        with pytest.raises(ZeroDivisionError):
+            f.divmod_exact(IntPoly.zero())
+        with pytest.raises(ZeroDivisionError):
+            f.exact_div(IntPoly.zero())
+        with pytest.raises(ZeroDivisionError):
+            IntPoly.zero().exact_div(IntPoly.zero())
 
 
 class TestRatPoly:

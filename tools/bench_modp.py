@@ -38,7 +38,10 @@ squarefree tests.
 one pass of ``reproduce(t, cache=None, verify=True)`` over the six tables
 (recorded in set-up), split into the ``irreducible`` ones and the
 ``reducible`` ones (those whose factor degrees are not just their own
-degree, as ``classify`` decides).  For each group, the median time of one
+degree, as ``classify`` decides), and, as a third group ``resolvents``,
+the distinct difference resolvents (degree 12 or 20) that
+``_difference_degrees_item`` factors in that pass, where most of the
+Hensel lifting happens.  For each group, the median time of one
 ``factor_over_integers(f)`` over ``FACTOR_REPS`` calls on every input
 (``median_s``), and the sum over the inputs of each input's median
 (``total_s``), which is what one such pass spends factoring them.
@@ -263,13 +266,17 @@ def time_polynomials(speed: MachineSpeed) -> dict:
     return out
 
 
-def classify_inputs() -> tuple[list[IntPoly], int]:
+def classify_inputs() -> tuple[list[IntPoly], list[IntPoly], int]:
     """The distinct polynomials classify is called on in one pass over the
-    six tables, with verification, in the order of their first call, and
-    the number of factor_over_integers calls in that pass."""
-    seen = {}
+    six tables, with verification, in the order of their first call; the
+    distinct difference resolvents _difference_degrees_item factors in that
+    pass, in the same order; and the number of factor_over_integers calls
+    in that pass."""
+    seen, resolvents = {}, {}
     engine_calls = 0
+    in_item = False
     original = galois.classify
+    original_item = galois._difference_degrees_item
 
     def recording(f, *args, **kwargs):
         seen.setdefault(f.coeffs, f)
@@ -280,8 +287,25 @@ def classify_inputs() -> tuple[list[IntPoly], int]:
         engine_calls += 1
         return factor_over_integers(*args, **kwargs)
 
+    def counting_in_galois(f, *args, **kwargs):
+        # the item factors its resolvent through the galois binding; the
+        # irreducibility test of a Tschirnhaus shift goes through factor's
+        if in_item:
+            resolvents.setdefault(f.coeffs, f)
+        return counting(f, *args, **kwargs)
+
+    def item(*args, **kwargs):
+        nonlocal in_item
+        in_item = True
+        try:
+            return original_item(*args, **kwargs)
+        finally:
+            in_item = False
+
     galois.classify = tables.classify = recording
-    galois.factor_over_integers = factor.factor_over_integers = counting
+    galois.factor_over_integers = counting_in_galois
+    factor.factor_over_integers = counting
+    galois._difference_degrees_item = item
     try:
         for table_id in TABLES:
             reproduce(table_id, cache=None, verify=True)
@@ -289,14 +313,15 @@ def classify_inputs() -> tuple[list[IntPoly], int]:
         galois.classify = tables.classify = original
         galois.factor_over_integers = factor_over_integers
         factor.factor_over_integers = factor_over_integers
-    return list(seen.values()), engine_calls
+        galois._difference_degrees_item = original_item
+    return list(seen.values()), list(resolvents.values()), engine_calls
 
 
-def time_factoring(speed: MachineSpeed, polys, engine_calls: int) -> dict:
+def time_factoring(speed: MachineSpeed, polys, resolvents, engine_calls: int) -> dict:
     """Median and summed seconds of factor_over_integers, for the
-    irreducible and the reducible classify inputs, and the engine calls
-    of the pass that recorded them."""
-    groups = {"irreducible": [], "reducible": []}
+    irreducible and the reducible classify inputs and for the difference
+    resolvents, and the engine calls of the pass that recorded them."""
+    groups = {"irreducible": [], "reducible": [], "resolvents": resolvents}
     for f in polys:
         shape = factor_over_integers(f).degree_multiset()
         groups["irreducible" if shape == [f.degree()] else "reducible"].append(f)
@@ -368,7 +393,7 @@ def git_revision() -> str | None:
 def main() -> None:
     rng = random.Random(SEED)
     polys = {n: squarefree_poly(n, rng) for n in DEGREES}
-    inputs, engine_calls = classify_inputs()
+    inputs, resolvents, engine_calls = classify_inputs()
     with MachineSpeed() as speed:
         timed = {
             "by_degree": {str(n): time_samples(speed, f) for n, f in polys.items()},
@@ -378,7 +403,7 @@ def main() -> None:
             },
             "resolvents": time_resolvents(speed, rng),
             "polynomials": time_polynomials(speed),
-            "factoring": time_factoring(speed, inputs, engine_calls),
+            "factoring": time_factoring(speed, inputs, resolvents, engine_calls),
             "pade": time_pade(speed),
         }
     result = {
