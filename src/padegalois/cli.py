@@ -2,9 +2,12 @@
 
 Subcommands mirror the library layers: ``series``, ``pade``, ``factor``,
 ``newton``, ``galois``, ``schur``, and the table harness ``reproduce``.
-Structured output is requested with ``--json`` (all commands) or
-``--csv`` (reproduce only); everything is deterministic, so identical
-invocations produce identical bytes.
+Each subcommand takes only the options it reads: structured output with
+``--json`` (all commands) or ``--csv`` (reproduce only), ``--prime-bound``
+on ``galois``, ``schur`` and ``reproduce``, and the cache options
+``--no-cache``, ``--verify-cache`` and ``--cache-dir`` on ``reproduce``
+only.  Everything is deterministic, so identical invocations produce
+identical bytes.
 
 Exit codes: 0 on success (for ``reproduce``: every cell matched), 1 when
 a reproduction cell mismatches, 2 on any pipeline error (bad input,
@@ -215,11 +218,7 @@ def _cmd_pade_scan(args) -> int:
         }
         for d, n, p_div, q_div in report.pairs
     ]
-    violations = [
-        p
-        for p in pairs
-        if not (p["numerator_divides"] and p["denominator_divides"])
-    ]
+    violations = len(report.failures())
     if args.json:
         _print_json(
             {
@@ -227,7 +226,7 @@ def _cmd_pade_scan(args) -> int:
                 "series": sid.value,
                 "max_order": report.max_order,
                 "pairs": pairs,
-                "violations": len(violations),
+                "violations": violations,
             }
         )
         return 0
@@ -240,7 +239,7 @@ def _cmd_pade_scan(args) -> int:
             f"  P {mark_p:<3}  Q {mark_q}"
         )
     print(
-        f"{len(pairs)} divisor pairs, {len(violations)} violation(s)"
+        f"{len(pairs)} divisor pairs, {violations} violation(s)"
         if violations
         else f"{len(pairs)} divisor pairs, all divide"
     )
@@ -489,36 +488,16 @@ def _cmd_reproduce(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    output = common.add_mutually_exclusive_group()
-    output.add_argument(
+    common.add_argument(
         "--json", action="store_true", help="structured JSON output"
     )
-    output.add_argument(
-        "--csv",
-        action="store_true",
-        help="CSV output (reproduce only)",
-    )
-    common.add_argument(
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument(
         "--prime-bound",
         type=int,
         default=DEFAULT_PRIME_BOUND,
         help="largest prime sampled by the identification tiers "
         f"(default {DEFAULT_PRIME_BOUND})",
-    )
-    common.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    common.add_argument(
-        "--verify-cache",
-        action="store_true",
-        help="recompute every cache hit and require bit-identical results",
-    )
-    common.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="cache directory (default: $PADEGALOIS_CACHE_DIR or "
-        "~/.cache/padegalois)",
     )
 
     parser = argparse.ArgumentParser(
@@ -579,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_newton.set_defaults(handler=_cmd_newton)
 
     p_galois = sub.add_parser(
-        "galois", parents=[common], help="identify a Galois group"
+        "galois", parents=[common, sampled], help="identify a Galois group"
     )
     p_galois.add_argument(
         "--poly", required=True, help="polynomial text, JSON array, or file"
@@ -593,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_schur = sub.add_parser(
         "schur",
-        parents=[common],
+        parents=[common, sampled],
         help="irreducibility certificates and identities for the scaled "
         "exponential truncation",
     )
@@ -607,12 +586,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repro = sub.add_parser(
         "reproduce",
-        parents=[common],
+        parents=[sampled],
         help="recompute one expected-values table and compare every cell",
     )
     p_repro.add_argument(
         "table",
         help="table id: " + ", ".join(sorted(TABLES)),
+    )
+    output = p_repro.add_mutually_exclusive_group()
+    output.add_argument(
+        "--json", action="store_true", help="structured JSON output"
+    )
+    output.add_argument("--csv", action="store_true", help="CSV output")
+    p_repro.add_argument(
+        "--no-cache", action="store_true", help="bypass the result cache"
+    )
+    p_repro.add_argument(
+        "--verify-cache",
+        action="store_true",
+        help="recompute every cache hit and require bit-identical results",
+    )
+    p_repro.add_argument(
+        "--cache-dir",
+        type=Path,
+        default=None,
+        help="cache directory (default: $PADEGALOIS_CACHE_DIR or "
+        "~/.cache/padegalois)",
     )
     p_repro.add_argument(
         "--verify",
@@ -627,9 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.csv and args.handler is not _cmd_reproduce:
-        print("error: --csv is only available for reproduce", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except (

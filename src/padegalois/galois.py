@@ -23,9 +23,10 @@ same stream with its own stopping rule:
   n/2 < q < n - 2 forces the alternating group (Jordan), and the
   discriminant picks between A_n and S_n; it stops at the first such
   cycle.
-- ``wreath_structure`` — f(x) = g(x^2) or x*g(x^2) gives a proven
-  embedding into C2 wr Gal(g); the element orders of the first samples
-  give an order lower bound.
+- ``wreath_structure`` — f(x) = g(x^2): the verdict "subgroup of
+  C2 wr Gal(g)", proven when the verdict on g is; the element orders of
+  the first samples give an order lower bound.  classify takes this
+  tier from degree 8 on, once cyclicity is refuted.
 
 Every tier only gathers evidence items; ``_verdict`` holds the rules
 that turn a list of items into a group name, a T-notation and a
@@ -216,27 +217,6 @@ class GaloisIdentification:
         )
 
 
-@dataclass(frozen=True)
-class WreathReport:
-    """Block-structure analysis of f(x) = g(x^2) or x*g(x^2).
-
-    The embedding claim (the group lies inside C2 wr Gal(g)) is exact;
-    the full claim (equality with the hyperoctahedral group C2 wr S_t)
-    is only ever heuristic.
-    """
-
-    detected: bool
-    pattern: str | None = None
-    inner_polynomial: IntPoly | None = None
-    inner: GaloisIdentification | None = None
-    embedding: str | None = None
-    embedding_certainty: Certainty | None = None
-    full_claim: str | None = None
-    full_claim_certainty: Certainty | None = None
-    order_lower_bound: int = 1
-    evidence: tuple[dict, ...] = ()
-
-
 # ---------------------------------------------------------------------------
 # Tier 1: Frobenius cycle types via factorization shapes mod p
 # ---------------------------------------------------------------------------
@@ -299,14 +279,14 @@ class FrobeniusSamples:
 
 
 def _tier_stream(
-    f, prime_bound, stream, lo=1, hi=None, message=None, irreducible=True
+    f, prime_bound, stream, lo=1, hi=None, message=None
 ) -> FrobeniusSamples:
     """The Frobenius stream that a sampling tier reads.
 
     classify passes its own stream, on a target it has already factored,
-    and gets it back unchecked.  Otherwise f must be an IntPoly of degree
-    lo..hi (else ValueError with ``message``) and, if ``irreducible``, be
-    irreducible; then a fresh stream of f up to prime_bound is opened.
+    and gets it back unchecked.  Otherwise f must be an irreducible
+    IntPoly of degree lo..hi (else ValueError, with ``message`` for the
+    degree); then a fresh stream of f up to prime_bound is opened.
     """
     if stream is not None:
         return stream
@@ -314,7 +294,7 @@ def _tier_stream(
         raise TypeError("expected an IntPoly")
     if f.degree() < lo or (hi is not None and f.degree() > hi):
         raise ValueError(message or "need a nonconstant polynomial")
-    if irreducible and not is_irreducible(f):
+    if not is_irreducible(f):
         raise ValueError("polynomial is reducible")
     return FrobeniusSamples(f, prime_bound)
 
@@ -679,18 +659,13 @@ def _jordan_item(p: int, t: CycleType, window) -> dict | None:
 
 
 def _block_structure(f: IntPoly):
-    """(block_structure item, h) for f = h(x^2) or x*h(x^2), else None."""
-    if f.is_even_polynomial():
-        pattern, inner = "g(x^2)", f.even_part_compressed()
-    elif f.is_odd_polynomial() and f.degree() >= 3:
-        pattern, inner = "x*g(x^2)", IntPoly(f.coeffs[1::2])
-    else:
+    """(block_structure item, h) for f = h(x^2) of degree >= 2, else None."""
+    if f.degree() < 2 or not f.is_even_polynomial():
         return None
-    if inner.degree() < 1:
-        return None
+    inner = f.even_part_compressed()
     item = {
         "kind": "block_structure",
-        "pattern": pattern,
+        "pattern": "g(x^2)",
         "inner": format_poly(inner),
     }
     return item, inner
@@ -738,8 +713,6 @@ def _block_order_item(f: IntPoly, inner, before) -> dict | None:
     if not inner.certainty.is_proven or found is None:
         return None
     structure, h = found
-    if structure["pattern"] != "g(x^2)":
-        return None
     cut = _block_order_cut(inner.group_name, h.degree(), before, f.degree())
     if cut is None:
         return None
@@ -769,11 +742,10 @@ def _verdict(n: int, evidence, inner: GaloisIdentification | None = None):
     here, and verify_identification re-derives a stored verdict here
     once its items have been replayed.  Only the items are read, with
     the census and, for the block rules, ``inner``: the verdict on h
-    where f = h(x^2) or x*h(x^2).  The ``samples`` counts are taken as
-    stated, and so are the candidates of a cyclic verdict, which
-    verify_identification re-derives apart.  Raises
-    ValueError when the items imply no verdict, RuntimeError when they
-    leave no census group.
+    where f = h(x^2).  The ``samples`` counts are taken as stated, and
+    so are the candidates of a cyclic verdict, which
+    verify_identification re-derives apart.  Raises ValueError when the
+    items imply no verdict, RuntimeError when they leave no census group.
     """
     first: dict[str, dict] = {}
     for item in evidence:
@@ -992,7 +964,7 @@ def _census_verdict(
     if ident.certainty.is_proven:
         return ident
     found = _block_structure(g)
-    if found is None or found[0]["pattern"] != "g(x^2)":
+    if found is None:
         return ident
     inner = classify(found[1], prime_bound)
     item = _block_order_item(g, inner, ident.certainty.candidates)
@@ -1080,41 +1052,29 @@ def wreath_structure(
     prime_bound: int = DEFAULT_PRIME_BOUND,
     *,
     _stream: FrobeniusSamples | None = None,
-) -> WreathReport:
-    """Detect f(x) = g(x^2) or x*g(x^2) and analyze the block structure.
+) -> GaloisIdentification:
+    """Prove the block embedding of irreducible f(x) = g(x^2).
 
-    The roots then pair up as (root, -root) over the roots of g, so the
-    group embeds into C2 wr Gal(g) acting on t blocks of size 2 — that
-    embedding is exact.  Whether the group is all of the hyperoctahedral
-    group C2 wr S_t stays heuristic; an order lower bound from sampled
-    Frobenius element orders is attached for calibration.
+    The roots pair up as (root, -root) over the roots of g, so the group
+    embeds into C2 wr Gal(g) on t blocks of size 2; the verdict is proven
+    when the one on g is.  The lcm of the element orders of the first
+    WREATH_ORDER_SAMPLES samples is a stated order lower bound.  Raises
+    ValueError when f is not g(x^2).
     """
-    stream = _tier_stream(f, prime_bound, _stream, irreducible=False)
+    stream = _tier_stream(f, prime_bound, _stream, 2)
     found = _block_structure(f)
     if found is None:
-        return WreathReport(detected=False)
+        raise ValueError("polynomial is not of the form g(x^2)")
     structure, inner_poly = found
     inner = classify(inner_poly, prime_bound)
     orders = [t.order() for _, t in islice(stream, WREATH_ORDER_SAMPLES)]
-    samples = len(orders)
-    bound = lcm(*orders)
-    evidence = (
-        structure,
-        _inner_group_item(inner),
-        {"kind": "order_lower_bound", "value": bound, "samples": samples},
-    )
-    name, _, embedding_certainty = _verdict(f.degree(), evidence, inner)
-    return WreathReport(
-        detected=True,
-        pattern=structure["pattern"],
-        inner_polynomial=inner_poly,
-        inner=inner,
-        embedding=name.removeprefix("subgroup of "),
-        embedding_certainty=embedding_certainty,
-        full_claim=f"C2 wr S{inner_poly.degree()}",
-        full_claim_certainty=Certainty.heuristic(samples, prime_bound),
-        order_lower_bound=bound,
-        evidence=evidence,
+    bound = {
+        "kind": "order_lower_bound",
+        "value": lcm(*orders),
+        "samples": len(orders),
+    }
+    return _ident(
+        f.degree(), [structure, _inner_group_item(inner), bound], inner
     )
 
 
@@ -1151,8 +1111,7 @@ def _classify_irreducible(
         # q-cycle, q an odd prime > n/2, moves both points of some block; it
         # cannot move that block (q moved blocks hold 2q points), so it
         # would swap the two points, which no q-cycle does.
-        report = wreath_structure(g, prime_bound, _stream=stream)
-        return _ident(n, report.evidence, report.inner)
+        return wreath_structure(g, prime_bound, _stream=stream)
     # A Jordan sample is never uniform, so none comes before the sample
     # that refuted cyclicity; the hunt reads on past it to its cap.
     return sn_an_certificate(g, prime_bound, _stream=stream)

@@ -138,9 +138,6 @@ class DivisibilityReport:
     pairs: tuple[tuple[int, int, bool, bool], ...]
     # each entry: (n, m, numerator_divides, denominator_divides)
 
-    def all_divide(self) -> bool:
-        return all(pn and qn for (_, _, pn, qn) in self.pairs)
-
     def failures(self) -> list[tuple[int, int, bool, bool]]:
         return [row for row in self.pairs if not (row[2] and row[3])]
 

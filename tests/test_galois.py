@@ -447,44 +447,64 @@ class TestCyclicHeuristic:
 # ---------------------------------------------------------------------------
 
 
+# The two paper cells that the wreath tier decides, with the digest of
+# their classify verdict: (table, order, digest).
+_BLOCK_CELLS = [
+    (  # the Q column, 35*x^8 - 1260*x^6 + ..., in C2 wr S4
+        "Atanh2Pade",
+        16,
+        "6853ed77b50b4914f5e85d9e32886ee04be2d7e753de4e0edc166ca5c0c545f5",
+    ),
+    (  # x^9 + 3024*x^5 + 362880*x: its degree-8 factor, in C2 wr D4
+        "SinSinh",
+        9,
+        "ef2d676e51c6b77cf99ea224c0ef6c41db488f9391d682de0e59440c0cc820d6",
+    ),
+]
+
+
+def _verdict_digest(ident) -> str:
+    text = json.dumps(ident.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestWreathStructure:
     def test_even_quartic(self):
-        rep = wreath_structure(IntPoly((7, 0, 1, 0, 1)))
-        assert rep.detected
-        assert rep.pattern == "g(x^2)"
-        assert rep.inner.group_name == "C2"
-        assert rep.embedding == "C2 wr C2"
-        assert rep.embedding_certainty.kind == "proven"
-        assert rep.full_claim == "C2 wr S2"
-        assert rep.full_claim_certainty.kind == "heuristic"
-        assert rep.order_lower_bound in (4, 8)
+        f = IntPoly((7, 0, 1, 0, 1))
+        ident = wreath_structure(f)
+        assert ident.group_name == "subgroup of C2 wr C2"
+        assert ident.t_notation is None
+        assert ident.certainty.kind == "proven"
+        structure, inner, bound = ident.evidence
+        assert structure == {
+            "kind": "block_structure",
+            "pattern": "g(x^2)",
+            "inner": "x^2 + x + 7",
+        }
+        assert inner == {
+            "kind": "inner_group",
+            "name": "C2",
+            "certainty": "proven",
+        }
+        assert bound["kind"] == "order_lower_bound"
+        assert bound["value"] in (4, 8)
+        assert verify_identification(f, ident)
 
     def test_odd_pattern(self):
-        # x^5 + 2x^3 + 5x = x * (x^4 + 2x^2 + 5): inner is the compressed
-        # quadratic y^2 + 2y + 5
-        rep = wreath_structure(IntPoly((0, 5, 0, 2, 0, 1)))
-        assert rep.detected
-        assert rep.pattern == "x*g(x^2)"
-        assert rep.inner_polynomial == IntPoly((5, 2, 1))
+        # x^5 + 2x^3 + 5x = x * (x^4 + 2x^2 + 5) is reducible and not g(x^2)
+        with pytest.raises(ValueError):
+            wreath_structure(IntPoly((0, 5, 0, 2, 0, 1)))
 
     def test_no_structure(self):
-        assert not wreath_structure(IntPoly((1, 1, 0, 1))).detected
+        # x^3 + x + 1 is irreducible but not g(x^2)
+        with pytest.raises(ValueError, match="g\\(x\\^2\\)"):
+            wreath_structure(IntPoly((1, 1, 0, 1)))
 
-    @pytest.mark.parametrize(
-        ("table", "order", "digest"),
-        [
-            (  # the Q column, 35*x^8 - 1260*x^6 + ..., in C2 wr S4
-                "Atanh2Pade",
-                16,
-                "6853ed77b50b4914f5e85d9e32886ee04be2d7e753de4e0edc166ca5c0c545f5",
-            ),
-            (  # x^9 + 3024*x^5 + 362880*x: its degree-8 factor, in C2 wr D4
-                "SinSinh",
-                9,
-                "ef2d676e51c6b77cf99ea224c0ef6c41db488f9391d682de0e59440c0cc820d6",
-            ),
-        ],
-    )
+    def test_reducible_even_input_raises(self):
+        with pytest.raises(ValueError, match="reducible"):
+            wreath_structure(IntPoly((-1, 0, 0, 0, 1)))
+
+    @pytest.mark.parametrize(("table", "order", "digest"), _BLOCK_CELLS)
     def test_block_target_skips_the_jordan_hunt(
         self, monkeypatch, table, order, digest
     ):
@@ -500,15 +520,33 @@ class TestWreathStructure:
         monkeypatch.setattr(galois, "sn_an_certificate", counting)
         ident = classify(_column_polys(table, order)[-1])
         assert calls == []
-        text = json.dumps(ident.to_dict(), sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert _verdict_digest(ident) == digest
+
+    @pytest.mark.parametrize(("table", "order", "digest"), _BLOCK_CELLS)
+    def test_tier_verdict_is_the_classify_verdict(self, table, order, digest):
+        poly = _column_polys(table, order)[-1]
+        target = max(
+            (g for g, _ in factor_over_integers(poly).factors),
+            key=IntPoly.degree,
+        )
+        ident = wreath_structure(target)
+        assert ident == classify(target)
+        assert verify_identification(target, ident)
+        # on the column polynomial classify adds only its reducible item
+        full = classify(poly)
+        pre = full.evidence[: len(full.evidence) - len(ident.evidence)]
+        assert all(e["kind"] == "reducible" for e in pre)
+        whole = dataclasses.replace(ident, evidence=pre + ident.evidence)
+        assert _verdict_digest(whole) == digest
 
     def test_order_bound_divides_wreath_order(self):
-        rep = wreath_structure(IntPoly((7, 0, 0, 0, 1, 0, 0, 0, 1)))
-        assert rep.detected
-        t = rep.inner_polynomial.degree()
-        full = 2**t * 24  # |C2 wr S4|
-        assert full % rep.order_lower_bound == 0
+        ident = wreath_structure(IntPoly((7, 0, 0, 0, 1, 0, 0, 0, 1)))
+        assert ident.certainty.kind == "proven"
+        bound = next(
+            e for e in ident.evidence if e["kind"] == "order_lower_bound"
+        )
+        full = 2**4 * 24  # |C2 wr S4|
+        assert full % bound["value"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -480,9 +480,37 @@ class TestCliCommands:
         assert payload["matches_expectation"] is True
 
     def test_csv_rejected_outside_reproduce(self, capsys):
-        rc = main(["factor", "--poly", "x^2 - 1", "--csv"])
-        assert rc == 2
-        assert "only available for reproduce" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", "--poly", "x^2 - 1", "--csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("argv", "extra"),
+        [
+            (["series", "--id", "exp", "--order", "3"], ["--prime-bound", "7"]),
+            (["pade", "--series", "exp", "--order", "5"], ["--no-cache"]),
+            (["pade", "scan-divisibility", "--series", "exp"], ["--csv"]),
+            (["factor", "--poly", "x^2 - 1"], ["--prime-bound", "7"]),
+            (
+                ["newton", "--series", "exp", "--n", "4", "--prime", "3"],
+                ["--csv"],
+            ),
+            (["galois", "--poly", "x^2 - 2"], ["--cache-dir", "somewhere"]),
+            (["galois", "--poly", "x^2 - 2"], ["--csv"]),
+            (["schur", "--n", "5"], ["--verify-cache"]),
+            (["schur", "--n", "5"], ["--no-cache"]),
+        ],
+    )
+    def test_option_outside_its_scope_is_refused(self, argv, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "unrecognized arguments: " + " ".join(extra) + "\n"
+        )
 
     def test_unknown_series_tag(self, capsys):
         rc = main(["series", "--id", "bogus", "--order", "3"])
