@@ -203,6 +203,8 @@ def _cmd_pade(args) -> int:
 
 
 def _cmd_pade_scan(args) -> int:
+    if args.order is not None or args.factor:
+        raise CliError("scan-divisibility takes neither --order nor --factor")
     if args.series is None:
         raise CliError("scan-divisibility requires --series")
     sid = _series_id(args.series)
@@ -532,10 +534,17 @@ def build_parser() -> argparse.ArgumentParser:
     pade_sub = p_pade.add_subparsers(dest="mode")
     p_scan = pade_sub.add_parser(
         "scan-divisibility",
-        parents=[common],
         help="check the order-divisibility law on numerators/denominators",
     )
-    p_scan.add_argument("--series", help="series tag")
+    # --json and --series may come before or after the leaf name: with
+    # SUPPRESS, an option the leaf does not see keeps the value from `pade`
+    p_scan.add_argument(
+        "--json",
+        action="store_true",
+        default=argparse.SUPPRESS,
+        help="structured JSON output",
+    )
+    p_scan.add_argument("--series", default=argparse.SUPPRESS, help="series tag")
     p_scan.add_argument("--max", type=int, help="largest order to scan")
     p_scan.set_defaults(handler=_cmd_pade)
 

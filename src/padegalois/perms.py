@@ -7,8 +7,6 @@ e.g. ``(1,2,3)(4,5)``; the identity prints as ``()``.
 
 from __future__ import annotations
 
-from math import lcm
-
 Perm = tuple[int, ...]
 
 
@@ -18,7 +16,7 @@ def identity(n: int) -> Perm:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """a after b: the result maps i to a[b[i]]."""
-    return tuple(a[x] for x in b)
+    return tuple([a[x] for x in b])
 
 
 def inverse(p: Perm) -> Perm:
@@ -55,10 +53,6 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 def is_even(p: Perm) -> bool:
     """True when p is an even permutation."""
     return sum(len(c) - 1 for c in cycles_of(p)) % 2 == 0
-
-
-def perm_order(p: Perm) -> int:
-    return lcm(*(len(c) for c in cycles_of(p))) if p else 1
 
 
 def format_cycles(p: Perm) -> str:

@@ -305,9 +305,6 @@ class IntPoly(_BasePoly):
     def is_even_polynomial(self) -> bool:
         return all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 1)
 
-    def is_odd_polynomial(self) -> bool:
-        return all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 0)
-
     def even_part_compressed(self) -> "IntPoly":
         """For f(x) = g(x^2) return g; caller must check evenness."""
         return IntPoly(self.coeffs[0::2])

@@ -34,14 +34,32 @@ in the package, so agreement is meaningful:
 * ``divmod_by_fractions`` / ``divides_by_fractions`` -- integer
   polynomial division as ``RatPoly`` long division over Fraction, with
   the integrality of the quotient and remainder checked afterwards.
+* ``census_by_closure``     -- the transitive-group records of a degree
+  from the shipped generators by brute force: every element of every
+  group is listed, and the order, the cycle types and the parity are read
+  off the elements.
+
+Two helpers that only the tests need live here too: ``perm_order`` (the
+order of a permutation, the lcm of its cycle lengths) and
+``group_record`` (one census record by degree and t-number).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from importlib import resources
 
+from padegalois.groupdata import TransitiveGroupRecord, transitive_groups
 from padegalois.modp import gf_divmod, gf_gcd, gf_mod, gf_pow_mod, gf_sub
+from padegalois.perms import (
+    Perm,
+    closure,
+    cycle_type,
+    cycles_of,
+    is_even,
+    parse_cycles,
+)
 from padegalois.polynomials import IntPoly, RatPoly, resultant
 
 
@@ -522,3 +540,44 @@ def divides_by_fractions(d: IntPoly, f: IntPoly) -> bool:
     if d.is_zero():
         return f.is_zero()
     return (f.to_rat() % d.to_rat()).is_zero()
+
+
+def perm_order(p: Perm) -> int:
+    """The order of p: the lcm of its cycle lengths."""
+    return math.lcm(*(len(c) for c in cycles_of(p))) if p else 1
+
+
+def group_record(degree: int, t_number: int) -> TransitiveGroupRecord:
+    """The census record degreeTt_number (KeyError when there is none)."""
+    for record in transitive_groups(degree):
+        if record.t_number == t_number:
+            return record
+    raise KeyError(f"{degree}T{t_number}")
+
+
+def census_by_closure(degree: int) -> tuple[TransitiveGroupRecord, ...]:
+    """The census records of the degree, every group closed element by
+    element, ascending in t-number."""
+    text = (
+        resources.files("padegalois")
+        .joinpath("data/transitive_groups.txt")
+        .read_text()
+    )
+    records = []
+    for line in text.splitlines():
+        fields = line.split()
+        if not fields or fields[0].startswith("#") or int(fields[0]) != degree:
+            continue
+        gens = tuple(parse_cycles(tok, degree) for tok in fields[2:])
+        elements = closure(list(gens), degree)
+        records.append(
+            TransitiveGroupRecord(
+                degree=degree,
+                t_number=int(fields[1]),
+                generators=gens,
+                order=len(elements),
+                cycle_types=frozenset(cycle_type(e) for e in elements),
+                all_even=all(is_even(e) for e in elements),
+            )
+        )
+    return tuple(sorted(records, key=lambda r: r.t_number))

@@ -36,7 +36,6 @@ from padegalois.galois import (
     verify_identification,
     wreath_structure,
 )
-from padegalois.groupdata import group_record
 from padegalois.pade import pade_diagonal
 from padegalois.polynomials import (
     IntPoly,
@@ -51,6 +50,7 @@ from padegalois.tables import TABLES, _column_polys
 from .oracles import (
     cycle_type_by_gcd,
     difference_resolvent_by_interpolation,
+    group_record,
     tschirnhaus_by_resultants,
 )
 

@@ -1,9 +1,12 @@
 """Permutation utilities and the embedded transitive-group records."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
-from padegalois.groupdata import NAMES, group_record, transitive_groups
+from padegalois import groupdata
+from padegalois.groupdata import NAMES, _chain_order, transitive_groups
 from padegalois.perms import (
     closure,
     compose,
@@ -16,10 +19,17 @@ from padegalois.perms import (
     is_transitive,
     orbit,
     parse_cycles,
-    perm_order,
 )
 
+from .oracles import census_by_closure, group_record, perm_order
+
 perms = st.integers(1, 9).flatmap(lambda n: st.permutations(list(range(n))).map(tuple))
+generator_sets = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.permutations(list(range(n))).map(tuple), max_size=3),
+    )
+)
 
 
 def parity_by_inversions(p) -> bool:
@@ -90,6 +100,11 @@ class TestPermBasics:
         assert is_transitive([parse_cycles("(1,2,3,4)", 4)], 4)
         assert not is_transitive([parse_cycles("(1,2)", 4)], 4)
 
+    @given(generator_sets)
+    def test_chain_order_is_closure_size(self, case):
+        n, gens = case
+        assert _chain_order(gens, n) == len(closure(gens, n))
+
 
 # ground truth: the classical census of transitive groups up to degree 7
 EXPECTED_ORDERS = {
@@ -152,6 +167,28 @@ class TestGroupData:
         assert psl32.cycle_types == {
             (1,) * 7, (2, 2, 1, 1, 1), (3, 3, 1), (4, 2, 1), (7,),
         }
+
+    def test_records_equal_closure_oracle(self):
+        for degree in range(2, 8):
+            assert transitive_groups(degree) == census_by_closure(degree)
+
+    def test_no_large_group_is_closed(self, monkeypatch):
+        closed = []
+
+        def recording(generators, n):
+            elements = closure(generators, n)
+            closed.append((n, len(elements)))
+            return elements
+
+        monkeypatch.setattr(groupdata, "closure", recording)
+        transitive_groups.cache_clear()
+        try:
+            records = [r for d in range(2, 8) for r in transitive_groups(d)]
+        finally:
+            transitive_groups.cache_clear()
+        small = [r for r in records if 2 * r.order < factorial(r.degree)]
+        assert sorted(closed) == sorted((r.degree, r.order) for r in small)
+        assert max(order for _, order in closed) == 168
 
     def test_every_record_is_named(self):
         for degree in range(2, 8):

@@ -86,7 +86,9 @@ class TestBasics:
         f = IntPoly((1, 0, -3, 0, 2))
         assert f.is_even_polynomial()
         assert f.even_part_compressed() == IntPoly((1, -3, 2))
-        assert IntPoly((0, 1, 0, 5)).is_odd_polynomial()
+        odd = IntPoly((0, 1, 0, 5))
+        assert not odd.is_even_polynomial()
+        assert all(c == 0 for c in odd.coeffs[0::2])
 
 
 class TestIntegerDivision:

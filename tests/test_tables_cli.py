@@ -403,6 +403,30 @@ class TestCliCommands:
         assert (2, 4) in broken and (3, 6) in broken
         assert payload["violations"] == len(broken)
 
+    def test_scan_divisibility_json_before_leaf(self, capsys):
+        argv = ["scan-divisibility", "--series", "exp", "--max", "3"]
+        rc = main(["pade", "--json"] + argv)
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert payload["schema"] == "padegalois-pade-scan/1"
+        assert payload["max_order"] == 3
+
+    def test_scan_divisibility_series_before_leaf(self, capsys):
+        rc = main(["pade", "--series", "exp", "scan-divisibility", "--max", "2"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith(
+            "divisibility scan of exp up to order 2\n"
+        )
+
+    @pytest.mark.parametrize("extra", [["--order", "3"], ["--factor"]])
+    def test_scan_divisibility_refuses_pade_options(self, extra, capsys):
+        argv = ["scan-divisibility", "--series", "exp", "--max", "2"]
+        rc = main(["pade"] + extra + argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "takes neither --order nor --factor" in captured.err
+
     def test_factor_json_machine_form(self, capsys):
         rc = main(["factor", "--poly", '["-4","0","0","0","1"]', "--json"])
         payload = json.loads(capsys.readouterr().out)

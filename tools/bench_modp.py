@@ -54,6 +54,13 @@ of ``tables._column_polys(table, order)``, which is ``pade_diagonal`` of
 that table's series at that order, and the sum of those medians
 (``total_s``).
 
+``census``: for each degree 2..7, the median time over ``CENSUS_REPS``
+rebuilds of ``transitive_groups(degree)``, each after
+``transitive_groups.cache_clear()``, so every rebuild recomputes the
+orders, cycle types and parities of that degree's groups; and the sum of
+those medians (``total_s``), about what a fresh process spends building
+the census.
+
 Every time is in seconds at nominal machine speed: ``perfbench/speed.py``
 samples the speed of the host all through the run, and each timed call is
 scaled by the speed sampled around it, which takes out most of a shared
@@ -91,6 +98,7 @@ from padegalois.galois import (  # noqa: E402
     _tschirnhaus_quadratic,
     dedekind_cycle_type,
 )
+from padegalois.groupdata import transitive_groups  # noqa: E402
 from padegalois.modp import (  # noqa: E402
     _dot,
     _slot_words,
@@ -123,6 +131,7 @@ POLY_REPS = 25
 FACTOR_REPS = 3
 PADE_REPS = 5
 PADE_TABLES = ("ExpPade", "InvSqrtPade", "Atanh2Pade")
+CENSUS_REPS = 15
 SEED = 20201
 COEFF_BOUND = 50
 
@@ -362,6 +371,24 @@ def time_pade(speed: MachineSpeed) -> dict:
     return out
 
 
+def time_census(speed: MachineSpeed) -> dict:
+    """Median seconds of one census rebuild of each degree."""
+
+    def rebuild(degree: int):
+        transitive_groups.cache_clear()
+        return transitive_groups(degree)
+
+    out = {
+        str(degree): median_call_s(
+            speed, (lambda d=degree: rebuild(d) for _ in range(CENSUS_REPS))
+        )
+        for degree in range(2, 8)
+    }
+    medians = list(out.values())
+    out["total_s"] = lambda: sum(median() for median in medians)
+    return out
+
+
 def resolve(obj):
     """obj with every thunk replaced by its value."""
     if isinstance(obj, dict):
@@ -405,6 +432,7 @@ def main() -> None:
             "polynomials": time_polynomials(speed),
             "factoring": time_factoring(speed, inputs, resolvents, engine_calls),
             "pade": time_pade(speed),
+            "census": time_census(speed),
         }
     result = {
         "git_revision": git_revision(),
