@@ -170,19 +170,38 @@ def good_primes(f: IntPoly, start: int = 13):
             raise ValueError("no good prime: the polynomial is not squarefree")
 
 
-def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
-    """Sorted degrees of the irreducible factors of f mod p, or None when
-    p divides lc(f) or f is not squarefree mod p.  When x^(p^L) = x mod f
-    for some L <= n (``gf_frobenius_order``), f divides the squarefree
-    x^(p^L) - x; only when there is no such L is gcd(f, f') taken.
+def _usable_walk(f: IntPoly, p: int) -> tuple[list[int], int | None] | None:
+    """(f mod p made monic, its ``gf_frobenius_order``), or None when p
+    divides lc(f) or f is not squarefree mod p.  When x^(p^L) = x mod f
+    for some L <= n, f divides the squarefree x^(p^L) - x; only when there
+    is no such L is gcd(f, f') taken.
     """
     if f.coeffs[-1] % p == 0:
         return None
     fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
-    closed = gf_frobenius_order(fm, p) is not None
-    if not closed and len(gf_gcd(fm, gf_deriv(fm, p), p)) != 1:
+    order = gf_frobenius_order(fm, p)
+    if order is None and len(gf_gcd(fm, gf_deriv(fm, p), p)) != 1:
         return None
-    return gf_ddf_degree_multiset(fm, p)
+    return fm, order
+
+
+def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
+    """Sorted degrees of the irreducible factors of f mod p, or None when
+    p divides lc(f) or f is not squarefree mod p."""
+    walk = _usable_walk(f, p)
+    return None if walk is None else gf_ddf_degree_multiset(walk[0], p)
+
+
+def _modular_order(f: IntPoly, p: int) -> int | None:
+    """The lcm of ``_modular_degrees(f, p)``, None when that is None: the
+    order of a Frobenius element at p.  A walk that closes at L gives L,
+    which is that lcm (von zur Gathen and Shoup, 1992), with no gcd and
+    no DDF; only a walk that does not close is factored by degree."""
+    walk = _usable_walk(f, p)
+    if walk is None:
+        return None
+    fm, order = walk
+    return order or math.lcm(*gf_ddf_degree_multiset(fm, p))
 
 
 def _usable_degrees(f: IntPoly):

@@ -25,8 +25,11 @@ same stream with its own stopping rule:
   cycle.
 - ``wreath_structure`` — f(x) = g(x^2): the verdict "subgroup of
   C2 wr Gal(g)", proven when the verdict on g is; the element orders of
-  the first samples give an order lower bound.  classify takes this
-  tier from degree 8 on, once cyclicity is refuted.
+  the first samples give an order lower bound.  It reads them off the
+  stream's Frobenius walks (``FrobeniusSamples.orders``), so a prime no
+  other tier has sampled costs a walk, and a DDF only when the walk
+  does not close.  classify takes this tier from degree 8 on, once
+  cyclicity is refuted.
 
 Every tier only gathers evidence items; ``_verdict`` holds the rules
 that turn a list of items into a group name, a T-notation and a
@@ -54,6 +57,7 @@ from math import comb, isqrt, lcm
 from .factor import (
     _degree_set_irreducible,
     _modular_degrees,
+    _modular_order,
     _squarefree,
     factor_over_integers,
     is_irreducible,
@@ -246,19 +250,24 @@ class FrobeniusSamples:
 
     The pairs are drawn lazily, in ascending order of p, and kept; every
     iteration starts again from the smallest prime, so tiers that share
-    one stream never sample a prime twice.  A stream serves a single
-    polynomial for the length of one classification, or for one replay
-    of the census elimination in ``verify_identification``.  A bound
-    below 2 leaves no prime to sample and raises ValueError.
+    one stream never sample a prime twice.  ``orders()`` reads the
+    element orders of the same samples: those of the pairs drawn so far,
+    then those of further usable primes, which it only walks
+    (``factor._modular_order``); a walked prime gets its cycle type once
+    an iteration reaches it.  A stream serves a single polynomial for the
+    length of one classification, or for one replay of the census
+    elimination in ``verify_identification``.  A bound below 2 leaves no
+    prime to sample and raises ValueError.
     """
 
     def __init__(self, f: IntPoly, prime_bound: int):
         if prime_bound < 2:
             raise ValueError(f"prime bound {prime_bound} leaves no prime to sample")
-        primes = takewhile(lambda p: p <= prime_bound, primes_from(2))
-        types = ((p, dedekind_cycle_type(f, p)) for p in primes)
-        self._fresh = ((p, t) for p, t in types if t is not None)
+        self._f = f
+        self._primes = takewhile(lambda p: p <= prime_bound, primes_from(2))
         self._pairs: list[tuple[int, CycleType]] = []
+        # (p, order) of the usable primes after the pairs, walked only
+        self._walked: list[tuple[int, int]] = []
 
     def __iter__(self):
         index = 0
@@ -266,16 +275,45 @@ class FrobeniusSamples:
             yield self._pairs[index]
             index += 1
 
+    def orders(self):
+        """The element order of each sample, in the order of iteration."""
+        index = 0
+        while True:
+            typed = len(self._pairs)
+            if index < typed:
+                yield self._pairs[index][1].order()
+            elif index < typed + len(self._walked) or self._walk():
+                yield self._walked[index - typed][1]
+            else:
+                return
+            index += 1
+
     def drawn(self) -> int:
-        """How many usable samples the stream holds so far."""
+        """How many cycle types the stream holds so far."""
         return len(self._pairs)
 
     def _draw(self) -> bool:
-        """Append the next usable sample; False once past the bound."""
-        pair = next(self._fresh, None)
-        if pair is not None:
-            self._pairs.append(pair)
-        return pair is not None
+        """Append the next cycle type; False once past the bound."""
+        if self._walked:
+            p, _ = self._walked.pop(0)
+            self._pairs.append((p, dedekind_cycle_type(self._f, p)))
+            return True
+        for p in self._primes:
+            t = dedekind_cycle_type(self._f, p)
+            if t is not None:
+                self._pairs.append((p, t))
+                return True
+        return False
+
+    def _walk(self) -> bool:
+        """Append the order at the next usable prime; False once past the
+        bound."""
+        for p in self._primes:
+            order = _modular_order(self._f, p)
+            if order is not None:
+                self._walked.append((p, order))
+                return True
+        return False
 
 
 def _tier_stream(
@@ -1058,8 +1096,10 @@ def wreath_structure(
     The roots pair up as (root, -root) over the roots of g, so the group
     embeds into C2 wr Gal(g) on t blocks of size 2; the verdict is proven
     when the one on g is.  The lcm of the element orders of the first
-    WREATH_ORDER_SAMPLES samples is a stated order lower bound.  Raises
-    ValueError when f is not g(x^2).
+    WREATH_ORDER_SAMPLES samples is a stated order lower bound; the
+    orders come from ``stream.orders()``, so the samples past those
+    that the stream already holds are Frobenius walks, with no cycle
+    type.  Raises ValueError when f is not g(x^2).
     """
     stream = _tier_stream(f, prime_bound, _stream, 2)
     found = _block_structure(f)
@@ -1067,7 +1107,7 @@ def wreath_structure(
         raise ValueError("polynomial is not of the form g(x^2)")
     structure, inner_poly = found
     inner = classify(inner_poly, prime_bound)
-    orders = [t.order() for _, t in islice(stream, WREATH_ORDER_SAMPLES)]
+    orders = list(islice(stream.orders(), WREATH_ORDER_SAMPLES))
     bound = {
         "kind": "order_lower_bound",
         "value": lcm(*orders),
@@ -1194,12 +1234,24 @@ def _sample_at(f: IntPoly, p: int) -> CycleType:
     return t
 
 
-# kind -> (f, item, inner) -> the item rebuilt on f from its own
-# parameters (prime, shift, candidates before a cut) and the inner
-# verdict.  A ``reducible`` item has chosen f, the sampling claims are
-# read by _verdict but not replayed, and the candidates are checked by
-# _verdict or, for a cyclic verdict, by a replay of the census: those
-# come back as they are.
+# kind -> (item, t, n) -> an item that carries a Frobenius sample,
+# rebuilt from t, the sample replayed at its prime on a target of
+# degree n.
+_RESAMPLE = {
+    "cycle_type": lambda item, t, n: _cycle_type_item(
+        item["prime"], t, item.get("note")
+    ),
+    "jordan_cycle": lambda item, t, n: _jordan_item(
+        item["prime"], t, _jordan_window(n)
+    ),
+}
+
+# kind -> (f, item, inner) -> any other item rebuilt on f from its own
+# parameters (shift, candidates before a cut) and the inner verdict.  A
+# ``reducible`` item has chosen f, the sampling claims are read by
+# _verdict but not replayed, and the candidates are checked by _verdict
+# or, for a cyclic verdict, by a replay of the census: those come back
+# as they are.
 _REBUILD = {
     "degree": lambda f, item, inner: _degree_item(f),
     "disc_square": lambda f, item, inner: _disc_item(f, "disc_square"),
@@ -1210,12 +1262,6 @@ _REBUILD = {
     ),
     "difference_degrees": lambda f, item, inner: _difference_degrees_item(
         f, item["shift"]
-    ),
-    "cycle_type": lambda f, item, inner: _cycle_type_item(
-        item["prime"], _sample_at(f, item["prime"]), item.get("note")
-    ),
-    "jordan_cycle": lambda f, item, inner: _jordan_item(
-        item["prime"], _sample_at(f, item["prime"]), _jordan_window(f.degree())
     ),
     "block_structure": lambda f, item, inner: (
         _block_structure(f) or (None,)
@@ -1239,9 +1285,10 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     factor that a ``reducible`` item selects; it must have the verdict's
     degree and be irreducible, since every tier reads the Galois group
     of an irreducible polynomial (the degree-set test on the cycle types
-    of its ``cycle_type`` items, recomputed at their primes, mostly
-    proves that; ``is_irreducible`` decides the rest).  Every item is
-    rebuilt on the target from scratch and must come out the same; the
+    of its ``cycle_type`` and ``jordan_cycle`` items, each recomputed
+    once at its prime, mostly proves that; ``is_irreducible`` decides
+    the rest).  Every item is rebuilt on the target from scratch, a
+    sampled one from that same replay, and must come out the same; the
     inner verdict of a block item is re-derived by ``classify`` at the
     default prime bound.  The census candidates of a cyclic verdict (one
     with a ``candidates`` item but no ``parity`` item) are re-derived by
@@ -1264,12 +1311,13 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
         n = ident.degree
         if target.degree() != n:
             return False
-        replayed = (
-            _sample_at(target, item["prime"]).parts
+        replayed = {
+            item["prime"]: _sample_at(target, item["prime"])
             for item in ident.evidence
-            if item["kind"] == "cycle_type"
-        )
-        if not _degree_set_irreducible(n, replayed) and not is_irreducible(target):
+            if item["kind"] in _RESAMPLE
+        }
+        parts = (t.parts for t in replayed.values())
+        if not _degree_set_irreducible(n, parts) and not is_irreducible(target):
             return False
         kinds = {item["kind"] for item in ident.evidence}
         inner = None
@@ -1278,11 +1326,14 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
             if found is None:
                 return False
             inner = classify(found[1])
-        if any(
-            _REBUILD[item["kind"]](target, item, inner) != item
-            for item in ident.evidence
-        ):
-            return False
+        for item in ident.evidence:
+            kind = item["kind"]
+            if kind in _RESAMPLE:
+                again = _RESAMPLE[kind](item, replayed[item["prime"]], n)
+            else:
+                again = _REBUILD[kind](target, item, inner)
+            if again != item:
+                return False
         if "candidates" in kinds and "parity" not in kinds:
             bound = ident.certainty.prime_bound
             census = _census_verdict(

@@ -34,6 +34,9 @@ in the package, so agreement is meaningful:
 * ``divmod_by_fractions`` / ``divides_by_fractions`` -- integer
   polynomial division as ``RatPoly`` long division over Fraction, with
   the integrality of the quotient and remainder checked afterwards.
+* ``order_bound_by_cycle_types`` -- the wreath tier's order lower bound:
+  the lcm of the element orders (lcm of the parts) of the
+  ``cycle_type_by_gcd`` types at the first usable primes.
 * ``census_by_closure``     -- the transitive-group records of a degree
   from the shipped generators by brute force: every element of every
   group is listed, and the order, the cycle types and the parity are read
@@ -416,6 +419,21 @@ def cycle_type_by_gcd(f: IntPoly, p: int) -> tuple[int, ...] | None:
     for stage, d in ddf_by_powering(fm, p):
         parts += [d] * ((len(stage) - 1) // d)
     return tuple(sorted(parts, reverse=True))
+
+
+def order_bound_by_cycle_types(f: IntPoly, samples: int) -> int:
+    """The lcm of the element orders over the first ``samples`` primes
+    p >= 2 where ``cycle_type_by_gcd`` gives a cycle type."""
+    bound, count, p = 1, 0, 1
+    while count < samples:
+        p += 1
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        parts = cycle_type_by_gcd(f, p)
+        if parts is not None:
+            bound = math.lcm(bound, *parts)
+            count += 1
+    return bound
 
 
 def _trim(a: list[int]) -> list[int]:

@@ -2,6 +2,8 @@
 printed factorizations."""
 
 import hashlib
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from padegalois.factor import (
 # white-box lift checks
 from padegalois.factor import _gf_bezout, _hensel_lift_multi, _hensel_step, _mod_poly
 from padegalois.factor import _degree_set_irreducible, _usable_degrees
+from padegalois.factor import _modular_degrees, _modular_order
 from padegalois.galois import FrobeniusSamples
 from padegalois.modp import gf_from_int_coeffs, gf_mul
 from padegalois.pade import pade_diagonal
@@ -35,6 +38,7 @@ from padegalois.polynomials import (
     int_poly_gcd,
     parse_int_poly,
 )
+from padegalois.primes import primes_in_range
 from padegalois.series import SeriesId, scale_to_monic_integer
 from padegalois.tables import TABLES, reproduce
 
@@ -388,6 +392,42 @@ class TestLargestFactorAndIrreducibility:
             return
         fac = factor_over_integers(f)
         assert is_irreducible(f) == fac.is_single_irreducible()
+
+
+def _order_grid() -> list[IntPoly]:
+    """Seeded dense polynomials of degree 2..16 and g(x^2) ones of even
+    degree 2..16, with small coefficients and leading coefficients 1..12,
+    so that small primes divide the leading coefficient or the
+    discriminant."""
+    rng = random.Random(1985)
+    polys = []
+    for n in range(2, 17):
+        for _ in range(2):
+            tail = [rng.randint(-9, 9) for _ in range(n)]
+            polys.append(IntPoly(tail + [rng.randint(1, 12)]))
+        if n % 2 == 0:
+            g = [rng.randint(-9, 9) for _ in range(n // 2)] + [rng.randint(1, 12)]
+            polys.append(IntPoly([c for a in g for c in (a, 0)][:-1]))
+    return polys
+
+
+class TestModularOrder:
+    def test_order_is_the_lcm_of_the_degrees(self):
+        # every prime below 200, p = 2 included, on the seeded grid; the
+        # grid must reach all three cases: p | lc, f not squarefree mod p
+        # with p not dividing lc, and a usable p
+        seen = set()
+        for f in _order_grid():
+            for p in primes_in_range(2, 200):
+                degrees = _modular_degrees(f, p)
+                order = _modular_order(f, p)
+                if degrees is None:
+                    assert order is None
+                    seen.add("lc" if f.coeffs[-1] % p == 0 else "disc")
+                else:
+                    assert order == math.lcm(*degrees)
+                    seen.add("usable")
+        assert seen == {"lc", "disc", "usable"}
 
 
 def _digest(pairs) -> str:

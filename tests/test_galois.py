@@ -5,19 +5,20 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padegalois import galois
-from padegalois.factor import factor_mod_p, factor_over_integers
+from padegalois.factor import factor_mod_p, factor_over_integers, is_irreducible
 from padegalois.galois import (
     Certainty,
     CycleType,
     GaloisIdentification,
     QUINTIC_RESOLVENT_TABLE,
     SN_AN_CLASSIFY_SAMPLE_CAP,
+    WREATH_ORDER_SAMPLES,
     _TSCHIRNHAUS_TRIALS,
     _depressed_quintic,
     _difference_resolvent,
@@ -51,6 +52,7 @@ from .oracles import (
     cycle_type_by_gcd,
     difference_resolvent_by_interpolation,
     group_record,
+    order_bound_by_cycle_types,
     tschirnhaus_by_resultants,
 )
 
@@ -463,6 +465,19 @@ _BLOCK_CELLS = [
 ]
 
 
+# The four table cells whose largest factor the wreath tier decides.
+_WREATH_CELLS = [("Atanh2Pade", 16), ("SinSinh", 9), ("SinSinh", 13), ("SinSinh", 17)]
+
+
+def _wreath_target(table, order):
+    poly = _column_polys(table, order)[-1]
+    return max((g for g, _ in factor_over_integers(poly).factors), key=IntPoly.degree)
+
+
+def _order_item(ident):
+    return next(e for e in ident.evidence if e["kind"] == "order_lower_bound")
+
+
 def _verdict_digest(ident) -> str:
     text = json.dumps(ident.to_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -538,6 +553,38 @@ class TestWreathStructure:
         assert all(e["kind"] == "reducible" for e in pre)
         whole = dataclasses.replace(ident, evidence=pre + ident.evidence)
         assert _verdict_digest(whole) == digest
+
+    @pytest.mark.parametrize(("table", "order"), _WREATH_CELLS)
+    def test_order_bound_matches_oracle_on_table_targets(self, table, order):
+        target = _wreath_target(table, order)
+        assert _order_item(classify(target)) == {
+            "kind": "order_lower_bound",
+            "value": order_bound_by_cycle_types(target, WREATH_ORDER_SAMPLES),
+            "samples": WREATH_ORDER_SAMPLES,
+        }
+
+    def test_order_bound_matches_oracle_on_seeded_inputs(self):
+        # the tier on a fresh stream reads walks only; classify reaches it
+        # with cycle types drawn by the cyclic tier, and walks the rest
+        rng = random.Random(1992)
+        via_classify = 0
+        for _ in range(6):
+            while True:
+                g = [rng.randint(-6, 6) for _ in range(rng.randint(4, 7))] + [1]
+                f = IntPoly([c for a in g for c in (a, 0)][:-1])
+                if f.coeffs[0] and is_irreducible(f):
+                    break
+            expected = {
+                "kind": "order_lower_bound",
+                "value": order_bound_by_cycle_types(f, WREATH_ORDER_SAMPLES),
+                "samples": WREATH_ORDER_SAMPLES,
+            }
+            assert _order_item(wreath_structure(f)) == expected
+            ident = classify(f)
+            if any(e["kind"] == "order_lower_bound" for e in ident.evidence):
+                assert _order_item(ident) == expected
+                via_classify += 1
+        assert via_classify
 
     def test_order_bound_divides_wreath_order(self):
         ident = wreath_structure(IntPoly((7, 0, 0, 0, 1, 0, 0, 0, 1)))
@@ -843,16 +890,40 @@ class TestFrobeniusStream:
         # and 7, the Jordan hunt the cyclic ones and the wreath order
         # bound the Jordan/cyclic ones at degree 8
         calls = []
-        original = galois.dedekind_cycle_type
+        for name in ("dedekind_cycle_type", "_modular_order"):
+            original = getattr(galois, name)
 
-        def counting(f, p):
-            calls.append((f.coeffs, p))
-            return original(f, p)
+            def counting(f, p, original=original):
+                calls.append((f.coeffs, p))
+                return original(f, p)
 
-        monkeypatch.setattr(galois, "dedekind_cycle_type", counting)
+            monkeypatch.setattr(galois, name, counting)
         classify(parse_int_poly(text))
         assert calls
         assert len(calls) == len(set(calls))
+
+    def test_orders_leave_the_pairs_unchanged(self):
+        # orders() walks past the 5 drawn samples; an iteration that
+        # reaches the walked primes gives the pairs of a fresh stream,
+        # and an orders() reader suspended meanwhile reads on unchanged
+        f = parse_int_poly("x^8 + x^4 + 7")
+        stream = galois.FrobeniusSamples(f, 10_000)
+        fresh = list(islice(galois.FrobeniusSamples(f, 10_000), 60))
+        assert list(islice(stream, 5)) == fresh[:5]
+        reader = stream.orders()
+        first = list(islice(reader, 40))
+        assert stream.drawn() == 5
+        assert list(islice(stream, 20)) == fresh[:20]
+        rest = list(islice(reader, 20))
+        assert first + rest == [t.order() for _, t in fresh]
+        assert list(islice(stream, 60)) == fresh
+
+    def test_orders_stop_at_the_prime_bound(self):
+        f = parse_int_poly("x^8 + x^4 + 7")
+        pairs = list(galois.FrobeniusSamples(f, 200))
+        assert list(galois.FrobeniusSamples(f, 200).orders()) == [
+            t.order() for _, t in pairs
+        ]
 
 
 def _changed_item(ident, kind, **changes):
@@ -956,6 +1027,13 @@ _UNFIT = {
             ),
         ),
     ),
+    # every sample claimed at one prime: one replay cannot fit them all
+    "one-prime": (
+        "x^7 - x - 1",
+        lambda v: dataclasses.replace(
+            v, evidence=_changed_item(v, "cycle_type", prime=3)
+        ),
+    ),
     "bad-T-notation": (
         "x^7 - x - 1",
         lambda v: dataclasses.replace(v, t_notation="7X7"),
@@ -1029,6 +1107,39 @@ class TestVerifyIdentification:
         assert types[:2] == [[6, 1], [4, 3]] and [7] not in types
         assert verify_identification(f, ident)
         assert calls == []
+
+    def test_each_sample_is_replayed_once(self, monkeypatch):
+        # the degree-set test and the rebuilt items read one replay
+        f = parse_int_poly("x^7 - x - 1")
+        ident = classify(f)
+        primes = [e["prime"] for e in ident.evidence if e["kind"] == "cycle_type"]
+        calls = []
+        original = galois.dedekind_cycle_type
+
+        def counting(g, p):
+            calls.append(p)
+            return original(g, p)
+
+        monkeypatch.setattr(galois, "dedekind_cycle_type", counting)
+        assert ident.group_name == "S7" and len(primes) > 1
+        assert verify_identification(f, ident)
+        assert calls == primes
+
+    def test_jordan_sample_reaches_the_degree_set_test(self, monkeypatch):
+        q8 = scale_to_monic_integer(8)
+        ident = sn_an_certificate(q8)
+        jordan = next(e for e in ident.evidence if e["kind"] == "jordan_cycle")
+        lists = []
+        original = galois._degree_set_irreducible
+
+        def recording(n, degree_lists):
+            degree_lists = [list(d) for d in degree_lists]
+            lists.extend(degree_lists)
+            return original(n, degree_lists)
+
+        monkeypatch.setattr(galois, "_degree_set_irreducible", recording)
+        assert verify_identification(q8, ident)
+        assert lists == [list(dedekind_cycle_type(q8, jordan["prime"]).parts)]
 
     @pytest.mark.parametrize(
         "text",

@@ -61,6 +61,14 @@ orders, cycle types and parities of that degree's groups; and the sum of
 those medians (``total_s``), about what a fresh process spends building
 the census.
 
+``wreath``: for one fixed, seeded, squarefree monic g(x^2) of each degree
+in ``WREATH_DEGREES``, and the first ``USABLE_PRIMES`` usable primes, the
+median time of one order draw of the wreath tier
+(``factor._modular_order(f, p)``, the Frobenius walk, and a DDF only when
+the walk does not close) against one ``dedekind_cycle_type(f, p)`` (the
+walk and always a DDF, what each order sample cost when it read a cycle
+type), and ``closed_share``, the share of those primes whose walk closes.
+
 Every time is in seconds at nominal machine speed: ``perfbench/speed.py``
 samples the speed of the host all through the run, and each timed call is
 scaled by the speed sampled around it, which takes out most of a shared
@@ -121,6 +129,7 @@ from padegalois.series import SeriesId, scale_to_monic_integer  # noqa: E402
 from padegalois.tables import TABLES, _column_polys, reproduce  # noqa: E402
 
 DEGREES = (6, 8, 10, 12, 15, 20)
+WREATH_DEGREES = (8, 12, 16)
 USABLE_PRIMES = 200
 CYCLIC_MODULI = (13, 17, 19, 23, 29, 31)
 RESOLVENT_DEGREES = (4, 5)
@@ -141,6 +150,15 @@ def squarefree_poly(degree: int, rng: random.Random) -> IntPoly:
     while True:
         tail = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(degree)]
         f = IntPoly(tail + [1])
+        if int_poly_gcd(f, f.derivative()).degree() == 0:
+            return f
+
+
+def even_poly(degree: int, rng: random.Random) -> IntPoly:
+    """A monic squarefree g(x^2) of the given even degree."""
+    while True:
+        g = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(degree // 2)]
+        f = IntPoly([c for a in g + [1] for c in (a, 0)][:-1])
         if int_poly_gcd(f, f.derivative()).degree() == 0:
             return f
 
@@ -227,6 +245,32 @@ def time_kernels(speed: MachineSpeed, f: IntPoly) -> dict:
             (lambda fm=fm, p=p: gf_distinct_degree(fm, p) for fm, *_, p in cases),
         ),
         "primes": len(cases),
+    }
+
+
+def time_wreath(speed: MachineSpeed, f: IntPoly) -> dict:
+    """Median seconds of one order draw and of one cycle type over the
+    first usable primes, and the share of those primes whose walk closes.
+    Each call walks a new (f, p), so the walk kept for the last (f, p)
+    serves none of them."""
+    walk_orders = {}  # usable p -> gf_frobenius_order, None when not closed
+    for p in primes_from(2):
+        if len(walk_orders) == USABLE_PRIMES:
+            break
+        walk = factor._usable_walk(f, p)
+        if walk is not None:
+            walk_orders[p] = walk[1]
+    primes = list(walk_orders)
+    closed = sum(order is not None for order in walk_orders.values())
+    return {
+        "order_median_s": median_call_s(
+            speed, (lambda p=p: factor._modular_order(f, p) for p in primes)
+        ),
+        "cycle_type_median_s": median_call_s(
+            speed, (lambda p=p: dedekind_cycle_type(f, p) for p in primes)
+        ),
+        "closed_share": closed / len(primes),
+        "largest_prime": primes[-1],
     }
 
 
@@ -420,6 +464,9 @@ def git_revision() -> str | None:
 def main() -> None:
     rng = random.Random(SEED)
     polys = {n: squarefree_poly(n, rng) for n in DEGREES}
+    # a generator of their own, so the other sections keep their inputs
+    even_rng = random.Random(SEED)
+    even = {n: even_poly(n, even_rng) for n in WREATH_DEGREES}
     inputs, resolvents, engine_calls = classify_inputs()
     with MachineSpeed() as speed:
         timed = {
@@ -433,6 +480,7 @@ def main() -> None:
             "factoring": time_factoring(speed, inputs, resolvents, engine_calls),
             "pade": time_pade(speed),
             "census": time_census(speed),
+            "wreath": {str(n): time_wreath(speed, f) for n, f in even.items()},
         }
     result = {
         "git_revision": git_revision(),
