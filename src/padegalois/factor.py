@@ -146,7 +146,17 @@ class ModPFactorization:
 
 
 def _squarefree(f: IntPoly) -> bool:
-    return int_poly_gcd(f, f.derivative()).degree() == 0
+    """True when f has no repeated factor over the rationals.  The first
+    prime that ``good_primes`` yields proves it, as a square factor of f
+    would stay one mod a prime not dividing lc(f); the gcd over Z is
+    taken only once deg f + 1 such primes have failed."""
+    if f.degree() < 1:
+        return f.degree() == 0
+    try:
+        next(good_primes(f))
+    except ValueError:
+        return False
+    return True
 
 
 def good_primes(f: IntPoly, start: int = 13):
@@ -166,7 +176,7 @@ def good_primes(f: IntPoly, start: int = 13):
             yield p
             continue
         failed += 1
-        if failed == f.degree() + 1 and not _squarefree(f):
+        if failed == f.degree() + 1 and int_poly_gcd(f, f.derivative()).degree():
             raise ValueError("no good prime: the polynomial is not squarefree")
 
 

@@ -4,27 +4,35 @@ Polynomials are plain Python lists of ints in ``[0, p)``, ascending by
 exponent, with trailing zeros stripped; the zero polynomial is ``[]``.
 Every function takes the modulus explicitly and assumes it is prime.
 
-``gf_distinct_degree`` is the one distinct-degree loop; every cycle
-type, irreducibility test and modular factorization goes through it.
-It works with the Frobenius matrix of f (von zur Gathen and Shoup,
-"Computing Frobenius maps and factoring polynomials", 1992): the p-th
-power map is linear over the prime field, so once x^p mod f is known,
-the rows x^(ip) mod f follow by multiplication, and each x^(p^d) comes
-from the one before by a matrix-vector product.  One modular power per
-(f, p) replaces one per degree.
+Every cycle type, irreducibility test and modular factorization starts
+from one Frobenius walk of f, ``_frobenius_walk``.  It works with the
+Frobenius matrix of f (von zur Gathen and Shoup, "Computing Frobenius
+maps and factoring polynomials", 1992): the p-th power map is linear
+over the prime field, so once x^p mod f is known, the rows x^(ip) mod f
+follow by multiplication, and each x^(p^d) comes from the one before by
+a matrix-vector product.  One modular power per (f, p) replaces one per
+degree.
 
-The loop finds the Frobenius order first and takes gcds afterwards.  It
-walks h_d = x^(p^d) mod f until h_d = x, or until d = n, and takes no
-gcd on the way.  For squarefree f the walk closes at L, the lcm of the
-factor degrees, whenever L <= n.  A factor degree e < L divides L/q for
-some prime q, so g = gcd(f, prod_q (h_(L/q) - x)) is the product of the
-factors of degree below L (Rabin, "Probabilistic algorithms in finite
-fields", 1980).  That one gcd comes first (none for L = 1 or L = n a
-prime power): g = 1 leaves f one stage, and otherwise the stages at the
-proper divisors of L are taken on g.  A closed walk also proves f
-squarefree, as f then divides x^(p^L) - x, whose derivative is -1;
-``gf_frobenius_order`` gives the order for that use.  A walk that runs
-to n takes a stage at every degree, as before.
+The walk finds the Frobenius order and takes no gcd.  It runs h_d =
+x^(p^d) mod f until h_d = x, or until d = n.  For squarefree f it closes
+at L, the lcm of the factor degrees, whenever L <= n.  A closed walk
+proves f squarefree, as f then divides x^(p^L) - x, whose derivative is
+-1; ``gf_frobenius_order`` gives the order for that use.  The trace of
+the matrix counts the linear factors mod p (Berlekamp, 1967), exactly
+when p > n.
+
+``gf_ddf_degree_multiset`` decides the factor degrees by arithmetic
+when it can: L = 1 means f splits, and otherwise the degrees divide L,
+have lcm L, sum to n and hold as many ones as the trace says, which
+often leaves one multiset (always for L prime).  Only when it does not,
+or when p <= n or the walk did not close, does it call
+``gf_distinct_degree``, which takes gcds; so does the modular
+factorization, which needs the stage polynomials.  On a closed walk,
+the gcd g = gcd(f, prod_q (h_(L/q) - x)), q prime, collects the factors
+of degree below L, as such a degree divides some L/q (Rabin,
+"Probabilistic algorithms in finite fields", 1980); g = 1 leaves f one
+stage, and otherwise the stages at the proper divisors of L are taken
+on g.  A walk that runs to n takes a stage at every degree.
 
 The work modulo f runs on packed integers (Kronecker substitution; see
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
@@ -45,10 +53,10 @@ modulo f is reduced mod p once, when it is unpacked.
 ``gf_pow_mod`` works left to right: square, then multiply by the base on
 each set bit.  The high half of a product is reduced with a packed table
 of x^(n+j) mod f, j < n; for base x the multiply is a shift of the
-packed square.  ``gf_distinct_degree`` forms each row x^(ip) mod f, and
-each h^p, as a vector times a packed matrix.  ``gf_mod`` keeps no
-quotient and accepts coefficients not yet reduced mod p.  ``gf_mul`` and
-the gcds stay list-based.
+packed square.  The walk forms each row x^(ip) mod f, and each h^p, as
+a vector times a packed matrix.  ``gf_mod`` keeps no quotient and
+accepts coefficients not yet reduced mod p.  ``gf_mul`` and the gcds
+stay list-based.
 
 Randomized steps (equal-degree splitting) take an explicit
 ``random.Random`` instance so callers control the seed and results are
@@ -57,9 +65,11 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from functools import lru_cache
+from itertools import islice
 from operator import mul
 from random import Random
 from typing import Sequence
@@ -352,20 +362,31 @@ def gf_squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
 @lru_cache(maxsize=1)
 def _frobenius_walk(
     f: tuple[int, ...], p: int
-) -> tuple[list[list[int]], int | None]:
+) -> tuple[list[list[int]], int | None, int | None]:
     """The walk h_d = x^(p^d) mod f, d = 1, 2, ..., of monic f of degree
-    n, up to the first d with h_d = x or to d = n: (h_1, ..., h_d), and
-    that d if h_d = x, else None.  Only x^p mod f needs a modular power:
-    raising to the p-th power is linear over the prime field, so h^p =
-    sum_i h_i * x^(ip) mod f.  The rows x^(ip) mod f are built as far as
-    the degree of h asks, each from the one before as a vector times the
-    matrix of multiplication by x^p, whose rows x^(p+j) mod f come from
-    x^p by shifts.  Rows and matrix are kept packed.  The walk of the
-    last (f, p) is kept, so asking for the order and then for the stages
-    walks once; its lists are shared, and no caller may change them."""
+    n, up to the first d with h_d = x or to d = n: (h_1, ..., h_d), that
+    d if h_d = x, else None, and the trace of the Frobenius matrix.  Only
+    x^p mod f needs a modular power: raising to the p-th power is linear
+    over the prime field, so h^p = sum_i h_i * x^(ip) mod f.  The rows
+    x^(ip) mod f are built as far as the degree of h asks, each from the
+    one before as a vector times the matrix of multiplication by x^p,
+    whose rows x^(p+j) mod f come from x^p by shifts.  Rows and matrix
+    are kept packed.
+
+    The rows x^(ip) mod f, i < n, are the Frobenius matrix Q.  For
+    squarefree f its trace, sum_i [x^i] (x^(ip) mod f), is the number of
+    linear factors of f, mod p (Berlekamp, "Factoring polynomials over
+    finite fields", 1967): on a factor field of degree d, Frobenius acts
+    as the regular representation of the cyclic group of order d, whose
+    trace is 0 for d > 1.  It is read as slot i of row i, and is None
+    when fewer than n rows were built.
+
+    The walk of the last (f, p) is kept, so asking for the order and then
+    for the degrees walks once; its lists are shared, and no caller may
+    change them."""
     n = len(f) - 1
     if n < 2:  # x mod f is a constant: nothing to walk
-        return [], 1
+        return [], 1, None
     f = list(f)
     k = _slot_words(n, p)
     h = gf_pow_mod([0, 1], p, f, p)
@@ -381,7 +402,11 @@ def _frobenius_walk(
             rows.append(_pack(last, k))
         h = gf_trim(_dot(h, rows, 0, n, k, p))
         walk.append(h)
-    return walk, (len(walk) if h == [0, 1] else None)
+    trace = None
+    if len(rows) == n:
+        w, mask = 64 * k, (1 << 64 * k) - 1
+        trace = sum(row >> (w * i) & mask for i, row in enumerate(rows)) % p
+    return walk, (len(walk) if h == [0, 1] else None), trace
 
 
 def gf_frobenius_order(f: list[int], p: int) -> int | None:
@@ -411,7 +436,7 @@ def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     left, and its degree is that of work.  h_d stays reduced modulo f:
     work divides f, so gcd(h_d - x, work) is the same either way.
     """
-    walk, order = _frobenius_walk(tuple(f), p)
+    walk, order, _ = _frobenius_walk(tuple(f), p)
     work, top = f[:], []  # top: the stage of degree L, when taken apart
     if order is None:
         degrees = range(1, len(walk) + 1)
@@ -446,14 +471,68 @@ def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
+def _fits(order: int, parts: tuple[int, ...], rest: int, lcm: int, memo: dict):
+    """Up to two multisets, descending, of the divisors ``parts`` (in
+    descending order, each taken any number of times) that sum to rest
+    and take lcm to order; memo keeps them by (parts left, rest, lcm)."""
+    key = (len(parts), rest, lcm)
+    if key not in memo:
+        if rest == 0 or not parts:
+            memo[key] = [()] if rest == 0 and lcm == order else []
+        else:
+            d, smaller = parts[0], parts[1:]
+            taken = math.lcm(lcm, d)
+            every = (
+                (d,) * k + tail
+                for k in range(rest // d, -1, -1)
+                for tail in _fits(
+                    order, smaller, rest - k * d, taken if k else lcm, memo
+                )
+            )
+            memo[key] = list(islice(every, 2))
+    return memo[key]
+
+
+@lru_cache(maxsize=None)
+def _degree_fit(n: int, order: int, linear: int) -> tuple[int, ...] | None:
+    """The sorted factor degrees of a squarefree f of degree n, with
+    ``linear`` linear factors, whose walk closes at ``order``, when only
+    one multiset fits, else None.  A fit has every degree dividing order,
+    their lcm equal to order, their sum n, and exactly ``linear`` ones.
+    The search takes the divisors above 1 from the largest down and stops
+    at the second fit; it keeps what it finds of each state (divisors
+    left, sum left, lcm so far), so it visits at most n times the square
+    of the divisor count of order states.  The keys stay few: order and
+    linear are at most n."""
+    if linear > n:
+        return None
+    parts = tuple(d for d in range(order, 1, -1) if order % d == 0)
+    found = _fits(order, parts, n - linear, 1, {})
+    return (1,) * linear + found[0][::-1] if len(found) == 1 else None
+
+
 def gf_ddf_degree_multiset(f: list[int], p: int) -> list[int]:
     """Sorted degrees of the irreducible factors of squarefree monic f.
 
-    Distinct-degree information suffices (each stage of degree d and total
-    degree k contributes k/d copies of d), so this never needs random
-    splitting and is fully deterministic — the workhorse of the
+    Arithmetic first, from the walk of ``_frobenius_walk``: a walk that
+    closes at L = 1 means f splits.  One that closes at L > 1, with p
+    above the degree n and the Frobenius trace t read, says the degrees
+    divide L, have lcm L, sum to n and hold exactly t ones; when one
+    multiset alone does that (always for L prime, and for L = n = q1 q2
+    with t = 0), it is the answer, with no gcd.  Otherwise
+    ``gf_distinct_degree`` takes the stages: each stage of degree d and
+    total degree k contributes k/d copies of d, so this never needs
+    random splitting and is fully deterministic — the workhorse of the
     cycle-type sampler.
     """
+    n = len(f) - 1
+    _, order, trace = _frobenius_walk(tuple(f), p)
+    if order == 1:
+        return [1] * n
+    if order is not None and trace is not None and p > n:
+        fit = _degree_fit(n, order, trace)
+        if fit is not None:
+            return list(fit)
     out: list[int] = []
     for g, d in gf_distinct_degree(f, p):
         out.extend([d] * ((len(g) - 1) // d))

@@ -28,7 +28,7 @@ from padegalois.factor import (
 # white-box lift checks
 from padegalois.factor import _gf_bezout, _hensel_lift_multi, _hensel_step, _mod_poly
 from padegalois.factor import _degree_set_irreducible, _usable_degrees
-from padegalois.factor import _modular_degrees, _modular_order
+from padegalois.factor import _modular_degrees, _modular_order, _squarefree
 from padegalois.galois import FrobeniusSamples
 from padegalois.modp import gf_from_int_coeffs, gf_mul
 from padegalois.pade import pade_diagonal
@@ -111,6 +111,58 @@ class TestSquarefree:
         assert acc == prim
         for g, _ in parts:
             assert squarefree_decomposition(g) == [(g, 1)]
+
+
+class TestSquarefreeByOnePrime:
+    @pytest.fixture
+    def integer_gcds(self, monkeypatch):
+        """The argument tuples of every gcd over Z that factor takes."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return int_poly_gcd(*args)
+
+        monkeypatch.setattr(factor_mod, "int_poly_gcd", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "f",
+        [IntPoly((0, 0, 1)), IntPoly((1, 1)) ** 2 * IntPoly((-2, 1))],
+        ids=["x^2", "(x+1)^2(x-2)"],
+    )
+    def test_square_factor_takes_the_integer_gcd(self, integer_gcds, f):
+        # no prime keeps a square factor apart: deg f + 1 primes fail,
+        # then the gcd over Z decides
+        assert not _squarefree(f)
+        assert len(integer_gcds) == 1
+
+    def test_one_prime_proves_it(self, integer_gcds):
+        assert _squarefree(IntPoly((-2, 1)) * IntPoly((1, 1)) * IntPoly((1, 0, 1)))
+        assert _squarefree(scale_to_monic_integer(10))
+        assert integer_gcds == []
+
+    def test_primes_dividing_the_leading_coefficient_are_skipped(self, integer_gcds):
+        # 13 * 17 * 19 * x^2 + 1 is squarefree, but reduces to the constant
+        # 1 at 13, 17 and 19, which prove nothing; 23 proves it
+        lc = 13 * 17 * 19
+        assert _squarefree(IntPoly((1, 0, lc)))
+        assert integer_gcds == []
+        # lc * (x + 1)^2: the primes of lc are skipped, three others fail
+        assert not _squarefree(IntPoly((lc, 2 * lc, lc)))
+        assert len(integer_gcds) == 1
+
+    def test_constants(self, integer_gcds):
+        assert _squarefree(IntPoly((5,)))
+        assert not _squarefree(IntPoly(()))
+        assert integer_gcds == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonzero_polys(6), nonzero_polys(3), st.integers(1, 3))
+    def test_matches_the_integer_gcd(self, a, b, k):
+        for f in (a, a * b**k):
+            want = int_poly_gcd(f, f.derivative()).degree() == 0
+            assert _squarefree(f) == want
 
 
 class TestFactorModP:

@@ -1,7 +1,7 @@
 """Prime-field polynomial layer: arithmetic, DDF/EDF, squarefree parts."""
 
 import math
-from itertools import product
+from itertools import product, zip_longest
 from random import Random
 
 import pytest
@@ -30,9 +30,11 @@ from padegalois.modp import (
     gf_trim,
 )
 from padegalois.polynomials import IntPoly
-from padegalois.primes import is_prime, next_prime
+from padegalois.primes import is_prime, next_prime, primes_in_range
+from padegalois.tables import _column_polys
 
 from .oracles import (
+    cycle_type_by_gcd,
     ddf_by_powering,
     gcd_by_long_division,
     mod_by_long_division,
@@ -579,3 +581,142 @@ class TestOrderFirst:
         # integer coefficients congruent to f, shifted by multiples of p
         coeffs = [c + p * rng.randrange(-2, 3) for c in f[:-1]] + [f[-1]]
         assert dedekind_cycle_type(IntPoly(coeffs), p) is None
+
+
+def cos_minimal_poly(m):
+    """The minimal polynomial of 2cos(2 pi/m), m an odd prime, of degree
+    (m - 1)/2 and cyclic Galois group: the cyclotomic z^-r (1 + z + ... +
+    z^(m-1)), r = (m - 1)/2, written in x = z + 1/z as 1 + D_1 + ... +
+    D_r, where D_k = z^k + z^-k has D_0 = 2, D_1 = x and D_(k+1) =
+    x D_k - D_(k-1)."""
+    prev, cur, total = [2], [0, 1], [1]
+    for _ in range((m - 1) // 2):
+        total = [a + b for a, b in zip_longest(total, cur, fillvalue=0)]
+        shifted = [0] + cur
+        prev, cur = cur, [a - b for a, b in zip_longest(shifted, prev, fillvalue=0)]
+    return IntPoly(total)
+
+
+def arithmetic_grid():
+    """Seeded integer polynomials of degree 2..25: one dense (leading
+    coefficient 1..6) and one product of monic factors of degree <= 4
+    for each degree, g(x^2) of each even degree, and the minimal
+    polynomials of 2cos(2 pi/m) for the primes 5 <= m <= 51."""
+    rng = Random(18)
+    polys = []
+    for n in range(2, 26):
+        tail = [rng.randint(-9, 9) for _ in range(n)]
+        polys.append(IntPoly(tail + [rng.randint(1, 6)]))
+        if n % 2 == 0:
+            g = [rng.randint(-9, 9) for _ in range(n // 2)] + [1]
+            polys.append(IntPoly([c for a in g for c in (a, 0)][:-1]))
+        f = IntPoly([1])
+        while f.degree() < n:
+            d = rng.randint(1, min(4, n - f.degree()))
+            f = f * IntPoly([rng.randint(-5, 5) for _ in range(d)] + [1])
+        polys.append(f)
+    return polys + [cos_minimal_poly(m) for m in primes_in_range(5, 52)]
+
+
+def order_kind(order):
+    """'prime', 'prime power' or 'composite', for an order above 1."""
+    primes = [q for q in range(2, order + 1) if order % q == 0 and is_prime(q)]
+    if primes == [order]:
+        return "prime"
+    return "prime power" if len(primes) == 1 else "composite"
+
+
+def partitions(n, largest=None):
+    """Every partition of n, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for d in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - d, d):
+            yield (d,) + rest
+
+
+class TestDegreesByArithmetic:
+    """Factor degrees read off the walk's order and the Frobenius trace,
+    against distinct-degree stages and the plain gcd oracle."""
+
+    def test_degrees_match_stages_and_oracle(self):
+        decided = set()
+        for f in arithmetic_grid():
+            n = f.degree()
+            for p in primes_in_range(2, 300):
+                want = cycle_type_by_gcd(f, p)
+                if want is None:
+                    continue
+                fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
+                got = gf_ddf_degree_multiset(fm, p)
+                stages = gf_distinct_degree(fm, p)
+                by_stages = [d for g, d in stages for _ in range(0, len(g) - 1, d)]
+                assert got == sorted(by_stages) == sorted(want), (f, p)
+                _, order, trace = modp._frobenius_walk(tuple(fm), p)
+                if order is not None and order > 1:
+                    by_fit = p > n and trace is not None
+                    by_fit = by_fit and modp._degree_fit(n, order, trace) is not None
+                    decided.add((order_kind(order), by_fit, p > n, min(want) == 1))
+        # arithmetic decides prime, prime-power and composite orders with
+        # linear factors; small primes and ambiguous fits take the stages
+        for kind in ("prime", "prime power", "composite"):
+            assert (kind, True, True, True) in decided
+            assert (kind, False, False, True) in decided
+        assert ("composite", False, True, True) in decided
+
+    def test_trace_counts_the_roots(self):
+        seen = 0
+        for f in arithmetic_grid():
+            n = f.degree()
+            for p in primes_in_range(n + 1, 300):
+                fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
+                if len(fm) != n + 1 or len(gf_gcd(fm, modp.gf_deriv(fm, p), p)) != 1:
+                    continue
+                trace = modp._frobenius_walk(tuple(fm), p)[2]
+                if trace is not None:
+                    assert trace == len(gf_roots(fm, p)), (f, p)
+                    seen += 1
+        assert seen > 1000
+
+    def test_fit_matches_partitions(self):
+        for n in range(1, 17):
+            every = list(partitions(n))
+            for order in range(1, n + 1):
+                for linear in range(n + 1):
+                    fits = [
+                        q
+                        for q in every
+                        if all(order % d == 0 for d in q)
+                        and math.lcm(*q) == order
+                        and q.count(1) == linear
+                    ]
+                    want = tuple(sorted(fits[0])) if len(fits) == 1 else None
+                    got = modp._degree_fit(n, order, linear)
+                    assert got == want, (n, order, linear)
+
+    def test_cyclic_samples_take_no_stages(self, monkeypatch):
+        # the C15 numerator of the InvSqrtPade order-31 cell: every usable
+        # prime above its degree closes the walk at 1, 3, 5 or 15, and the
+        # degrees follow by arithmetic
+        f = _column_polys("InvSqrtPade", 31)[0]
+        assert f.degree() == 15
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gf_distinct_degree(*args)
+
+        monkeypatch.setattr(modp, "gf_distinct_degree", counting)
+        orders = set()
+        samples = 0
+        for p in primes_in_range(16, 10_000):
+            t = dedekind_cycle_type(f, p)
+            if t is not None:
+                orders.add(t.order())
+                samples += 1
+                if samples == 200:
+                    break
+        assert samples == 200
+        assert orders == {1, 3, 5, 15}
+        assert calls == []

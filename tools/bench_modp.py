@@ -69,6 +69,26 @@ the walk does not close) against one ``dedekind_cycle_type(f, p)`` (the
 walk and always a DDF, what each order sample cost when it read a cycle
 type), and ``closed_share``, the share of those primes whose walk closes.
 
+``kernel``: the samples themselves, recorded once: f mod p made monic
+at each of the first ``USABLE_PRIMES`` usable primes, for the ``dense``
+polynomial of each degree in ``DEGREES`` and the ``cyclic`` one of each
+modulus in ``CYCLIC_MODULI``.  For each target, the median time of one
+``gf_ddf_degree_multiset(f, p)`` over ``KERNEL_ROUNDS`` passes over its
+samples, and ``decided_share``, the share of its samples whose degrees
+that call reads off the walk's order and the Frobenius trace without
+calling ``gf_distinct_degree``.
+
+``--against PATH`` loads a second ``modp.py`` (PATH is the file, or the
+root of a checkout) and runs the ``kernel`` section alone, timing its
+``gf_ddf_degree_multiset`` and this checkout's on the same recorded
+samples, alternately, in one process: each sample is timed with one and
+then the other, the first side swapping each round.  Each target then
+also gives ``against_median_s`` and ``against_over_this``, the ratio of
+the two medians, and ``rounds`` gives that ratio for the summed time of
+all samples in each round, so its spread shows how far to trust it.
+Run-to-run spread between two processes hides gains under 1.5x; one
+process taking turns does not.
+
 Every time is in seconds at nominal machine speed: ``perfbench/speed.py``
 samples the speed of the host all through the run, and each timed call is
 scaled by the speed sampled around it, which takes out most of a shared
@@ -78,10 +98,13 @@ on ``SEED``, so two checkouts measured on the same machine compare
 directly.
 
 Run from the repository root:  python3 tools/bench_modp.py
+                            python3 tools/bench_modp.py --against ../old
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib.util
 import json
 import os
 import pathlib
@@ -98,7 +121,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from speed import MachineSpeed  # noqa: E402
 
-from padegalois import factor, galois, tables  # noqa: E402
+from padegalois import factor, galois, modp, tables  # noqa: E402
 from padegalois.factor import factor_over_integers  # noqa: E402
 from padegalois.galois import (  # noqa: E402
     _TSCHIRNHAUS_TRIALS,
@@ -141,6 +164,7 @@ FACTOR_REPS = 3
 PADE_REPS = 5
 PADE_TABLES = ("ExpPade", "InvSqrtPade", "Atanh2Pade")
 CENSUS_REPS = 15
+KERNEL_ROUNDS = 3
 SEED = 20201
 COEFF_BOUND = 50
 
@@ -272,6 +296,111 @@ def time_wreath(speed: MachineSpeed, f: IntPoly) -> dict:
         "closed_share": closed / len(primes),
         "largest_prime": primes[-1],
     }
+
+
+def recorded_samples(f: IntPoly) -> list[tuple[list[int], int]]:
+    """(f mod p made monic, p) at the first usable primes."""
+    samples = []
+    for p in primes_from(2):
+        if len(samples) == USABLE_PRIMES:
+            break
+        walk = factor._usable_walk(f, p)
+        if walk is not None:
+            samples.append((walk[0], p))
+    return samples
+
+
+def decided_share(samples) -> float:
+    """The share of the samples whose degrees ``gf_ddf_degree_multiset``
+    gives without calling ``gf_distinct_degree``."""
+    staged = 0
+    original = modp.gf_distinct_degree
+
+    def counting(*args):
+        nonlocal staged
+        staged += 1
+        return original(*args)
+
+    modp.gf_distinct_degree = counting
+    try:
+        for fm, p in samples:
+            modp.gf_ddf_degree_multiset(fm, p)
+    finally:
+        modp.gf_distinct_degree = original
+    return 1 - staged / len(samples)
+
+
+def time_kernel(speed: MachineSpeed, samples, against=None) -> tuple[dict, list]:
+    """Median seconds of one ``gf_ddf_degree_multiset`` over the samples,
+    and the decided share; with a second modp module, its median too,
+    each sample timed with both in turn.  Also the spans of each round,
+    per side, for the ratio of the rounds.  Consecutive calls of a side
+    are on different samples, so the walk it keeps serves none of them."""
+    sides = [modp] + ([against] if against else [])
+    rounds = []  # per round, per side, the spans of its calls
+    for r in range(KERNEL_ROUNDS):
+        spans: list[list] = [[] for _ in sides]
+        turn = list(range(len(sides)))[:: -1 if r % 2 else 1]
+        for fm, p in samples:
+            for i in turn:
+                kernel = sides[i].gf_ddf_degree_multiset
+                spans[i].append(speed.timed(kernel, fm, p)[1:])
+        rounds.append(spans)
+    every = [[span for spans in rounds for span in spans[i]] for i in range(len(sides))]
+    out: dict = {
+        "median_s": lambda: median_s(speed, every[0]),
+        "decided_share": round(decided_share(samples), 4),
+        "samples": len(samples),
+    }
+    if against:
+        out["against_median_s"] = lambda: median_s(speed, every[1])
+        out["against_over_this"] = lambda: round(
+            median_s(speed, every[1]) / median_s(speed, every[0]), 3
+        )
+    return out, rounds
+
+
+def kernel_section(speed: MachineSpeed, dense: dict, against=None) -> dict:
+    """The ``kernel`` section over the dense and the cyclic targets."""
+    targets = {
+        "dense": dense,
+        "cyclic": {m: cos_minimal_poly(m) for m in CYCLIC_MODULI},
+    }
+    out: dict = {}
+    every_round: list = []
+    for name, polys in targets.items():
+        out[name] = {}
+        for key, f in polys.items():
+            out[name][str(key)], rounds = time_kernel(
+                speed, recorded_samples(f), against
+            )
+            every_round.append(rounds)
+    if against:
+
+        def ratio(r: int) -> float:
+            total = [
+                sum(
+                    speed.seconds(*span)
+                    for rounds in every_round
+                    for span in rounds[r][i]
+                )
+                for i in (0, 1)
+            ]
+            return round(total[1] / total[0], 3)
+
+        out["rounds"] = [lambda r=r: ratio(r) for r in range(KERNEL_ROUNDS)]
+    return out
+
+
+def load_modp(path: str):
+    """The modp module at path: a modp.py file, or a checkout root."""
+    target = pathlib.Path(path)
+    if target.is_dir():
+        target = target / "src" / "padegalois" / "modp.py"
+    spec = importlib.util.spec_from_file_location("against_modp", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def time_resolvents(speed: MachineSpeed, rng: random.Random) -> dict:
@@ -437,6 +566,8 @@ def resolve(obj):
     """obj with every thunk replaced by its value."""
     if isinstance(obj, dict):
         return {key: resolve(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [resolve(value) for value in obj]
     return obj() if callable(obj) else obj
 
 
@@ -462,26 +593,44 @@ def git_revision() -> str | None:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--against",
+        metavar="PATH",
+        help="a second modp.py, or a checkout root: run the kernel section "
+        "alone, timing both modules in turn",
+    )
+    args = parser.parse_args()
     rng = random.Random(SEED)
     polys = {n: squarefree_poly(n, rng) for n in DEGREES}
-    # a generator of their own, so the other sections keep their inputs
-    even_rng = random.Random(SEED)
-    even = {n: even_poly(n, even_rng) for n in WREATH_DEGREES}
-    inputs, resolvents, engine_calls = classify_inputs()
-    with MachineSpeed() as speed:
-        timed = {
-            "by_degree": {str(n): time_samples(speed, f) for n, f in polys.items()},
-            "kernels": {str(n): time_kernels(speed, f) for n, f in polys.items()},
-            "cyclic": {
-                str(m): time_samples(speed, cos_minimal_poly(m)) for m in CYCLIC_MODULI
-            },
-            "resolvents": time_resolvents(speed, rng),
-            "polynomials": time_polynomials(speed),
-            "factoring": time_factoring(speed, inputs, resolvents, engine_calls),
-            "pade": time_pade(speed),
-            "census": time_census(speed),
-            "wreath": {str(n): time_wreath(speed, f) for n, f in even.items()},
-        }
+    if args.against:
+        against = load_modp(args.against)
+        with MachineSpeed() as speed:
+            timed = {
+                "against": str(pathlib.Path(args.against).resolve()),
+                "kernel": kernel_section(speed, polys, against),
+            }
+    else:
+        # a generator of their own, so the other sections keep their inputs
+        even_rng = random.Random(SEED)
+        even = {n: even_poly(n, even_rng) for n in WREATH_DEGREES}
+        inputs, resolvents, engine_calls = classify_inputs()
+        with MachineSpeed() as speed:
+            timed = {
+                "by_degree": {str(n): time_samples(speed, f) for n, f in polys.items()},
+                "kernels": {str(n): time_kernels(speed, f) for n, f in polys.items()},
+                "cyclic": {
+                    str(m): time_samples(speed, cos_minimal_poly(m))
+                    for m in CYCLIC_MODULI
+                },
+                "resolvents": time_resolvents(speed, rng),
+                "polynomials": time_polynomials(speed),
+                "factoring": time_factoring(speed, inputs, resolvents, engine_calls),
+                "pade": time_pade(speed),
+                "census": time_census(speed),
+                "wreath": {str(n): time_wreath(speed, f) for n, f in even.items()},
+                "kernel": kernel_section(speed, polys),
+            }
     result = {
         "git_revision": git_revision(),
         "python": platform.python_version(),
