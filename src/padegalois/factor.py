@@ -55,7 +55,15 @@ from .modp import (
     gf_roots,
     gf_sub,
 )
-from .polynomials import IntPoly, _add, _mul, _neg, _strip, int_poly_gcd
+from .polynomials import (
+    IntPoly,
+    _add,
+    _mul,
+    _neg,
+    _strip,
+    discriminant,
+    int_poly_gcd,
+)
 from .primes import is_prime, primes_from
 
 __all__ = [
@@ -132,13 +140,6 @@ class ModPFactorization:
             out.extend([len(coeffs) - 1] * mult)
         return sorted(out)
 
-    def reconstruct_mod_p(self) -> list[int]:
-        acc = [self.leading_coefficient % self.prime]
-        for coeffs, mult in self.factors:
-            for _ in range(mult):
-                acc = gf_mul(acc, list(coeffs), self.prime)
-        return acc
-
 
 # ---------------------------------------------------------------------------
 # Prime selection
@@ -193,6 +194,22 @@ def _usable_walk(f: IntPoly, p: int) -> tuple[list[int], int | None] | None:
     if order is None and len(gf_gcd(fm, gf_deriv(fm, p), p)) != 1:
         return None
     return fm, order
+
+
+def _usable_prime_count(f: IntPoly, prime_bound: int, cap: int) -> int:
+    """How many primes up to prime_bound are usable for f in the sense of
+    ``_usable_walk``, counted up to cap, with no walk.  For p not dividing
+    lc(f), f mod p keeps degree n and is squarefree exactly when its
+    discriminant, disc(f) mod p, is nonzero; so p is usable exactly when
+    it does not divide lc(f)·disc(f).
+    """
+    unusable = f.coeffs[-1] * int(discriminant(f))
+    count = 0
+    for p in primes_from(2):
+        if p > prime_bound or count == cap:
+            break
+        count += unusable % p != 0
+    return count
 
 
 def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:

@@ -28,8 +28,10 @@ same stream with its own stopping rule:
   the first samples give an order lower bound.  It reads them off the
   stream's Frobenius walks (``FrobeniusSamples.orders``), so a prime no
   other tier has sampled costs a walk, and a DDF only when the walk
-  does not close.  classify takes this tier from degree 8 on, once
-  cyclicity is refuted.
+  does not close.  Reading stops once the lcm reaches 2·exp(Gal g),
+  which every element order divides; the count of usable primes then
+  comes from lc(f)·disc(f), with no walk.  classify takes this tier
+  from degree 8 on, once cyclicity is refuted.
 
 Every tier only gathers evidence items; ``_verdict`` holds the rules
 that turn a list of items into a group name, a T-notation and a
@@ -59,6 +61,7 @@ from .factor import (
     _modular_degrees,
     _modular_order,
     _squarefree,
+    _usable_prime_count,
     factor_over_integers,
     is_irreducible,
     rational_roots,
@@ -276,7 +279,12 @@ class FrobeniusSamples:
             index += 1
 
     def orders(self):
-        """The element order of each sample, in the order of iteration."""
+        """The element order of each sample, in the order of iteration.
+
+        Walks happen only as far as the reader reads: ``wreath_structure``
+        stops at its ceiling and counts the rest of its usable primes
+        from lc(f)·disc(f) (``factor._usable_prime_count``).
+        """
         index = 0
         while True:
             typed = len(self._pairs)
@@ -1085,6 +1093,35 @@ def cyclic_heuristic(
     return _ident(n, [_samples_item(count, p)])
 
 
+def _exponent_bound(name: str, m: int) -> int:
+    """A multiple of the exponent of the group that a proven verdict on a
+    degree-m polynomial names.
+
+    S_d and A_d: the lcm of the parts of the partitions of d, the even
+    ones for A_d; a census group: its exponent; "subgroup of C2 wr ... wr
+    X" with k factors C2: 2^k times the bound for X, since an element
+    (v, s) of C2 wr X has s^e = 1 for e the order of s, so (v, s)^(2e)
+    = 1.  Any other name gives lcm(1..m), the exponent of S_m.
+    """
+    k, d = 0, m
+    rest = name.removeprefix("subgroup of ")
+    while rest.startswith("C2 wr "):
+        rest, k, d = rest.removeprefix("C2 wr "), k + 1, d // 2
+    if rest[:1] in ("S", "A") and rest[1:].isdigit():
+        # a j-cycle is odd for even j, and even with a transposition
+        d = int(rest[1:])
+        alternating = rest[0] == "A"
+        parts = (
+            j for j in range(1, d + 1) if not alternating or j % 2 or j + 2 <= d
+        )
+        return 2**k * lcm(*parts)
+    if 2 <= d <= 7:
+        for record in transitive_groups(d):
+            if record.name == rest:
+                return 2**k * record.exponent
+    return lcm(*range(1, m + 1))
+
+
 def wreath_structure(
     f: IntPoly,
     prime_bound: int = DEFAULT_PRIME_BOUND,
@@ -1099,7 +1136,14 @@ def wreath_structure(
     WREATH_ORDER_SAMPLES samples is a stated order lower bound; the
     orders come from ``stream.orders()``, so the samples past those
     that the stream already holds are Frobenius walks, with no cycle
-    type.  Raises ValueError when f is not g(x^2).
+    type.  Every element order divides the ceiling 2·exp(Gal g), which
+    ``_exponent_bound`` bounds from the verdict on g when it is proven
+    and by lcm(1..t) otherwise; once the lcm reaches that ceiling it is
+    final, and reading stops.  The ``samples`` count is still that of
+    the usable primes, up to WREATH_ORDER_SAMPLES: those up to the prime
+    bound that do not divide lc(f)·disc(f)
+    (``factor._usable_prime_count``).  Raises ValueError when f is not
+    g(x^2).
     """
     stream = _tier_stream(f, prime_bound, _stream, 2)
     found = _block_structure(f)
@@ -1107,12 +1151,21 @@ def wreath_structure(
         raise ValueError("polynomial is not of the form g(x^2)")
     structure, inner_poly = found
     inner = classify(inner_poly, prime_bound)
-    orders = list(islice(stream.orders(), WREATH_ORDER_SAMPLES))
-    bound = {
-        "kind": "order_lower_bound",
-        "value": lcm(*orders),
-        "samples": len(orders),
-    }
+    t = inner_poly.degree()
+    ceiling = 2 * (
+        _exponent_bound(inner.group_name, t)
+        if inner.certainty.is_proven
+        else lcm(*range(1, t + 1))
+    )
+    value, count = 1, 0
+    for count, order in enumerate(
+        islice(stream.orders(), WREATH_ORDER_SAMPLES), 1
+    ):
+        value = lcm(value, order)
+        if value == ceiling and count < WREATH_ORDER_SAMPLES:
+            count = _usable_prime_count(f, prime_bound, WREATH_ORDER_SAMPLES)
+            break
+    bound = {"kind": "order_lower_bound", "value": value, "samples": count}
     return _ident(
         f.degree(), [structure, _inner_group_item(inner), bound], inner
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .perms import (
     Perm,
@@ -96,6 +96,11 @@ class TransitiveGroupRecord:
     @property
     def name(self) -> str:
         return NAMES[(self.degree, self.t_number)]
+
+    @property
+    def exponent(self) -> int:
+        """The lcm of the element orders: of the parts of its cycle types."""
+        return lcm(*{part for parts in self.cycle_types for part in parts})
 
 
 @lru_cache(maxsize=None)

@@ -74,14 +74,6 @@ class NewtonPolygon:
     vertices: tuple[tuple[int, int], ...]
     segments: tuple[tuple[Fraction, int], ...]
 
-    def point_on_or_above_hull(self, index: int, valuation: int) -> bool:
-        """Exact test that (index, valuation) is on or above every edge line."""
-        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
-            # above the line through the edge <=> cross product >= 0
-            if (x2 - x1) * (valuation - y1) - (y2 - y1) * (index - x1) < 0:
-                return False
-        return True
-
 
 def newton_polygon(f, p: int) -> NewtonPolygon:
     """Newton polygon of a nonzero IntPoly or RatPoly at the prime p."""

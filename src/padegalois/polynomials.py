@@ -385,9 +385,6 @@ class RatPoly(_BasePoly):
                 raise ValueError(f"non-integer coefficient {c}")
         return IntPoly(tuple(int(c) for c in self.coeffs))
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
 
 # ---------------------------------------------------------------------------
 # Resultant / discriminant (subresultant pseudo-remainder sequence)

@@ -90,13 +90,3 @@ def primes_from(start: int) -> Iterator[int]:
     while True:
         p = next_prime(p)
         yield p
-
-
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p < hi."""
-    out = []
-    for p in primes_from(max(lo, 2)):
-        if p >= hi:
-            break
-        out.append(p)
-    return out

@@ -34,17 +34,21 @@ in the package, so agreement is meaningful:
 * ``divmod_by_fractions`` / ``divides_by_fractions`` -- integer
   polynomial division as ``RatPoly`` long division over Fraction, with
   the integrality of the quotient and remainder checked afterwards.
-* ``order_bound_by_cycle_types`` -- the wreath tier's order lower bound:
-  the lcm of the element orders (lcm of the parts) of the
-  ``cycle_type_by_gcd`` types at the first usable primes.
+* ``order_bound_by_cycle_types`` -- the wreath tier's order lower bound
+  and its sample count: the lcm of the element orders (lcm of the parts)
+  of the ``cycle_type_by_gcd`` types at the first usable primes up to a
+  prime bound, every one of them read.
 * ``census_by_closure``     -- the transitive-group records of a degree
   from the shipped generators by brute force: every element of every
   group is listed, and the order, the cycle types and the parity are read
   off the elements.
 
-Two helpers that only the tests need live here too: ``perm_order`` (the
-order of a permutation, the lcm of its cycle lengths) and
-``group_record`` (one census record by degree and t-number).
+Helpers that only the tests need live here too: ``perm_order`` (the
+order of a permutation, the lcm of its cycle lengths), ``group_record``
+(one census record by degree and t-number), ``reconstruct_mod_p`` (the
+product of a ``factor_mod_p`` result), ``point_on_or_above_hull`` (a
+point against every edge line of a Newton polygon) and
+``primes_in_range`` (the primes lo <= p < hi).
 """
 
 from __future__ import annotations
@@ -52,9 +56,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from importlib import resources
+from itertools import takewhile
 
+from padegalois.factor import ModPFactorization
 from padegalois.groupdata import TransitiveGroupRecord, transitive_groups
-from padegalois.modp import gf_divmod, gf_gcd, gf_mod, gf_pow_mod, gf_sub
+from padegalois.modp import gf_divmod, gf_gcd, gf_mod, gf_mul, gf_pow_mod, gf_sub
+from padegalois.padic import NewtonPolygon
 from padegalois.perms import (
     Perm,
     closure,
@@ -64,6 +71,7 @@ from padegalois.perms import (
     parse_cycles,
 )
 from padegalois.polynomials import IntPoly, RatPoly, resultant
+from padegalois.primes import primes_from
 
 
 def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
@@ -340,7 +348,7 @@ def _newton_interpolate(values: list[int], basis: list[RatPoly]):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         if diffs[0]:
             acc = acc + basis[k] * Fraction(diffs[0])
-    if acc.is_zero() or not acc.is_integral():
+    if acc.is_zero() or any(c.denominator != 1 for c in acc.coeffs):
         return None
     return acc.to_int_checked()
 
@@ -421,11 +429,15 @@ def cycle_type_by_gcd(f: IntPoly, p: int) -> tuple[int, ...] | None:
     return tuple(sorted(parts, reverse=True))
 
 
-def order_bound_by_cycle_types(f: IntPoly, samples: int) -> int:
-    """The lcm of the element orders over the first ``samples`` primes
-    p >= 2 where ``cycle_type_by_gcd`` gives a cycle type."""
+def order_bound_by_cycle_types(
+    f: IntPoly, samples: int, prime_bound: int = 10_000
+) -> tuple[int, int]:
+    """(lcm of the element orders, count) over the first ``samples``
+    primes 2 <= p <= prime_bound where ``cycle_type_by_gcd`` gives a cycle
+    type; count is how many there were, fewer than ``samples`` when the
+    bound runs out of primes."""
     bound, count, p = 1, 0, 1
-    while count < samples:
+    while count < samples and p < prime_bound:
         p += 1
         if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             continue
@@ -433,7 +445,7 @@ def order_bound_by_cycle_types(f: IntPoly, samples: int) -> int:
         if parts is not None:
             bound = math.lcm(bound, *parts)
             count += 1
-    return bound
+    return bound, count
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -571,6 +583,31 @@ def group_record(degree: int, t_number: int) -> TransitiveGroupRecord:
         if record.t_number == t_number:
             return record
     raise KeyError(f"{degree}T{t_number}")
+
+
+def reconstruct_mod_p(mp: ModPFactorization) -> list[int]:
+    """The product of a factorization mod p: its leading coefficient
+    times every factor to its multiplicity, reduced mod p."""
+    acc = [mp.leading_coefficient % mp.prime]
+    for coeffs, mult in mp.factors:
+        for _ in range(mult):
+            acc = gf_mul(acc, list(coeffs), mp.prime)
+    return acc
+
+
+def point_on_or_above_hull(poly: NewtonPolygon, index: int, valuation: int) -> bool:
+    """Exact test that (index, valuation) is on or above the line of every
+    edge of the polygon."""
+    for (x1, y1), (x2, y2) in zip(poly.vertices, poly.vertices[1:]):
+        # above the line through the edge <=> cross product >= 0
+        if (x2 - x1) * (valuation - y1) - (y2 - y1) * (index - x1) < 0:
+            return False
+    return True
+
+
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """Primes p with lo <= p < hi."""
+    return list(takewhile(lambda p: p < hi, primes_from(max(lo, 2))))
 
 
 def census_by_closure(degree: int) -> tuple[TransitiveGroupRecord, ...]:

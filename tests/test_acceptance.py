@@ -32,7 +32,7 @@ from padegalois.polynomials import (
     discriminant,
     format_poly,
 )
-from padegalois.primes import is_prime, primes_in_range
+from padegalois.primes import is_prime
 from padegalois.schur import (
     closed_form_disc,
     eisenstein_certificate,
@@ -48,7 +48,7 @@ from padegalois.series import (
 )
 from padegalois.tables import reproduce
 
-from .oracles import hankel_pade, kronecker_factor
+from .oracles import hankel_pade, kronecker_factor, primes_in_range
 
 
 def _report(

@@ -29,20 +29,21 @@ from padegalois.factor import (
 from padegalois.factor import _gf_bezout, _hensel_lift_multi, _hensel_step, _mod_poly
 from padegalois.factor import _degree_set_irreducible, _usable_degrees
 from padegalois.factor import _modular_degrees, _modular_order, _squarefree
+from padegalois.factor import _usable_prime_count, _usable_walk
 from padegalois.galois import FrobeniusSamples
 from padegalois.modp import gf_from_int_coeffs, gf_mul
 from padegalois.pade import pade_diagonal
 from padegalois.polynomials import (
     IntPoly,
+    discriminant,
     format_poly,
     int_poly_gcd,
     parse_int_poly,
 )
-from padegalois.primes import primes_in_range
 from padegalois.series import SeriesId, scale_to_monic_integer
 from padegalois.tables import TABLES, reproduce
 
-from .oracles import kronecker_factor
+from .oracles import kronecker_factor, primes_in_range, reconstruct_mod_p
 
 small_coeff = st.integers(min_value=-20, max_value=20)
 
@@ -192,7 +193,7 @@ class TestFactorModP:
         if f.leading_coefficient() % p == 0:
             return
         mp = factor_mod_p(f, p, seed=seed)
-        assert mp.reconstruct_mod_p() == gf_from_int_coeffs(f.coeffs, p)
+        assert reconstruct_mod_p(mp) == gf_from_int_coeffs(f.coeffs, p)
 
 
 def brute_degree_multiset(f: IntPoly, p: int) -> list[int]:
@@ -480,6 +481,61 @@ class TestModularOrder:
                     assert order == math.lcm(*degrees)
                     seen.add("usable")
         assert seen == {"lc", "disc", "usable"}
+
+
+def _product_grid() -> list[IntPoly]:
+    """Seeded products of two or three factors of degree 1..5, leading
+    coefficients 1..4, total degree 2..16, and one with a square factor,
+    whose discriminant is 0."""
+    rng = random.Random(1967)
+    polys = []
+    for _ in range(12):
+        f = IntPoly((1,))
+        for _ in range(rng.randint(2, 3)):
+            d = rng.randint(1, 5)
+            f = f * IntPoly([rng.randint(-6, 6) for _ in range(d)] + [rng.randint(1, 4)])
+        polys.append(f)
+    a = IntPoly((3, -1, 1))
+    polys.append(a * a * IntPoly((1, 0, 0, 2)))
+    return polys
+
+
+class TestUsablePrimes:
+    def test_usable_exactly_off_lc_times_disc(self):
+        # every prime below 400 on the seeded dense, g(x^2) and product
+        # inputs; the grid must reach p | lc, p | disc with p not dividing
+        # lc, and primes p <= n and p | n both usable and not
+        seen = set()
+        for f in _order_grid() + _product_grid():
+            n = f.degree()
+            lc_disc = f.coeffs[-1] * int(discriminant(f))
+            usable = []
+            for p in primes_in_range(2, 400):
+                walkable = _usable_walk(f, p) is not None
+                assert walkable == (lc_disc % p != 0), (f, p)
+                if walkable:
+                    usable.append(p)
+                elif f.coeffs[-1] % p == 0:
+                    seen.add("lc")
+                else:
+                    seen.add("disc")
+                if p <= n:
+                    seen.add(("p <= n", walkable))
+                if n % p == 0:
+                    seen.add(("p | n", walkable))
+            for bound in (2, 60, 200, 399):
+                below = [p for p in usable if p <= bound]
+                for cap in (1, 10, 120):
+                    expected = min(cap, len(below))
+                    assert _usable_prime_count(f, bound, cap) == expected
+        assert seen == {
+            "lc",
+            "disc",
+            ("p <= n", True),
+            ("p <= n", False),
+            ("p | n", True),
+            ("p | n", False),
+        }
 
 
 def _digest(pairs) -> str:

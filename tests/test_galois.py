@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import islice, permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from padegalois import galois
 from padegalois.factor import factor_mod_p, factor_over_integers, is_irreducible
 from padegalois.galois import (
+    DEFAULT_PRIME_BOUND,
     Certainty,
     CycleType,
     GaloisIdentification,
@@ -22,6 +24,7 @@ from padegalois.galois import (
     _TSCHIRNHAUS_TRIALS,
     _depressed_quintic,
     _difference_resolvent,
+    _exponent_bound,
     _from_power_sums,
     _monicize,
     _quintic_sextic_resolvent,
@@ -37,6 +40,7 @@ from padegalois.galois import (
     verify_identification,
     wreath_structure,
 )
+from padegalois.groupdata import transitive_groups
 from padegalois.pade import pade_diagonal
 from padegalois.polynomials import (
     IntPoly,
@@ -44,7 +48,6 @@ from padegalois.polynomials import (
     format_poly,
     parse_int_poly,
 )
-from padegalois.primes import primes_in_range
 from padegalois.series import SeriesId, scale_to_monic_integer, taylor
 from padegalois.tables import TABLES, _column_polys
 
@@ -53,6 +56,7 @@ from .oracles import (
     difference_resolvent_by_interpolation,
     group_record,
     order_bound_by_cycle_types,
+    primes_in_range,
     tschirnhaus_by_resultants,
 )
 
@@ -557,11 +561,84 @@ class TestWreathStructure:
     @pytest.mark.parametrize(("table", "order"), _WREATH_CELLS)
     def test_order_bound_matches_oracle_on_table_targets(self, table, order):
         target = _wreath_target(table, order)
+        value, count = order_bound_by_cycle_types(target, WREATH_ORDER_SAMPLES)
+        assert count == WREATH_ORDER_SAMPLES
         assert _order_item(classify(target)) == {
             "kind": "order_lower_bound",
-            "value": order_bound_by_cycle_types(target, WREATH_ORDER_SAMPLES),
-            "samples": WREATH_ORDER_SAMPLES,
+            "value": value,
+            "samples": count,
         }
+
+    @pytest.mark.parametrize("prime_bound", [60, 200])
+    @pytest.mark.parametrize(("table", "order"), _WREATH_CELLS)
+    def test_order_bound_matches_oracle_below_the_sample_count(
+        self, table, order, prime_bound
+    ):
+        # 17 and 46 primes: the count is that of the usable ones
+        target = _wreath_target(table, order)
+        value, count = order_bound_by_cycle_types(
+            target, WREATH_ORDER_SAMPLES, prime_bound
+        )
+        assert count < WREATH_ORDER_SAMPLES
+        assert _order_item(wreath_structure(target, prime_bound)) == {
+            "kind": "order_lower_bound",
+            "value": value,
+            "samples": count,
+        }
+
+    @pytest.mark.parametrize("prime_bound", [60, 200, DEFAULT_PRIME_BOUND])
+    def test_order_bound_matches_oracle_on_even_inputs_of_degree_8_to_16(
+        self, prime_bound
+    ):
+        rng = random.Random(1985)
+        for n in (8, 10, 12, 14, 16):
+            while True:
+                g = [rng.randint(-5, 5) for _ in range(n // 2)] + [1]
+                f = IntPoly([c for a in g for c in (a, 0)][:-1])
+                if f.coeffs[0] and is_irreducible(f):
+                    break
+            value, count = order_bound_by_cycle_types(
+                f, WREATH_ORDER_SAMPLES, prime_bound
+            )
+            assert _order_item(wreath_structure(f, prime_bound)) == {
+                "kind": "order_lower_bound",
+                "value": value,
+                "samples": count,
+            }
+
+    def test_order_bound_reads_on_without_a_proven_inner_verdict(self):
+        # g = the minimal polynomial of 2cos(2pi/17) has the heuristic
+        # verdict C8, so the ceiling is 2 lcm(1..8) = 1680, which orders
+        # dividing 16 never reach: all 120 samples are read
+        g = IntPoly((1, -4, -10, 10, 15, -6, -7, 1, 1))
+        f = IntPoly([c for a in g.coeffs for c in (a, 0)][:-1])
+        assert classify(g).certainty.kind == "heuristic"
+        value, count = order_bound_by_cycle_types(f, WREATH_ORDER_SAMPLES)
+        assert 1680 % value == 0 and value != 1680
+        assert _order_item(wreath_structure(f)) == {
+            "kind": "order_lower_bound",
+            "value": value,
+            "samples": count,
+        }
+
+    @pytest.mark.parametrize(("table", "order"), _WREATH_CELLS)
+    def test_order_bound_stops_walking_at_its_ceiling(
+        self, monkeypatch, table, order
+    ):
+        # on a fresh stream every order is a walk; the lcm reaches
+        # 2 exp(inner group) within a few samples, and the rest of the
+        # count comes from lc(f) disc(f)
+        target = _wreath_target(table, order)
+        walks = []
+        original = galois._modular_order
+
+        def counting(f, p):
+            walks.append((f.coeffs, p))
+            return original(f, p)
+
+        monkeypatch.setattr(galois, "_modular_order", counting)
+        wreath_structure(target)
+        assert len(walks) <= 25
 
     def test_order_bound_matches_oracle_on_seeded_inputs(self):
         # the tier on a fresh stream reads walks only; classify reaches it
@@ -574,10 +651,11 @@ class TestWreathStructure:
                 f = IntPoly([c for a in g for c in (a, 0)][:-1])
                 if f.coeffs[0] and is_irreducible(f):
                     break
+            value, count = order_bound_by_cycle_types(f, WREATH_ORDER_SAMPLES)
             expected = {
                 "kind": "order_lower_bound",
-                "value": order_bound_by_cycle_types(f, WREATH_ORDER_SAMPLES),
-                "samples": WREATH_ORDER_SAMPLES,
+                "value": value,
+                "samples": count,
             }
             assert _order_item(wreath_structure(f)) == expected
             ident = classify(f)
@@ -585,6 +663,46 @@ class TestWreathStructure:
                 assert _order_item(ident) == expected
                 via_classify += 1
         assert via_classify
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_exponent_bound_of_symmetric_and_alternating_groups(self, m):
+        def partitions(n, largest):
+            if n == 0:
+                yield ()
+            for first in range(min(n, largest), 0, -1):
+                for rest in partitions(n - first, first):
+                    yield (first,) + rest
+
+        def lcm_of_parts(keep):
+            return lcm(*(part for c in partitions(m, m) if keep(c) for part in c))
+
+        assert _exponent_bound(f"S{m}", m) == lcm_of_parts(lambda c: True)
+        even = lcm_of_parts(lambda c: (m - len(c)) % 2 == 0)
+        assert _exponent_bound(f"A{m}", m) == even
+        if 4 <= m <= 7:
+            # the census records of S_m and A_m agree
+            by_name = {r.name: r.exponent for r in transitive_groups(m)}
+            assert by_name[f"S{m}"] == lcm_of_parts(lambda c: True)
+            assert by_name[f"A{m}"] == even
+
+    @pytest.mark.parametrize(
+        ("name", "m", "bound"),
+        [
+            ("subgroup of C2 wr C2 wr S4", 8, 4 * 12),
+            ("subgroup of C2 wr C2 wr S4", 16, 4 * 12),
+            ("C2wrS3", 6, 12),  # C2^3 : S3, the census exponent
+            ("subgroup of C2 wr C2wrS3", 12, 2 * 12),
+            ("subgroup of C2 wr D4", 8, 2 * 4),
+            ("PSL(3,2)", 7, 84),
+            ("S9", 9, 2520),
+            ("C1", 1, 1),
+            # no census group of that name at degree 8 / 4: lcm(1..m)
+            ("C8", 8, 840),
+            ("subgroup of C2 wr F20", 8, 840),
+        ],
+    )
+    def test_exponent_bound_by_name(self, name, m, bound):
+        assert _exponent_bound(name, m) == bound
 
     def test_order_bound_divides_wreath_order(self):
         ident = wreath_structure(IntPoly((7, 0, 0, 0, 1, 0, 0, 0, 1)))

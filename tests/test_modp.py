@@ -30,7 +30,7 @@ from padegalois.modp import (
     gf_trim,
 )
 from padegalois.polynomials import IntPoly
-from padegalois.primes import is_prime, next_prime, primes_in_range
+from padegalois.primes import is_prime, next_prime
 from padegalois.tables import _column_polys
 
 from .oracles import (
@@ -39,6 +39,7 @@ from .oracles import (
     gcd_by_long_division,
     mod_by_long_division,
     pow_mod_right_to_left,
+    primes_in_range,
     times_x_by_long_division,
 )
 

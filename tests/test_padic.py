@@ -14,8 +14,10 @@ from padegalois.padic import (
     qp_factor_shape,
 )
 from padegalois.polynomials import IntPoly, RatPoly, parse_int_poly
-from padegalois.primes import is_prime, next_prime, primes_in_range
+from padegalois.primes import is_prime, next_prime
 from padegalois.series import SeriesId, taylor
+
+from .oracles import point_on_or_above_hull, primes_in_range
 
 
 def brute_factorial_valuation(p: int, n: int) -> int:
@@ -132,7 +134,7 @@ class TestNewtonPolygon:
         assert sum(length for _, length in poly.segments) == poly.points[-1][0] - poly.points[0][0]
         # every point lies on or above every segment line
         for i, v in poly.points:
-            assert poly.point_on_or_above_hull(i, v), (f, p, (i, v))
+            assert point_on_or_above_hull(poly, i, v), (f, p, (i, v))
 
 
 class TestFactorShape:

@@ -1,6 +1,6 @@
 """Permutation utilities and the embedded transitive-group records."""
 
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -171,6 +171,14 @@ class TestGroupData:
     def test_records_equal_closure_oracle(self):
         for degree in range(2, 8):
             assert transitive_groups(degree) == census_by_closure(degree)
+
+    @pytest.mark.parametrize("degree", range(2, 8))
+    def test_exponent_is_the_lcm_of_the_element_orders(self, degree):
+        oracle = census_by_closure(degree)
+        assert [r.exponent for r in transitive_groups(degree)] == [
+            lcm(*(perm_order(e) for e in closure(list(r.generators), degree)))
+            for r in oracle
+        ]
 
     def test_no_large_group_is_closed(self, monkeypatch):
         closed = []

@@ -1,7 +1,9 @@
 """Prime helpers: the small-prime sieve against Miller-Rabin."""
 
 from padegalois import primes
-from padegalois.primes import is_prime, next_prime, primes_in_range
+from padegalois.primes import is_prime, next_prime
+
+from .oracles import primes_in_range
 
 # past the sieve, so the switch to Miller-Rabin is crossed too
 LIMIT = (1 << 16) + 64

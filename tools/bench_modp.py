@@ -68,6 +68,10 @@ median time of one order draw of the wreath tier
 the walk does not close) against one ``dedekind_cycle_type(f, p)`` (the
 walk and always a DDF, what each order sample cost when it read a cycle
 type), and ``closed_share``, the share of those primes whose walk closes.
+``order_bound_median_s`` is the median time of one whole order bound,
+``wreath_structure(f)`` on a fresh stream over ``KERNEL_ROUNDS`` calls
+(the inner ``classify`` of g included), and ``order_bound_walks`` the
+``_modular_order`` calls that one such call makes.
 
 ``kernel``: the samples themselves, recorded once: f mod p made monic
 at each of the first ``USABLE_PRIMES`` usable primes, for the ``dense``
@@ -276,7 +280,9 @@ def time_wreath(speed: MachineSpeed, f: IntPoly) -> dict:
     """Median seconds of one order draw and of one cycle type over the
     first usable primes, and the share of those primes whose walk closes.
     Each call walks a new (f, p), so the walk kept for the last (f, p)
-    serves none of them."""
+    serves none of them.  Then the median seconds of one whole order
+    bound, ``wreath_structure(f)`` on a fresh stream, over
+    ``KERNEL_ROUNDS`` calls, and the order walks one such call makes."""
     walk_orders = {}  # usable p -> gf_frobenius_order, None when not closed
     for p in primes_from(2):
         if len(walk_orders) == USABLE_PRIMES:
@@ -286,6 +292,18 @@ def time_wreath(speed: MachineSpeed, f: IntPoly) -> dict:
             walk_orders[p] = walk[1]
     primes = list(walk_orders)
     closed = sum(order is not None for order in walk_orders.values())
+    walks = []
+    original = galois._modular_order
+
+    def counting(g, p):
+        walks.append(p)
+        return original(g, p)
+
+    galois._modular_order = counting
+    try:
+        galois.wreath_structure(f)
+    finally:
+        galois._modular_order = original
     return {
         "order_median_s": median_call_s(
             speed, (lambda p=p: factor._modular_order(f, p) for p in primes)
@@ -295,6 +313,10 @@ def time_wreath(speed: MachineSpeed, f: IntPoly) -> dict:
         ),
         "closed_share": closed / len(primes),
         "largest_prime": primes[-1],
+        "order_bound_median_s": median_call_s(
+            speed, [lambda: galois.wreath_structure(f)] * KERNEL_ROUNDS
+        ),
+        "order_bound_walks": len(walks),
     }
 
 
