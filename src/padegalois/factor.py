@@ -1,13 +1,16 @@
 """Complete factorization of integer polynomials.
 
 Pipeline for ``factor_over_integers``: content/sign split, powers of x,
-Yun squarefree decomposition, then per squarefree part a modular
-factorization (distinct-degree + equal-degree splitting), Hensel lifting
-to p^K for the least K with p^K above twice the Mignotte factor bound
-(through the exponents 1, ..., ceil(K/2), K, each step at most squaring
-the modulus), and exhaustive subset recombination mod p^K with a
-trailing-coefficient quick test.  All of it is integer work: the lifting
-runs on coefficient tuples, and exact division never leaves Z[x].
+Yun squarefree decomposition, then per squarefree part an even step and
+a modular factorization (distinct-degree + equal-degree splitting),
+Hensel lifting to p^K for the least K with p^K above twice the Mignotte
+factor bound (through the exponents 1, ..., ceil(K/2), K, each step at
+most squaring the modulus), and exhaustive subset recombination mod p^K
+with a trailing-coefficient quick test.  The even step factors a part
+g(x^2) through g, and lifts an s(x^2), s an irreducible factor of g,
+only when a square test leaves open that it splits as c*t(x)*t(-x).
+All of it is integer work: the lifting runs on coefficient tuples, and
+exact division never leaves Z[x].
 
 Determinism: equal-degree splitting uses a seeded pseudo-random stream;
 the seed is fixed by default and recorded in every ``ModPFactorization``.
@@ -357,9 +360,12 @@ def rational_roots(f: IntPoly) -> list[Fraction]:
 def _nonzero_roots(f: IntPoly) -> tuple[list[Fraction], IntPoly]:
     """The rational roots of primitive f of degree >= 1 with f(0) != 0,
     with multiplicity and sorted, and gcd(f, f'), whose cofactor in f is
-    the radical searched for roots."""
+    the radical searched for roots.  The gcd over Z is taken only when
+    ``_squarefree`` finds no prime that keeps f squarefree; so a
+    non-squarefree f pays deg f + 1 extra gcds mod p, and its gcd over Z
+    twice."""
     roots: list[Fraction] = []
-    cof = int_poly_gcd(f, f.derivative())
+    cof = IntPoly.one() if _squarefree(f) else int_poly_gcd(f, f.derivative())
     rad = f.exact_div(cof) if cof.degree() > 0 else f
     candidates: set[Fraction] = set()
     if rad.degree() == 1:
@@ -504,7 +510,16 @@ def _select_prime(f: IntPoly) -> tuple[int, list[int]]:
 
 def _zassenhaus(f: IntPoly, seed: int) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f with positive
-    leading coefficient (degree >= 1)."""
+    leading coefficient (degree >= 1).
+
+    An even f = g(x^2) factors through its half g.  Each irreducible
+    factor s of g of degree k gives an s(x^2) that is irreducible or is
+    c*t(x)*t(-x) (Capelli); the latter makes s(0) = c*t(0)^2 and
+    lc(s) = (-1)^k*c*lc(t)^2, so v = (-1)^k*s(0)*lc(s) is a square.  When
+    it is not, s(x^2) is irreducible; otherwise it is lifted as it is.
+    A difference resolvent of ``galois``, R(x) = S(x^2) of degree
+    n(n - 1), is never lifted whole: S is, and each s(x^2) that passes
+    the square test."""
     if f.degree() == 1:
         return [f]
     if f.constant_coefficient() == 0:
@@ -515,6 +530,25 @@ def _zassenhaus(f: IntPoly, seed: int) -> list[IntPoly]:
         if rest.degree() >= 1:
             out.extend(_zassenhaus(rest, seed))
         return out
+    if not f.is_even_polynomial():
+        return _lift_and_recombine(f, seed)
+    out = []
+    for s in _zassenhaus(f.even_part_compressed(), seed):
+        coeffs = [0] * (2 * s.degree() + 1)
+        coeffs[::2] = s.coeffs
+        whole = IntPoly(coeffs)
+        v = (-1) ** s.degree() * s.constant_coefficient() * s.leading_coefficient()
+        if v < 0 or math.isqrt(v) ** 2 != v:
+            out.append(whole)
+        else:
+            out.extend(_lift_and_recombine(whole, seed))
+    return out
+
+
+def _lift_and_recombine(f: IntPoly, seed: int) -> list[IntPoly]:
+    """``_zassenhaus`` of f of degree >= 2 with f(0) != 0, without the
+    even rule: an Eisenstein certificate, or the factors mod the prime of
+    ``_select_prime``, Hensel-lifted and recombined."""
     if _eisenstein_irreducible(f):
         return [f]
     p, multiset = _select_prime(f)

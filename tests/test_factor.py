@@ -610,3 +610,177 @@ class TestIntegerWorkOnly:
 
         monkeypatch.setattr(IntPoly, "to_rat", refuse)
         assert [(f, factor_over_integers(f)) for f in inputs.values()] == want
+
+
+def _squared_argument(g: IntPoly, k: int) -> IntPoly:
+    """g(x^k)."""
+    coeffs = [0] * (k * g.degree() + 1)
+    coeffs[::k] = g.coeffs
+    return IntPoly(coeffs)
+
+
+def _family_inputs(seed: int) -> dict[str, IntPoly]:
+    """One seeded quartic or quintic with each of the groups C4, D4, C5
+    and D5: x^4 + b*x^2 + b with b = 4 + s^2 (C4 when b and b^2 - 4b are
+    not squares), x^4 + a*x^2 + b with none of b, a^2 - 4b, b(a^2 - 4b) a
+    square (D4), the minimal polynomial of 2cos(2pi/11) at x + c (C5), and
+    the primitive part of x^5 - 5x + 12 at k*x + c (D5)."""
+    rng = random.Random(seed)
+
+    def square(m: int) -> bool:
+        return m >= 0 and math.isqrt(m) ** 2 == m
+
+    while True:
+        b = 4 + rng.randint(1, 12) ** 2
+        if not square(b) and not square(b * b - 4 * b):
+            break
+    c4 = IntPoly((b, 0, rng.choice((b, -b)), 0, 1))
+    while True:
+        a, b = rng.randint(-20, 20), rng.choice([m for m in range(-40, 41) if m])
+        if not (square(b) or square(a * a - 4 * b) or square(b * (a * a - 4 * b))):
+            break
+    d4 = IntPoly((b, 0, a, 0, 1))
+    c5 = IntPoly((1, 3, -3, -4, 1, 1)).shift_argument(rng.randint(-4, 4))
+    k, c = rng.randint(1, 3), rng.randint(-3, 3)
+    d5 = IntPoly.zero()
+    for coeff in reversed((12, -5, 0, 0, 0, 1)):
+        d5 = d5 * IntPoly((c, k)) + IntPoly.constant(coeff)
+    return {"C4": c4, "D4": d4, "C5": c5, "D5": d5.primitive_part()}
+
+
+class TestEvenInput:
+    @staticmethod
+    def _check(f: IntPoly):
+        fac = factor_over_integers(f)
+        assert fac.reconstruct() == f
+        expanded = [g for g, m in fac.factors for _ in range(m)]
+        assert sorted(expanded, key=lambda t: (t.degree(), t.coeffs)) == kronecker_factor(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(small_coeff, min_size=2, max_size=3),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+        st.integers(1, 3),
+    )
+    def test_against_kronecker(self, a, b, k):
+        # g = a * b^k: non-monic, with any constant term, and with a
+        # repeated factor whenever b is nonconstant and k > 1; then g(x^2)
+        # and g(x^4) while their degree stays within the oracle's reach
+        g = IntPoly(a) * IntPoly(b) ** k
+        assume(1 <= g.degree() <= 4)
+        self._check(_squared_argument(g, 2))
+        if g.degree() <= 2:
+            self._check(_squared_argument(g, 4))
+
+    @pytest.fixture
+    def lifted(self, monkeypatch):
+        """The inputs of every ``_lift_and_recombine`` call."""
+        calls = []
+        original = factor_mod._lift_and_recombine
+
+        def recording(f, *args):
+            calls.append(f)
+            return original(f, *args)
+
+        monkeypatch.setattr(factor_mod, "_lift_and_recombine", recording)
+        return calls
+
+    @pytest.mark.parametrize(
+        "coeffs, factors",
+        [
+            # v = 1 is a square for x^2 + 1 and x^2 - 10x + 1, yet
+            # x^4 + 1 and x^4 - 10x^2 + 1 stay irreducible
+            ((1, 0, 0, 0, 1), [(1, 0, 0, 0, 1)]),
+            ((1, 0, -10, 0, 1), [(1, 0, -10, 0, 1)]),
+            ((4, 0, 0, 0, 1), [(2, -2, 1), (2, 2, 1)]),
+            ((1, 0, 0, 0, 4), [(1, -2, 2), (1, 2, 2)]),
+        ],
+        ids=["x^4+1", "x^4-10x^2+1", "x^4+4", "4x^4+1"],
+    )
+    def test_square_v_is_lifted(self, lifted, coeffs, factors):
+        f = IntPoly(coeffs)
+        fac = factor_over_integers(f)
+        assert [g.coeffs for g, _ in fac.factors] == factors
+        # the square test hands the whole on; the half x^2 - 10x + 1,
+        # not even, goes there too
+        assert lifted[-1] == f
+
+    @pytest.mark.parametrize(
+        "coeffs, factors, lifts",
+        [
+            # x - 4 gives v = 4, so x^2 - 4 is lifted and splits
+            ((-4, 0, 1), [(-2, 1), (2, 1)], 1),
+            # x + 4 gives v = -4, and y^2 - 2 then v = -2: no lift
+            ((4, 0, 1), [(4, 0, 1)], 0),
+            ((-2, 0, 0, 0, 1), [(-2, 0, 0, 0, 1)], 0),
+        ],
+        ids=["x^2-4", "x^2+4", "x^4-2"],
+    )
+    def test_square_test_alone(self, lifted, coeffs, factors, lifts):
+        # factor_over_integers strips the roots of x^2 - 4 before the
+        # Zassenhaus step, so these go to it directly
+        f = IntPoly(coeffs)
+        got = factor_mod._zassenhaus(f, DEFAULT_EDF_SEED)
+        assert sorted(g.coeffs for g in got) == factors
+        assert len(lifted) == lifts
+
+    # (table, order, column) of every table cell that the difference
+    # resolvent decides: InvSqrtPade 11 (C5 twice), six Atanh2Pade D4
+    # cells and SinSinh 5 (D4)
+    RESOLVENT_CELLS = (
+        ("InvSqrtPade", 11, 0),
+        ("InvSqrtPade", 11, 1),
+        ("Atanh2Pade", 8, 1),
+        ("Atanh2Pade", 9, 1),
+        ("Atanh2Pade", 11, 0),
+        ("Atanh2Pade", 11, 1),
+        ("Atanh2Pade", 12, 0),
+        ("Atanh2Pade", 13, 0),
+        ("SinSinh", 5, 0),
+    )
+    # recorded before the even rule
+    ITEM_DEGREES = {"C4": [4, 4, 4], "D4": [4, 8], "C5": [5, 5, 5, 5], "D5": [10, 10]}
+    # the resolvent R(x) = S(x^2) of degree n(n - 1) is never lifted: S is,
+    # at n(n - 1)/2, and an s(x^2) for a factor s of S whose v is a square,
+    # at 2 deg s; for C4 and D4 that is the factor of degree 4 (the pairs
+    # at distance 1 or 3 round the 4-cycle), so quartics lift at 8
+    MOST_LIFTED = {4: 8, 5: 10}
+
+    def test_difference_resolvents_lift_below_their_degree(self, monkeypatch):
+        names = ["C5", "C5"] + ["D4"] * 7
+        targets = [
+            (tables_mod._column_polys(t, order)[column], name)
+            for (t, order, column), name in zip(self.RESOLVENT_CELLS, names)
+        ] + [(f, name) for name, f in _family_inputs(20).items()]
+        lifted, items, inside = [], [], []
+        original_item = galois_mod._difference_degrees_item
+        original_lift = factor_mod._hensel_lift_multi
+
+        def item(f, shift):
+            inside.append(f.degree())
+            try:
+                out = original_item(f, shift)
+            finally:
+                inside.pop()
+            if out is not None:
+                items.append(out["degrees"])
+            return out
+
+        def lift(f, *args):
+            if inside:
+                lifted.append((inside[-1], f.degree()))
+            return original_lift(f, *args)
+
+        monkeypatch.setattr(galois_mod, "_difference_degrees_item", item)
+        monkeypatch.setattr(factor_mod, "_hensel_lift_multi", lift)
+        for f, name in targets:
+            del items[:]
+            ident = galois_mod.classify(f)
+            assert ident.group_name == name
+            assert galois_mod.verify_identification(f, ident)
+            # classify, then the verifier's replay
+            assert items == [self.ITEM_DEGREES[name]] * 2
+        assert {n for n, _ in lifted} == {4, 5}
+        for n, degree in lifted:
+            assert degree <= self.MOST_LIFTED[n] < n * (n - 1)
+        assert max(d for n, d in lifted if n == 5) == 10

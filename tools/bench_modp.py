@@ -41,10 +41,15 @@ one pass of ``reproduce(t, cache=None, verify=True)`` over the six tables
 degree, as ``classify`` decides), and, as a third group ``resolvents``,
 the distinct difference resolvents (degree 12 or 20) that
 ``_difference_degrees_item`` factors in that pass, where most of the
-Hensel lifting happens.  For each group, the median time of one
+Hensel lifting happens.  A fourth group, ``families``, holds the
+difference resolvents of ``FAMILY_POLYS`` fixed seeded quartics or
+quintics with each of the groups C4, D4, C5 and D5, built here as the
+exact tier builds them.  For each group, the median time of one
 ``factor_over_integers(f)`` over ``FACTOR_REPS`` calls on every input
-(``median_s``), and the sum over the inputs of each input's median
-(``total_s``), which is what one such pass spends factoring them.
+(``median_s``), the sum over the inputs of each input's median
+(``total_s``), which is what one such pass spends factoring them, and
+``lifted_degrees``, how many polynomials of each degree one untimed
+factoring of the group hands to ``factor._hensel_lift_multi``.
 ``engine_calls`` counts the ``factor_over_integers`` calls that pass makes,
 from ``classify``, the verifier and the resolvents alike.
 
@@ -110,6 +115,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import platform
@@ -130,6 +136,8 @@ from padegalois.factor import factor_over_integers  # noqa: E402
 from padegalois.galois import (  # noqa: E402
     _TSCHIRNHAUS_TRIALS,
     _difference_resolvent,
+    _first_shift_item,
+    _squarefree_resolvent,
     _tschirnhaus_quadratic,
     dedekind_cycle_type,
 )
@@ -161,6 +169,7 @@ USABLE_PRIMES = 200
 CYCLIC_MODULI = (13, 17, 19, 23, 29, 31)
 RESOLVENT_DEGREES = (4, 5)
 RESOLVENT_POLYS = 20
+FAMILY_POLYS = 3
 TRUNCATION_ORDERS = (8, 12, 16, 20, 25)
 PADE_ORDER = 42
 POLY_REPS = 25
@@ -203,6 +212,66 @@ def cos_minimal_poly(m: int) -> IntPoly:
         shifted = [0] + cur
         prev, cur = cur, [a - b for a, b in zip_longest(shifted, prev, fillvalue=0)]
     return IntPoly(total)
+
+
+def family_polys(rng: random.Random) -> list[IntPoly]:
+    """FAMILY_POLYS polynomials with each of the groups C4, D4, C5 and D5:
+    x^4 + b*x^2 + b with b = 4 + s^2 (C4 when b and b^2 - 4b are not
+    squares), x^4 + a*x^2 + b with none of b, a^2 - 4b, b(a^2 - 4b) a
+    square (D4), the minimal polynomial of 2cos(2 pi/11) at x + c (C5),
+    and the primitive part of x^5 - 5x + 12 at k*x + c (D5)."""
+
+    def square(m: int) -> bool:
+        return m >= 0 and math.isqrt(m) ** 2 == m
+
+    out = []
+    while len(out) < FAMILY_POLYS:
+        b = 4 + rng.randint(1, 12) ** 2
+        if not square(b) and not square(b * b - 4 * b):
+            out.append(IntPoly((b, 0, rng.choice((b, -b)), 0, 1)))
+    while len(out) < 2 * FAMILY_POLYS:
+        a, b = rng.randint(-20, 20), rng.choice([m for m in range(-40, 41) if m])
+        if not (square(b) or square(a * a - 4 * b) or square(b * (a * a - 4 * b))):
+            out.append(IntPoly((b, 0, a, 0, 1)))
+    for _ in range(FAMILY_POLYS):
+        out.append(cos_minimal_poly(11).shift_argument(rng.randint(-4, 4)))
+    for _ in range(FAMILY_POLYS):
+        k, c = rng.randint(1, 3), rng.randint(-3, 3)
+        f = IntPoly.zero()
+        for coeff in reversed((12, -5, 0, 0, 0, 1)):
+            f = f * IntPoly((c, k)) + IntPoly.constant(coeff)
+        out.append(f.primitive_part())
+    return out
+
+
+def difference_resolvent(f: IntPoly) -> IntPoly:
+    """The difference resolvent ``_difference_degrees_item`` factors for
+    f: that of f made monic, or of its first Tschirnhaus shift whose
+    resolvent is squarefree."""
+    return _first_shift_item(
+        lambda g, shift: _squarefree_resolvent(g, _difference_resolvent, shift),
+        f,
+        "difference resolvent",
+    )
+
+
+def lifted_degrees(polys) -> dict:
+    """How many polynomials of each degree factoring polys once hands to
+    factor._hensel_lift_multi."""
+    counts: dict[int, int] = {}
+    original = factor._hensel_lift_multi
+
+    def counting(f, *args):
+        counts[f.degree()] = counts.get(f.degree(), 0) + 1
+        return original(f, *args)
+
+    factor._hensel_lift_multi = counting
+    try:
+        for f in polys:
+            factor_over_integers(f)
+    finally:
+        factor._hensel_lift_multi = original
+    return {str(degree): counts[degree] for degree in sorted(counts)}
 
 
 def median_s(speed: MachineSpeed, spans) -> float:
@@ -521,11 +590,19 @@ def classify_inputs() -> tuple[list[IntPoly], list[IntPoly], int]:
     return list(seen.values()), list(resolvents.values()), engine_calls
 
 
-def time_factoring(speed: MachineSpeed, polys, resolvents, engine_calls: int) -> dict:
-    """Median and summed seconds of factor_over_integers, for the
-    irreducible and the reducible classify inputs and for the difference
-    resolvents, and the engine calls of the pass that recorded them."""
-    groups = {"irreducible": [], "reducible": [], "resolvents": resolvents}
+def time_factoring(
+    speed: MachineSpeed, polys, resolvents, families, engine_calls: int
+) -> dict:
+    """Median and summed seconds of factor_over_integers, and the degrees
+    it lifts, for the irreducible and the reducible classify inputs, the
+    difference resolvents of that pass and those of the C4/D4/C5/D5
+    family inputs, and the engine calls of the pass that recorded them."""
+    groups = {
+        "irreducible": [],
+        "reducible": [],
+        "resolvents": resolvents,
+        "families": families,
+    }
     for f in polys:
         shape = factor_over_integers(f).degree_multiset()
         groups["irreducible" if shape == [f.degree()] else "reducible"].append(f)
@@ -544,6 +621,7 @@ def time_factoring(speed: MachineSpeed, polys, resolvents, engine_calls: int) ->
             ),
             "inputs": len(group),
             "degrees": sorted(f.degree() for f in group),
+            "lifted_degrees": lifted_degrees(group),
         }
     return out
 
@@ -637,6 +715,7 @@ def main() -> None:
         even_rng = random.Random(SEED)
         even = {n: even_poly(n, even_rng) for n in WREATH_DEGREES}
         inputs, resolvents, engine_calls = classify_inputs()
+        families = [difference_resolvent(f) for f in family_polys(random.Random(SEED))]
         with MachineSpeed() as speed:
             timed = {
                 "by_degree": {str(n): time_samples(speed, f) for n, f in polys.items()},
@@ -647,7 +726,9 @@ def main() -> None:
                 },
                 "resolvents": time_resolvents(speed, rng),
                 "polynomials": time_polynomials(speed),
-                "factoring": time_factoring(speed, inputs, resolvents, engine_calls),
+                "factoring": time_factoring(
+                    speed, inputs, resolvents, families, engine_calls
+                ),
                 "pade": time_pade(speed),
                 "census": time_census(speed),
                 "wreath": {str(n): time_wreath(speed, f) for n, f in even.items()},
