@@ -167,8 +167,9 @@ def good_primes(f: IntPoly, start: int = 13):
     """Primes p >= start with p not dividing lc(f) and f squarefree mod p.
 
     Raises ValueError when f is not squarefree over the integers, where
-    no prime qualifies.  A squarefree f fails at primes dividing its
-    discriminant only, so that is checked once more than deg f have failed.
+    no prime qualifies, with gcd(f, f') over Z as its second argument.  A
+    squarefree f fails at primes dividing its discriminant only, so that
+    is checked once more than deg f have failed.
     """
     lc = f.leading_coefficient()
     failed = 0
@@ -180,31 +181,18 @@ def good_primes(f: IntPoly, start: int = 13):
             yield p
             continue
         failed += 1
-        if failed == f.degree() + 1 and int_poly_gcd(f, f.derivative()).degree():
-            raise ValueError("no good prime: the polynomial is not squarefree")
-
-
-def _usable_walk(f: IntPoly, p: int) -> tuple[list[int], int | None] | None:
-    """(f mod p made monic, its ``gf_frobenius_order``), or None when p
-    divides lc(f) or f is not squarefree mod p.  When x^(p^L) = x mod f
-    for some L <= n, f divides the squarefree x^(p^L) - x; only when there
-    is no such L is gcd(f, f') taken.
-    """
-    if f.coeffs[-1] % p == 0:
-        return None
-    fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
-    order = gf_frobenius_order(fm, p)
-    if order is None and len(gf_gcd(fm, gf_deriv(fm, p), p)) != 1:
-        return None
-    return fm, order
+        if failed == f.degree() + 1:
+            gcd = int_poly_gcd(f, f.derivative())
+            if gcd.degree():
+                raise ValueError("no good prime: f is not squarefree", gcd)
 
 
 def _usable_prime_count(f: IntPoly, prime_bound: int, cap: int) -> int:
     """How many primes up to prime_bound are usable for f in the sense of
-    ``_usable_walk``, counted up to cap, with no walk.  For p not dividing
-    lc(f), f mod p keeps degree n and is squarefree exactly when its
-    discriminant, disc(f) mod p, is nonzero; so p is usable exactly when
-    it does not divide lc(f)·disc(f).
+    ``_modular_degrees``, counted up to cap, with no walk.  For p not
+    dividing lc(f), f mod p keeps degree n and is squarefree exactly when
+    its discriminant, disc(f) mod p, is nonzero; so p is usable exactly
+    when it does not divide lc(f)·disc(f).
     """
     unusable = f.coeffs[-1] * int(discriminant(f))
     count = 0
@@ -217,21 +205,16 @@ def _usable_prime_count(f: IntPoly, prime_bound: int, cap: int) -> int:
 
 def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
     """Sorted degrees of the irreducible factors of f mod p, or None when
-    p divides lc(f) or f is not squarefree mod p."""
-    walk = _usable_walk(f, p)
-    return None if walk is None else gf_ddf_degree_multiset(walk[0], p)
-
-
-def _modular_order(f: IntPoly, p: int) -> int | None:
-    """The lcm of ``_modular_degrees(f, p)``, None when that is None: the
-    order of a Frobenius element at p.  A walk that closes at L gives L,
-    which is that lcm (von zur Gathen and Shoup, 1992), with no gcd and
-    no DDF; only a walk that does not close is factored by degree."""
-    walk = _usable_walk(f, p)
-    if walk is None:
+    p divides lc(f) or f is not squarefree mod p.  When x^(p^L) = x mod f
+    for some L <= n, f divides the squarefree x^(p^L) - x; only when there
+    is no such L is gcd(f, f') taken."""
+    if f.coeffs[-1] % p == 0:
         return None
-    fm, order = walk
-    return order or math.lcm(*gf_ddf_degree_multiset(fm, p))
+    fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
+    closed = gf_frobenius_order(fm, p) is not None
+    if not closed and len(gf_gcd(fm, gf_deriv(fm, p), p)) != 1:
+        return None
+    return gf_ddf_degree_multiset(fm, p)
 
 
 def _usable_degrees(f: IntPoly):
@@ -361,12 +344,16 @@ def _nonzero_roots(f: IntPoly) -> tuple[list[Fraction], IntPoly]:
     """The rational roots of primitive f of degree >= 1 with f(0) != 0,
     with multiplicity and sorted, and gcd(f, f'), whose cofactor in f is
     the radical searched for roots.  The gcd over Z is taken only when
-    ``_squarefree`` finds no prime that keeps f squarefree; so a
-    non-squarefree f pays deg f + 1 extra gcds mod p, and its gcd over Z
-    twice."""
+    ``good_primes`` finds no prime that keeps f squarefree, and then once:
+    the failed search hands it back.  So a non-squarefree f pays deg f + 1
+    extra gcds mod p."""
     roots: list[Fraction] = []
-    cof = IntPoly.one() if _squarefree(f) else int_poly_gcd(f, f.derivative())
-    rad = f.exact_div(cof) if cof.degree() > 0 else f
+    rad, cof = f, IntPoly.one()
+    try:
+        next(good_primes(f))
+    except ValueError as failed:
+        cof = failed.args[1]
+        rad = f.exact_div(cof)
     candidates: set[Fraction] = set()
     if rad.degree() == 1:
         candidates.add(Fraction(-rad.coeffs[0], rad.coeffs[1]))

@@ -25,12 +25,11 @@ same stream with its own stopping rule:
   cycle.
 - ``wreath_structure`` — f(x) = g(x^2): the verdict "subgroup of
   C2 wr Gal(g)", proven when the verdict on g is; the element orders of
-  the first samples give an order lower bound.  It reads them off the
-  stream's Frobenius walks (``FrobeniusSamples.orders``), so a prime no
-  other tier has sampled costs a walk, and a DDF only when the walk
-  does not close.  Reading stops once the lcm reaches 2·exp(Gal g),
+  the first samples give an order lower bound.  They are the orders of
+  the stream's cycle types, so a prime no other tier has sampled costs
+  one more sample.  Reading stops once the lcm reaches 2·exp(Gal g),
   which every element order divides; the count of usable primes then
-  comes from lc(f)·disc(f), with no walk.  classify takes this tier
+  comes from lc(f)·disc(f), with no sample.  classify takes this tier
   from degree 8 on, once cyclicity is refuted.
 
 Every tier only gathers evidence items; ``_verdict`` holds the rules
@@ -59,7 +58,6 @@ from math import comb, isqrt, lcm
 from .factor import (
     _degree_set_irreducible,
     _modular_degrees,
-    _modular_order,
     _squarefree,
     _usable_prime_count,
     factor_over_integers,
@@ -253,12 +251,10 @@ class FrobeniusSamples:
 
     The pairs are drawn lazily, in ascending order of p, and kept; every
     iteration starts again from the smallest prime, so tiers that share
-    one stream never sample a prime twice.  ``orders()`` reads the
-    element orders of the same samples: those of the pairs drawn so far,
-    then those of further usable primes, which it only walks
-    (``factor._modular_order``); a walked prime gets its cycle type once
-    an iteration reaches it.  A stream serves a single polynomial for the
-    length of one classification, or for one replay of the census
+    one stream never sample a prime twice.  Every tier reads the same
+    pairs, the wreath order bound included: its element orders are the
+    orders of these cycle types.  A stream serves a single polynomial for
+    the length of one classification, or for one replay of the census
     elimination in ``verify_identification``.  A bound below 2 leaves no
     prime to sample and raises ValueError.
     """
@@ -269,31 +265,11 @@ class FrobeniusSamples:
         self._f = f
         self._primes = takewhile(lambda p: p <= prime_bound, primes_from(2))
         self._pairs: list[tuple[int, CycleType]] = []
-        # (p, order) of the usable primes after the pairs, walked only
-        self._walked: list[tuple[int, int]] = []
 
     def __iter__(self):
         index = 0
         while index < len(self._pairs) or self._draw():
             yield self._pairs[index]
-            index += 1
-
-    def orders(self):
-        """The element order of each sample, in the order of iteration.
-
-        Walks happen only as far as the reader reads: ``wreath_structure``
-        stops at its ceiling and counts the rest of its usable primes
-        from lc(f)·disc(f) (``factor._usable_prime_count``).
-        """
-        index = 0
-        while True:
-            typed = len(self._pairs)
-            if index < typed:
-                yield self._pairs[index][1].order()
-            elif index < typed + len(self._walked) or self._walk():
-                yield self._walked[index - typed][1]
-            else:
-                return
             index += 1
 
     def drawn(self) -> int:
@@ -302,24 +278,10 @@ class FrobeniusSamples:
 
     def _draw(self) -> bool:
         """Append the next cycle type; False once past the bound."""
-        if self._walked:
-            p, _ = self._walked.pop(0)
-            self._pairs.append((p, dedekind_cycle_type(self._f, p)))
-            return True
         for p in self._primes:
             t = dedekind_cycle_type(self._f, p)
             if t is not None:
                 self._pairs.append((p, t))
-                return True
-        return False
-
-    def _walk(self) -> bool:
-        """Append the order at the next usable prime; False once past the
-        bound."""
-        for p in self._primes:
-            order = _modular_order(self._f, p)
-            if order is not None:
-                self._walked.append((p, order))
                 return True
         return False
 
@@ -900,9 +862,7 @@ def _ident(n: int, evidence, inner=None) -> GaloisIdentification:
 # ---------------------------------------------------------------------------
 
 
-def exact_small_degree(
-    f: IntPoly, *, _assume_irreducible: bool = False
-) -> GaloisIdentification:
+def exact_small_degree(f: IntPoly) -> GaloisIdentification:
     """Exact Galois group of an irreducible polynomial of degree 1..5.
 
     Always returns a proven verdict; raises ValueError on reducible input
@@ -913,11 +873,17 @@ def exact_small_degree(
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
     f = f.primitive_part()
-    n = f.degree()
-    if not 1 <= n <= 5:
+    if not 1 <= f.degree() <= 5:
         raise ValueError("degree must be between 1 and 5")
-    if not _assume_irreducible and not is_irreducible(f):
+    if not is_irreducible(f):
         raise ValueError("polynomial is reducible")
+    return _exact_verdict(f)
+
+
+def _exact_verdict(f: IntPoly) -> GaloisIdentification:
+    """``exact_small_degree`` of an irreducible factor that classify has
+    found, primitive with a positive leading coefficient, unchecked."""
+    n = f.degree()
     if n <= 2:
         return _ident(n, [_degree_item(f)])
     ev = [_disc_item(f)]
@@ -1133,15 +1099,13 @@ def wreath_structure(
     The roots pair up as (root, -root) over the roots of g, so the group
     embeds into C2 wr Gal(g) on t blocks of size 2; the verdict is proven
     when the one on g is.  The lcm of the element orders of the first
-    WREATH_ORDER_SAMPLES samples is a stated order lower bound; the
-    orders come from ``stream.orders()``, so the samples past those
-    that the stream already holds are Frobenius walks, with no cycle
-    type.  Every element order divides the ceiling 2·exp(Gal g), which
-    ``_exponent_bound`` bounds from the verdict on g when it is proven
-    and by lcm(1..t) otherwise; once the lcm reaches that ceiling it is
-    final, and reading stops.  The ``samples`` count is still that of
-    the usable primes, up to WREATH_ORDER_SAMPLES: those up to the prime
-    bound that do not divide lc(f)·disc(f)
+    WREATH_ORDER_SAMPLES cycle types of the stream is a stated order
+    lower bound.  Every element order divides the ceiling 2·exp(Gal g),
+    which ``_exponent_bound`` bounds from the verdict on g when it is
+    proven and by lcm(1..t) otherwise; once the lcm reaches that ceiling
+    it is final, and no further sample is drawn.  The ``samples`` count
+    is still that of the usable primes, up to WREATH_ORDER_SAMPLES: those
+    up to the prime bound that do not divide lc(f)·disc(f)
     (``factor._usable_prime_count``).  Raises ValueError when f is not
     g(x^2).
     """
@@ -1158,10 +1122,8 @@ def wreath_structure(
         else lcm(*range(1, t + 1))
     )
     value, count = 1, 0
-    for count, order in enumerate(
-        islice(stream.orders(), WREATH_ORDER_SAMPLES), 1
-    ):
-        value = lcm(value, order)
+    for count, (_, cycle) in enumerate(islice(stream, WREATH_ORDER_SAMPLES), 1):
+        value = lcm(value, cycle.order())
         if value == ceiling and count < WREATH_ORDER_SAMPLES:
             count = _usable_prime_count(f, prime_bound, WREATH_ORDER_SAMPLES)
             break
@@ -1181,7 +1143,7 @@ def _classify_irreducible(
 ) -> GaloisIdentification:
     n = g.degree()
     if n <= 5:
-        return exact_small_degree(g, _assume_irreducible=True)
+        return _exact_verdict(g)
     if n <= 7:
         ident = _census_verdict(g, prime_bound, stream)
         if f"C{n}" not in ident.certainty.candidates:

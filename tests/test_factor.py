@@ -28,8 +28,8 @@ from padegalois.factor import (
 # white-box lift checks
 from padegalois.factor import _gf_bezout, _hensel_lift_multi, _hensel_step, _mod_poly
 from padegalois.factor import _degree_set_irreducible, _usable_degrees
-from padegalois.factor import _modular_degrees, _modular_order, _squarefree
-from padegalois.factor import _usable_prime_count, _usable_walk
+from padegalois.factor import _modular_degrees, _nonzero_roots, _squarefree
+from padegalois.factor import _usable_prime_count
 from padegalois.galois import FrobeniusSamples
 from padegalois.modp import gf_from_int_coeffs, gf_mul
 from padegalois.pade import pade_diagonal
@@ -152,6 +152,13 @@ class TestSquarefreeByOnePrime:
         # lc * (x + 1)^2: the primes of lc are skipped, three others fail
         assert not _squarefree(IntPoly((lc, 2 * lc, lc)))
         assert len(integer_gcds) == 1
+
+    def test_non_squarefree_roots_take_one_integer_gcd(self, integer_gcds):
+        # the failed prime search hands its gcd over Z to the root search
+        f = IntPoly((3, -1, 1)) ** 2 * IntPoly((1, 0, 0, 2))
+        roots, cof = _nonzero_roots(f)
+        assert roots == [] and cof.degree() == 2
+        assert integer_gcds == [(f, f.derivative())]
 
     def test_constants(self, integer_gcds):
         assert _squarefree(IntPoly((5,)))
@@ -447,7 +454,7 @@ class TestLargestFactorAndIrreducibility:
         assert is_irreducible(f) == fac.is_single_irreducible()
 
 
-def _order_grid() -> list[IntPoly]:
+def _usable_grid() -> list[IntPoly]:
     """Seeded dense polynomials of degree 2..16 and g(x^2) ones of even
     degree 2..16, with small coefficients and leading coefficients 1..12,
     so that small primes divide the leading coefficient or the
@@ -462,25 +469,6 @@ def _order_grid() -> list[IntPoly]:
             g = [rng.randint(-9, 9) for _ in range(n // 2)] + [rng.randint(1, 12)]
             polys.append(IntPoly([c for a in g for c in (a, 0)][:-1]))
     return polys
-
-
-class TestModularOrder:
-    def test_order_is_the_lcm_of_the_degrees(self):
-        # every prime below 200, p = 2 included, on the seeded grid; the
-        # grid must reach all three cases: p | lc, f not squarefree mod p
-        # with p not dividing lc, and a usable p
-        seen = set()
-        for f in _order_grid():
-            for p in primes_in_range(2, 200):
-                degrees = _modular_degrees(f, p)
-                order = _modular_order(f, p)
-                if degrees is None:
-                    assert order is None
-                    seen.add("lc" if f.coeffs[-1] % p == 0 else "disc")
-                else:
-                    assert order == math.lcm(*degrees)
-                    seen.add("usable")
-        assert seen == {"lc", "disc", "usable"}
 
 
 def _product_grid() -> list[IntPoly]:
@@ -506,23 +494,23 @@ class TestUsablePrimes:
         # inputs; the grid must reach p | lc, p | disc with p not dividing
         # lc, and primes p <= n and p | n both usable and not
         seen = set()
-        for f in _order_grid() + _product_grid():
+        for f in _usable_grid() + _product_grid():
             n = f.degree()
             lc_disc = f.coeffs[-1] * int(discriminant(f))
             usable = []
             for p in primes_in_range(2, 400):
-                walkable = _usable_walk(f, p) is not None
-                assert walkable == (lc_disc % p != 0), (f, p)
-                if walkable:
+                is_usable = _modular_degrees(f, p) is not None
+                assert is_usable == (lc_disc % p != 0), (f, p)
+                if is_usable:
                     usable.append(p)
                 elif f.coeffs[-1] % p == 0:
                     seen.add("lc")
                 else:
                     seen.add("disc")
                 if p <= n:
-                    seen.add(("p <= n", walkable))
+                    seen.add(("p <= n", is_usable))
                 if n % p == 0:
-                    seen.add(("p | n", walkable))
+                    seen.add(("p | n", is_usable))
             for bound in (2, 60, 200, 399):
                 below = [p for p in usable if p <= bound]
                 for cap in (1, 10, 120):

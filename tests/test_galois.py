@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import permutations
 from math import lcm
 
 import pytest
@@ -625,24 +625,26 @@ class TestWreathStructure:
     def test_order_bound_stops_walking_at_its_ceiling(
         self, monkeypatch, table, order
     ):
-        # on a fresh stream every order is a walk; the lcm reaches
-        # 2 exp(inner group) within a few samples, and the rest of the
-        # count comes from lc(f) disc(f)
+        # on a fresh stream every order is a new cycle type of f; the lcm
+        # reaches 2 exp(inner group) within a few samples, and the rest of
+        # the count comes from lc(f) disc(f)
         target = _wreath_target(table, order)
-        walks = []
-        original = galois._modular_order
+        samples = []
+        original = galois.dedekind_cycle_type
 
         def counting(f, p):
-            walks.append((f.coeffs, p))
+            if f == target:
+                samples.append(p)
             return original(f, p)
 
-        monkeypatch.setattr(galois, "_modular_order", counting)
+        monkeypatch.setattr(galois, "dedekind_cycle_type", counting)
         wreath_structure(target)
-        assert len(walks) <= 25
+        assert len(samples) <= 25
 
     def test_order_bound_matches_oracle_on_seeded_inputs(self):
-        # the tier on a fresh stream reads walks only; classify reaches it
-        # with cycle types drawn by the cyclic tier, and walks the rest
+        # the tier on a fresh stream draws every sample itself; classify
+        # reaches it with cycle types drawn by the cyclic tier, and draws
+        # the rest
         rng = random.Random(1992)
         via_classify = 0
         for _ in range(6):
@@ -1008,40 +1010,16 @@ class TestFrobeniusStream:
         # and 7, the Jordan hunt the cyclic ones and the wreath order
         # bound the Jordan/cyclic ones at degree 8
         calls = []
-        for name in ("dedekind_cycle_type", "_modular_order"):
-            original = getattr(galois, name)
+        original = galois.dedekind_cycle_type
 
-            def counting(f, p, original=original):
-                calls.append((f.coeffs, p))
-                return original(f, p)
+        def counting(f, p):
+            calls.append((f.coeffs, p))
+            return original(f, p)
 
-            monkeypatch.setattr(galois, name, counting)
+        monkeypatch.setattr(galois, "dedekind_cycle_type", counting)
         classify(parse_int_poly(text))
         assert calls
         assert len(calls) == len(set(calls))
-
-    def test_orders_leave_the_pairs_unchanged(self):
-        # orders() walks past the 5 drawn samples; an iteration that
-        # reaches the walked primes gives the pairs of a fresh stream,
-        # and an orders() reader suspended meanwhile reads on unchanged
-        f = parse_int_poly("x^8 + x^4 + 7")
-        stream = galois.FrobeniusSamples(f, 10_000)
-        fresh = list(islice(galois.FrobeniusSamples(f, 10_000), 60))
-        assert list(islice(stream, 5)) == fresh[:5]
-        reader = stream.orders()
-        first = list(islice(reader, 40))
-        assert stream.drawn() == 5
-        assert list(islice(stream, 20)) == fresh[:20]
-        rest = list(islice(reader, 20))
-        assert first + rest == [t.order() for _, t in fresh]
-        assert list(islice(stream, 60)) == fresh
-
-    def test_orders_stop_at_the_prime_bound(self):
-        f = parse_int_poly("x^8 + x^4 + 7")
-        pairs = list(galois.FrobeniusSamples(f, 200))
-        assert list(galois.FrobeniusSamples(f, 200).orders()) == [
-            t.order() for _, t in pairs
-        ]
 
 
 def _changed_item(ident, kind, **changes):
@@ -1332,14 +1310,14 @@ class TestProperties:
     @settings(max_examples=25, deadline=None)
     @given(small_irreducible())
     def test_small_degree_verdicts_verify(self, f):
-        ident = exact_small_degree(f, _assume_irreducible=True)
+        ident = exact_small_degree(f)
         assert ident.certainty.kind == "proven"
         assert verify_identification(f, ident)
 
     @settings(max_examples=40, deadline=None)
     @given(small_irreducible(), st.sampled_from([3, 5, 7, 11, 13, 17, 19]))
     def test_sampled_types_live_in_identified_group(self, f, p):
-        ident = exact_small_degree(f, _assume_irreducible=True)
+        ident = exact_small_degree(f)
         if ident.degree < 2:
             return
         t = dedekind_cycle_type(f, p)

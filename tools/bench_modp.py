@@ -68,15 +68,12 @@ the census.
 
 ``wreath``: for one fixed, seeded, squarefree monic g(x^2) of each degree
 in ``WREATH_DEGREES``, and the first ``USABLE_PRIMES`` usable primes, the
-median time of one order draw of the wreath tier
-(``factor._modular_order(f, p)``, the Frobenius walk, and a DDF only when
-the walk does not close) against one ``dedekind_cycle_type(f, p)`` (the
-walk and always a DDF, what each order sample cost when it read a cycle
-type), and ``closed_share``, the share of those primes whose walk closes.
-``order_bound_median_s`` is the median time of one whole order bound,
-``wreath_structure(f)`` on a fresh stream over ``KERNEL_ROUNDS`` calls
-(the inner ``classify`` of g included), and ``order_bound_walks`` the
-``_modular_order`` calls that one such call makes.
+median time of one ``dedekind_cycle_type(f, p)``, the sample whose order
+the wreath tier reads.  ``order_bound_median_s`` is the median time of
+one whole order bound, ``wreath_structure(f)`` on a fresh stream over
+``KERNEL_ROUNDS`` calls (the inner ``classify`` of g included), and
+``order_bound_samples`` the ``dedekind_cycle_type`` calls on f that one
+such call makes.
 
 ``kernel``: the samples themselves, recorded once: f mod p made monic
 at each of the first ``USABLE_PRIMES`` usable primes, for the ``dense``
@@ -150,6 +147,7 @@ from padegalois.modp import (  # noqa: E402
     gf_distinct_degree,
     gf_from_int_coeffs,
     gf_gcd,
+    gf_monic,
     gf_pow_mod,
 )
 from padegalois.pade import pade_diagonal  # noqa: E402
@@ -346,46 +344,34 @@ def time_kernels(speed: MachineSpeed, f: IntPoly) -> dict:
 
 
 def time_wreath(speed: MachineSpeed, f: IntPoly) -> dict:
-    """Median seconds of one order draw and of one cycle type over the
-    first usable primes, and the share of those primes whose walk closes.
+    """Median seconds of one cycle type over the first usable primes.
     Each call walks a new (f, p), so the walk kept for the last (f, p)
     serves none of them.  Then the median seconds of one whole order
     bound, ``wreath_structure(f)`` on a fresh stream, over
-    ``KERNEL_ROUNDS`` calls, and the order walks one such call makes."""
-    walk_orders = {}  # usable p -> gf_frobenius_order, None when not closed
-    for p in primes_from(2):
-        if len(walk_orders) == USABLE_PRIMES:
-            break
-        walk = factor._usable_walk(f, p)
-        if walk is not None:
-            walk_orders[p] = walk[1]
-    primes = list(walk_orders)
-    closed = sum(order is not None for order in walk_orders.values())
-    walks = []
-    original = galois._modular_order
+    ``KERNEL_ROUNDS`` calls, and the samples of f one such call draws."""
+    primes = [p for _, p in recorded_samples(f)]
+    samples = []
+    original = galois.dedekind_cycle_type
 
     def counting(g, p):
-        walks.append(p)
+        if g == f:
+            samples.append(p)
         return original(g, p)
 
-    galois._modular_order = counting
+    galois.dedekind_cycle_type = counting
     try:
         galois.wreath_structure(f)
     finally:
-        galois._modular_order = original
+        galois.dedekind_cycle_type = original
     return {
-        "order_median_s": median_call_s(
-            speed, (lambda p=p: factor._modular_order(f, p) for p in primes)
-        ),
         "cycle_type_median_s": median_call_s(
             speed, (lambda p=p: dedekind_cycle_type(f, p) for p in primes)
         ),
-        "closed_share": closed / len(primes),
         "largest_prime": primes[-1],
         "order_bound_median_s": median_call_s(
             speed, [lambda: galois.wreath_structure(f)] * KERNEL_ROUNDS
         ),
-        "order_bound_walks": len(walks),
+        "order_bound_samples": len(samples),
     }
 
 
@@ -395,9 +381,8 @@ def recorded_samples(f: IntPoly) -> list[tuple[list[int], int]]:
     for p in primes_from(2):
         if len(samples) == USABLE_PRIMES:
             break
-        walk = factor._usable_walk(f, p)
-        if walk is not None:
-            samples.append((walk[0], p))
+        if factor._modular_degrees(f, p) is not None:
+            samples.append((gf_monic(gf_from_int_coeffs(f.coeffs, p), p), p))
     return samples
 
 
