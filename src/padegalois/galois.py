@@ -2,7 +2,10 @@
 
 Degrees 1..5 are decided exactly by ``exact_small_degree``: discriminant
 squareness, the resolvent cubic, a frozen degree-6 quintic resolvent,
-and factor degrees of the pairwise-difference resolvent.
+and the orbit sizes on ordered root pairs, which tell C4 from D4 and C5
+from D5.  A quintic reads them off the factor degrees of its
+pairwise-difference resolvent; a quartic from Kappe and Warren's
+criterion on the rational root of its resolvent cubic, with no factoring.
 
 From degree 6 on, the evidence is Frobenius cycle types: the
 factorization shape of f mod p (``dedekind_cycle_type``) at every prime
@@ -452,7 +455,11 @@ def _first_shift_item(item_at, f: IntPoly, what: str) -> dict:
 
 
 def _resolvent_cubic(f: IntPoly) -> IntPoly:
-    """Resolvent cubic of a quartic, from its monic form."""
+    """Resolvent cubic of a quartic, from its monic form.
+
+    Its roots are a1*a2 + a3*a4, a1*a3 + a2*a4 and a1*a4 + a2*a3, for
+    a1..a4 the roots of that monic form.
+    """
     g = _monicize(f)
     e, d, c, b = g.coeffs[0], g.coeffs[1], g.coeffs[2], g.coeffs[3]
     return IntPoly((-(b * b * e - 4 * c * e + d * d), b * d - 4 * e, -c, 1))
@@ -623,16 +630,50 @@ def _quintic_resolvent_item(f: IntPoly, shift) -> dict | None:
     }
 
 
+def _cyclic_or_dihedral_quartic(f: IntPoly) -> list[int] | None:
+    """[4, 4, 4] for C4 or [4, 8] for D4, when f is a quartic whose
+    resolvent cubic has exactly one rational root r; None otherwise.
+
+    Kappe and Warren, Amer. Math. Monthly 96 (1989): for irreducible f,
+    with g = x^4 + b x^3 + c x^2 + d x + e its monic form and D = disc(g),
+    the group is C4 exactly when x^2 - r x + e and x^2 + b x + (c - r)
+    both split over Q(sqrt D), that is when r^2 - 4e and b^2 - 4(c - r)
+    each are a square (0 included) or D times a nonzero square.
+    """
+    if f.degree() != 4:
+        return None
+    g = _monicize(f)
+    roots = rational_roots(_resolvent_cubic(g))
+    if len(roots) != 1:
+        return None
+    e, _, c, b = g.coeffs[:4]
+    r, disc = int(roots[0]), int(discriminant(g))
+
+    def square(v: int) -> bool:
+        return v >= 0 and isqrt(v) ** 2 == v
+
+    cyclic = all(
+        square(v) or square(v * disc) for v in (r * r - 4 * e, b * b - 4 * (c - r))
+    )
+    return [4, 4, 4] if cyclic else [4, 8]
+
+
 def _difference_degrees_item(f: IntPoly, shift) -> dict | None:
     """Sorted factor degrees of the difference resolvent through shift.
 
     For irreducible f they are the orbit sizes of the Galois group on
-    ordered pairs of distinct roots.  None as _squarefree_resolvent.
+    ordered pairs of distinct roots.  None as _squarefree_resolvent, so
+    the shift is the first one whose resolvent is squarefree.  A quartic
+    whose resolvent cubic has one rational root reads them off
+    ``_cyclic_or_dihedral_quartic`` and never factors the resolvent;
+    any other f, the quintics among them, factors it.
     """
     diff = _squarefree_resolvent(f, _difference_resolvent, shift)
     if diff is None:
         return None
-    degrees = sorted(factor_over_integers(diff).degree_multiset())
+    degrees = _cyclic_or_dihedral_quartic(f) or sorted(
+        factor_over_integers(diff).degree_multiset()
+    )
     return {"kind": "difference_degrees", "degrees": degrees, "shift": shift}
 
 
@@ -882,7 +923,14 @@ def exact_small_degree(f: IntPoly) -> GaloisIdentification:
 
 def _exact_verdict(f: IntPoly) -> GaloisIdentification:
     """``exact_small_degree`` of an irreducible factor that classify has
-    found, primitive with a positive leading coefficient, unchecked."""
+    found, primitive with a positive leading coefficient, unchecked.
+
+    A quartic or quintic left with C4 against D4, or C5 against D5, gets
+    a ``difference_degrees`` item at the first Tschirnhaus shift whose
+    difference resolvent is squarefree: a quartic's orbit sizes come
+    from Kappe and Warren's criterion, a quintic's from factoring its
+    resolvent of degree 20.
+    """
     n = f.degree()
     if n <= 2:
         return _ident(n, [_degree_item(f)])

@@ -31,6 +31,9 @@ in the package, so agreement is meaningful:
 * ``tschirnhaus_by_resultants`` -- the characteristic polynomial of
   alpha^2 + a*alpha + b as Res_x(f(x), y - (x^2 + a x + b)), interpolated
   the same way.
+* ``difference_degrees_by_factoring`` -- the orbit sizes of the Galois
+  group on ordered root pairs as the sorted factor degrees of the
+  squarefree difference resolvent, factored over the integers.
 * ``divmod_by_fractions`` / ``divides_by_fractions`` -- integer
   polynomial division as ``RatPoly`` long division over Fraction, with
   the integrality of the quotient and remainder checked afterwards.
@@ -58,7 +61,8 @@ from fractions import Fraction
 from importlib import resources
 from itertools import takewhile
 
-from padegalois.factor import ModPFactorization
+from padegalois.factor import ModPFactorization, factor_over_integers
+from padegalois.galois import _difference_resolvent, _squarefree_resolvent
 from padegalois.groupdata import TransitiveGroupRecord, transitive_groups
 from padegalois.modp import gf_divmod, gf_gcd, gf_mod, gf_mul, gf_pow_mod, gf_sub
 from padegalois.padic import NewtonPolygon
@@ -556,6 +560,15 @@ def tschirnhaus_by_resultants(f: IntPoly, a: int, b: int) -> IntPoly:
     ]
     g = _interpolate_int_poly(points)
     return g * -1 if g.coeffs[-1] < 0 else g
+
+
+def difference_degrees_by_factoring(f: IntPoly, shift) -> list[int]:
+    """Sorted factor degrees of the difference resolvent of f through the
+    Tschirnhaus shift, which must make it squarefree, by factoring it."""
+    diff = _squarefree_resolvent(f, _difference_resolvent, shift)
+    if diff is None:
+        raise ValueError("the difference resolvent is not squarefree")
+    return sorted(factor_over_integers(diff).degree_multiset())
 
 
 def divmod_by_fractions(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:

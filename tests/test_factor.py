@@ -43,7 +43,12 @@ from padegalois.polynomials import (
 from padegalois.series import SeriesId, scale_to_monic_integer
 from padegalois.tables import TABLES, reproduce
 
-from .oracles import kronecker_factor, primes_in_range, reconstruct_mod_p
+from .oracles import (
+    difference_degrees_by_factoring,
+    kronecker_factor,
+    primes_in_range,
+    reconstruct_mod_p,
+)
 
 small_coeff = st.integers(min_value=-20, max_value=20)
 
@@ -535,8 +540,20 @@ def _digest(pairs) -> str:
     return h.hexdigest()
 
 
+def _first_difference_resolvent(f: IntPoly) -> IntPoly:
+    """The difference resolvent the exact tier builds for f: through the
+    first Tschirnhaus shift that makes it squarefree."""
+    return galois_mod._first_shift_item(
+        lambda g, shift: galois_mod._squarefree_resolvent(
+            g, galois_mod._difference_resolvent, shift
+        ),
+        f,
+        "difference resolvent",
+    )
+
+
 class TestIntegerWorkOnly:
-    # C4, C4, D4, D4, C5, C5, D5, D5: the exact tier factors one difference
+    # C4, C4, D4, D4, C5, C5, D5, D5: the exact tier builds one difference
     # resolvent of degree n(n - 1) for each
     CYCLIC_OR_DIHEDRAL = (
         IntPoly((5, 0, 5, 0, 1)),
@@ -554,20 +571,23 @@ class TestIntegerWorkOnly:
     )
 
     def test_difference_resolvent_factorizations_golden(self, monkeypatch):
-        seen = []
+        # the resolvents, factored here, keep their recorded factors
+        resolvents = [_first_difference_resolvent(f) for f in self.CYCLIC_OR_DIHEDRAL]
+        seen = [(r, factor_over_integers(r)) for r in resolvents]
+        assert _digest(seen) == self.RESOLVENT_DIGEST
+        # the exact tier factors a quintic's once, at degree 20, and a
+        # quartic's never: Kappe and Warren's criterion decides C4 or D4
+        degrees = []
 
         def recording(f, *args):
-            fac = factor_over_integers(f, *args)
-            seen.append((f, fac))
-            return fac
+            degrees.append(f.degree())
+            return factor_over_integers(f, *args)
 
         monkeypatch.setattr(galois_mod, "factor_over_integers", recording)
         for f in self.CYCLIC_OR_DIHEDRAL:
-            before = len(seen)
+            del degrees[:]
             galois_mod.exact_small_degree(f)
-            n = f.degree()
-            assert [g.degree() for g, _ in seen[before:]] == [n * (n - 1)]
-        assert _digest(seen) == self.RESOLVENT_DIGEST
+            assert degrees == ([] if f.degree() == 4 else [20])
 
     def test_factoring_never_divides_over_the_rationals(self, monkeypatch):
         # the classify inputs and every engine input (difference
@@ -730,9 +750,8 @@ class TestEvenInput:
     ITEM_DEGREES = {"C4": [4, 4, 4], "D4": [4, 8], "C5": [5, 5, 5, 5], "D5": [10, 10]}
     # the resolvent R(x) = S(x^2) of degree n(n - 1) is never lifted: S is,
     # at n(n - 1)/2, and an s(x^2) for a factor s of S whose v is a square,
-    # at 2 deg s; for C4 and D4 that is the factor of degree 4 (the pairs
-    # at distance 1 or 3 round the 4-cycle), so quartics lift at 8
-    MOST_LIFTED = {4: 8, 5: 10}
+    # at 2 deg s; a quartic's resolvent is not factored at all
+    MOST_LIFTED = {5: 10}
 
     def test_difference_resolvents_lift_below_their_degree(self, monkeypatch):
         names = ["C5", "C5"] + ["D4"] * 7
@@ -740,7 +759,7 @@ class TestEvenInput:
             (tables_mod._column_polys(t, order)[column], name)
             for (t, order, column), name in zip(self.RESOLVENT_CELLS, names)
         ] + [(f, name) for name, f in _family_inputs(20).items()]
-        lifted, items, inside = [], [], []
+        lifted, factored, items, inside = [], [], [], []
         original_item = galois_mod._difference_degrees_item
         original_lift = factor_mod._hensel_lift_multi
 
@@ -751,7 +770,7 @@ class TestEvenInput:
             finally:
                 inside.pop()
             if out is not None:
-                items.append(out["degrees"])
+                items.append((f, out))
             return out
 
         def lift(f, *args):
@@ -759,16 +778,28 @@ class TestEvenInput:
                 lifted.append((inside[-1], f.degree()))
             return original_lift(f, *args)
 
+        def factoring(f, *args):
+            if inside:
+                factored.append((inside[-1], f.degree()))
+            return factor_over_integers(f, *args)
+
         monkeypatch.setattr(galois_mod, "_difference_degrees_item", item)
         monkeypatch.setattr(factor_mod, "_hensel_lift_multi", lift)
+        monkeypatch.setattr(galois_mod, "factor_over_integers", factoring)
         for f, name in targets:
             del items[:]
             ident = galois_mod.classify(f)
             assert ident.group_name == name
             assert galois_mod.verify_identification(f, ident)
             # classify, then the verifier's replay
-            assert items == [self.ITEM_DEGREES[name]] * 2
-        assert {n for n, _ in lifted} == {4, 5}
+            assert [out["degrees"] for _, out in items] == [self.ITEM_DEGREES[name]] * 2
+            # the same degrees, factoring the resolvent here
+            for g, out in items:
+                degrees = difference_degrees_by_factoring(g, out["shift"])
+                assert degrees == self.ITEM_DEGREES[name]
+        # no quartic factors or lifts inside the item
+        assert {n for n, _ in factored} == {n for n, _ in lifted} == {5}
+        assert {d for _, d in factored} == {20}
         for n, degree in lifted:
             assert degree <= self.MOST_LIFTED[n] < n * (n - 1)
         assert max(d for n, d in lifted if n == 5) == 10

@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import random
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,7 @@ from padegalois.tables import TABLES, _column_polys
 
 from .oracles import (
     cycle_type_by_gcd,
+    difference_degrees_by_factoring,
     difference_resolvent_by_interpolation,
     group_record,
     order_bound_by_cycle_types,
@@ -287,6 +290,94 @@ class TestExactSmallDegree:
         assert diff.degree() == 12
         fac = factor_over_integers(diff)
         assert sorted(fac.degree_multiset()) == [4, 4, 4]
+
+
+def _stream_inputs():
+    """perfbench/inputs.py, the seeded classify-mix stream; read only."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the table cells whose classify target, the quartic factor of the
+# column's polynomial, the difference resolvent decides as D4
+_D4_CELLS = (
+    ("Atanh2Pade", 8, 1),
+    ("Atanh2Pade", 9, 1),
+    ("Atanh2Pade", 11, 0),
+    ("Atanh2Pade", 11, 1),
+    ("Atanh2Pade", 12, 0),
+    ("Atanh2Pade", 13, 0),
+    ("SinSinh", 5, 0),
+)
+
+
+def _cyclic_or_dihedral_quartics() -> list[IntPoly]:
+    """Irreducible quartics with one rational resolvent-cubic root: the
+    classify-mix biquadratic and x^4 - a inputs of seeds 1-20, blocks
+    0-2, the D4 table cells, and for each of those f(k*x + c) and its
+    reversal, so that odd terms and leading coefficients other than 1
+    occur; all primitive with a positive leading coefficient."""
+    inputs = _stream_inputs()
+    bases = [
+        IntPoly(entry["coeffs"]).primitive_part()
+        for seed in range(1, 21)
+        for index in range(3)
+        for entry in inputs.block(seed, index)
+        if entry["family"] in ("biquadratic", "pure_power")
+        and len(entry["coeffs"]) == 5
+    ]
+    for t, order, column in _D4_CELLS:
+        fac = factor_over_integers(_column_polys(t, order)[column])
+        bases.append(max((g for g, _ in fac.factors), key=IntPoly.degree))
+    rng = random.Random(22)
+    out = []
+    for f in bases:
+        k, c = rng.randint(1, 3), rng.randint(-3, 3)
+        moved = IntPoly.zero()
+        for coeff in reversed(f.coeffs):
+            moved = moved * IntPoly((c, k)) + IntPoly.constant(coeff)
+        out += [f, moved, moved.reversed_coefficients().primitive_part()]
+    return out
+
+
+class TestCyclicOrDihedralQuartic:
+    def test_agrees_with_factoring(self):
+        seen = {"C4": 0, "D4": 0, "odd terms": 0, "lc > 1": 0, "disc < 0": 0}
+        quartics = _cyclic_or_dihedral_quartics()
+        assert len(quartics) >= 500
+        for f in quartics:
+            assert f.degree() == 4 and is_irreducible(f)
+            roots = galois.rational_roots(galois._resolvent_cubic(f))
+            assert len(roots) == 1
+            item = galois._first_shift_item(
+                galois._difference_degrees_item, f, "difference resolvent"
+            )
+            want = difference_degrees_by_factoring(f, item["shift"])
+            assert item["degrees"] == want, f
+            seen["C4" if want == [4, 4, 4] else "D4"] += 1
+            seen["odd terms"] += bool(f.coeffs[1] or f.coeffs[3])
+            seen["lc > 1"] += f.coeffs[-1] > 1
+            seen["disc < 0"] += galois.discriminant(f) < 0
+        assert all(seen.values()), seen
+
+    def test_zero_square_class(self):
+        # resolvent cubic (x - 5)(x^2 - 20), so r = 5 and b^2 - 4(c - r) = 0;
+        # r^2 - 4e = 5 lies in disc * Q^2, disc = 2000
+        f = parse_int_poly("x^4 + 5*x^2 + 5")
+        assert galois._cyclic_or_dihedral_quartic(f) == [4, 4, 4]
+        assert difference_degrees_by_factoring(f, (1, 0)) == [4, 4, 4]
+        ident = exact_small_degree(f)
+        assert (ident.group_name, ident.t_notation) == ("C4", "4T1")
+
+    @pytest.mark.parametrize(
+        "text", ["x^4 + x + 1", "x^4 + 8*x + 12", "x^4 + 1", "x^5 - 2"]
+    )
+    def test_other_inputs_are_not_decided(self, text):
+        # S4 and A4 (no rational cubic root), V4 (three) and a quintic
+        assert galois._cyclic_or_dihedral_quartic(parse_int_poly(text)) is None
 
 
 _SMALL = st.integers(min_value=-6, max_value=6)
@@ -1036,6 +1127,7 @@ _TAMPER_TARGETS = {
     "A8": lambda: scale_to_monic_integer(8),
     "S5": lambda: parse_int_poly("x^5 - x - 1"),
     "D4": lambda: parse_int_poly("x^4 - 2"),
+    "C4": lambda: parse_int_poly("x^4 + 5*x^2 + 5"),
     "one of D6, C2wrC3, C2wrS3": lambda: parse_int_poly("x^6 - 2"),
     "subgroup of C2 wr S4": lambda: parse_int_poly("x^8 + 3*x^2 + 1"),
 }
@@ -1064,6 +1156,26 @@ _TAMPERS = {
     "D4-renamed-C4": (
         "D4",
         lambda v: dataclasses.replace(v, group_name="C4", t_notation="4T1"),
+    ),
+    # the orbit sizes and the name changed together: only the replay of
+    # the difference_degrees item, by Kappe and Warren's criterion, sees it
+    "D4-degrees-to-C4": (
+        "D4",
+        lambda v: dataclasses.replace(
+            v,
+            group_name="C4",
+            t_notation="4T1",
+            evidence=_changed_item(v, "difference_degrees", degrees=[4, 4, 4]),
+        ),
+    ),
+    "C4-degrees-to-D4": (
+        "C4",
+        lambda v: dataclasses.replace(
+            v,
+            group_name="D4",
+            t_notation="4T3",
+            evidence=_changed_item(v, "difference_degrees", degrees=[4, 8]),
+        ),
     ),
     "D6-set-cut": (
         "one of D6, C2wrC3, C2wrS3",

@@ -24,7 +24,12 @@ cyclic cells of the InvSqrtPade table draw by the hundred.
 ``resolvents``: for ``RESOLVENT_POLYS`` seeded squarefree monic quartics
 and as many quintics, the median time of one ``_difference_resolvent(f)``
 and of one ``_tschirnhaus_quadratic(f, a, b)``, the latter over every
-shift (a, b) in ``_TSCHIRNHAUS_TRIALS``.
+shift (a, b) in ``_TSCHIRNHAUS_TRIALS``.  For the quartics it also gives
+``difference_item_median_s``, the median time over ``FACTOR_REPS`` calls
+on each C4 and D4 quartic of ``family_polys`` (see ``factoring``) of one
+``_difference_degrees_item(f, shift)`` at the shift the exact tier takes:
+the Tschirnhaus transform, the resolvent and its squarefree test, and
+Kappe and Warren's criterion, which decides C4 or D4 with no factoring.
 
 ``polynomials``: for the scaled exponential truncation
 ``scale_to_monic_integer(n)``, n in ``TRUNCATION_ORDERS`` (keys
@@ -39,15 +44,17 @@ one pass of ``reproduce(t, cache=None, verify=True)`` over the six tables
 (recorded in set-up), split into the ``irreducible`` ones and the
 ``reducible`` ones (those whose factor degrees are not just their own
 degree, as ``classify`` decides), and, as a third group ``resolvents``,
-the distinct difference resolvents (degree 12 or 20) that
-``_difference_degrees_item`` factors in that pass, where most of the
-Hensel lifting happens.  A fourth group, ``families``, holds the
-difference resolvents of ``FAMILY_POLYS`` fixed seeded quartics or
-quintics with each of the groups C4, D4, C5 and D5, built here as the
-exact tier builds them.  For each group, the median time of one
-``factor_over_integers(f)`` over ``FACTOR_REPS`` calls on every input
-(``median_s``), the sum over the inputs of each input's median
-(``total_s``), which is what one such pass spends factoring them, and
+the distinct difference resolvents that ``_difference_degrees_item``
+factors in that pass: the quintic ones (degree 20) only, since a quartic
+item decides C4 or D4 without factoring its resolvent.  A fourth group,
+``families``, holds the difference resolvents of ``FAMILY_POLYS`` fixed
+seeded quartics or quintics with each of the groups C4, D4, C5 and D5,
+built here as the exact tier builds them; the quartic ones (degree 12)
+are factored here too, though the exact tier never factors them.  For
+each group, the median time of one ``factor_over_integers(f)`` over
+``FACTOR_REPS`` calls on every input (``median_s``), the sum over the
+inputs of each input's median (``total_s``), which is what one such pass
+spends factoring them, and
 ``lifted_degrees``, how many polynomials of each degree one untimed
 factoring of the group hands to ``factor._hensel_lift_multi``.
 ``engine_calls`` counts the ``factor_over_integers`` calls that pass makes,
@@ -479,8 +486,9 @@ def load_modp(path: str):
     return module
 
 
-def time_resolvents(speed: MachineSpeed, rng: random.Random) -> dict:
-    """Median seconds of each resolvent over seeded quartics and quintics."""
+def time_resolvents(speed: MachineSpeed, rng: random.Random, quartics) -> dict:
+    """Median seconds of each resolvent over seeded quartics and quintics,
+    and of one difference-degrees item over the C4 and D4 quartics."""
     out = {}
     for n in RESOLVENT_DEGREES:
         polys = [squarefree_poly(n, rng) for _ in range(RESOLVENT_POLYS)]
@@ -498,6 +506,19 @@ def time_resolvents(speed: MachineSpeed, rng: random.Random) -> dict:
             ),
             "polynomials": len(polys),
         }
+    items = [
+        (f, _first_shift_item(galois._difference_degrees_item, f, "item")["shift"])
+        for f in quartics
+    ]
+    out["4"]["difference_item_median_s"] = median_call_s(
+        speed,
+        (
+            lambda f=f, shift=shift: galois._difference_degrees_item(f, shift)
+            for f, shift in items
+            for _ in range(FACTOR_REPS)
+        ),
+    )
+    out["4"]["difference_item_inputs"] = len(items)
     return out
 
 
@@ -700,7 +721,9 @@ def main() -> None:
         even_rng = random.Random(SEED)
         even = {n: even_poly(n, even_rng) for n in WREATH_DEGREES}
         inputs, resolvents, engine_calls = classify_inputs()
-        families = [difference_resolvent(f) for f in family_polys(random.Random(SEED))]
+        family = family_polys(random.Random(SEED))
+        families = [difference_resolvent(f) for f in family]
+        quartics = [f for f in family if f.degree() == 4]
         with MachineSpeed() as speed:
             timed = {
                 "by_degree": {str(n): time_samples(speed, f) for n, f in polys.items()},
@@ -709,7 +732,7 @@ def main() -> None:
                     str(m): time_samples(speed, cos_minimal_poly(m))
                     for m in CYCLIC_MODULI
                 },
-                "resolvents": time_resolvents(speed, rng),
+                "resolvents": time_resolvents(speed, rng, quartics),
                 "polynomials": time_polynomials(speed),
                 "factoring": time_factoring(
                     speed, inputs, resolvents, families, engine_calls
