@@ -12,8 +12,9 @@ only when a square test leaves open that it splits as c*t(x)*t(-x).
 All of it is integer work: the lifting runs on coefficient tuples, and
 exact division never leaves Z[x].
 
-Determinism: equal-degree splitting uses a seeded pseudo-random stream;
-the seed is fixed by default and recorded in every ``ModPFactorization``.
+Determinism: equal-degree splitting uses a seeded pseudo-random stream.
+Factoring over the integers always splits with ``DEFAULT_EDF_SEED``;
+``factor_mod_p`` takes a seed and records it in its ``ModPFactorization``.
 
 Prime policy: a prime is usable when it does not divide the leading
 coefficient and keeps the input squarefree.  ``_modular_degrees`` reads
@@ -495,7 +496,7 @@ def _select_prime(f: IntPoly) -> tuple[int, list[int]]:
     )
 
 
-def _zassenhaus(f: IntPoly, seed: int) -> list[IntPoly]:
+def _zassenhaus(f: IntPoly) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree f with positive
     leading coefficient (degree >= 1).
 
@@ -515,12 +516,12 @@ def _zassenhaus(f: IntPoly, seed: int) -> list[IntPoly]:
         rest = f.exact_div(IntPoly.x())
         out = [IntPoly.x()]
         if rest.degree() >= 1:
-            out.extend(_zassenhaus(rest, seed))
+            out.extend(_zassenhaus(rest))
         return out
     if not f.is_even_polynomial():
-        return _lift_and_recombine(f, seed)
+        return _lift_and_recombine(f)
     out = []
-    for s in _zassenhaus(f.even_part_compressed(), seed):
+    for s in _zassenhaus(f.even_part_compressed()):
         coeffs = [0] * (2 * s.degree() + 1)
         coeffs[::2] = s.coeffs
         whole = IntPoly(coeffs)
@@ -528,11 +529,11 @@ def _zassenhaus(f: IntPoly, seed: int) -> list[IntPoly]:
         if v < 0 or math.isqrt(v) ** 2 != v:
             out.append(whole)
         else:
-            out.extend(_lift_and_recombine(whole, seed))
+            out.extend(_lift_and_recombine(whole))
     return out
 
 
-def _lift_and_recombine(f: IntPoly, seed: int) -> list[IntPoly]:
+def _lift_and_recombine(f: IntPoly) -> list[IntPoly]:
     """``_zassenhaus`` of f of degree >= 2 with f(0) != 0, without the
     even rule: an Eisenstein certificate, or the factors mod the prime of
     ``_select_prime``, Hensel-lifted and recombined."""
@@ -541,7 +542,7 @@ def _lift_and_recombine(f: IntPoly, seed: int) -> list[IntPoly]:
     p, multiset = _select_prime(f)
     if multiset == [f.degree()]:
         return [f]
-    rng = Random(seed)
+    rng = Random(DEFAULT_EDF_SEED)
     fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
     modular: list[list[int]] = []
     for stage, deg in gf_distinct_degree(fm, p):
@@ -651,7 +652,7 @@ def factor_mod_p(f: IntPoly, p: int, seed: int = DEFAULT_EDF_SEED) -> ModPFactor
     )
 
 
-def factor_over_integers(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> Factorization:
+def factor_over_integers(f: IntPoly) -> Factorization:
     """Complete factorization into primitive irreducibles over the
     rationals (constant input yields a unit-only factorization)."""
     if f.is_zero():
@@ -678,22 +679,22 @@ def factor_over_integers(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> Factorizat
         # with no root stripped, cof is gcd(prim, prim') already
         parts = squarefree_decomposition(prim) if roots else _yun(prim, cof)
         for part, mult in parts:
-            for irr in _zassenhaus(part, seed):
+            for irr in _zassenhaus(part):
                 counts[irr] = counts.get(irr, 0) + mult
     ordered = sorted(counts.items(), key=lambda kv: (kv[0].degree(), kv[0].coeffs))
     return Factorization(unit=unit, factors=tuple(ordered))
 
 
-def largest_factor(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> IntPoly:
+def largest_factor(f: IntPoly) -> IntPoly:
     """The irreducible factor of maximal degree; ties are broken by the
     lexicographically largest ascending coefficient tuple."""
     if f.degree() < 1:
         raise ValueError("largest_factor needs a nonconstant polynomial")
-    fac = factor_over_integers(f, seed)
+    fac = factor_over_integers(f)
     return max(fac.factors, key=lambda kv: (kv[0].degree(), kv[0].coeffs))[0]
 
 
-def is_irreducible(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> bool:
+def is_irreducible(f: IntPoly) -> bool:
     """True when the primitive part of f is irreducible over the
     rationals.  Fast paths: degree one, an Eisenstein certificate, or the
     degree-set test ``_degree_set_irreducible`` on the factor degrees mod
@@ -714,4 +715,4 @@ def is_irreducible(f: IntPoly, seed: int = DEFAULT_EDF_SEED) -> bool:
         return True
     if _degree_set_irreducible(n, (d for _, d in _usable_degrees(prim))):
         return True
-    return factor_over_integers(prim, seed).is_single_irreducible()
+    return factor_over_integers(prim).is_single_irreducible()

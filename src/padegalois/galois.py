@@ -43,12 +43,15 @@ certainty, and every tier names its result through it.
 f is irreducible that is its primitive part with a positive leading
 coefficient.  From degree 6 on, classify first runs the degree-set test
 on the stream of that part and factors f only when it gives no proof.
-``verify_identification`` rebuilds every evidence item of
-a verdict from scratch on that same polynomial, then re-derives the
-name and the certainty from the items with ``_verdict``.  The census
-candidates of a cyclic verdict are re-derived by running the
-elimination again on a fresh stream; only the ``samples`` and
-``order_lower_bound`` items are stated claims that are not replayed.
+It never calls ``is_irreducible``: a Tschirnhaus transform is proven
+irreducible by its squarefree resolvent.  ``verify_identification``
+rebuilds every evidence item of a verdict from scratch on that same
+polynomial, each kind by one entry of ``_REBUILD``, then re-derives the
+name and the certainty from the items with ``_verdict``.  The inner
+verdict of a block item and the census candidates of a cyclic verdict
+are re-derived by classifying again, at the verdict's own prime bound;
+only the ``samples`` and ``order_lower_bound`` items are stated claims
+that are not replayed.
 """
 
 from __future__ import annotations
@@ -404,8 +407,9 @@ def _tschirnhaus_quadratic(f: IntPoly, a: int, b: int) -> IntPoly:
 
 # Quadratic Tschirnhaus transforms tried, in order, whenever an auxiliary
 # resolvent fails to be squarefree (root differences or resolvent values
-# colliding).  The transform is accepted only when it stays irreducible,
-# which guarantees an unchanged splitting field.
+# colliding).  A transform of irreducible f whose resolvent is squarefree
+# is itself irreducible (see _squarefree_resolvent), so it generates the
+# same field and keeps the splitting field.
 _TSCHIRNHAUS_TRIALS = (
     (1, 0),
     (2, 0),
@@ -430,14 +434,17 @@ def _squarefree_resolvent(f: IntPoly, build, shift) -> IntPoly | None:
     """build(base), or None when that is not squarefree.
 
     base is f made monic, then sent through the Tschirnhaus transform
-    ``shift`` when one is given; a reducible transform also gives None,
-    since only an irreducible one keeps the splitting field.
+    ``shift`` when one is given.  For irreducible f a squarefree
+    resolvent proves the transform irreducible, with no test: two equal
+    roots b_i = b_j would give the difference resolvent the double root
+    0, and the sextic equal values at the cosets of s and (i j)s,
+    distinct since F20 holds no transposition; and a squarefree
+    transform of irreducible f is irreducible, its characteristic
+    polynomial being a power of its minimal polynomial.
     """
     base = _monicize(f)
     if shift is not None:
         base = _tschirnhaus_quadratic(base, *shift)
-        if not is_irreducible(base):
-            return None
     resolvent = build(base)
     return resolvent if _squarefree(resolvent) else None
 
@@ -1297,25 +1304,19 @@ def _sample_at(f: IntPoly, p: int) -> CycleType:
     return t
 
 
-# kind -> (item, t, n) -> an item that carries a Frobenius sample,
-# rebuilt from t, the sample replayed at its prime on a target of
-# degree n.
-_RESAMPLE = {
-    "cycle_type": lambda item, t, n: _cycle_type_item(
-        item["prime"], t, item.get("note")
-    ),
-    "jordan_cycle": lambda item, t, n: _jordan_item(
-        item["prime"], t, _jordan_window(n)
-    ),
-}
-
-# kind -> (f, item, inner) -> any other item rebuilt on f from its own
-# parameters (shift, candidates before a cut) and the inner verdict.  A
-# ``reducible`` item has chosen f, the sampling claims are read by
-# _verdict but not replayed, and the candidates are checked by _verdict
-# or, for a cyclic verdict, by a replay of the census: those come back
-# as they are.
+# kind -> (f, item, inner) -> the item rebuilt on f from its own
+# parameters (prime, shift, candidates before a cut) and the inner
+# verdict; a sampled item is sampled again at its prime.  A ``reducible``
+# item has chosen f, the sampling claims are read by _verdict but not
+# replayed, and the candidates are checked by _verdict or, for a cyclic
+# verdict, by a replay of the census: those come back as they are.
 _REBUILD = {
+    "cycle_type": lambda f, item, inner: _cycle_type_item(
+        item["prime"], _sample_at(f, item["prime"]), item.get("note")
+    ),
+    "jordan_cycle": lambda f, item, inner: _jordan_item(
+        item["prime"], _sample_at(f, item["prime"]), _jordan_window(f.degree())
+    ),
     "degree": lambda f, item, inner: _degree_item(f),
     "disc_square": lambda f, item, inner: _disc_item(f, "disc_square"),
     "parity": lambda f, item, inner: _disc_item(f, "parity"),
@@ -1346,21 +1347,21 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     Four steps.  The target is the polynomial classify decided on: the
     primitive part of f with a positive leading coefficient, or the
     factor that a ``reducible`` item selects; it must have the verdict's
-    degree and be irreducible, since every tier reads the Galois group
-    of an irreducible polynomial (the degree-set test on the cycle types
-    of its ``cycle_type`` and ``jordan_cycle`` items, each recomputed
-    once at its prime, mostly proves that; ``is_irreducible`` decides
-    the rest).  Every item is rebuilt on the target from scratch, a
-    sampled one from that same replay, and must come out the same; the
-    inner verdict of a block item is re-derived by ``classify`` at the
-    default prime bound.  The census candidates of a cyclic verdict (one
-    with a ``candidates`` item but no ``parity`` item) are re-derived by
-    running the elimination and the block-order cut again, on a fresh
-    stream up to the verdict's own prime bound.  Last, ``_verdict`` must
-    turn the items into the stated name, T-notation and certainty.  Only
-    the ``samples`` and ``order_lower_bound`` items are stated claims
-    that are not replayed.  Returns False, and never raises, on a
-    verdict that does not fit f, tampered or malformed evidence included.
+    degree.  Every item is rebuilt on the target from scratch and must
+    come out the same; the inner verdict of a block item is re-derived by
+    ``classify``, and the census candidates of a cyclic verdict (one with
+    a ``candidates`` item but no ``parity`` item) by running the
+    elimination and the block-order cut again on a fresh stream, both up
+    to the verdict's own prime bound, or the default one for a verdict
+    that records none.  The target must be irreducible, since every tier
+    reads the Galois group of an irreducible polynomial: the degree-set
+    test on the replayed cycle types of the ``cycle_type`` and
+    ``jordan_cycle`` items proves that for a few verdicts, and
+    ``is_irreducible`` decides the rest.  Last, ``_verdict`` must turn
+    the items into the stated name, T-notation and certainty.  Only the
+    ``samples`` and ``order_lower_bound`` items are stated claims that
+    are not replayed.  Returns False, and never raises, on a verdict that
+    does not fit f, tampered or malformed evidence included.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
@@ -1374,31 +1375,26 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
         n = ident.degree
         if target.degree() != n:
             return False
-        replayed = {
-            item["prime"]: _sample_at(target, item["prime"])
-            for item in ident.evidence
-            if item["kind"] in _RESAMPLE
-        }
-        parts = (t.parts for t in replayed.values())
-        if not _degree_set_irreducible(n, parts) and not is_irreducible(target):
-            return False
         kinds = {item["kind"] for item in ident.evidence}
+        bound = ident.certainty.prime_bound or DEFAULT_PRIME_BOUND
         inner = None
         if kinds & {"inner_group", "block_order_filter"}:
             found = _block_structure(target)
             if found is None:
                 return False
-            inner = classify(found[1])
+            inner = classify(found[1], bound)
         for item in ident.evidence:
-            kind = item["kind"]
-            if kind in _RESAMPLE:
-                again = _RESAMPLE[kind](item, replayed[item["prime"]], n)
-            else:
-                again = _REBUILD[kind](target, item, inner)
-            if again != item:
+            if _REBUILD[item["kind"]](target, item, inner) != item:
                 return False
+        # the stated parts, now that the replay has matched them
+        parts = (
+            item["parts"]
+            for item in ident.evidence
+            if item["kind"] in ("cycle_type", "jordan_cycle")
+        )
+        if not _degree_set_irreducible(n, parts) and not is_irreducible(target):
+            return False
         if "candidates" in kinds and "parity" not in kinds:
-            bound = ident.certainty.prime_bound
             census = _census_verdict(
                 target, bound, FrobeniusSamples(target, bound)
             )

@@ -321,10 +321,6 @@ class RatPoly(_BasePoly):
         cleaned = _strip([Fraction(c) for c in coeffs])
         object.__setattr__(self, "coeffs", cleaned)
 
-    @staticmethod
-    def from_int(coeffs: Iterable[int]) -> "RatPoly":
-        return RatPoly(coeffs)
-
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         """Long division; ``x divmod x^2`` is ``(0, x)``."""
         if other.is_zero():

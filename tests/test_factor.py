@@ -589,6 +589,20 @@ class TestIntegerWorkOnly:
             galois_mod.exact_small_degree(f)
             assert degrees == ([] if f.degree() == 4 else [20])
 
+    def test_classify_tests_no_transform_for_irreducibility(self, monkeypatch):
+        # the Tschirnhaus shifts behind these resolvents are proven
+        # irreducible by their squarefree resolvents, not by a test
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return is_irreducible(f)
+
+        monkeypatch.setattr(galois_mod, "is_irreducible", counting)
+        for f in self.CYCLIC_OR_DIHEDRAL:
+            galois_mod.classify(f)
+        assert calls == []
+
     def test_factoring_never_divides_over_the_rationals(self, monkeypatch):
         # the classify inputs and every engine input (difference
         # resolvents included) of one tables pass factor the same with
@@ -728,7 +742,7 @@ class TestEvenInput:
         # factor_over_integers strips the roots of x^2 - 4 before the
         # Zassenhaus step, so these go to it directly
         f = IntPoly(coeffs)
-        got = factor_mod._zassenhaus(f, DEFAULT_EDF_SEED)
+        got = factor_mod._zassenhaus(f)
         assert sorted(g.coeffs for g in got) == factors
         assert len(lifted) == lifts
 

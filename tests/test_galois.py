@@ -417,6 +417,39 @@ class TestPowerSumResolvents:
         for t in range(-3, 4):
             assert h.evaluate(5 * t + b) == 5**5 * g.evaluate(t)
 
+    def test_squarefree_resolvent_proves_the_transform_irreducible(self):
+        # _squarefree_resolvent runs no irreducibility test: for irreducible
+        # f, a squarefree difference resolvent or sextic of the transform
+        # makes the transform squarefree, hence irreducible
+        rng = random.Random(23)
+
+        def draw() -> IntPoly:
+            lead = rng.choice([1, 1, 2, 3])
+            if rng.random() < 1 / 3:
+                return IntPoly((rng.randint(-9, 9), 0, rng.randint(-9, 9), 0, lead))
+            n = rng.choice([4, 5])
+            return IntPoly([rng.randint(-6, 6) for _ in range(n)] + [lead])
+
+        inputs = []
+        while len(inputs) < 300:
+            f = draw()
+            if f.coeffs[0] and is_irreducible(f):
+                inputs.append(f)
+        checks, reducible = 0, 0
+        for f in inputs:
+            builds = [_difference_resolvent]
+            if f.degree() == 5:
+                builds.append(galois._quintic_resolvent)
+            for shift in _TSCHIRNHAUS_TRIALS:
+                transform = _tschirnhaus_quadratic(_monicize(f), *shift)
+                irreducible = is_irreducible(transform)
+                reducible += not irreducible
+                for build in builds:
+                    if galois._squarefree_resolvent(f, build, shift) is not None:
+                        checks += 1
+                        assert irreducible, (format_poly(f), shift)
+        assert checks > 5000 and reducible > 0
+
     def test_inexact_power_sums_raise(self):
         # P_1 = 1, P_2 = 0 would need c_2 = 1/2
         assert _from_power_sums([2, 1, 1], 2) == IntPoly((0, -1, 1))
@@ -1268,6 +1301,23 @@ class TestVerifyIdentification:
         assert ident.group_name == name
         assert verify_identification(f, ident)
         assert not verify_identification(f, tamper(ident))
+
+    @pytest.mark.parametrize("bound", range(13, 31))
+    def test_replay_at_the_verdicts_prime_bound(self, bound):
+        # at these bounds the degree-6 census inside the SinSinh order-13
+        # block verdict stops at a set; the verifier classifies the inner
+        # polynomial again at the verdict's prime bound, and a verdict
+        # claiming another bound fails
+        f = _column_polys("SinSinh", 13)[0]
+        ident = classify(f, bound)
+        assert ident.certainty.kind == "eliminated-to-set"
+        assert verify_identification(f, ident)
+        stated = ident.certainty.prime_bound
+        for p in primes_in_range(2, 60):
+            if p != stated:
+                other = dataclasses.replace(ident.certainty, prime_bound=p)
+                tampered = dataclasses.replace(ident, certainty=other)
+                assert not verify_identification(f, tampered), p
 
     @pytest.mark.parametrize("case", list(_UNFIT))
     def test_unfit_verdict_returns_false(self, case):

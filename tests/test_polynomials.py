@@ -175,9 +175,9 @@ class TestRatPoly:
         assert q.is_zero() and r == x
 
     def test_gcd_monic(self):
-        f = RatPoly.from_int((-1, 0, 1))  # x^2-1
-        g = RatPoly.from_int((1, 1)) * Fraction(7, 3)
-        assert f.gcd(g) == RatPoly.from_int((1, 1))
+        f = RatPoly((-1, 0, 1))  # x^2-1
+        g = RatPoly((1, 1)) * Fraction(7, 3)
+        assert f.gcd(g) == RatPoly((1, 1))
 
     def test_clear_denominators(self):
         p = RatPoly((Fraction(1, 6), Fraction(1, 4)))
@@ -185,8 +185,8 @@ class TestRatPoly:
         assert den == 12 and ip == IntPoly((2, 3))
 
     def test_truncate(self):
-        p = RatPoly.from_int((1, 2, 3, 4))
-        assert p.truncate(2) == RatPoly.from_int((1, 2))
+        p = RatPoly((1, 2, 3, 4))
+        assert p.truncate(2) == RatPoly((1, 2))
 
 
 class TestResultant:

@@ -567,8 +567,8 @@ def classify_inputs() -> tuple[list[IntPoly], list[IntPoly], int]:
         return factor_over_integers(*args, **kwargs)
 
     def counting_in_galois(f, *args, **kwargs):
-        # the item factors its resolvent through the galois binding; the
-        # irreducibility test of a Tschirnhaus shift goes through factor's
+        # the item factors its resolvent through the galois binding, and
+        # is_irreducible goes through factor's
         if in_item:
             resolvents.setdefault(f.coeffs, f)
         return counting(f, *args, **kwargs)
