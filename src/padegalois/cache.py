@@ -68,20 +68,16 @@ def default_cache_dir() -> Path:
 class ResultCache:
     """File-backed memoization of JSON-valued computations.
 
-    ``directory=None`` disables persistence entirely (every call
-    computes).  ``verify=True`` turns each hit into a recompute-and-
-    compare; it subsumes spot checks because no hit escapes unverified.
+    ``verify=True`` turns each hit into a recompute-and-compare; it
+    subsumes spot checks because no hit escapes unverified.  To compute
+    with no cache at all, callers pass no cache (``reproduce(cache=None)``).
     """
 
-    def __init__(self, directory: Path | str | None, verify: bool = False):
-        self.directory = Path(directory) if directory is not None else None
+    def __init__(self, directory: Path | str, verify: bool = False):
+        self.directory = Path(directory)
         self.verify = verify
         self.hits = 0
         self.misses = 0
-
-    def _path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{key}.json"
 
     def get_or_compute(self, operation: str, payload, thunk):
         """Return the cached value for (operation, payload) or compute it.
@@ -90,10 +86,8 @@ class ResultCache:
         value; it runs on misses, on corrupt entries, and on every hit
         when verification is on.
         """
-        if self.directory is None:
-            return thunk()
         key = cache_key(operation, payload)
-        path = self._path(key)
+        path = self.directory / f"{key}.json"
         if path.exists():
             entry = self._load(path)
             if entry is not None:

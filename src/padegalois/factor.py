@@ -80,7 +80,6 @@ __all__ = [
     "squarefree_decomposition",
     "factor_mod_p",
     "factor_over_integers",
-    "largest_factor",
     "is_irreducible",
     "mignotte_factor_bound",
     "good_primes",
@@ -164,8 +163,8 @@ def _squarefree(f: IntPoly) -> bool:
     return True
 
 
-def good_primes(f: IntPoly, start: int = 13):
-    """Primes p >= start with p not dividing lc(f) and f squarefree mod p.
+def good_primes(f: IntPoly):
+    """Primes p >= 13 with p not dividing lc(f) and f squarefree mod p.
 
     Raises ValueError when f is not squarefree over the integers, where
     no prime qualifies, with gcd(f, f') over Z as its second argument.  A
@@ -174,7 +173,7 @@ def good_primes(f: IntPoly, start: int = 13):
     """
     lc = f.leading_coefficient()
     failed = 0
-    for p in primes_from(start):
+    for p in primes_from(13):
         if lc % p == 0:
             continue
         fm = gf_from_int_coeffs(f.coeffs, p)
@@ -526,7 +525,7 @@ def _zassenhaus(f: IntPoly) -> list[IntPoly]:
         coeffs[::2] = s.coeffs
         whole = IntPoly(coeffs)
         v = (-1) ** s.degree() * s.constant_coefficient() * s.leading_coefficient()
-        if v < 0 or math.isqrt(v) ** 2 != v:
+        if not _is_square(v):
             out.append(whole)
         else:
             out.extend(_lift_and_recombine(whole))
@@ -589,40 +588,52 @@ def _lift_and_recombine(f: IntPoly) -> list[IntPoly]:
     return result
 
 
+def _is_square(v: int) -> bool:
+    """True when the integer v is a square, 0 included."""
+    return v >= 0 and math.isqrt(v) ** 2 == v
+
+
+def _eisenstein_conditions(f: IntPoly, p: int | None) -> bool:
+    """Eisenstein's criterion at p: p is prime and divides every
+    coefficient of f but the leading one, and p^2 does not divide f(0)."""
+    if p is None or not is_prime(p) or f.degree() < 1:
+        return False
+    if f.coeffs[-1] % p == 0:
+        return False
+    if any(c % p for c in f.coeffs[:-1]):
+        return False
+    return f.coeffs[0] % (p * p) != 0
+
+
 def _eisenstein_irreducible(f: IntPoly) -> bool:
-    """Cheap certificate scan: Eisenstein at some prime, on f or on its
-    reversal.  Only prime divisors found by bounded trial division of the
-    non-leading coefficient gcd are tried; a False just means 'no cheap
-    certificate', never 'reducible'."""
+    """Cheap certificate scan: ``_eisenstein_conditions`` at some prime, on
+    f or on its reversal.  Only the prime divisors of the non-leading
+    coefficient gcd that ``_bounded_prime_divisors`` finds are tried; a
+    False just means 'no cheap certificate', never 'reducible'."""
     if f.constant_coefficient() == 0:
         return False
     for g in (f, f.reversed_coefficients()):
-        if g.degree() < 2 or g.constant_coefficient() == 0:
-            continue
         d = 0
         for c in g.coeffs[:-1]:
             d = math.gcd(d, c)
-        if d <= 1:
-            continue
-        for p in _bounded_prime_divisors(d):
-            if g.constant_coefficient() % (p * p) != 0:
-                return True
+        if any(_eisenstein_conditions(g, p) for p in _bounded_prime_divisors(d)):
+            return True
     return False
 
 
-def _bounded_prime_divisors(n: int, limit: int = 100000) -> list[int]:
-    """Prime divisors of n found by trial division up to the limit, plus
-    the cofactor when it is itself prime."""
+def _bounded_prime_divisors(n: int) -> list[int]:
+    """Prime divisors of n found by trial division up to 10^5, plus the
+    cofactor when it is itself prime."""
     out = []
     n = abs(n)
     d = 2
-    while d <= limit and d * d <= n:
+    while d <= 100000 and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1 and (n <= limit * limit or is_prime(n)):
+    if n > 1 and (n <= 100000**2 or is_prime(n)):
         out.append(n)
     return out
 
@@ -683,15 +694,6 @@ def factor_over_integers(f: IntPoly) -> Factorization:
                 counts[irr] = counts.get(irr, 0) + mult
     ordered = sorted(counts.items(), key=lambda kv: (kv[0].degree(), kv[0].coeffs))
     return Factorization(unit=unit, factors=tuple(ordered))
-
-
-def largest_factor(f: IntPoly) -> IntPoly:
-    """The irreducible factor of maximal degree; ties are broken by the
-    lexicographically largest ascending coefficient tuple."""
-    if f.degree() < 1:
-        raise ValueError("largest_factor needs a nonconstant polynomial")
-    fac = factor_over_integers(f)
-    return max(fac.factors, key=lambda kv: (kv[0].degree(), kv[0].coeffs))[0]
 
 
 def is_irreducible(f: IntPoly) -> bool:

@@ -49,9 +49,10 @@ rebuilds every evidence item of a verdict from scratch on that same
 polynomial, each kind by one entry of ``_REBUILD``, then re-derives the
 name and the certainty from the items with ``_verdict``.  The inner
 verdict of a block item and the census candidates of a cyclic verdict
-are re-derived by classifying again, at the verdict's own prime bound;
-only the ``samples`` and ``order_lower_bound`` items are stated claims
-that are not replayed.
+are re-derived by classifying again, at the verdict's own prime bound.
+A ``samples`` count is replayed from lc(f)·disc(f), since every tier
+reads a prefix of the usable primes; only ``order_lower_bound`` and the
+``all_uniform`` flag are stated claims that are not replayed.
 """
 
 from __future__ import annotations
@@ -59,10 +60,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import islice, takewhile
-from math import comb, isqrt, lcm
+from math import comb, lcm
 
 from .factor import (
     _degree_set_irreducible,
+    _is_square,
     _modular_degrees,
     _squarefree,
     _usable_prime_count,
@@ -321,10 +323,7 @@ def disc_is_square(f) -> bool:
     d = discriminant(f)
     if d == 0:
         raise ValueError("discriminant is zero; polynomial is not squarefree")
-    if d < 0:
-        return False
-    num, den = d.numerator, d.denominator
-    return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
+    return _is_square(d.numerator) and _is_square(d.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +654,9 @@ def _cyclic_or_dihedral_quartic(f: IntPoly) -> list[int] | None:
         return None
     e, _, c, b = g.coeffs[:4]
     r, disc = int(roots[0]), int(discriminant(g))
-
-    def square(v: int) -> bool:
-        return v >= 0 and isqrt(v) ** 2 == v
-
     cyclic = all(
-        square(v) or square(v * disc) for v in (r * r - 4 * e, b * b - 4 * (c - r))
+        _is_square(v) or _is_square(v * disc)
+        for v in (r * r - 4 * e, b * b - 4 * (c - r))
     )
     return [4, 4, 4] if cyclic else [4, 8]
 
@@ -670,11 +666,15 @@ def _difference_degrees_item(f: IntPoly, shift) -> dict | None:
 
     For irreducible f they are the orbit sizes of the Galois group on
     ordered pairs of distinct roots.  None as _squarefree_resolvent, so
-    the shift is the first one whose resolvent is squarefree.  A quartic
-    whose resolvent cubic has one rational root reads them off
+    the shift is the first one whose resolvent is squarefree; an even
+    quartic's resolvent at shift None never is, and is not built.  A
+    quartic whose resolvent cubic has one rational root reads them off
     ``_cyclic_or_dihedral_quartic`` and never factors the resolvent;
     any other f, the quintics among them, factors it.
     """
+    if shift is None and f.degree() == 4 and f.is_even_polynomial():
+        # the roots +-a, +-b give a - b = (-b) - (-a), a double root
+        return None
     diff = _squarefree_resolvent(f, _difference_resolvent, shift)
     if diff is None:
         return None
@@ -799,9 +799,9 @@ def _verdict(n: int, evidence, inner: GaloisIdentification | None = None):
     once its items have been replayed.  Only the items are read, with
     the census and, for the block rules, ``inner``: the verdict on h
     where f = h(x^2).  The ``samples`` counts are taken as stated, and
-    so are the candidates of a cyclic verdict, which
-    verify_identification re-derives apart.  Raises ValueError when the
-    items imply no verdict, RuntimeError when they leave no census group.
+    so are the candidates of a cyclic verdict; verify_identification
+    replays both apart.  Raises ValueError when the items imply no
+    verdict, RuntimeError when they leave no census group.
     """
     first: dict[str, dict] = {}
     for item in evidence:
@@ -1159,10 +1159,10 @@ def wreath_structure(
     which ``_exponent_bound`` bounds from the verdict on g when it is
     proven and by lcm(1..t) otherwise; once the lcm reaches that ceiling
     it is final, and no further sample is drawn.  The ``samples`` count
-    is still that of the usable primes, up to WREATH_ORDER_SAMPLES: those
-    up to the prime bound that do not divide lc(f)·disc(f)
-    (``factor._usable_prime_count``).  Raises ValueError when f is not
-    g(x^2).
+    is that of the usable primes, up to WREATH_ORDER_SAMPLES: those up to
+    the prime bound that do not divide lc(f)·disc(f)
+    (``factor._usable_prime_count``), with no sample.  Raises ValueError
+    when f is not g(x^2).
     """
     stream = _tier_stream(f, prime_bound, _stream, 2)
     found = _block_structure(f)
@@ -1176,12 +1176,12 @@ def wreath_structure(
         if inner.certainty.is_proven
         else lcm(*range(1, t + 1))
     )
-    value, count = 1, 0
-    for count, (_, cycle) in enumerate(islice(stream, WREATH_ORDER_SAMPLES), 1):
+    value = 1
+    for _, cycle in islice(stream, WREATH_ORDER_SAMPLES):
         value = lcm(value, cycle.order())
-        if value == ceiling and count < WREATH_ORDER_SAMPLES:
-            count = _usable_prime_count(f, prime_bound, WREATH_ORDER_SAMPLES)
+        if value == ceiling:
             break
+    count = _usable_prime_count(f, prime_bound, WREATH_ORDER_SAMPLES)
     bound = {"kind": "order_lower_bound", "value": value, "samples": count}
     return _ident(
         f.degree(), [structure, _inner_group_item(inner), bound], inner
@@ -1306,10 +1306,13 @@ def _sample_at(f: IntPoly, p: int) -> CycleType:
 
 # kind -> (f, item, inner) -> the item rebuilt on f from its own
 # parameters (prime, shift, candidates before a cut) and the inner
-# verdict; a sampled item is sampled again at its prime.  A ``reducible``
-# item has chosen f, the sampling claims are read by _verdict but not
-# replayed, and the candidates are checked by _verdict or, for a cyclic
-# verdict, by a replay of the census: those come back as they are.
+# verdict; a sampled item is sampled again at its prime.  Every tier reads
+# a prefix of the usable primes, so a ``samples`` count is the number of
+# usable primes up to its last one, counted from lc(f)·disc(f) with no
+# sample, and capped one past the stated count.  A ``reducible`` item has
+# chosen f; ``all_uniform`` and ``order_lower_bound`` are read by _verdict
+# but not replayed, and the candidates are checked by _verdict or, for a
+# cyclic verdict, by a replay of the census: those come back as stated.
 _REBUILD = {
     "cycle_type": lambda f, item, inner: _cycle_type_item(
         item["prime"], _sample_at(f, item["prime"]), item.get("note")
@@ -1335,7 +1338,10 @@ _REBUILD = {
         f, inner, item["before"]
     ),
     "reducible": lambda f, item, inner: item,
-    "samples": lambda f, item, inner: item,
+    "samples": lambda f, item, inner: {
+        **item,
+        "count": _usable_prime_count(f, item["prime_bound"], item["count"] + 1),
+    },
     "order_lower_bound": lambda f, item, inner: item,
     "candidates": lambda f, item, inner: item,
 }
@@ -1358,10 +1364,11 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     test on the replayed cycle types of the ``cycle_type`` and
     ``jordan_cycle`` items proves that for a few verdicts, and
     ``is_irreducible`` decides the rest.  Last, ``_verdict`` must turn
-    the items into the stated name, T-notation and certainty.  Only the
-    ``samples`` and ``order_lower_bound`` items are stated claims that
-    are not replayed.  Returns False, and never raises, on a verdict that
-    does not fit f, tampered or malformed evidence included.
+    the items into the stated name, T-notation and certainty.  Only
+    ``order_lower_bound`` and the ``all_uniform`` flag of a ``samples``
+    item are stated claims that are not replayed; a ``samples`` count is.
+    Returns False, and never raises, on a verdict that does not fit f,
+    tampered or malformed evidence included.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")

@@ -95,7 +95,6 @@ __all__ = [
     "gf_factor_monic",
     "gf_ddf_degree_multiset",
     "gf_roots",
-    "gf_is_irreducible",
 ]
 
 
@@ -606,17 +605,3 @@ def gf_roots(f: list[int], p: int) -> list[int]:
     roots = [(-h[0]) % p for h in gf_equal_degree(lin, 1, p, rng)]
     return sorted(roots)
 
-
-def gf_is_irreducible(f: list[int], p: int) -> bool:
-    """True when f (nonconstant) is irreducible over the p-element field."""
-    n = len(f) - 1
-    if n < 1:
-        raise ValueError("constant polynomial")
-    if n == 1:
-        return True
-    f = gf_monic(f, p)
-    if gf_eval(f, 0, p) == 0:
-        return False
-    if gf_frobenius_order(f, p) != n:  # an irreducible f has order n
-        return False
-    return gf_ddf_degree_multiset(f, p) == [n]

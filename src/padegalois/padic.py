@@ -130,17 +130,3 @@ def qp_factor_shape(f, p: int) -> list[tuple[int, Fraction]]:
     polygon = newton_polygon(f, p)
     return [(length, slope) for slope, length in polygon.segments]
 
-
-def bertrand_prime(n: int) -> int:
-    """Largest prime p with n/2 < p < n, for n >= 4.
-
-    Existence is guaranteed by Bertrand's postulate; maximality in the
-    window is the documented tie-break.  Any prime in this window divides
-    n! exactly once.
-    """
-    if n < 4:
-        raise ValueError("need n >= 4")
-    for p in range(n - 1, n // 2, -1):
-        if 2 * p > n and is_prime(p):
-            return p
-    raise AssertionError(f"no prime in ({n}/2, {n}); Bertrand's postulate fails?")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .factor import is_irreducible, rational_roots
+from .factor import _eisenstein_conditions, is_irreducible, rational_roots
 from .modp import gf_from_int_coeffs, gf_roots
 from .padic import legendre_valuation
 from .polynomials import IntPoly, discriminant
@@ -70,16 +70,6 @@ class IrreducibilityCertificate:
         return False
 
 
-def _eisenstein_conditions(f: IntPoly, p: int | None) -> bool:
-    if p is None or not is_prime(p) or f.degree() < 1:
-        return False
-    if f.coeffs[-1] % p == 0:
-        return False
-    if any(c % p for c in f.coeffs[:-1]):
-        return False
-    return f.coeffs[0] % (p * p) != 0
-
-
 def _rootless_mod_p(f: IntPoly, q: int | None) -> bool:
     if q is None or not is_prime(q) or f.coeffs[-1] % q == 0:
         return False
@@ -127,9 +117,7 @@ def no_rational_root_certificate(
     for q in primes_from(2):
         if q > search_bound:
             return None
-        if f.coeffs[-1] % q == 0:
-            continue
-        if gf_roots(gf_from_int_coeffs(f.coeffs, q), q) == []:
+        if _rootless_mod_p(f, q):
             return IrreducibilityCertificate(
                 CERT_NO_RATIONAL_ROOT,
                 q,

@@ -31,8 +31,6 @@ __all__ = [
     "taylor",
     "taylor_coefficients",
     "scale_to_monic_integer",
-    "derivative_sum_transform",
-    "SERIES_TAGS",
 ]
 
 
@@ -127,9 +125,6 @@ _RULES: dict[SeriesId, Callable[[int], list[Fraction]]] = {
     SeriesId.ONE_PLUS_LOG_ONE_MINUS: _with_constant_one(_coeffs_log1m),
 }
 
-SERIES_TAGS = {sid.value: sid for sid in SeriesId}
-
-
 def taylor_coefficients(series: SeriesId, count: int) -> list[Fraction]:
     """The first ``count`` Taylor coefficients (c_0 ... c_{count-1})."""
     if count < 0:
@@ -158,16 +153,3 @@ def scale_to_monic_integer(n: int) -> IntPoly:
         coeffs[k] = coeffs[k + 1] * (k + 1)
     return IntPoly(coeffs)
 
-
-def derivative_sum_transform(p: RatPoly) -> RatPoly:
-    """Sum of all derivatives p + p' + p'' + ... (finitely many terms).
-
-    Applied to x^n/n! this produces the degree-n exponential truncation;
-    applied to x^2 it gives x^2 + 2x + 2.
-    """
-    total = RatPoly.zero()
-    cur = p
-    while not cur.is_zero():
-        total = total + cur
-        cur = cur.derivative()
-    return total

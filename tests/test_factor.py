@@ -20,7 +20,6 @@ from padegalois.factor import (
     factor_over_integers,
     good_primes,
     is_irreducible,
-    largest_factor,
     mignotte_factor_bound,
     rational_roots,
     squarefree_decomposition,
@@ -30,7 +29,7 @@ from padegalois.factor import _gf_bezout, _hensel_lift_multi, _hensel_step, _mod
 from padegalois.factor import _degree_set_irreducible, _usable_degrees
 from padegalois.factor import _modular_degrees, _nonzero_roots, _squarefree
 from padegalois.factor import _usable_prime_count
-from padegalois.galois import FrobeniusSamples
+from padegalois.galois import FrobeniusSamples, classify
 from padegalois.modp import gf_from_int_coeffs, gf_mul
 from padegalois.pade import pade_diagonal
 from padegalois.polynomials import (
@@ -374,12 +373,19 @@ class TestHenselStep:
 
 class TestLargestFactorAndIrreducibility:
     def test_tie_break(self):
-        assert largest_factor(IntPoly((-1, 0, 1))) == IntPoly((1, 1))
+        # (x - 1)(x + 1): classify decides on the factor of largest degree,
+        # a tie going to the larger ascending coefficient tuple
+        (item,) = (
+            e for e in classify(IntPoly((-1, 0, 1))).evidence
+            if e["kind"] == "reducible"
+        )
+        assert item["selected"] == "x + 1"
 
     def test_p15_largest(self):
+        # factors come sorted by (degree, coefficients): the last is largest
         pair = pade_diagonal(SeriesId.INV_SQRT_MINUS, 15)
         assert (
-            format_poly(largest_factor(pair.numerator))
+            format_poly(factor_over_integers(pair.numerator).factors[-1][0])
             == "x^4 - 96*x^3 + 416*x^2 - 576*x + 256"
         )
 
@@ -448,8 +454,6 @@ class TestLargestFactorAndIrreducibility:
     def test_irreducible_rejects_constant(self):
         with pytest.raises(ValueError):
             is_irreducible(IntPoly((3,)))
-        with pytest.raises(ValueError):
-            largest_factor(IntPoly((3,)))
 
     @given(nonzero_polys(6))
     def test_is_irreducible_agrees_with_engine(self, f):

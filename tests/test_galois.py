@@ -379,6 +379,30 @@ class TestCyclicOrDihedralQuartic:
         # S4 and A4 (no rational cubic root), V4 (three) and a quintic
         assert galois._cyclic_or_dihedral_quartic(parse_int_poly(text)) is None
 
+    def test_even_quartics_skip_shift_none(self, monkeypatch):
+        # the roots +-a, +-b of an even quartic give a - b = (-b) - (-a), so
+        # its difference resolvent at shift None is never squarefree and is
+        # never built; the item still comes at the first squarefree shift
+        built = []
+        original = galois._difference_resolvent
+
+        def counting(base):
+            built.append(base)
+            return original(base)
+
+        monkeypatch.setattr(galois, "_difference_resolvent", counting)
+        even = [f for f in _cyclic_or_dihedral_quartics() if f.is_even_polynomial()]
+        assert len(even) >= 100
+        for f in even:
+            built.clear()
+            item = galois._first_shift_item(
+                galois._difference_degrees_item, f, "difference resolvent"
+            )
+            base = _monicize(f)
+            tried = _TSCHIRNHAUS_TRIALS[: _TSCHIRNHAUS_TRIALS.index(item["shift"]) + 1]
+            assert built == [_tschirnhaus_quadratic(base, *s) for s in tried]
+            assert not galois._squarefree(original(base))
+
 
 _SMALL = st.integers(min_value=-6, max_value=6)
 
@@ -1161,9 +1185,22 @@ _TAMPER_TARGETS = {
     "S5": lambda: parse_int_poly("x^5 - x - 1"),
     "D4": lambda: parse_int_poly("x^4 - 2"),
     "C4": lambda: parse_int_poly("x^4 + 5*x^2 + 5"),
+    "S7": lambda: parse_int_poly("x^7 - x - 1"),
+    "one of PSL(3,2), A7": lambda: parse_int_poly("x^7 - 7*x + 3"),
+    "C2wrS3": lambda: parse_int_poly("x^6 + x^2 + 1"),
     "one of D6, C2wrC3, C2wrS3": lambda: parse_int_poly("x^6 - 2"),
     "subgroup of C2 wr S4": lambda: parse_int_poly("x^8 + 3*x^2 + 1"),
 }
+
+
+def _recounted(ident, count):
+    """ident with its samples count changed, and the certainty's where set."""
+    certainty = ident.certainty
+    if certainty.sample_count:
+        certainty = dataclasses.replace(certainty, sample_count=count)
+    evidence = _changed_item(ident, "samples", count=count)
+    return dataclasses.replace(ident, evidence=evidence, certainty=certainty)
+
 
 # (verdict, tamper): true evidence under a name or a certainty it does
 # not imply
@@ -1181,6 +1218,11 @@ _TAMPERS = {
             v, evidence=_changed_item(v, "samples", count=100000)
         ),
     ),
+    # a samples count is the number of usable primes up to its last one
+    "S7-sample-count": ("S7", lambda v: _recounted(v, 5)),
+    "PSL32-A7-sample-count": ("one of PSL(3,2), A7", lambda v: _recounted(v, 5)),
+    "C2wrS3-sample-count": ("C2wrS3", lambda v: _recounted(v, 5)),
+    "A8-sample-count": ("A8", lambda v: _recounted(v, 5)),
     "A8-renamed-S8": ("A8", lambda v: dataclasses.replace(v, group_name="S8")),
     "S5-renamed-A5": (
         "S5",

@@ -20,7 +20,6 @@ from padegalois.modp import (
     gf_frobenius_order,
     gf_from_int_coeffs,
     gf_gcd,
-    gf_is_irreducible,
     gf_mod,
     gf_monic,
     gf_mul,
@@ -354,17 +353,6 @@ class TestFactorization:
         if p <= 5:
             for g, _ in parts:
                 assert brute_irreducible(g, p)
-
-    @given(
-        st.sampled_from([2, 3, 5]),
-        st.lists(st.integers(0, 10), min_size=3, max_size=7),
-    )
-    def test_is_irreducible_matches_brute(self, p, raw):
-        f = gf_from_int_coeffs(raw, p)
-        if len(f) < 3:
-            return
-        f = gf_monic(f, p)
-        assert gf_is_irreducible(f, p) == brute_irreducible(f, p)
 
     def test_ddf_degree_multiset(self):
         p = 5

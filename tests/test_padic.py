@@ -7,14 +7,12 @@ from hypothesis import given, strategies as st
 
 from padegalois.padic import (
     NewtonPolygon,
-    bertrand_prime,
     legendre_valuation,
     newton_polygon,
     padic_valuation,
     qp_factor_shape,
 )
 from padegalois.polynomials import IntPoly, RatPoly, parse_int_poly
-from padegalois.primes import is_prime, next_prime
 from padegalois.series import SeriesId, taylor
 
 from .oracles import point_on_or_above_hull, primes_in_range
@@ -166,23 +164,3 @@ class TestFactorShape:
             shape = qp_factor_shape(f, p)
             assert sum(d for d, _ in shape) == f.degree() - order
 
-
-class TestBertrandPrime:
-    def test_examples(self):
-        assert bertrand_prime(10) == 7
-        assert bertrand_prime(4) == 3
-        assert bertrand_prime(20) == 19
-
-    def test_rejects_small(self):
-        with pytest.raises(ValueError):
-            bertrand_prime(3)
-
-    def test_window_and_maximality(self):
-        for n in range(4, 501):
-            p = bertrand_prime(n)
-            assert is_prime(p)
-            assert 2 * p > n and p < n
-            # maximal: the next prime is already past the window
-            assert next_prime(p) >= n
-            # any prime in the window divides n! exactly once
-            assert legendre_valuation(p, n) == 1

@@ -66,14 +66,6 @@ class TestResultCache:
         assert cache.misses == 1 and cache.hits == 1
         assert len(list(tmp_path.iterdir())) == 1
 
-    def test_none_directory_always_computes(self):
-        cache = ResultCache(None)
-        calls = []
-        for _ in range(3):
-            cache.get_or_compute("op", {}, lambda: calls.append(1))
-        assert len(calls) == 3
-        assert cache.hits == 0
-
     def test_key_depends_on_operation_and_payload(self):
         base = cache_key("op", {"x": 1})
         assert cache_key("other", {"x": 1}) != base
