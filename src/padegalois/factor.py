@@ -40,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from .modp import (
@@ -90,6 +91,9 @@ RECOMBINATION_CUTOFF = 24
 # degree lists the degree-set test reads before it gives up; every table
 # target certifies within 14
 _DEGREE_SET_PRIMES = 20
+# degree lists kept by ``_modular_degrees``: a census replay reads back a
+# stream of over 200 samples
+MODULAR_DEGREES_MEMO_SIZE = 256
 
 
 class FactorCutoffError(RuntimeError):
@@ -207,14 +211,23 @@ def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
     """Sorted degrees of the irreducible factors of f mod p, or None when
     p divides lc(f) or f is not squarefree mod p.  When x^(p^L) = x mod f
     for some L <= n, f divides the squarefree x^(p^L) - x; only when there
-    is no such L is gcd(f, f') taken."""
-    if f.coeffs[-1] % p == 0:
+    is no such L is gcd(f, f') taken.  The last
+    ``MODULAR_DEGREES_MEMO_SIZE`` answers are kept, keyed by the
+    coefficients of f and p, so a replay of a verdict reads the samples
+    classify drew; each call gets a list of its own."""
+    degrees = _modular_degrees_memo(f.coeffs, p)
+    return None if degrees is None else list(degrees)
+
+
+@lru_cache(maxsize=MODULAR_DEGREES_MEMO_SIZE)
+def _modular_degrees_memo(coeffs: tuple, p: int) -> tuple[int, ...] | None:
+    if coeffs[-1] % p == 0:
         return None
-    fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
+    fm = gf_monic(gf_from_int_coeffs(coeffs, p), p)
     closed = gf_frobenius_order(fm, p) is not None
     if not closed and len(gf_gcd(fm, gf_deriv(fm, p), p)) != 1:
         return None
-    return gf_ddf_degree_multiset(fm, p)
+    return tuple(gf_ddf_degree_multiset(fm, p))
 
 
 def _usable_degrees(f: IntPoly):

@@ -45,14 +45,16 @@ coefficient.  From degree 6 on, classify first runs the degree-set test
 on the stream of that part and factors f only when it gives no proof.
 It never calls ``is_irreducible``: a Tschirnhaus transform is proven
 irreducible by its squarefree resolvent.  ``verify_identification``
-rebuilds every evidence item of a verdict from scratch on that same
-polynomial, each kind by one entry of ``_REBUILD``, then re-derives the
-name and the certainty from the items with ``_verdict``.  The inner
-verdict of a block item and the census candidates of a cyclic verdict
-are re-derived by classifying again, at the verdict's own prime bound.
-A ``samples`` count is replayed from lc(f)·disc(f), since every tier
-reads a prefix of the usable primes; only ``order_lower_bound`` and the
-``all_uniform`` flag are stated claims that are not replayed.
+rebuilds every evidence item of a verdict on that same polynomial, each
+kind by one entry of ``_REBUILD``, with the pure functions that built it
+(the factor degrees mod p and the discriminants it needs may come from
+their bounded memos), then re-derives the name and the certainty from
+the items with ``_verdict``.  The inner verdict of a block item and the
+census candidates of a cyclic verdict are re-derived by classifying
+again, at the verdict's own prime bound.  A ``samples`` count is
+replayed from lc(f)·disc(f), since every tier reads a prefix of the
+usable primes; only ``order_lower_bound`` and the ``all_uniform`` flag
+are stated claims that are not replayed.
 """
 
 from __future__ import annotations
@@ -692,7 +694,8 @@ def _cycle_type_item(p: int, t: CycleType, note: str | None = None) -> dict:
 
 
 def _samples_item(count: int, p: int, **extra) -> dict:
-    """How many usable samples a tier read, and the last prime among them."""
+    """How many usable samples a tier read, and the last prime among them,
+    or the prime bound when it read none."""
     return {"kind": "samples", "count": count, "prime_bound": p, **extra}
 
 
@@ -994,7 +997,7 @@ def eliminate_degree_le7(
     ev: list[dict] = []
     observed: set[tuple[int, ...]] = set()
     streak = 0
-    count, p = 0, 2
+    count, p = 0, prime_bound
     for count, (p, t) in enumerate(stream, 1):
         if t.parts in observed:
             streak += 1
@@ -1069,7 +1072,7 @@ def sn_an_certificate(
         raise RuntimeError(f"no usable prime cycle length for degree {n}")
     observed: list[dict] = []
     seen: set[tuple[int, ...]] = set()
-    count, p = 0, 2
+    count, p = 0, prime_bound
     cap = max(stream.drawn(), SN_AN_CLASSIFY_SAMPLE_CAP)
     for count, (p, t) in enumerate(islice(stream, cap), 1):
         jordan = _jordan_item(p, t, window)
@@ -1099,7 +1102,7 @@ def cyclic_heuristic(
     stream = _tier_stream(f, prime_bound, _stream)
     n = f.degree()
     ncycle = None
-    count, p = 0, 2
+    count, p = 0, prime_bound
     for count, (p, t) in enumerate(stream, 1):
         if not t.is_uniform():
             note = "non-uniform type refutes cyclicity"
@@ -1353,22 +1356,27 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     Four steps.  The target is the polynomial classify decided on: the
     primitive part of f with a positive leading coefficient, or the
     factor that a ``reducible`` item selects; it must have the verdict's
-    degree.  Every item is rebuilt on the target from scratch and must
-    come out the same; the inner verdict of a block item is re-derived by
-    ``classify``, and the census candidates of a cyclic verdict (one with
-    a ``candidates`` item but no ``parity`` item) by running the
-    elimination and the block-order cut again on a fresh stream, both up
-    to the verdict's own prime bound, or the default one for a verdict
-    that records none.  The target must be irreducible, since every tier
-    reads the Galois group of an irreducible polynomial: the degree-set
-    test on the replayed cycle types of the ``cycle_type`` and
-    ``jordan_cycle`` items proves that for a few verdicts, and
-    ``is_irreducible`` decides the rest.  Last, ``_verdict`` must turn
-    the items into the stated name, T-notation and certainty.  Only
-    ``order_lower_bound`` and the ``all_uniform`` flag of a ``samples``
-    item are stated claims that are not replayed; a ``samples`` count is.
-    Returns False, and never raises, on a verdict that does not fit f,
-    tampered or malformed evidence included.
+    degree.  Every item is rebuilt on the target with the same pure
+    functions that built it, and must come out the same.  Modular factor
+    degrees and discriminants come through the bounded memos of
+    ``factor._modular_degrees`` and ``polynomials.discriminant``, which
+    may still hold the values classify computed; they are keyed by the
+    polynomial and the prime alone, never by an item, so a tampered item
+    is rebuilt as it would be on empty memos.  The inner verdict of a
+    block item is re-derived by ``classify``, and the census candidates
+    of a cyclic verdict (one with a ``candidates`` item but no ``parity``
+    item) by running the elimination and the block-order cut again on a
+    fresh stream, both up to the verdict's own prime bound, or the
+    default one for a verdict that records none.  The target must be
+    irreducible, since every tier reads the Galois group of an
+    irreducible polynomial: the degree-set test on the replayed cycle
+    types of the ``cycle_type`` and ``jordan_cycle`` items proves that
+    for a few verdicts, and ``is_irreducible`` decides the rest.  Last,
+    ``_verdict`` must turn the items into the stated name, T-notation and
+    certainty.  Only ``order_lower_bound`` and the ``all_uniform`` flag
+    of a ``samples`` item are stated claims that are not replayed; a
+    ``samples`` count is.  Returns False, and never raises, on a verdict
+    that does not fit f, tampered or malformed evidence included.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")

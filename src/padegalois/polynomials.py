@@ -33,6 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 BigRat = Fraction
@@ -496,11 +497,27 @@ def resultant(a: RatPoly | IntPoly, b: RatPoly | IntPoly) -> Fraction:
     return Fraction(_resultant_int(A.coeffs, B.coeffs), dena**db * denb**da)
 
 
+# discriminants kept by ``discriminant``; one verified table op asks for
+# fewer distinct ones than this
+DISCRIMINANT_MEMO_SIZE = 64
+
+
 def discriminant(f: RatPoly | IntPoly) -> Fraction:
-    """disc(f) = (-1)^(d(d-1)/2) res(f, f') / lc(f), degree >= 1 required."""
-    d = f.degree()
-    if d < 1:
+    """disc(f) = (-1)^(d(d-1)/2) res(f, f') / lc(f), degree >= 1 required.
+
+    The last ``DISCRIMINANT_MEMO_SIZE`` values are kept, keyed by the type
+    and coefficients of f, so a verdict and its replay that ask for the
+    same discriminant run one resultant between them.
+    """
+    if f.degree() < 1:
         raise ValueError("discriminant needs degree >= 1")
+    return _discriminant_memo(type(f), f.coeffs)
+
+
+@lru_cache(maxsize=DISCRIMINANT_MEMO_SIZE)
+def _discriminant_memo(cls: type, coeffs: tuple) -> Fraction:
+    f = cls(coeffs)
+    d = f.degree()
     if d == 1:
         return Fraction(1)
     sign = -1 if (d * (d - 1) // 2) % 2 else 1

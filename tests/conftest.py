@@ -1,4 +1,7 @@
 import hypothesis
+import pytest
+
+from padegalois import factor, modp, polynomials
 
 hypothesis.settings.register_profile(
     "default",
@@ -13,3 +16,13 @@ hypothesis.settings.register_profile(
     derandomize=True,
 )
 hypothesis.settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def _cold_memos():
+    """Every test starts with empty memos, so the work it counts below
+    them (modular powers, gcds, DDF calls, Hensel steps) does not depend
+    on which test ran before it."""
+    factor._modular_degrees_memo.cache_clear()
+    polynomials._discriminant_memo.cache_clear()
+    modp._frobenius_walk.cache_clear()

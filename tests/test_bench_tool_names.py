@@ -1,9 +1,9 @@
 """The package names that tools/bench_modp.py reads exist.
 
-The tool reaches into ``factor``, ``galois`` and ``modp`` by attribute,
-private helpers included, and most of those reads run only in one of its
-sections; a rename in the package would otherwise surface only when that
-section runs.  These tests only parse the tool.
+The tool reaches into ``factor``, ``galois``, ``modp`` and ``polynomials``
+by attribute, private helpers and memos included, and most of those reads
+run only in one of its sections; a rename in the package would otherwise
+surface only when that section runs.  These tests only parse the tool.
 """
 
 import ast
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_modp.py"
-_MODULES = ("factor", "galois", "modp")
+_MODULES = ("factor", "galois", "modp", "polynomials")
 
 
 def _read_names() -> list[tuple[str, str]]:
@@ -45,3 +45,11 @@ def test_the_tool_reads_each_module_by_attribute():
 def test_name_read_by_the_tool_exists(module, name):
     mod = importlib.import_module(f"padegalois.{module}")
     assert hasattr(mod, name)
+
+
+@pytest.mark.parametrize(
+    ("module", "name"), [n for n in _NAMES if n[1].endswith("_memo")]
+)
+def test_memo_the_tool_clears_can_be_cleared(module, name):
+    memo = getattr(importlib.import_module(f"padegalois.{module}"), name)
+    assert callable(memo.cache_clear)

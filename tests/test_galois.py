@@ -1349,7 +1349,10 @@ class TestVerifyIdentification:
         # at these bounds the degree-6 census inside the SinSinh order-13
         # block verdict stops at a set; the verifier classifies the inner
         # polynomial again at the verdict's prime bound, and a verdict
-        # claiming another bound fails
+        # claiming another bound fails unless classify states that very
+        # verdict at that bound: below 17 no prime is usable for the inner
+        # polynomial, so every bound up to 16 gives one verdict, which
+        # records the bound it searched
         f = _column_polys("SinSinh", 13)[0]
         ident = classify(f, bound)
         assert ident.certainty.kind == "eliminated-to-set"
@@ -1359,7 +1362,45 @@ class TestVerifyIdentification:
             if p != stated:
                 other = dataclasses.replace(ident.certainty, prime_bound=p)
                 tampered = dataclasses.replace(ident, certainty=other)
-                assert not verify_identification(f, tampered), p
+                genuine = tampered == classify(f, p)
+                assert genuine == (bound < 17 and p < 17), p
+                assert verify_identification(f, tampered) == genuine, p
+
+    @pytest.mark.parametrize("bound", range(13, 18))
+    def test_an_empty_stream_records_the_requested_bound(self, bound):
+        # below 17 no prime is usable for the degree-6 inner polynomial of
+        # the SinSinh order-13 block verdict: its census reads no sample,
+        # and states the bound it searched, not the first prime 2
+        f = _column_polys("SinSinh", 13)[0]
+        certainty = classify(f, bound).certainty
+        if bound < 17:
+            assert (certainty.sample_count, certainty.prime_bound) == (0, bound)
+        else:
+            assert certainty == Certainty.eliminated_to_set(
+                ("C2wrC3", "C2wrS3"), 1, 17
+            )
+        assert verify_identification(f, classify(f, bound))
+
+    @pytest.mark.parametrize(
+        ("tier", "text"),
+        [
+            (eliminate_degree_le7, "x^6 - 30"),
+            (sn_an_certificate, "x^8 - 30"),
+            (cyclic_heuristic, "x^8 - 30"),
+        ],
+    )
+    @pytest.mark.parametrize("bound", [5, 6])
+    def test_each_tier_records_the_bound_of_an_empty_stream(
+        self, tier, text, bound
+    ):
+        # 2, 3 and 5 divide the discriminant n^n * 30^(n-1), 7 does not
+        f = parse_int_poly(text)
+        ident = tier(f, bound)
+        samples = next(e for e in ident.evidence if e["kind"] == "samples")
+        assert samples == {"kind": "samples", "count": 0, "prime_bound": bound}
+        assert ident.certainty.prime_bound == bound
+        assert verify_identification(f, ident)
+        assert tier(f, 7).certainty.sample_count == 1
 
     @pytest.mark.parametrize("case", list(_UNFIT))
     def test_unfit_verdict_returns_false(self, case):

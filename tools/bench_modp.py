@@ -6,8 +6,8 @@ of each degree in ``DEGREES``, this times ``dedekind_cycle_type(f, p)``
 once at each of the first ``USABLE_PRIMES`` usable primes (p not dividing
 the leading coefficient, f squarefree mod p) and reports the median of
 those times for each degree.  Nothing is cached between calls: every
-call factors f mod p afresh.  This is the mod-p DDF layer seen from
-above.
+call factors f mod p afresh (see the memos below).  This is the mod-p DDF
+layer seen from above.
 
 ``kernels``: for the same polynomial of each degree and the same usable
 primes, the median time of one ``gf_pow_mod([0, 1], p, f, p)`` (x^p mod
@@ -102,6 +102,13 @@ all samples in each round, so its spread shows how far to trust it.
 Run-to-run spread between two processes hides gains under 1.5x; one
 process taking turns does not.
 
+Every timed call but those of the ``kernel`` section starts with the
+memos of ``factor._modular_degrees`` and ``polynomials.discriminant``
+emptied, so a call that repeats an input (the ``POLY_REPS`` discriminants
+of one polynomial, the ``KERNEL_ROUNDS`` order bounds of one g(x^2), the
+``FACTOR_REPS`` factorings of one input) times the arithmetic, not a
+read of the value an earlier call left there.
+
 Every time is in seconds at nominal machine speed: ``perfbench/speed.py``
 samples the speed of the host all through the run, and each timed call is
 scaled by the speed sampled around it, which takes out most of a shared
@@ -135,7 +142,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from speed import MachineSpeed  # noqa: E402
 
-from padegalois import factor, galois, modp, tables  # noqa: E402
+from padegalois import factor, galois, modp, polynomials, tables  # noqa: E402
 from padegalois.factor import factor_over_integers  # noqa: E402
 from padegalois.galois import (  # noqa: E402
     _TSCHIRNHAUS_TRIALS,
@@ -279,6 +286,14 @@ def lifted_degrees(polys) -> dict:
     return {str(degree): counts[degree] for degree in sorted(counts)}
 
 
+def timed(speed: MachineSpeed, fn, *args):
+    """``speed.timed(fn, *args)`` with the modular-degree and discriminant
+    memos emptied first, outside the timed span."""
+    factor._modular_degrees_memo.cache_clear()
+    polynomials._discriminant_memo.cache_clear()
+    return speed.timed(fn, *args)
+
+
 def median_s(speed: MachineSpeed, spans) -> float:
     """Median nominal seconds over timed spans (start, end, spent)."""
     return statistics.median(speed.seconds(*span) for span in spans)
@@ -288,7 +303,7 @@ def median_call_s(speed: MachineSpeed, calls):
     """Time each argument-free call; return a thunk that gives the median
     in nominal seconds, to be called once the run is over, when the speed
     samples after the last call exist too."""
-    spans = [speed.timed(call)[1:] for call in calls]
+    spans = [timed(speed, call)[1:] for call in calls]
     return lambda: median_s(speed, spans)
 
 
@@ -299,7 +314,7 @@ def time_samples(speed: MachineSpeed, f: IntPoly) -> dict:
     last = 0
     while len(spans) < USABLE_PRIMES:
         p = next(primes)
-        cycle_type, *span = speed.timed(dedekind_cycle_type, f, p)
+        cycle_type, *span = timed(speed, dedekind_cycle_type, f, p)
         if cycle_type is not None:
             spans.append(span)
             last = p
@@ -615,7 +630,7 @@ def time_factoring(
     out: dict = {"engine_calls": engine_calls}
     for name, group in groups.items():
         spans = [
-            [speed.timed(factor_over_integers, f)[1:] for _ in range(FACTOR_REPS)]
+            [timed(speed, factor_over_integers, f)[1:] for _ in range(FACTOR_REPS)]
             for f in group
         ]
         out[name] = {
