@@ -94,6 +94,9 @@ _DEGREE_SET_PRIMES = 20
 # degree lists kept by ``_modular_degrees``: a census replay reads back a
 # stream of over 200 samples
 MODULAR_DEGREES_MEMO_SIZE = 256
+# answers kept by ``_lift_and_recombine`` and ``_nonzero_roots`` each: a
+# verdict and its replay, but not one table op's factorings into the next
+_ENGINE_MEMO_SIZE = 8
 
 
 class FactorCutoffError(RuntimeError):
@@ -340,7 +343,8 @@ def _newton_lift_root(f: IntPoly, t: int, p: int, target: int) -> tuple[int, int
 
 
 def rational_roots(f: IntPoly) -> list[Fraction]:
-    """All rational roots of f with multiplicity, sorted ascending."""
+    """All rational roots of f with multiplicity, sorted ascending; the
+    search runs through the memo of ``_nonzero_roots``."""
     if f.is_zero():
         raise ValueError("the zero polynomial has every rational as a root")
     _, f, _ = f.content_primitive()
@@ -359,7 +363,15 @@ def _nonzero_roots(f: IntPoly) -> tuple[list[Fraction], IntPoly]:
     the radical searched for roots.  The gcd over Z is taken only when
     ``good_primes`` finds no prime that keeps f squarefree, and then once:
     the failed search hands it back.  So a non-squarefree f pays deg f + 1
-    extra gcds mod p."""
+    extra gcds mod p.  The last ``_ENGINE_MEMO_SIZE`` answers are kept,
+    keyed by the coefficients of f; each call gets a list of its own."""
+    roots, cof = _nonzero_roots_memo(f.coeffs)
+    return list(roots), cof
+
+
+@lru_cache(maxsize=_ENGINE_MEMO_SIZE)
+def _nonzero_roots_memo(coeffs: tuple) -> tuple[tuple[Fraction, ...], IntPoly]:
+    f = IntPoly(coeffs)
     roots: list[Fraction] = []
     rad, cof = f, IntPoly.one()
     try:
@@ -385,7 +397,7 @@ def _nonzero_roots(f: IntPoly) -> tuple[list[Fraction], IntPoly]:
         while linear.divides(f):
             f = f.exact_div(linear)
             roots.append(q)
-    return roots, cof
+    return tuple(roots), cof
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +504,17 @@ def _hensel_lift_multi(f: IntPoly, mods: list[list[int]], p: int, K: int) -> lis
 # ---------------------------------------------------------------------------
 
 
-def _select_prime(f: IntPoly) -> tuple[int, list[int]]:
+def _select_prime(f: IntPoly, cutoff: int) -> tuple[int, list[int]]:
     """Smallest good prime >= 13 and the factor-degree multiset; probes
     further primes only when the count busts the recombination cutoff."""
     best: tuple[int, list[int]] | None = None
     for p, multiset in itertools.islice(_usable_degrees(f), 12):
-        if len(multiset) <= RECOMBINATION_CUTOFF:
+        if len(multiset) <= cutoff:
             return p, multiset
         if best is None or len(multiset) < len(best[1]):
             best = (p, multiset)
     raise FactorCutoffError(
-        f"every probed prime leaves more than {RECOMBINATION_CUTOFF} modular "
+        f"every probed prime leaves more than {cutoff} modular "
         f"factors (best was {len(best[1])} at p={best[0]}); aborting rather "
         "than attempting exponential recombination"
     )
@@ -548,12 +560,21 @@ def _zassenhaus(f: IntPoly) -> list[IntPoly]:
 def _lift_and_recombine(f: IntPoly) -> list[IntPoly]:
     """``_zassenhaus`` of f of degree >= 2 with f(0) != 0, without the
     even rule: an Eisenstein certificate, or the factors mod the prime of
-    ``_select_prime``, Hensel-lifted and recombined."""
+    ``_select_prime``, Hensel-lifted and recombined.  The last
+    ``_ENGINE_MEMO_SIZE`` answers are kept, keyed by the coefficients of
+    f and ``RECOMBINATION_CUTOFF``, which decides whether the engine
+    raises ``FactorCutoffError``; each call gets a list of its own."""
+    return list(_lift_and_recombine_memo(f.coeffs, RECOMBINATION_CUTOFF))
+
+
+@lru_cache(maxsize=_ENGINE_MEMO_SIZE)
+def _lift_and_recombine_memo(coeffs: tuple, cutoff: int) -> tuple[IntPoly, ...]:
+    f = IntPoly(coeffs)
     if _eisenstein_irreducible(f):
-        return [f]
-    p, multiset = _select_prime(f)
+        return (f,)
+    p, multiset = _select_prime(f, cutoff)
     if multiset == [f.degree()]:
-        return [f]
+        return (f,)
     rng = Random(DEFAULT_EDF_SEED)
     fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
     modular: list[list[int]] = []
@@ -598,7 +619,7 @@ def _lift_and_recombine(f: IntPoly) -> list[IntPoly]:
             size += 1
     if cur.degree() >= 1:
         result.append(cur.primitive_part())
-    return result
+    return tuple(result)
 
 
 def _is_square(v: int) -> bool:
@@ -678,7 +699,11 @@ def factor_mod_p(f: IntPoly, p: int, seed: int = DEFAULT_EDF_SEED) -> ModPFactor
 
 def factor_over_integers(f: IntPoly) -> Factorization:
     """Complete factorization into primitive irreducibles over the
-    rationals (constant input yields a unit-only factorization)."""
+    rationals (constant input yields a unit-only factorization).  Its
+    engines ``_nonzero_roots`` and ``_lift_and_recombine`` keep their last
+    ``_ENGINE_MEMO_SIZE`` answers, keyed by the normalised polynomial they
+    get, so classify and its replay factor a resolvent once; a fresh
+    process recomputes every factorization."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     content, prim, sign = f.content_primitive()

@@ -47,14 +47,14 @@ It never calls ``is_irreducible``: a Tschirnhaus transform is proven
 irreducible by its squarefree resolvent.  ``verify_identification``
 rebuilds every evidence item of a verdict on that same polynomial, each
 kind by one entry of ``_REBUILD``, with the pure functions that built it
-(the factor degrees mod p and the discriminants it needs may come from
-their bounded memos), then re-derives the name and the certainty from
-the items with ``_verdict``.  The inner verdict of a block item and the
-census candidates of a cyclic verdict are re-derived by classifying
-again, at the verdict's own prime bound.  A ``samples`` count is
-replayed from lc(f)·disc(f), since every tier reads a prefix of the
-usable primes; only ``order_lower_bound`` and the ``all_uniform`` flag
-are stated claims that are not replayed.
+(the factor degrees mod p, discriminants, factorizations and rational
+roots it needs may come from their bounded memos), then re-derives the
+name and the certainty from the items with ``_verdict``.  The inner
+verdict of a block item and the census candidates of a cyclic verdict
+are re-derived by classifying again, at the verdict's own prime bound.
+A ``samples`` count is replayed from lc(f)·disc(f), since every tier
+reads a prefix of the usable primes; only ``order_lower_bound`` and the
+``all_uniform`` flag are stated claims that are not replayed.
 """
 
 from __future__ import annotations
@@ -1357,12 +1357,16 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     primitive part of f with a positive leading coefficient, or the
     factor that a ``reducible`` item selects; it must have the verdict's
     degree.  Every item is rebuilt on the target with the same pure
-    functions that built it, and must come out the same.  Modular factor
-    degrees and discriminants come through the bounded memos of
-    ``factor._modular_degrees`` and ``polynomials.discriminant``, which
-    may still hold the values classify computed; they are keyed by the
-    polynomial and the prime alone, never by an item, so a tampered item
-    is rebuilt as it would be on empty memos.  The inner verdict of a
+    functions that built it, and must come out the same.  Four bounded
+    memos may still hold what classify computed: the modular factor
+    degrees of ``factor._modular_degrees``, the discriminants of
+    ``polynomials.discriminant``, and, behind ``factor_over_integers`` and
+    ``rational_roots``, the Zassenhaus factors of ``_lift_and_recombine``
+    and the roots of ``_nonzero_roots``.  Each is keyed by the polynomial
+    the replay rebuilds from f (and the prime, or the recombination
+    cutoff), never by an item, since an item may be hand-made: a tampered
+    item is rebuilt as it would be on empty memos.  A verify in a fresh
+    process recomputes all of it.  The inner verdict of a
     block item is re-derived by ``classify``, and the census candidates
     of a cyclic verdict (one with a ``candidates`` item but no ``parity``
     item) by running the elimination and the block-order cut again on a

@@ -295,6 +295,16 @@ class TestFactorOverIntegers:
         with pytest.raises(FactorCutoffError):
             factor_over_integers(IntPoly((1, 0, 0, 0, 1)))
 
+    def test_cutoff_error_after_a_cached_factorization(self, monkeypatch):
+        # the cutoff is part of the memo's key: factors kept at the default
+        # cutoff do not answer for a lower one
+        f = IntPoly((1, 0, 0, 0, 1))
+        assert factor_over_integers(f).is_single_irreducible()
+        assert factor_mod._lift_and_recombine_memo.cache_info().currsize == 1
+        monkeypatch.setattr(factor_mod, "RECOMBINATION_CUTOFF", 1)
+        with pytest.raises(FactorCutoffError):
+            factor_over_integers(f)
+
     @given(nonzero_polys(8))
     def test_against_kronecker(self, f):
         if f.degree() < 1:
@@ -821,3 +831,35 @@ class TestEvenInput:
         for n, degree in lifted:
             assert degree <= self.MOST_LIFTED[n] < n * (n - 1)
         assert max(d for n, d in lifted if n == 5) == 10
+
+    def test_classify_and_verify_lift_a_quintic_resolvent_once(self, monkeypatch):
+        # the replay reads the factors of the degree-20 resolvent that
+        # classify lifted from the memo behind _lift_and_recombine
+        quintics = [tables_mod._column_polys("InvSqrtPade", 11)[c] for c in (0, 1)]
+        quintics += [f for f in _family_inputs(20).values() if f.degree() == 5]
+        lifted, inside = [], []
+        original_item = galois_mod._difference_degrees_item
+        original_lift = factor_mod._hensel_lift_multi
+
+        def item(f, shift):
+            inside.append(f)
+            try:
+                return original_item(f, shift)
+            finally:
+                inside.pop()
+
+        def lift(f, *args):
+            if inside:
+                lifted.append(f.coeffs)
+            return original_lift(f, *args)
+
+        monkeypatch.setattr(galois_mod, "_difference_degrees_item", item)
+        monkeypatch.setattr(factor_mod, "_hensel_lift_multi", lift)
+        for f in quintics:
+            factor_mod._lift_and_recombine_memo.cache_clear()
+            del lifted[:]
+            ident = galois_mod.classify(f)
+            by_classify = list(lifted)
+            assert galois_mod.verify_identification(f, ident)
+            assert by_classify and len(set(by_classify)) == len(by_classify)
+            assert lifted == by_classify

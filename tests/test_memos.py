@@ -1,5 +1,6 @@
-"""The bounded memos of ``factor._modular_degrees`` and
-``polynomials.discriminant``.
+"""The bounded memos of ``factor._modular_degrees``,
+``polynomials.discriminant``, ``factor._lift_and_recombine`` and
+``factor._nonzero_roots``.
 
 A memo may only save work: each keeps at most its stated number of
 entries, hands out nothing a caller can change, carries nothing from one
@@ -12,7 +13,12 @@ from fractions import Fraction
 import pytest
 
 from padegalois import factor, polynomials
-from padegalois.factor import MODULAR_DEGREES_MEMO_SIZE, _modular_degrees
+from padegalois.factor import (
+    MODULAR_DEGREES_MEMO_SIZE,
+    _lift_and_recombine,
+    _modular_degrees,
+    _nonzero_roots,
+)
 from padegalois.galois import classify, verify_identification
 from padegalois.polynomials import (
     DISCRIMINANT_MEMO_SIZE,
@@ -27,11 +33,14 @@ from .test_galois import _TAMPER_TARGETS, _TAMPERS, _stream_inputs
 
 _DEGREES = factor._modular_degrees_memo
 _DISCRIMINANTS = polynomials._discriminant_memo
+_LIFTS = factor._lift_and_recombine_memo
+_ROOTS = factor._nonzero_roots_memo
+_MEMOS = (_DEGREES, _DISCRIMINANTS, _LIFTS, _ROOTS)
 
 
 def _clear():
-    _DEGREES.cache_clear()
-    _DISCRIMINANTS.cache_clear()
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def test_degree_memo_keeps_at_most_its_bound():
@@ -50,6 +59,33 @@ def test_discriminant_memo_keeps_at_most_its_bound():
     info = _DISCRIMINANTS.cache_info()
     assert info.maxsize == DISCRIMINANT_MEMO_SIZE == 64
     assert info.currsize == DISCRIMINANT_MEMO_SIZE
+
+
+def test_engine_memos_keep_at_most_eight_entries():
+    for c in range(1, 20):
+        # x^2 + x - c(c + 1) = (x - c)(x + c + 1)
+        f = IntPoly((-c * (c + 1), 1, 1))
+        assert sorted(g.coeffs for g in _lift_and_recombine(f)) == [
+            (-c, 1),
+            (c + 1, 1),
+        ]
+        assert _nonzero_roots(f)[0] == [Fraction(-c - 1), Fraction(c)]
+    for memo in (_LIFTS, _ROOTS):
+        info = memo.cache_info()
+        assert info.maxsize == info.currsize == 8
+
+
+def test_a_returned_factor_or_root_list_is_the_callers_own():
+    f = IntPoly((4, 0, 0, 0, 1))
+    factors = _lift_and_recombine(f)
+    kept = list(factors)
+    factors.pop()
+    assert _lift_and_recombine(f) == kept
+    g = IntPoly((-6, 1, 1))
+    roots, _ = _nonzero_roots(g)
+    roots.append(Fraction(99))
+    assert _nonzero_roots(g)[0] == [Fraction(-3), Fraction(2)]
+    assert _LIFTS.cache_info().hits == _ROOTS.cache_info().hits == 1
 
 
 def test_a_returned_degree_list_is_the_callers_own():
@@ -74,19 +110,20 @@ def test_discriminant_memo_tells_the_coefficient_types_apart():
     assert discriminant(RatPoly((Fraction(1, 2), 0, 1))) == -2
 
 
-def _tables_pass_hits() -> tuple[int, int]:
-    before = (_DEGREES.cache_info().hits, _DISCRIMINANTS.cache_info().hits)
+def _tables_pass_hits() -> list[int]:
+    before = [memo.cache_info().hits for memo in _MEMOS]
     for table_id in TABLES:
         reproduce(table_id, cache=None, verify=True)
-    after = (_DEGREES.cache_info().hits, _DISCRIMINANTS.cache_info().hits)
-    return after[0] - before[0], after[1] - before[1]
+    return [memo.cache_info().hits - b for memo, b in zip(_MEMOS, before)]
 
 
 def test_no_table_pass_reads_what_the_one_before_left():
-    # every hit is a repeat inside one table op; a second pass over the
-    # six tables, run on what the first left in the memos, hits as often
+    # every hit is a repeat inside one table op; the second and third
+    # passes over the six tables, each run on what the one before left in
+    # the memos, hit as often as the first
     first = _tables_pass_hits()
-    assert first[0] > 0 and first[1] > 0
+    assert all(hits > 0 for hits in first)
+    assert _tables_pass_hits() == first
     assert _tables_pass_hits() == first
 
 

@@ -58,7 +58,10 @@ spends factoring them, and
 ``lifted_degrees``, how many polynomials of each degree one untimed
 factoring of the group hands to ``factor._hensel_lift_multi``.
 ``engine_calls`` counts the ``factor_over_integers`` calls that pass makes,
-from ``classify``, the verifier and the resolvents alike.
+from ``classify``, the verifier and the resolvents alike, and
+``memo_hits``, for each of ``factor._lift_and_recombine`` and
+``factor._nonzero_roots``, its calls in that pass, started on empty
+memos, that read an answer an earlier call of the pass left in its memo.
 
 ``pade``: for each Padé table and each of its orders (keys
 ``<table>_<order>``, 25 in all), the median time over ``PADE_REPS`` calls
@@ -102,12 +105,13 @@ all samples in each round, so its spread shows how far to trust it.
 Run-to-run spread between two processes hides gains under 1.5x; one
 process taking turns does not.
 
-Every timed call but those of the ``kernel`` section starts with the
-memos of ``factor._modular_degrees`` and ``polynomials.discriminant``
-emptied, so a call that repeats an input (the ``POLY_REPS`` discriminants
-of one polynomial, the ``KERNEL_ROUNDS`` order bounds of one g(x^2), the
-``FACTOR_REPS`` factorings of one input) times the arithmetic, not a
-read of the value an earlier call left there.
+Every timed call but those of the ``kernel`` section, and each input of
+``lifted_degrees``, starts with the memos of ``factor._modular_degrees``,
+``polynomials.discriminant``, ``factor._lift_and_recombine`` and
+``factor._nonzero_roots`` emptied, so a call that repeats an input (the
+``POLY_REPS`` discriminants of one polynomial, the ``KERNEL_ROUNDS``
+order bounds of one g(x^2), the ``FACTOR_REPS`` factorings of one input)
+times the arithmetic, not a read of the value an earlier call left there.
 
 Every time is in seconds at nominal machine speed: ``perfbench/speed.py``
 samples the speed of the host all through the run, and each timed call is
@@ -280,17 +284,32 @@ def lifted_degrees(polys) -> dict:
     factor._hensel_lift_multi = counting
     try:
         for f in polys:
+            clear_memos()
             factor_over_integers(f)
     finally:
         factor._hensel_lift_multi = original
     return {str(degree): counts[degree] for degree in sorted(counts)}
 
 
-def timed(speed: MachineSpeed, fn, *args):
-    """``speed.timed(fn, *args)`` with the modular-degree and discriminant
-    memos emptied first, outside the timed span."""
+ENGINE_MEMOS = {
+    "lift_and_recombine": factor._lift_and_recombine_memo,
+    "nonzero_roots": factor._nonzero_roots_memo,
+}
+
+
+def clear_memos() -> None:
+    """Empty the memos of modular degrees, discriminants, Zassenhaus
+    factors and rational roots."""
     factor._modular_degrees_memo.cache_clear()
     polynomials._discriminant_memo.cache_clear()
+    for memo in ENGINE_MEMOS.values():
+        memo.cache_clear()
+
+
+def timed(speed: MachineSpeed, fn, *args):
+    """``speed.timed(fn, *args)`` with every memo emptied first, outside
+    the timed span."""
+    clear_memos()
     return speed.timed(fn, *args)
 
 
@@ -560,12 +579,12 @@ def time_polynomials(speed: MachineSpeed) -> dict:
     return out
 
 
-def classify_inputs() -> tuple[list[IntPoly], list[IntPoly], int]:
+def classify_inputs() -> tuple[list[IntPoly], list[IntPoly], int, dict]:
     """The distinct polynomials classify is called on in one pass over the
     six tables, with verification, in the order of their first call; the
     distinct difference resolvents _difference_degrees_item factors in that
-    pass, in the same order; and the number of factor_over_integers calls
-    in that pass."""
+    pass, in the same order; the number of factor_over_integers calls in
+    that pass; and the hits of each engine memo in it."""
     seen, resolvents = {}, {}
     engine_calls = 0
     in_item = False
@@ -600,6 +619,7 @@ def classify_inputs() -> tuple[list[IntPoly], list[IntPoly], int]:
     galois.factor_over_integers = counting_in_galois
     factor.factor_over_integers = counting
     galois._difference_degrees_item = item
+    clear_memos()
     try:
         for table_id in TABLES:
             reproduce(table_id, cache=None, verify=True)
@@ -608,16 +628,23 @@ def classify_inputs() -> tuple[list[IntPoly], list[IntPoly], int]:
         galois.factor_over_integers = factor_over_integers
         factor.factor_over_integers = factor_over_integers
         galois._difference_degrees_item = original_item
-    return list(seen.values()), list(resolvents.values()), engine_calls
+    memo_hits = {name: memo.cache_info().hits for name, memo in ENGINE_MEMOS.items()}
+    return list(seen.values()), list(resolvents.values()), engine_calls, memo_hits
 
 
 def time_factoring(
-    speed: MachineSpeed, polys, resolvents, families, engine_calls: int
+    speed: MachineSpeed,
+    polys,
+    resolvents,
+    families,
+    engine_calls: int,
+    memo_hits: dict,
 ) -> dict:
     """Median and summed seconds of factor_over_integers, and the degrees
     it lifts, for the irreducible and the reducible classify inputs, the
     difference resolvents of that pass and those of the C4/D4/C5/D5
-    family inputs, and the engine calls of the pass that recorded them."""
+    family inputs, and the engine calls and memo hits of the pass that
+    recorded them."""
     groups = {
         "irreducible": [],
         "reducible": [],
@@ -627,7 +654,7 @@ def time_factoring(
     for f in polys:
         shape = factor_over_integers(f).degree_multiset()
         groups["irreducible" if shape == [f.degree()] else "reducible"].append(f)
-    out: dict = {"engine_calls": engine_calls}
+    out: dict = {"engine_calls": engine_calls, "memo_hits": memo_hits}
     for name, group in groups.items():
         spans = [
             [timed(speed, factor_over_integers, f)[1:] for _ in range(FACTOR_REPS)]
@@ -735,7 +762,7 @@ def main() -> None:
         # a generator of their own, so the other sections keep their inputs
         even_rng = random.Random(SEED)
         even = {n: even_poly(n, even_rng) for n in WREATH_DEGREES}
-        inputs, resolvents, engine_calls = classify_inputs()
+        inputs, resolvents, engine_calls, memo_hits = classify_inputs()
         family = family_polys(random.Random(SEED))
         families = [difference_resolvent(f) for f in family]
         quartics = [f for f in family if f.degree() == 4]
@@ -750,7 +777,7 @@ def main() -> None:
                 "resolvents": time_resolvents(speed, rng, quartics),
                 "polynomials": time_polynomials(speed),
                 "factoring": time_factoring(
-                    speed, inputs, resolvents, families, engine_calls
+                    speed, inputs, resolvents, families, engine_calls, memo_hits
                 ),
                 "pade": time_pade(speed),
                 "census": time_census(speed),
