@@ -50,7 +50,6 @@ from .modp import (
     gf_divmod,
     gf_equal_degree,
     gf_factor_monic,
-    gf_frobenius_order,
     gf_from_int_coeffs,
     gf_gcd,
     gf_monic,
@@ -212,9 +211,11 @@ def _usable_prime_count(f: IntPoly, prime_bound: int, cap: int) -> int:
 
 def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
     """Sorted degrees of the irreducible factors of f mod p, or None when
-    p divides lc(f) or f is not squarefree mod p.  When x^(p^L) = x mod f
-    for some L <= n, f divides the squarefree x^(p^L) - x; only when there
-    is no such L is gcd(f, f') taken.  The last
+    p divides lc(f) or f is not squarefree mod p.  f is reduced mod p and
+    made monic in one pass, and ``gf_ddf_degree_multiset`` reads the
+    degrees off one Frobenius walk: when x^(p^L) = x mod f for some L <=
+    n, f divides the squarefree x^(p^L) - x; only when there is no such
+    L is gcd(f, f') taken.  The last
     ``MODULAR_DEGREES_MEMO_SIZE`` answers are kept, keyed by the
     coefficients of f and p, so a replay of a verdict reads the samples
     classify drew; each call gets a list of its own."""
@@ -224,13 +225,12 @@ def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
 
 @lru_cache(maxsize=MODULAR_DEGREES_MEMO_SIZE)
 def _modular_degrees_memo(coeffs: tuple, p: int) -> tuple[int, ...] | None:
-    if coeffs[-1] % p == 0:
+    lead = coeffs[-1] % p
+    if not lead:
         return None
-    fm = gf_monic(gf_from_int_coeffs(coeffs, p), p)
-    closed = gf_frobenius_order(fm, p) is not None
-    if not closed and len(gf_gcd(fm, gf_deriv(fm, p), p)) != 1:
-        return None
-    return tuple(gf_ddf_degree_multiset(fm, p))
+    inv = pow(lead, -1, p)
+    degrees = gf_ddf_degree_multiset([c % p * inv % p for c in coeffs], p)
+    return None if degrees is None else tuple(degrees)
 
 
 def _usable_degrees(f: IntPoly):

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, takewhile
 from math import comb, lcm
 
@@ -84,6 +85,10 @@ from .polynomials import (
 from .primes import is_prime, primes_from
 
 DEFAULT_PRIME_BOUND = 10_000
+
+# resolvents kept by ``_squarefree_resolvent``: every repeat inside one
+# classify and its replay, and none from one op into the next
+_RESOLVENT_MEMO_SIZE = 4
 
 # Usable Frobenius samples required before the cyclic heuristic may fire.
 MIN_CYCLIC_SAMPLES = 200
@@ -125,8 +130,8 @@ class CycleType:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(sorted((int(p) for p in self.parts), reverse=True))
-        if any(p < 1 for p in parts):
+        parts = tuple(sorted(map(int, self.parts), reverse=True))
+        if parts and parts[-1] < 1:
             raise ValueError("cycle lengths must be positive")
         object.__setattr__(self, "parts", parts)
 
@@ -442,8 +447,26 @@ def _squarefree_resolvent(f: IntPoly, build, shift) -> IntPoly | None:
     distinct since F20 holds no transposition; and a squarefree
     transform of irreducible f is irreducible, its characteristic
     polynomial being a power of its minimal polynomial.
+
+    The last ``_RESOLVENT_MEMO_SIZE`` answers are kept, keyed by the
+    coefficients of f made monic, the builder and the shift, so the
+    replay of a verdict reads the resolvents classify built; the answer
+    is an immutable ``IntPoly``, shared.  A replayed shift comes from
+    the evidence, a list once read back from JSON, and is keyed as a
+    tuple.  Anything but a pair of ints raises TypeError, as the
+    transform would: (True, 0) and (1.0, 0) hash as (1, 0), and must not
+    read its resolvent.
     """
-    base = _monicize(f)
+    if shift is not None:
+        if [type(c) for c in shift] != [int, int]:
+            raise TypeError(f"a Tschirnhaus shift is a pair of ints, not {shift!r}")
+        shift = tuple(shift)
+    return _squarefree_resolvent_memo(_monicize(f).coeffs, build, shift)
+
+
+@lru_cache(maxsize=_RESOLVENT_MEMO_SIZE)
+def _squarefree_resolvent_memo(coeffs: tuple, build, shift) -> IntPoly | None:
+    base = IntPoly(coeffs)
     if shift is not None:
         base = _tschirnhaus_quadratic(base, *shift)
     resolvent = build(base)

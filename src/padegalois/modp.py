@@ -17,22 +17,30 @@ The walk finds the Frobenius order and takes no gcd.  It runs h_d =
 x^(p^d) mod f until h_d = x, or until d = n.  For squarefree f it closes
 at L, the lcm of the factor degrees, whenever L <= n.  A closed walk
 proves f squarefree, as f then divides x^(p^L) - x, whose derivative is
--1; ``gf_frobenius_order`` gives the order for that use.  The trace of
-the matrix counts the linear factors mod p (Berlekamp, 1967), exactly
-when p > n.
+-1; ``gf_frobenius_order`` gives the order for that use.  The walk is
+one fused pass: x^p mod f (the one modular power), the shift table of
+x^p, the rows x^(ip) mod f and the steps h_d, with the packing helpers
+bound once.  The trace t of the matrix counts the linear factors mod p
+(Berlekamp, 1967), exactly when p > n; so a walk that closes at L > 1
+with p > n builds all n rows, and the trace of the squared matrix,
+tr(Q^2) = t + 2 N_2 mod p, counts the N_2 quadratic factors as well.
 
-``gf_ddf_degree_multiset`` decides the factor degrees by arithmetic
-when it can: L = 1 means f splits, and otherwise the degrees divide L,
-have lcm L, sum to n and hold as many ones as the trace says, which
-often leaves one multiset (always for L prime).  Only when it does not,
-or when p <= n or the walk did not close, does it call
-``gf_distinct_degree``, which takes gcds; so does the modular
-factorization, which needs the stage polynomials.  On a closed walk,
-the gcd g = gcd(f, prod_q (h_(L/q) - x)), q prime, collects the factors
-of degree below L, as such a degree divides some L/q (Rabin,
-"Probabilistic algorithms in finite fields", 1980); g = 1 leaves f one
-stage, and otherwise the stages at the proper divisors of L are taken
-on g.  A walk that runs to n takes a stage at every degree.
+``gf_ddf_degree_multiset`` looks the walk up once and decides the factor
+degrees by arithmetic when it can: L = 1 means f splits, and otherwise
+the degrees divide L, have lcm L, sum to n and hold as many ones as the
+trace says, which often leaves one multiset (always for L prime).  When
+more than one fits, the degrees must also hold N_2 twos, read from
+tr(Q^2) only then; that settles most of the rest, such as {4, 4}
+against {4, 2, 2}.  Only when the fit is still open, or when p <= n or
+the walk did not close, does it call ``gf_distinct_degree``, which
+takes gcds; so does the modular factorization, which needs the stage
+polynomials.  A walk that does not close also pays for the squarefree
+test gcd(f, f').  On a closed walk, the gcd g = gcd(f, prod_q (h_(L/q) -
+x)), q prime, collects the factors of degree below L, as such a degree
+divides some L/q (Rabin, "Probabilistic algorithms in finite fields",
+1980); g = 1 leaves f one stage, and otherwise the stages at the proper
+divisors of L are taken on g.  A walk that runs to n takes a stage at
+every degree.
 
 The work modulo f runs on packed integers (Kronecker substitution; see
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
@@ -53,10 +61,10 @@ modulo f is reduced mod p once, when it is unpacked.
 ``gf_pow_mod`` works left to right: square, then multiply by the base on
 each set bit.  The high half of a product is reduced with a packed table
 of x^(n+j) mod f, j < n; for base x the multiply is a shift of the
-packed square.  The walk forms each row x^(ip) mod f, and each h^p, as
-a vector times a packed matrix.  ``gf_mod`` keeps no quotient and
-accepts coefficients not yet reduced mod p.  ``gf_mul`` and the gcds
-stay list-based.
+packed square, and the powers below x^(2n) are read off, not computed.
+The walk forms each row x^(ip) mod f, and each h^p, as a vector times a
+packed matrix.  ``gf_mod`` keeps no quotient and accepts coefficients
+not yet reduced mod p.  ``gf_mul`` and the gcds stay list-based.
 
 Randomized steps (equal-degree splitting) take an explicit
 ``random.Random`` instance so callers control the seed and results are
@@ -219,11 +227,16 @@ def _slot_words(n: int, p: int) -> int:
     return ((2 * n * n * p**3).bit_length() + 63) // 64
 
 
+def _pack_words(a: list[int]) -> int:
+    """``_pack(a, 1)`` on a little-endian machine."""
+    return int.from_bytes(array("Q", a), "little")
+
+
 def _pack(a: list[int], k: int) -> int:
     """The integer holding the coefficients of a (each in [0, 2^(64k)))
     in k-word slots, lowest first."""
     if k == 1 and _LITTLE:
-        return int.from_bytes(array("Q", a), "little")
+        return _pack_words(a)
     w = 8 * k
     return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
 
@@ -237,25 +250,34 @@ def _unpack(x: int, m: int, k: int) -> Sequence[int]:
     return [int.from_bytes(b[i : i + w], "little") for i in range(0, w * m, w)]
 
 
-def _dot(
-    coeffs: list[int], rows: list[int], start: int, n: int, k: int, p: int
-) -> list[int]:
-    """start + sum_i coeffs[i] * rows[i], on packed integers of n slots,
-    unpacked and reduced mod p: n coefficients, not trimmed."""
-    return [c % p for c in _unpack(sum(map(mul, coeffs, rows), start), n, k)]
+def _codec(k: int, p: int):
+    """(pack, reduced) for k-word slots and the prime p: pack(a) is
+    ``_pack(a, k)``, and reduced(x, m) the m lowest slots of x, each
+    reduced mod p, as a list.  A walk or a modular power binds them once;
+    for k = 1 they read and write the words of an ``array`` directly."""
+    if k == 1 and _LITTLE:
+
+        def reduced(x: int, m: int) -> list[int]:
+            return [c % p for c in array("Q", x.to_bytes(8 * m, "little"))]
+
+        return _pack_words, reduced
+
+    def reduced(x: int, m: int) -> list[int]:
+        return [c % p for c in _unpack(x, m, k)]
+
+    return (lambda a: _pack(a, k)), reduced
 
 
-def _times_x(row: list[int], m: int, f: list[int], p: int, k: int) -> list[int]:
-    """row, x*row, ..., x^(m-1)*row mod monic f of degree n, row given as
-    n coefficients in [0, p), packed in k-word slots.  A step shifts one
-    slot up and adds the top slot, reduced mod p, times x^n mod f: less
-    than p^2 a slot, which is never reduced, so each stays below n*p^2."""
-    n, w = len(f) - 1, 64 * k
+def _times_x(r: int, xn: int, n: int, p: int, k: int) -> list[int]:
+    """r, x*r, ..., x^(n-1)*r mod monic f of degree n, packed in k-word
+    slots, from r (slots in [0, p)) and xn = x^n mod f (reduced), both
+    packed.  A step shifts one slot up and adds the top slot, reduced mod
+    p, times xn: less than p^2 a slot, which is never reduced, so each
+    stays below n*p^2."""
+    w = 64 * k
     top, low = w * (n - 1), (1 << (w * n)) - 1
-    xn = _pack([-c % p for c in f[:-1]], k)
-    r = _pack(row, k)
     rows = [r]
-    for _ in range(m - 1):
+    for _ in range(n - 1):
         r = ((r << w) & low) + (r >> top) % p * xn
         rows.append(r)
     return rows
@@ -271,49 +293,63 @@ def gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     """base^e mod (mod, p), e >= 0, left to right: square, then multiply
     by the reduced base on each set bit of e.  For base x, the only base
     the distinct-degree loop and ``gf_roots`` use, that multiply is a
-    shift of the packed square.  Each product of 2n slots is reduced once:
-    its high n slots, reduced mod p, weight the packed table x^(n+j) mod
-    f, j < n, whose sum with the low n slots is unpacked and reduced mod p.
-    A non-monic modulus gives the same remainders as its monic associate,
-    which the table is built from."""
+    shift of the packed square, and the leading bits of e cost nothing
+    while they give a power below x^(2n): x^m is its own remainder for m
+    < n, and row m - n of the table below from there.  Each product of 2n
+    slots is reduced once: its high n slots, reduced mod p, weight the
+    packed table x^(n+j) mod f, j < n, whose sum with the low n slots is
+    unpacked and reduced mod p, with the packing helpers bound once per
+    call.  A non-monic modulus gives the same remainders as its monic
+    associate, which the table is built from."""
     if e < 0:
         raise ValueError("negative exponent in gf_pow_mod")
     if not e:
         return [1]
-    base = gf_mod(base, mod, p)
-    if not base:
-        return []
     f = gf_monic(mod, p)
     n = len(f) - 1
-    shift = base == [0, 1]
+    # x is its own remainder modulo f of degree n >= 2, and needs no division
+    shift = n > 1 and base == [0, 1]
+    if not shift:
+        base = gf_mod(base, f, p)
+        if not base:
+            return []
     bits = bin(e)[3:]
     result = base
-    if shift:  # x^m is its own remainder while m < n: skip those leading bits
+    m = 0  # for base x, the power reached with no product
+    if shift:
+        # x^m takes no product while m < 2n: below n it is its own
+        # remainder, and from n on it is row m - n of the table
         m = 1
-        while bits and 2 * m + (bits[0] == "1") < n:
+        while bits and 2 * m + (bits[0] == "1") < 2 * n:
             m = 2 * m + (bits[0] == "1")
             bits = bits[1:]
-        result = [0] * m + [1]
-    if not bits:
+        if m < n:
+            result = [0] * m + [1]
+    if not bits and m < n:
         return result
     k = _slot_words(n, p)
-    width = 64 * k * n
+    w = 64 * k
+    width = w * n
     low = (1 << width) - 1
-    table = _times_x([-c % p for c in f[:-1]], n, f, p, k)
+    pack, reduced = _codec(k, p)
+    xn = pack([-c % p for c in f[:-1]])
+    table = _times_x(xn, xn, n, p, k)
 
     def reduce(prod: int) -> list[int]:
-        high = [c % p for c in _unpack(prod >> width, n, k)]
-        return _dot(high, table, prod & low, n, k, p)
+        return reduced(sum(map(mul, reduced(prod >> width, n), table), prod & low), n)
 
-    packed_base = _pack(base, k)
+    if m >= n:
+        result = reduced(table[m - n], n)
+    packed_base = None if shift else pack(base)
     for bit in bits:
-        square = _pack(result, k)
+        square = pack(result)
         square *= square
-        if bit == "1" and shift:
-            square <<= 64 * k
+        if bit == "1":
+            if shift:
+                square <<= w
+            else:
+                square = pack(reduce(square)) * packed_base
         result = reduce(square)
-        if bit == "1" and not shift:
-            result = reduce(_pack(result, k) * packed_base)
     return gf_trim(result)
 
 
@@ -361,23 +397,28 @@ def gf_squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
 @lru_cache(maxsize=1)
 def _frobenius_walk(
     f: tuple[int, ...], p: int
-) -> tuple[list[list[int]], int | None, int | None]:
+) -> tuple[list[list[int]], int | None, int | None, list[list[int]]]:
     """The walk h_d = x^(p^d) mod f, d = 1, 2, ..., of monic f of degree
     n, up to the first d with h_d = x or to d = n: (h_1, ..., h_d), that
-    d if h_d = x, else None, and the trace of the Frobenius matrix.  Only
-    x^p mod f needs a modular power: raising to the p-th power is linear
-    over the prime field, so h^p = sum_i h_i * x^(ip) mod f.  The rows
-    x^(ip) mod f are built as far as the degree of h asks, each from the
-    one before as a vector times the matrix of multiplication by x^p,
-    whose rows x^(p+j) mod f come from x^p by shifts.  Rows and matrix
-    are kept packed.
+    d if h_d = x, else None, the trace of the Frobenius matrix, and the
+    rows of that matrix built so far.
+
+    One pass does it all.  Only x^p mod f needs a modular power: raising
+    to the p-th power is linear over the prime field, so h^p = sum_i h_i
+    * x^(ip) mod f.  The rows x^(ip) mod f are built as far as the degree
+    of h asks, each from the one before as a vector times the matrix of
+    multiplication by x^p, whose rows x^(p+j) mod f come from x^p by
+    shifts.  The packing helpers are bound once, and every row is kept
+    both packed, for the products, and as its n coefficients.
 
     The rows x^(ip) mod f, i < n, are the Frobenius matrix Q.  For
     squarefree f its trace, sum_i [x^i] (x^(ip) mod f), is the number of
     linear factors of f, mod p (Berlekamp, "Factoring polynomials over
     finite fields", 1967): on a factor field of degree d, Frobenius acts
     as the regular representation of the cyclic group of order d, whose
-    trace is 0 for d > 1.  It is read as slot i of row i, and is None
+    trace is 0 for d > 1.  It is read as slot i of row i.  A walk that
+    closes at an order above 1 with p > n builds every row, since the
+    degrees are then read off the trace; otherwise the trace is None
     when fewer than n rows were built.
 
     The walk of the last (f, p) is kept, so asking for the order and then
@@ -385,27 +426,38 @@ def _frobenius_walk(
     change them."""
     n = len(f) - 1
     if n < 2:  # x mod f is a constant: nothing to walk
-        return [], 1, None
+        return [], 1, None, []
     f = list(f)
     k = _slot_words(n, p)
+    pack, reduced = _codec(k, p)
     h = gf_pow_mod([0, 1], p, f, p)
-    last = h + [0] * (n - len(h))  # the last row x^(ip) mod f, as n coefficients
-    rows = [1, _pack(last, k)]  # x^(ip) mod f, packed
-    times_xp: list[int] = []  # x^(p+j) mod f, j < n, packed
+    row = h + [0] * (n - len(h))  # x^p mod f, as n coefficients
+    matrix = [[1] + [0] * (n - 1), row]  # the rows x^(ip) mod f
+    rows = [1, pack(row)]  # the same rows, packed
+    times_xp: list[int] = []  # x^(p+j) mod f, j < n, packed, built when first asked
+
+    def build(count: int) -> None:
+        nonlocal row, times_xp
+        if not times_xp:
+            times_xp = _times_x(rows[1], pack([-c % p for c in f[:-1]]), n, p, k)
+        while len(rows) < count:
+            row = reduced(sum(map(mul, row, times_xp)), n)
+            matrix.append(row)
+            rows.append(pack(row))
+
     walk = [h]
     while h != [0, 1] and len(walk) < n:
-        while len(rows) < len(h):
-            if not times_xp:
-                times_xp = _times_x(last, n, gf_monic(f, p), p, k)
-            last = _dot(last, times_xp, 0, n, k, p)
-            rows.append(_pack(last, k))
-        h = gf_trim(_dot(h, rows, 0, n, k, p))
+        if len(rows) < len(h):
+            build(len(h))
+        h = gf_trim(reduced(sum(map(mul, h, rows)), n))
         walk.append(h)
+    order = len(walk) if h == [0, 1] else None
+    if order is not None and order > 1 and p > n and len(rows) < n:
+        build(n)
     trace = None
-    if len(rows) == n:
-        w, mask = 64 * k, (1 << 64 * k) - 1
-        trace = sum(row >> (w * i) & mask for i, row in enumerate(rows)) % p
-    return walk, (len(walk) if h == [0, 1] else None), trace
+    if len(matrix) == n:
+        trace = sum(r[i] for i, r in enumerate(matrix)) % p
+    return walk, order, trace, matrix
 
 
 def gf_frobenius_order(f: list[int], p: int) -> int | None:
@@ -435,7 +487,7 @@ def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     left, and its degree is that of work.  h_d stays reduced modulo f:
     work divides f, so gcd(h_d - x, work) is the same either way.
     """
-    walk, order, _ = _frobenius_walk(tuple(f), p)
+    walk, order = _frobenius_walk(tuple(f), p)[:2]
     work, top = f[:], []  # top: the stage of degree L, when taken apart
     if order is None:
         degrees = range(1, len(walk) + 1)
@@ -493,43 +545,75 @@ def _fits(order: int, parts: tuple[int, ...], rest: int, lcm: int, memo: dict):
 
 
 @lru_cache(maxsize=None)
-def _degree_fit(n: int, order: int, linear: int) -> tuple[int, ...] | None:
+def _degree_fit(
+    n: int, order: int, linear: int, quadratic: int | None = None
+) -> tuple[int, ...] | None:
     """The sorted factor degrees of a squarefree f of degree n, with
-    ``linear`` linear factors, whose walk closes at ``order``, when only
-    one multiset fits, else None.  A fit has every degree dividing order,
-    their lcm equal to order, their sum n, and exactly ``linear`` ones.
-    The search takes the divisors above 1 from the largest down and stops
-    at the second fit; it keeps what it finds of each state (divisors
-    left, sum left, lcm so far), so it visits at most n times the square
-    of the divisor count of order states.  The keys stay few: order and
-    linear are at most n."""
-    if linear > n:
+    ``linear`` linear factors (and ``quadratic`` quadratic ones, when
+    given), whose walk closes at ``order``, when only one multiset fits,
+    else None.  A fit has every degree dividing order, their lcm equal to
+    order, their sum n, and exactly ``linear`` ones (and ``quadratic``
+    twos).  The search takes the divisors above the counted degrees from
+    the largest down and stops at the second fit; it keeps what it finds
+    of each state (divisors left, sum left, lcm so far), so it visits at
+    most n times the square of the divisor count of order states.  The
+    keys stay few: order, linear and quadratic are at most n."""
+    fixed = (1,) * linear
+    if quadratic is not None:
+        if quadratic and order % 2:
+            return None
+        fixed += (2,) * quadratic
+    rest = n - sum(fixed)
+    if rest < 0:
         return None
-    parts = tuple(d for d in range(order, 1, -1) if order % d == 0)
-    found = _fits(order, parts, n - linear, 1, {})
-    return (1,) * linear + found[0][::-1] if len(found) == 1 else None
+    smallest = 2 if quadratic is None else 3
+    parts = tuple(d for d in range(order, smallest - 1, -1) if order % d == 0)
+    found = _fits(order, parts, rest, 2 if quadratic else 1, {})
+    return fixed + found[0][::-1] if len(found) == 1 else None
 
 
-def gf_ddf_degree_multiset(f: list[int], p: int) -> list[int]:
-    """Sorted degrees of the irreducible factors of squarefree monic f.
+def _quadratic_count(matrix: list[list[int]], linear: int, p: int) -> int:
+    """The number of quadratic factors of squarefree f of degree n < p,
+    from its Frobenius matrix Q and its ``linear`` linear factors.  Q^2 is
+    the matrix of the p^2-th power map, which on a factor field of degree
+    d has trace d when d divides 2 and 0 otherwise; so tr(Q^2) =
+    sum_ij Q_ij Q_ji is the linear count plus twice the quadratic count,
+    mod p, and both are at most n < p."""
+    square_trace = sum(
+        sum(map(mul, row, column)) for row, column in zip(matrix, zip(*matrix))
+    )
+    return (square_trace % p - linear) // 2
 
-    Arithmetic first, from the walk of ``_frobenius_walk``: a walk that
-    closes at L = 1 means f splits.  One that closes at L > 1, with p
-    above the degree n and the Frobenius trace t read, says the degrees
-    divide L, have lcm L, sum to n and hold exactly t ones; when one
-    multiset alone does that (always for L prime, and for L = n = q1 q2
-    with t = 0), it is the answer, with no gcd.  Otherwise
-    ``gf_distinct_degree`` takes the stages: each stage of degree d and
-    total degree k contributes k/d copies of d, so this never needs
-    random splitting and is fully deterministic — the workhorse of the
-    cycle-type sampler.
+
+def gf_ddf_degree_multiset(f: list[int], p: int) -> list[int] | None:
+    """Sorted degrees of the irreducible factors of monic f, or None when
+    f is not squarefree.
+
+    Arithmetic first, from the walk of ``_frobenius_walk``, looked up
+    once.  A walk that closes proves f squarefree; only one that does not
+    pays for the test gcd(f, f') = 1.  A walk that closes at L = 1 means
+    f splits.  One that closes at L > 1, with p above the degree n, holds
+    the whole Frobenius matrix Q, whose trace t counts the linear
+    factors: the degrees divide L, have lcm L, sum to n and hold exactly
+    t ones.  When one multiset alone does that (always for L prime, and
+    for L = n = q1 q2 with t = 0), it is the answer, with no gcd.  When
+    more than one does, tr(Q^2) counts the quadratic factors too (see
+    ``_quadratic_count``), which settles most of the rest, as {4, 4}
+    against {4, 2, 2}.  Otherwise ``gf_distinct_degree`` takes the
+    stages: each stage of degree d and total degree k contributes k/d
+    copies of d, so this never needs random splitting and is fully
+    deterministic — the workhorse of the cycle-type sampler.
     """
     n = len(f) - 1
-    _, order, trace = _frobenius_walk(tuple(f), p)
+    _, order, trace, matrix = _frobenius_walk(tuple(f), p)
+    if order is None and len(gf_gcd(f, gf_deriv(f, p), p)) != 1:
+        return None
     if order == 1:
         return [1] * n
-    if order is not None and trace is not None and p > n:
+    if order is not None and p > n:
         fit = _degree_fit(n, order, trace)
+        if fit is None:
+            fit = _degree_fit(n, order, trace, _quadratic_count(matrix, trace, p))
         if fit is not None:
             return list(fit)
     out: list[int] = []

@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from padegalois import factor, modp, polynomials
+from padegalois import factor, galois, modp, polynomials
 
 hypothesis.settings.register_profile(
     "default",
@@ -21,10 +21,11 @@ hypothesis.settings.load_profile("default")
 @pytest.fixture(autouse=True)
 def _cold_memos():
     """Every test starts with empty memos, so the work it counts below
-    them (modular powers, gcds, DDF calls, Hensel steps, root searches)
-    does not depend on which test ran before it."""
+    them (modular powers, gcds, DDF calls, Hensel steps, root searches,
+    resolvent builds) does not depend on which test ran before it."""
     factor._modular_degrees_memo.cache_clear()
     factor._lift_and_recombine_memo.cache_clear()
     factor._nonzero_roots_memo.cache_clear()
     polynomials._discriminant_memo.cache_clear()
+    galois._squarefree_resolvent_memo.cache_clear()
     modp._frobenius_walk.cache_clear()

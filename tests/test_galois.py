@@ -394,7 +394,9 @@ class TestCyclicOrDihedralQuartic:
         even = [f for f in _cyclic_or_dihedral_quartics() if f.is_even_polynomial()]
         assert len(even) >= 100
         for f in even:
+            # the list repeats some quartics, whose resolvents the memo keeps
             built.clear()
+            galois._squarefree_resolvent_memo.cache_clear()
             item = galois._first_shift_item(
                 galois._difference_degrees_item, f, "difference resolvent"
             )

@@ -1,6 +1,6 @@
 """The bounded memos of ``factor._modular_degrees``,
-``polynomials.discriminant``, ``factor._lift_and_recombine`` and
-``factor._nonzero_roots``.
+``polynomials.discriminant``, ``factor._lift_and_recombine``,
+``factor._nonzero_roots`` and ``galois._squarefree_resolvent``.
 
 A memo may only save work: each keeps at most its stated number of
 entries, hands out nothing a caller can change, carries nothing from one
@@ -12,14 +12,19 @@ from fractions import Fraction
 
 import pytest
 
-from padegalois import factor, polynomials
+from padegalois import factor, galois, polynomials
 from padegalois.factor import (
     MODULAR_DEGREES_MEMO_SIZE,
     _lift_and_recombine,
     _modular_degrees,
     _nonzero_roots,
 )
-from padegalois.galois import classify, verify_identification
+from padegalois.galois import (
+    _difference_resolvent,
+    _squarefree_resolvent,
+    classify,
+    verify_identification,
+)
 from padegalois.polynomials import (
     DISCRIMINANT_MEMO_SIZE,
     IntPoly,
@@ -35,7 +40,8 @@ _DEGREES = factor._modular_degrees_memo
 _DISCRIMINANTS = polynomials._discriminant_memo
 _LIFTS = factor._lift_and_recombine_memo
 _ROOTS = factor._nonzero_roots_memo
-_MEMOS = (_DEGREES, _DISCRIMINANTS, _LIFTS, _ROOTS)
+_RESOLVENTS = galois._squarefree_resolvent_memo
+_MEMOS = (_DEGREES, _DISCRIMINANTS, _LIFTS, _ROOTS, _RESOLVENTS)
 
 
 def _clear():
@@ -73,6 +79,38 @@ def test_engine_memos_keep_at_most_eight_entries():
     for memo in (_LIFTS, _ROOTS):
         info = memo.cache_info()
         assert info.maxsize == info.currsize == 8
+
+
+def test_resolvent_memo_keeps_at_most_four_entries():
+    for c in range(1, 10):
+        f = IntPoly((c, 0, 0, 0, 0, 1))
+        assert _squarefree_resolvent(f, _difference_resolvent, None) is not None
+    info = _RESOLVENTS.cache_info()
+    assert info.maxsize == info.currsize == 4
+
+
+def test_resolvent_memo_meets_a_polynomial_and_its_monic_form():
+    # 2x^4 + 1 made monic is x^4 + 8: one key, one build
+    raw, monic = IntPoly((1, 0, 0, 0, 2)), IntPoly((8, 0, 0, 0, 1))
+    first = _squarefree_resolvent(raw, _difference_resolvent, (1, 0))
+    assert _squarefree_resolvent(monic, _difference_resolvent, (1, 0)) is first
+    assert _squarefree_resolvent(monic, _difference_resolvent, (2, 0)) is not None
+    info = _RESOLVENTS.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+
+def test_a_replayed_shift_is_a_key_only_as_a_pair_of_ints():
+    # a shift read back from JSON is a list and meets classify's tuple;
+    # (True, 0) and (1.0, 0) hash as (1, 0), and fail as they do on an
+    # empty memo
+    f = IntPoly((5, 0, 5, 0, 1))
+    first = _squarefree_resolvent(f, _difference_resolvent, (1, 0))
+    assert _squarefree_resolvent(f, _difference_resolvent, [1, 0]) is first
+    for shift in ((True, 0), (1.0, 0)):
+        with pytest.raises(TypeError):
+            _squarefree_resolvent(f, _difference_resolvent, shift)
+    info = _RESOLVENTS.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_a_returned_factor_or_root_list_is_the_callers_own():
@@ -144,6 +182,21 @@ def test_a_tampered_verdict_fails_on_cold_and_warm_memos(case):
     assert not verify_identification(f, tamper(ident))
     assert _cold_and_warm(f, ident) == (True, True)
     assert _cold_and_warm(f, tamper(ident)) == (False, False)
+
+
+@pytest.mark.parametrize("case", list(_TAMPERS))
+def test_a_tampered_verdict_fails_on_a_warm_resolvent_memo(case):
+    # only the resolvent memo warm, holding what classify built: the
+    # replay rebuilds every item from f, never from the evidence it checks
+    name, tamper = _TAMPERS[case]
+    f = _TAMPER_TARGETS[name]()
+    ident = classify(f)
+    for warm in (True, False):
+        for memo in _MEMOS:
+            if memo is not _RESOLVENTS or not warm:
+                memo.cache_clear()
+        assert verify_identification(f, ident)
+        assert not verify_identification(f, tamper(ident))
 
 
 @pytest.mark.parametrize("seed", [1, 2])

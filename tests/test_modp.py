@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padegalois import modp
+from padegalois.factor import _modular_degrees
 from padegalois.galois import dedekind_cycle_type
 from padegalois.modp import (
     gf_mul_scalar,
@@ -236,7 +237,9 @@ class TestSlotBoundary:
         f = boundary_coeffs(data.draw, p, n) + [1]
         row = boundary_coeffs(data.draw, p, n)
         k = modp._slot_words(n, p)
-        slots = [modp._unpack(r, n, k) for r in modp._times_x(row, n, f, p, k)]
+        xn = modp._pack([-c % p for c in f[:-1]], k)
+        table = modp._times_x(modp._pack(row, k), xn, n, p, k)
+        slots = [modp._unpack(r, n, k) for r in table]
         assert max(max(s) for s in slots) < n * p * p
         reduced = [[c % p for c in s] for s in slots]
         assert reduced == times_x_by_long_division(row, n, f, p)
@@ -642,13 +645,16 @@ class TestDegreesByArithmetic:
                 stages = gf_distinct_degree(fm, p)
                 by_stages = [d for g, d in stages for _ in range(0, len(g) - 1, d)]
                 assert got == sorted(by_stages) == sorted(want), (f, p)
-                _, order, trace = modp._frobenius_walk(tuple(fm), p)
+                _, order, trace, matrix = modp._frobenius_walk(tuple(fm), p)
                 if order is not None and order > 1:
                     by_fit = p > n and trace is not None
-                    by_fit = by_fit and modp._degree_fit(n, order, trace) is not None
+                    if by_fit and modp._degree_fit(n, order, trace) is None:
+                        twos = modp._quadratic_count(matrix, trace, p)
+                        by_fit = modp._degree_fit(n, order, trace, twos) is not None
                     decided.add((order_kind(order), by_fit, p > n, min(want) == 1))
         # arithmetic decides prime, prime-power and composite orders with
-        # linear factors; small primes and ambiguous fits take the stages
+        # linear factors; small primes and fits that the linear and
+        # quadratic counts leave ambiguous take the stages
         for kind in ("prime", "prime power", "composite"):
             assert (kind, True, True, True) in decided
             assert (kind, False, False, True) in decided
@@ -709,3 +715,111 @@ class TestDegreesByArithmetic:
         assert samples == 200
         assert orders == {1, 3, 5, 15}
         assert calls == []
+
+    def test_fit_with_quadratics_matches_partitions(self):
+        for n in range(1, 15):
+            every = list(partitions(n))
+            for order in range(1, n + 1):
+                for linear in range(n + 1):
+                    for quadratic in range(n // 2 + 1):
+                        fits = [
+                            q
+                            for q in every
+                            if all(order % d == 0 for d in q)
+                            and math.lcm(*q) == order
+                            and q.count(1) == linear
+                            and q.count(2) == quadratic
+                        ]
+                        want = tuple(sorted(fits[0])) if len(fits) == 1 else None
+                        got = modp._degree_fit(n, order, linear, quadratic)
+                        assert got == want, (n, order, linear, quadratic)
+
+
+class TestSquareTrace:
+    """tr(Q^2) of the Frobenius matrix, against the distinct-degree
+    stages: a closed walk at p > n reads the quadratic factors off it."""
+
+    @given(
+        st.sampled_from([p for p in ORDER_PRIMES if p > 40]),
+        st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        SEEDS,
+    )
+    @settings(max_examples=60)
+    def test_square_trace_counts_the_quadratic_factors(self, p, degrees, seed):
+        f, got = product_of_irreducibles(Random(seed), degrees, p)
+        n = len(f) - 1
+        _, order, trace, matrix = modp._frobenius_walk(tuple(f), p)
+        if n < 2 or order is None or order == 1:
+            return
+        stages = dict((d, (len(g) - 1) // d) for g, d in gf_distinct_degree(f, p))
+        assert len(matrix) == n
+        assert trace == stages.get(1, 0) == got.count(1)
+        assert modp._quadratic_count(matrix, trace, p) == got.count(2)
+        assert gf_ddf_degree_multiset(f, p) == sorted(got)
+
+    @pytest.mark.parametrize("p", [13, 9973, next_prime(2**40)])
+    def test_two_quartics_against_a_quartic_and_two_quadratics(self, p, monkeypatch):
+        # both close at L = 4 with no linear factor, where {4, 4} and
+        # {4, 2, 2} both fit; tr(Q^2) tells them apart with no gcd
+        rng = Random(p)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gf_distinct_degree(*args)
+
+        monkeypatch.setattr(modp, "gf_distinct_degree", counting)
+        for degrees in ([4, 4], [4, 2, 2]):
+            for _ in range(5):
+                f, got = product_of_irreducibles(rng, degrees, p)
+                assert got == degrees
+                walk, order, trace, _ = modp._frobenius_walk(tuple(f), p)
+                assert (order, trace) == (4, 0)
+                assert modp._degree_fit(8, 4, 0) is None
+                assert gf_ddf_degree_multiset(f, p) == sorted(degrees)
+        assert calls == []
+
+
+# (n, p) for one Frobenius sample of an integer polynomial: primes p <= n,
+# table primes, and the slot-boundary primes of the packed kernels, where
+# the walk packs one word a slot and where it packs two
+SAMPLE_CASES = [(n, p) for n in (5, 9) for p in (2, 3, 5) if p <= n]
+SAMPLE_CASES += [(n, p) for n in (6, 12) for p in (13, 9973)]
+SAMPLE_CASES += SLOT_BOUNDARY
+
+
+class TestModularDegrees:
+    """``factor._modular_degrees``: one sample, read off one walk."""
+
+    @pytest.mark.parametrize("n, p", SAMPLE_CASES)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_matches_the_factorization(self, n, p, data):
+        # each example checks an input whose leading coefficient p
+        # divides, one with a square factor mod p, and one drawn freely
+        def lift(coeffs):
+            # integer coefficients with these residues, some of them large
+            return [c + p * data.draw(st.integers(-3, 3)) for c in coeffs]
+
+        lead = data.draw(st.integers(1, p - 1))
+        free = lift(boundary_coeffs(data.draw, p, n)) + [lead]
+        divided = free[:-1] + [p * data.draw(st.integers(1, 3))]
+        half = data.draw(st.integers(1, n // 2))
+        root = boundary_coeffs(data.draw, p, half) + [1]
+        rest = boundary_coeffs(data.draw, p, n - 2 * half) + [1]
+        square = gf_mul_scalar(gf_mul(gf_mul(root, root, p), rest, p), lead, p)
+        square = lift(square[:-1]) + [lead]
+        for coeffs in (free, divided, square):
+            f = IntPoly(coeffs)
+            assert f.degree() == n
+            fm = gf_from_int_coeffs(coeffs, p)
+            if len(fm) != n + 1:
+                want = None
+            else:
+                parts = gf_factor_monic(gf_monic(fm, p), p, Random(0))
+                want = sorted(len(g) - 1 for g, _ in parts)
+                if any(mult > 1 for _, mult in parts):
+                    want = None
+            assert _modular_degrees(f, p) == want, (coeffs, p)
+        assert _modular_degrees(IntPoly(divided), p) is None
+        assert _modular_degrees(IntPoly(square), p) is None

@@ -7,7 +7,12 @@ once at each of the first ``USABLE_PRIMES`` usable primes (p not dividing
 the leading coefficient, f squarefree mod p) and reports the median of
 those times for each degree.  Nothing is cached between calls: every
 call factors f mod p afresh (see the memos below).  This is the mod-p DDF
-layer seen from above.
+layer seen from above.  ``stream_per_sample_s`` is the median, over
+``KERNEL_ROUNDS`` streams, of the time of one whole ``FrobeniusSamples``
+stream of f drawn to ``USABLE_PRIMES`` usable samples, divided by that
+count: the walks and all the work around them (the unusable primes, the
+reduction of f mod p, the memo, the cycle type), which a bare walk
+timing does not see.
 
 ``kernels``: for the same polynomial of each degree and the same usable
 primes, the median time of one ``gf_pow_mod([0, 1], p, f, p)`` (x^p mod
@@ -16,7 +21,7 @@ Frobenius row product (the packed x^p mod f times the packed matrix of
 multiplication by x^p, which gives x^(2p) mod f, the first row the DDF
 builds) and one whole ``gf_distinct_degree(f, p)``.
 
-``cyclic``: the same median for the minimal polynomial of 2cos(2 pi/m),
+``cyclic``: the same medians for the minimal polynomial of 2cos(2 pi/m),
 m in ``CYCLIC_MODULI``, of degree (m - 1)/2 and Galois group C_(m-1)/2:
 every usable prime gives a uniform cycle type, the kind of sample the
 cyclic cells of the InvSqrtPade table draw by the hundred.
@@ -107,8 +112,9 @@ process taking turns does not.
 
 Every timed call but those of the ``kernel`` section, and each input of
 ``lifted_degrees``, starts with the memos of ``factor._modular_degrees``,
-``polynomials.discriminant``, ``factor._lift_and_recombine`` and
-``factor._nonzero_roots`` emptied, so a call that repeats an input (the
+``polynomials.discriminant``, ``factor._lift_and_recombine``,
+``factor._nonzero_roots`` and ``galois._squarefree_resolvent`` emptied,
+so a call that repeats an input (the
 ``POLY_REPS`` discriminants of one polynomial, the ``KERNEL_ROUNDS``
 order bounds of one g(x^2), the ``FACTOR_REPS`` factorings of one input)
 times the arithmetic, not a read of the value an earlier call left there.
@@ -138,7 +144,8 @@ import random
 import statistics
 import subprocess
 import sys
-from itertools import zip_longest
+from itertools import islice, zip_longest
+from operator import mul
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -158,7 +165,7 @@ from padegalois.galois import (  # noqa: E402
 )
 from padegalois.groupdata import transitive_groups  # noqa: E402
 from padegalois.modp import (  # noqa: E402
-    _dot,
+    _codec,
     _slot_words,
     _times_x,
     gf_deriv,
@@ -299,9 +306,10 @@ ENGINE_MEMOS = {
 
 def clear_memos() -> None:
     """Empty the memos of modular degrees, discriminants, Zassenhaus
-    factors and rational roots."""
+    factors, rational roots and squarefree resolvents."""
     factor._modular_degrees_memo.cache_clear()
     polynomials._discriminant_memo.cache_clear()
+    galois._squarefree_resolvent_memo.cache_clear()
     for memo in ENGINE_MEMOS.values():
         memo.cache_clear()
 
@@ -327,7 +335,8 @@ def median_call_s(speed: MachineSpeed, calls):
 
 
 def time_samples(speed: MachineSpeed, f: IntPoly) -> dict:
-    """Median seconds of one usable sample over the first usable primes."""
+    """Median seconds of one usable sample over the first usable primes,
+    and of one sample of a whole stream."""
     spans = []
     primes = primes_from(2)
     last = 0
@@ -337,8 +346,15 @@ def time_samples(speed: MachineSpeed, f: IntPoly) -> dict:
         if cycle_type is not None:
             spans.append(span)
             last = p
+
+    def stream() -> None:
+        samples = galois.FrobeniusSamples(f, galois.DEFAULT_PRIME_BOUND)
+        assert len(list(islice(samples, USABLE_PRIMES))) == USABLE_PRIMES
+
+    streams = [timed(speed, stream)[1:] for _ in range(KERNEL_ROUNDS)]
     return {
         "median_s": lambda: median_s(speed, spans),
+        "stream_per_sample_s": lambda: median_s(speed, streams) / USABLE_PRIMES,
         "samples": len(spans),
         "largest_prime": last,
     }
@@ -372,7 +388,9 @@ def time_kernels(speed: MachineSpeed, f: IntPoly) -> dict:
         "frobenius_row_median_s": median_call_s(
             speed,
             (
-                lambda xp=xp, m=m, k=k, p=p: _dot(xp, m, 0, n, k, p)
+                lambda xp=xp, m=m, reduced=_codec(k, p)[1]: reduced(
+                    sum(map(mul, xp, m)), n
+                )
                 for _, _, xp, m, k, p in cases
             ),
         ),
