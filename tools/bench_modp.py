@@ -374,7 +374,9 @@ def time_kernels(speed: MachineSpeed, f: IntPoly) -> dict:
             xp = gf_pow_mod([0, 1], p, fm, p)
             xp += [0] * (n - len(xp))
             k = _slot_words(n, p)
-            times_xp = _times_x(xp, n, fm, p, k)
+            pack = _codec(k, p)[0]
+            xn = pack([-c % p for c in fm[:-1]])
+            times_xp = _times_x(pack(xp), xn, n, p, k)
             cases.append((fm, dfm, xp, times_xp, k, p))
     return {
         "pow_x_p_median_s": median_call_s(
