@@ -44,6 +44,7 @@ from functools import lru_cache
 from random import Random
 
 from .modp import (
+    gf_block_degrees,
     gf_ddf_degree_multiset,
     gf_deriv,
     gf_distinct_degree,
@@ -68,7 +69,7 @@ from .polynomials import (
     discriminant,
     int_poly_gcd,
 )
-from .primes import is_prime, primes_from
+from .primes import is_prime, next_prime, primes_from
 
 __all__ = [
     "Factorization",
@@ -93,6 +94,21 @@ _DEGREE_SET_PRIMES = 20
 # degree lists kept by ``_modular_degrees``: a census replay reads back a
 # stream of over 200 samples
 MODULAR_DEGREES_MEMO_SIZE = 256
+# primes one block walk reads (``modp.gf_block_degrees``): a verified
+# InvSqrtPade table op took 0.67 of its one-prime time at 16 and at 8,
+# and 0.81 at 32, whose walks multiply numbers twice as wide and draw
+# more primes past the end of a read; classify-mix seed 7, blocks 0-5,
+# took 0.92 at 16, 0.93 at 8 and 0.95 at 32 (one process, best of 5)
+FROBENIUS_BLOCK_PRIMES = 16
+# usable primes with closed walks, in a run of consecutive primes, at
+# which the same polynomial is asked before its degrees come in blocks:
+# the degree-set test reads at most ``_DEGREE_SET_PRIMES`` usable primes
+# and ``_select_prime`` 12, so a block only serves a stream that reads
+# on.  Counting every prime asked instead, the degree-set test on
+# reducible inputs, whose runs hold unusable primes, paid for blocks it
+# never read; and a stream of dense degree-15 or -20 samples, whose walks
+# close at about half the primes, took 15 % and 33 % longer in blocks
+_BLOCK_RUN = _DEGREE_SET_PRIMES
 # answers kept by ``_lift_and_recombine`` and ``_nonzero_roots`` each: a
 # verdict and its replay, but not one table op's factorings into the next
 _ENGINE_MEMO_SIZE = 8
@@ -215,8 +231,9 @@ def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
     made monic in one pass, and ``gf_ddf_degree_multiset`` reads the
     degrees off one Frobenius walk: when x^(p^L) = x mod f for some L <=
     n, f divides the squarefree x^(p^L) - x; only when there is no such
-    L is gcd(f, f') taken.  The last
-    ``MODULAR_DEGREES_MEMO_SIZE`` answers are kept, keyed by the
+    L is gcd(f, f') taken.  A stream that reads on takes its degrees
+    from block walks instead (``_DegreeBlocks``), with the same answers.
+    The last ``MODULAR_DEGREES_MEMO_SIZE`` answers are kept, keyed by the
     coefficients of f and p, so a replay of a verdict reads the samples
     classify drew; each call gets a list of its own."""
     degrees = _modular_degrees_memo(f.coeffs, p)
@@ -225,12 +242,68 @@ def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
 
 @lru_cache(maxsize=MODULAR_DEGREES_MEMO_SIZE)
 def _modular_degrees_memo(coeffs: tuple, p: int) -> tuple[int, ...] | None:
+    return _degree_blocks.degrees(coeffs, p)
+
+
+def _one_prime_degrees(coeffs: tuple, p: int) -> tuple[int, ...] | None:
+    """The degrees of f mod p from one walk at p alone."""
     lead = coeffs[-1] % p
     if not lead:
         return None
     inv = pow(lead, -1, p)
     degrees = gf_ddf_degree_multiset([c % p * inv % p for c in coeffs], p)
     return None if degrees is None else tuple(degrees)
+
+
+class _DegreeBlocks:
+    """The one-entry block cache under ``_modular_degrees_memo``, keyed by
+    the coefficients of f.
+
+    It counts the usable primes (those with degrees) in the run of
+    consecutive primes at which f has been asked, and a usable prime whose
+    walk did not close (the lcm of its degrees exceeds n) starts the count
+    again: a block decides such a prime no better than its own walk, and
+    pays for it.  Until the count reaches ``_BLOCK_RUN``, each prime takes
+    its own walk.  From then on, a prime beyond the block held starts a
+    new block: it and the primes after it that do not divide lc(f),
+    ``FROBENIUS_BLOCK_PRIMES`` in all, go through one
+    ``modp.gf_block_degrees`` walk, and the primes that walk decides are
+    kept.  A prime of the block that it leaves open takes its own walk.
+    Another polynomial, or a prime that does not follow the last one
+    asked, drops the block and starts the run again, so no block outlives
+    the stream that asked for it."""
+
+    def __init__(self) -> None:
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.coeffs: tuple | None = None
+        self.last = 0  # the last prime asked
+        self.run = 0  # usable primes with closed walks since the run began
+        self.end = 0  # the last prime of the block held
+        self.decided: dict[int, tuple[int, ...]] = {}
+
+    def degrees(self, coeffs: tuple, p: int) -> tuple[int, ...] | None:
+        if coeffs != self.coeffs or p != next_prime(self.last):
+            self.cache_clear()
+            self.coeffs = coeffs
+        self.last = p
+        if p > self.end and self.run >= _BLOCK_RUN and len(coeffs) > 2:
+            lead = coeffs[-1]
+            primes = (q for q in primes_from(p) if lead % q)
+            block = list(itertools.islice(primes, FROBENIUS_BLOCK_PRIMES))
+            self.decided = gf_block_degrees(coeffs, block)
+            self.end = block[-1]
+        degrees = self.decided.get(p)
+        if degrees is None:
+            degrees = _one_prime_degrees(coeffs, p)
+        if degrees is not None:
+            # a walk that did not close (degrees of lcm above n) ends the run
+            self.run = self.run + 1 if math.lcm(*degrees) < len(coeffs) else 0
+        return degrees
+
+
+_degree_blocks = _DegreeBlocks()
 
 
 def _usable_degrees(f: IntPoly):

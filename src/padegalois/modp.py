@@ -2,10 +2,13 @@
 
 Polynomials are plain Python lists of ints in ``[0, p)``, ascending by
 exponent, with trailing zeros stripped; the zero polynomial is ``[]``.
-Every function takes the modulus explicitly and assumes it is prime.
+Every function takes the modulus explicitly and assumes it is prime,
+but for the block walk below, which runs modulo a product of primes and
+needs no inverse there, as its f is monic.
 
 Every cycle type, irreducibility test and modular factorization starts
-from one Frobenius walk of f, ``_frobenius_walk``.  It works with the
+from a Frobenius walk of f: ``_frobenius_walk`` at one prime, or a block
+walk at several (below).  It works with the
 Frobenius matrix of f (von zur Gathen and Shoup, "Computing Frobenius
 maps and factoring polynomials", 1992): the p-th power map is linear
 over the prime field, so once x^p mod f is known, the rows x^(ip) mod f
@@ -58,6 +61,24 @@ to p of about 2.4e5 at n = 25, past the sampler's default prime bound
 10^4, and two beyond.  No slot carries into the next, and each product
 modulo f is reduced mod p once, when it is unpacked.
 
+A stream that reads on shares one walk among a block of primes
+(``gf_block_degrees``).  By the Chinese remainder theorem, (Z/m)[x]/(f),
+m = p_1 ... p_B, is the product of the rings F_(p_i)[x]/(f), and g ->
+g(h), with h = x^(p_i) mod (f, p_i) for every i, is the p_i-Frobenius in
+each of them (von zur Gathen and Shoup again: Frobenius as modular
+composition).  h comes from one modular power x^(p_1) mod (f, m) and
+shifts by x^(p_(i+1) - p_i); then ``_walk``, the loop that also runs
+``_frobenius_walk`` for a block of one prime, builds the rows h^j mod (f,
+m) and the steps h_(d+1) = h_d(h).  Each prime reads its closing step off
+gcd(m, coefficients of h_d - x), one C call a step, its linear count off
+tr(Q) mod p_i and, when the fit is open, its quadratic count off tr(Q^2)
+mod p_i (``_closed_fit``, shared with the one-prime path).  A prime
+still open after that (a walk not closed by step n, p <= n, or a fit
+open after tr(Q^2)) takes its own walk.  ``factor._DegreeBlocks``
+decides when: once a run of consecutive primes asked for a polynomial
+holds 20 usable ones whose walks closed, the run reads on in blocks of
+16.
+
 ``gf_pow_mod`` works left to right: square, then multiply by the base on
 each set bit.  The high half of a product is reduced with a packed table
 of x^(n+j) mod f, j < n; for base x the multiply is a shift of the
@@ -102,6 +123,7 @@ __all__ = [
     "gf_equal_degree",
     "gf_factor_monic",
     "gf_ddf_degree_multiset",
+    "gf_block_degrees",
     "gf_roots",
 ]
 
@@ -394,6 +416,76 @@ def gf_squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
+def _walk(
+    f: list[int], m: int, h: list[int], primes: Sequence[int]
+) -> tuple[list[list[int]], list[int | None], list[list[int]]]:
+    """The walk h_1 = h, h_(d+1) = h_d(h) mod (f, m), of monic f of degree
+    n >= 2, up to d = n or until h_d = x mod every prime: m is the product
+    of the distinct ``primes`` and h = x^p mod (f, p) for each of them, so
+    h_d = x^(p^d) mod (f, p).  It gives (h_1, ..., h_d), the first d with
+    h_d = x mod p for each p (None if none), and the rows h^i mod f, i <
+    n, built so far: the Frobenius matrix Q of f mod each p.
+
+    Raising to the p-th power is linear over the prime field, so h_d(h) =
+    sum_i [x^i] h_d * h^i mod f.  The rows h^i are built as far as the
+    degree of h_d asks, each from the one before as a vector times the
+    matrix of multiplication by h, whose rows x^j h mod f come from h by
+    shifts.  The packing helpers are bound once, and every row is kept
+    both packed, for the products, and as its n coefficients.  A prime
+    closes at d when it divides every coefficient of h_d - x: one gcd with
+    the product of the primes still open, or, for one prime, h_d = x.  A
+    walk in which some prime p > n closes at an order above 1 builds
+    every row, since its degrees are then read off the traces."""
+    n = len(f) - 1
+    k = _slot_words(n, m)
+    pack, reduced = _codec(k, m)
+    row = h + [0] * (n - len(h))  # h, as n coefficients
+    matrix = [[1] + [0] * (n - 1), row]  # the rows h^i mod f
+    rows = [1, pack(row)]  # the same rows, packed
+    times_h: list[int] = []  # x^j h mod f, j < n, packed, built when first asked
+
+    def build(count: int) -> None:
+        nonlocal row, times_h
+        if not times_h:
+            times_h = _times_x(rows[1], pack([-c % m for c in f[:-1]]), n, m, k)
+        while len(rows) < count:
+            row = reduced(sum(map(mul, row, times_h)), n)
+            matrix.append(row)
+            rows.append(pack(row))
+
+    several = len(primes) > 1
+    walk = [h]
+    orders: list[int | None] = [None] * len(primes)
+    still = m  # the product of the primes not yet closed
+    full = False  # whether some prime p > n closed at an order above 1
+    while True:
+        if h == [0, 1]:
+            closed = still
+        elif several:
+            low = h + [0] * (2 - len(h))
+            closed = math.gcd(still, low[0], low[1] - 1, *low[2:])
+        else:
+            closed = 1
+        if closed > 1:
+            d = len(walk)
+            for i, p in enumerate(primes):
+                if closed % p == 0:  # closed divides still: p was open
+                    orders[i] = d
+                    full = full or (d > 1 and p > n)
+            still //= closed
+            if still == 1:
+                break
+        if len(walk) == n:
+            break
+        if len(rows) < len(h):
+            build(len(h))
+        h = gf_trim(reduced(sum(map(mul, h, rows)), n))
+        walk.append(h)
+    if full and len(rows) < n:
+        build(n)
+    return walk, orders, matrix
+
+
 @lru_cache(maxsize=1)
 def _frobenius_walk(
     f: tuple[int, ...], p: int
@@ -401,24 +493,15 @@ def _frobenius_walk(
     """The walk h_d = x^(p^d) mod f, d = 1, 2, ..., of monic f of degree
     n, up to the first d with h_d = x or to d = n: (h_1, ..., h_d), that
     d if h_d = x, else None, the trace of the Frobenius matrix, and the
-    rows of that matrix built so far.
-
-    One pass does it all.  Only x^p mod f needs a modular power: raising
-    to the p-th power is linear over the prime field, so h^p = sum_i h_i
-    * x^(ip) mod f.  The rows x^(ip) mod f are built as far as the degree
-    of h asks, each from the one before as a vector times the matrix of
-    multiplication by x^p, whose rows x^(p+j) mod f come from x^p by
-    shifts.  The packing helpers are bound once, and every row is kept
-    both packed, for the products, and as its n coefficients.
+    rows of that matrix built so far.  It is ``_walk`` over a block of one
+    prime, from the one modular power x^p mod f.
 
     The rows x^(ip) mod f, i < n, are the Frobenius matrix Q.  For
     squarefree f its trace, sum_i [x^i] (x^(ip) mod f), is the number of
     linear factors of f, mod p (Berlekamp, "Factoring polynomials over
     finite fields", 1967): on a factor field of degree d, Frobenius acts
     as the regular representation of the cyclic group of order d, whose
-    trace is 0 for d > 1.  It is read as slot i of row i.  A walk that
-    closes at an order above 1 with p > n builds every row, since the
-    degrees are then read off the trace; otherwise the trace is None
+    trace is 0 for d > 1.  It is read as slot i of row i, and is None
     when fewer than n rows were built.
 
     The walk of the last (f, p) is kept, so asking for the order and then
@@ -428,36 +511,73 @@ def _frobenius_walk(
     if n < 2:  # x mod f is a constant: nothing to walk
         return [], 1, None, []
     f = list(f)
-    k = _slot_words(n, p)
-    pack, reduced = _codec(k, p)
-    h = gf_pow_mod([0, 1], p, f, p)
-    row = h + [0] * (n - len(h))  # x^p mod f, as n coefficients
-    matrix = [[1] + [0] * (n - 1), row]  # the rows x^(ip) mod f
-    rows = [1, pack(row)]  # the same rows, packed
-    times_xp: list[int] = []  # x^(p+j) mod f, j < n, packed, built when first asked
-
-    def build(count: int) -> None:
-        nonlocal row, times_xp
-        if not times_xp:
-            times_xp = _times_x(rows[1], pack([-c % p for c in f[:-1]]), n, p, k)
-        while len(rows) < count:
-            row = reduced(sum(map(mul, row, times_xp)), n)
-            matrix.append(row)
-            rows.append(pack(row))
-
-    walk = [h]
-    while h != [0, 1] and len(walk) < n:
-        if len(rows) < len(h):
-            build(len(h))
-        h = gf_trim(reduced(sum(map(mul, h, rows)), n))
-        walk.append(h)
-    order = len(walk) if h == [0, 1] else None
-    if order is not None and order > 1 and p > n and len(rows) < n:
-        build(n)
+    walk, (order,), matrix = _walk(f, p, gf_pow_mod([0, 1], p, f, p), (p,))
     trace = None
     if len(matrix) == n:
         trace = sum(r[i] for i, r in enumerate(matrix)) % p
     return walk, order, trace, matrix
+
+
+def _frobenius_image(f: list[int], m: int, primes: Sequence[int]) -> list[int]:
+    """The h with h = x^p mod (f, p) for each of the distinct primes p_1
+    < ... < p_B, m their product and f monic mod m of degree n >= 2, by
+    Chinese remainders: x^(p_1) mod (f, m) by one modular power, each
+    x^(p_(i+1)) from the one before by p_(i+1) - p_i shifts by x (packed,
+    as in ``_times_x``), and h = sum_i e_i x^(p_i) mod m, where e_i is 1
+    mod p_i and 0 mod the others.  x^(p_i) is needed mod p_i and the
+    primes after it only, so each shift reduces the slot it carries
+    modulo their product, which shrinks from one prime to the next.  No
+    other slot is reduced before the end: a shift adds less than m^2 to
+    a slot, and the slots are wide enough for B (p_B - p_1 + 1) m^3."""
+    n = len(f) - 1
+    span = len(primes) * (primes[-1] - primes[0] + 1)
+    k = ((span * m**3).bit_length() + 63) // 64
+    w = 64 * k
+    top, low = w * (n - 1), (1 << (w * n)) - 1
+    pack = _codec(k, m)[0]
+    xn = pack([-c % m for c in f[:-1]])
+    power, r = primes[0], pack(gf_pow_mod([0, 1], primes[0], f, m))
+    total, rest = 0, m  # rest: the product of p_i and the primes after it
+    for p in primes:
+        for _ in range(p - power):
+            r = ((r << w) & low) + (r >> top) % rest * xn
+        power = p
+        others = m // p
+        total += others * pow(others, -1, p) * r
+        rest //= p
+    return gf_trim([c % m for c in _unpack(total, n, k)])
+
+
+def gf_block_degrees(
+    f: Sequence[int], primes: Sequence[int]
+) -> dict[int, tuple[int, ...]]:
+    """The sorted factor degrees of f mod p, for the primes of a block
+    that one walk decides: f has integer coefficients, degree n >= 2 and
+    a leading coefficient prime to each of the distinct ``primes``.
+
+    By the Chinese remainder theorem, (Z/m)[x]/(f), m the product of the
+    primes, is the product of the rings F_p[x]/(f), and composing with h
+    = x^p mod (f, p), for every p at once (``_frobenius_image``), is the
+    p-Frobenius in each factor.  So one ``_walk`` over Z/m, of f made
+    monic mod m, gives each prime its closing step, and its rows give
+    tr(Q) and, when asked, tr(Q^2) mod every p.  Each prime that closes
+    is read as ``gf_ddf_degree_multiset`` reads it (``_closed_fit``).
+    A prime left open (the walk did not close by step n, p <= n, or the
+    fit is open after tr(Q^2)) is missing from the answer, for the
+    one-prime path to decide."""
+    n = len(f) - 1
+    m = math.prod(primes)
+    inv = pow(f[-1], -1, m)
+    f = [c * inv % m for c in f]
+    _, orders, matrix = _walk(f, m, _frobenius_image(f, m, primes), primes)
+    trace = sum(r[i] for i, r in enumerate(matrix)) if len(matrix) == n else None
+    out = {}
+    for p, order in zip(primes, orders):
+        if order is not None:
+            fit = _closed_fit(n, p, order, trace, matrix)
+            if fit is not None:
+                out[p] = fit
+    return out
 
 
 def gf_frobenius_order(f: list[int], p: int) -> int | None:
@@ -574,15 +694,37 @@ def _degree_fit(
 
 def _quadratic_count(matrix: list[list[int]], linear: int, p: int) -> int:
     """The number of quadratic factors of squarefree f of degree n < p,
-    from its Frobenius matrix Q and its ``linear`` linear factors.  Q^2 is
-    the matrix of the p^2-th power map, which on a factor field of degree
-    d has trace d when d divides 2 and 0 otherwise; so tr(Q^2) =
-    sum_ij Q_ij Q_ji is the linear count plus twice the quadratic count,
-    mod p, and both are at most n < p."""
+    from its Frobenius matrix Q (over p, or over a multiple of p) and its
+    ``linear`` linear factors.  Q^2 is the matrix of the p^2-th power
+    map, which on a factor field of degree d has trace d when d divides 2
+    and 0 otherwise; so tr(Q^2) = sum_ij Q_ij Q_ji is the linear count
+    plus twice the quadratic count, mod p, and both are at most n < p."""
     square_trace = sum(
         sum(map(mul, row, column)) for row, column in zip(matrix, zip(*matrix))
     )
     return (square_trace % p - linear) // 2
+
+
+def _closed_fit(
+    n: int, p: int, order: int, trace: int | None, matrix: list[list[int]]
+) -> tuple[int, ...] | None:
+    """The sorted factor degrees of f of degree n mod p, for a walk that
+    closes at ``order`` = L, when arithmetic fixes them, else None: L = 1
+    means f splits, and for p > n the degrees are the one multiset that
+    L and the linear count tr(Q) mod p fit (``_degree_fit``), or else
+    that the quadratic count from tr(Q^2) (``_quadratic_count``) fits as
+    well.  trace and matrix are tr(Q) and the rows of Q over p, or over a
+    multiple of p."""
+    if order == 1:
+        return (1,) * n
+    if p <= n:
+        return None
+    linear = trace % p
+    fit = _degree_fit(n, order, linear)
+    if fit is None:
+        twos = _quadratic_count(matrix, linear, p)
+        fit = _degree_fit(n, order, linear, twos)
+    return fit
 
 
 def gf_ddf_degree_multiset(f: list[int], p: int) -> list[int] | None:
@@ -599,21 +741,18 @@ def gf_ddf_degree_multiset(f: list[int], p: int) -> list[int] | None:
     for L = n = q1 q2 with t = 0), it is the answer, with no gcd.  When
     more than one does, tr(Q^2) counts the quadratic factors too (see
     ``_quadratic_count``), which settles most of the rest, as {4, 4}
-    against {4, 2, 2}.  Otherwise ``gf_distinct_degree`` takes the
+    against {4, 2, 2}; ``_closed_fit`` reads both, for this walk and for
+    each prime of a block walk.  Otherwise ``gf_distinct_degree`` takes the
     stages: each stage of degree d and total degree k contributes k/d
     copies of d, so this never needs random splitting and is fully
     deterministic — the workhorse of the cycle-type sampler.
     """
-    n = len(f) - 1
     _, order, trace, matrix = _frobenius_walk(tuple(f), p)
-    if order is None and len(gf_gcd(f, gf_deriv(f, p), p)) != 1:
-        return None
-    if order == 1:
-        return [1] * n
-    if order is not None and p > n:
-        fit = _degree_fit(n, order, trace)
-        if fit is None:
-            fit = _degree_fit(n, order, trace, _quadratic_count(matrix, trace, p))
+    if order is None:
+        if len(gf_gcd(f, gf_deriv(f, p), p)) != 1:
+            return None
+    else:
+        fit = _closed_fit(len(f) - 1, p, order, trace, matrix)
         if fit is not None:
             return list(fit)
     out: list[int] = []

@@ -22,10 +22,12 @@ hypothesis.settings.load_profile("default")
 def _cold_memos():
     """Every test starts with empty memos, so the work it counts below
     them (modular powers, gcds, DDF calls, Hensel steps, root searches,
-    resolvent builds) does not depend on which test ran before it."""
+    resolvent builds, block walks) does not depend on which test ran
+    before it."""
     factor._modular_degrees_memo.cache_clear()
     factor._lift_and_recombine_memo.cache_clear()
     factor._nonzero_roots_memo.cache_clear()
     polynomials._discriminant_memo.cache_clear()
     galois._squarefree_resolvent_memo.cache_clear()
     modp._frobenius_walk.cache_clear()
+    factor._degree_blocks.cache_clear()

@@ -6,19 +6,20 @@ import importlib.util
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import lcm
+from itertools import islice, permutations
+from math import inf, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padegalois import galois
+from padegalois import factor, galois
 from padegalois.factor import factor_mod_p, factor_over_integers, is_irreducible
 from padegalois.galois import (
     DEFAULT_PRIME_BOUND,
     Certainty,
     CycleType,
+    FrobeniusSamples,
     GaloisIdentification,
     QUINTIC_RESOLVENT_TABLE,
     SN_AN_CLASSIFY_SAMPLE_CAP,
@@ -50,6 +51,7 @@ from padegalois.polynomials import (
     format_poly,
     parse_int_poly,
 )
+from padegalois.primes import is_prime
 from padegalois.series import SeriesId, scale_to_monic_integer, taylor
 from padegalois.tables import TABLES, _column_polys
 
@@ -333,14 +335,15 @@ def _cyclic_or_dihedral_quartics() -> list[IntPoly]:
         fac = factor_over_integers(_column_polys(t, order)[column])
         bases.append(max((g for g, _ in fac.factors), key=IntPoly.degree))
     rng = random.Random(22)
-    out = []
+    out: dict[tuple, IntPoly] = {}  # each quartic once, in first-seen order
     for f in bases:
         k, c = rng.randint(1, 3), rng.randint(-3, 3)
         moved = IntPoly.zero()
         for coeff in reversed(f.coeffs):
             moved = moved * IntPoly((c, k)) + IntPoly.constant(coeff)
-        out += [f, moved, moved.reversed_coefficients().primitive_part()]
-    return out
+        for g in (f, moved, moved.reversed_coefficients().primitive_part()):
+            out.setdefault(g.coeffs, g)
+    return list(out.values())
 
 
 class TestCyclicOrDihedralQuartic:
@@ -394,7 +397,6 @@ class TestCyclicOrDihedralQuartic:
         even = [f for f in _cyclic_or_dihedral_quartics() if f.is_even_polynomial()]
         assert len(even) >= 100
         for f in even:
-            # the list repeats some quartics, whose resolvents the memo keeps
             built.clear()
             galois._squarefree_resolvent_memo.cache_clear()
             item = galois._first_shift_item(
@@ -1170,6 +1172,62 @@ class TestFrobeniusStream:
         classify(parse_int_poly(text))
         assert calls
         assert len(calls) == len(set(calls))
+
+
+def _one_prime_walks(monkeypatch) -> None:
+    """From now on every degree list comes from its own walk: none is
+    read from a block or from what the memo holds."""
+    monkeypatch.setattr(factor, "_BLOCK_RUN", inf)
+    factor._modular_degrees_memo.cache_clear()
+    factor._degree_blocks.cache_clear()
+
+
+def _counting_blocks(monkeypatch) -> list:
+    """The prime blocks that the degree cache walks from now on."""
+    blocks = []
+    original = factor.gf_block_degrees
+
+    def counting(coeffs, primes):
+        blocks.append(primes)
+        return original(coeffs, primes)
+
+    monkeypatch.setattr(factor, "gf_block_degrees", counting)
+    return blocks
+
+
+class TestBlockSamples:
+    """A stream that reads on takes its degrees from block walks
+    (``factor._DegreeBlocks``); what it draws is what one-prime walks give."""
+
+    def test_invsqrt_order_31_stream(self, monkeypatch):
+        # the C15 denominator of the InvSqrtPade order-31 cell, a cyclic
+        # cell whose 200 samples the tables draw
+        f = _column_polys("InvSqrtPade", 31)[1]
+        blocks = _counting_blocks(monkeypatch)
+        pairs = list(islice(FrobeniusSamples(f, DEFAULT_PRIME_BOUND), 250))
+        assert len(pairs) == 250
+        assert len(blocks) >= 10
+        primes = [p for p in range(2, pairs[-1][0] + 1) if is_prime(p)]
+        _one_prime_walks(monkeypatch)
+        types = [dedekind_cycle_type(f, p) for p in primes]
+        assert pairs == [(p, t) for p, t in zip(primes, types) if t is not None]
+
+    def test_hunt_past_the_run_is_unchanged(self, monkeypatch):
+        # x^8 + x^4 + 7 holds no Jordan cycle, so the hunt reads to its
+        # cap, on blocks past the first primes; with one-prime walks it
+        # draws the same samples and gives the same verdict
+        f = IntPoly((7, 0, 0, 0, 1, 0, 0, 0, 1))
+        blocks = _counting_blocks(monkeypatch)
+
+        def hunt():
+            stream = FrobeniusSamples(f, 2000)
+            return sn_an_certificate(f, _stream=stream), stream.drawn()
+
+        with_blocks = hunt()
+        assert blocks
+        assert with_blocks[1] == SN_AN_CLASSIFY_SAMPLE_CAP
+        _one_prime_walks(monkeypatch)
+        assert hunt() == with_blocks
 
 
 def _changed_item(ident, kind, **changes):

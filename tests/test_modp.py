@@ -1,14 +1,14 @@
 """Prime-field polynomial layer: arithmetic, DDF/EDF, squarefree parts."""
 
 import math
-from itertools import product, zip_longest
+from itertools import islice, product, zip_longest
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padegalois import modp
-from padegalois.factor import _modular_degrees
+from padegalois import factor, modp
+from padegalois.factor import FROBENIUS_BLOCK_PRIMES, _modular_degrees
 from padegalois.galois import dedekind_cycle_type
 from padegalois.modp import (
     gf_mul_scalar,
@@ -30,7 +30,7 @@ from padegalois.modp import (
     gf_trim,
 )
 from padegalois.polynomials import IntPoly
-from padegalois.primes import is_prime, next_prime
+from padegalois.primes import is_prime, next_prime, primes_from
 from padegalois.tables import _column_polys
 
 from .oracles import (
@@ -823,3 +823,146 @@ class TestModularDegrees:
             assert _modular_degrees(f, p) == want, (coeffs, p)
         assert _modular_degrees(IntPoly(divided), p) is None
         assert _modular_degrees(IntPoly(square), p) is None
+
+
+def block_of(start, lead):
+    """The first ``FROBENIUS_BLOCK_PRIMES`` primes >= start that do not
+    divide lead: the block the degree cache walks from start."""
+    primes = (q for q in primes_from(start) if lead % q)
+    return list(islice(primes, FROBENIUS_BLOCK_PRIMES))
+
+
+def one_prime_degrees(coeffs, p):
+    """The factor degrees of f mod p by ``gf_ddf_degree_multiset``, or
+    None when p divides lc(f) or f is not squarefree mod p."""
+    if coeffs[-1] % p == 0:
+        return None
+    return gf_ddf_degree_multiset(gf_monic(gf_from_int_coeffs(coeffs, p), p), p)
+
+
+def with_square_mod(q, coeffs, rng):
+    """Integer coefficients with the leading coefficient of coeffs that
+    are lc * r^2 * s mod q, r and s monic: a repeated factor mod q."""
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    half = rng.randint(1, n // 2)
+    root = [rng.randrange(q) for _ in range(half)] + [1]
+    rest = [rng.randrange(q) for _ in range(n - 2 * half)] + [1]
+    square = gf_mul_scalar(gf_mul(gf_mul(root, root, q), rest, q), lead, q)
+    return [c + q * rng.randint(-3, 3) for c in square[:-1]] + [lead]
+
+
+# block starts: small primes, where p <= n and unusable primes are
+# common, a table prime, and the slot-boundary primes of the packed
+# kernels, whose blocks take slots of several words
+BLOCK_STARTS = [2, 3, 13] + sorted({p for _, p in SLOT_BOUNDARY})
+
+
+class TestBlockWalk:
+    """``modp.gf_block_degrees``: one walk over Z/m, m the product of a
+    block of primes, against ``gf_ddf_degree_multiset`` at each prime."""
+
+    @pytest.mark.parametrize("start", BLOCK_STARTS)
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_matches_one_prime_walks(self, start, data):
+        n = data.draw(st.integers(2, 16))
+        leads = st.sampled_from([-1, 2, 3, -6, 35, 97]) | st.integers(2, 10**6)
+        lead = data.draw(leads)
+        primes = block_of(start, lead)
+        coeffs = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        coeffs = coeffs + [lead]
+        if data.draw(st.booleans()):
+            q = data.draw(st.sampled_from(primes))
+            coeffs = with_square_mod(q, coeffs, Random(data.draw(SEEDS)))
+            assert one_prime_degrees(coeffs, q) is None
+        got = modp.gf_block_degrees(coeffs, primes)
+        assert set(got) <= set(primes)
+        for p in primes:
+            if p in got:
+                assert list(got[p]) == one_prime_degrees(coeffs, p), (coeffs, p)
+
+    def test_seeded_blocks_decide_most_primes(self):
+        # random dense polynomials and products, some with a square
+        # factor mod a prime of the block; each block decided prime
+        # agrees with the one-prime walk, and the primes the block
+        # leaves open include repeated factors, p <= n and open walks
+        rng = Random(28)
+        pairs = nones = decided = small = 0
+        for trial in range(150):
+            n = rng.randint(2, 16)
+            lead = rng.choice([1, 2, -3, 10, 97, 3**5])
+            coeffs = [rng.randint(-20, 20) for _ in range(n)] + [lead]
+            if trial % 3 == 0:
+                f = IntPoly([1])
+                while f.degree() < n:
+                    d = rng.randint(1, min(3, n - f.degree()))
+                    f = f * IntPoly([rng.randint(-5, 5) for _ in range(d)] + [1])
+                coeffs = list(f.coeffs[:-1]) + [lead]
+            primes = block_of(rng.choice([2, 3, 13, 101, 9973]), lead)
+            if trial % 5 == 0:
+                coeffs = with_square_mod(rng.choice(primes), coeffs, rng)
+            got = modp.gf_block_degrees(coeffs, primes)
+            for p in primes:
+                want = one_prime_degrees(coeffs, p)
+                pairs += 1
+                nones += want is None
+                small += p <= n
+                if p in got:
+                    decided += 1
+                    assert list(got[p]) == want, (coeffs, p)
+        assert pairs == 2400
+        assert nones > 100 and small > 100
+        assert pairs - nones > decided > pairs // 2
+
+    def test_one_prime_block_is_the_walk(self):
+        # a block of one prime reads the walk that _frobenius_walk keeps
+        f = _column_polys("InvSqrtPade", 31)[0]
+        for p in (37, 101, 9973):
+            fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
+            want = gf_ddf_degree_multiset(fm, p)
+            assert list(modp.gf_block_degrees(f.coeffs, [p])[p]) == want
+
+    def test_run_counts_usable_primes_with_closed_walks(self, monkeypatch):
+        # made-up answers for a degree-7 f: an unusable prime neither
+        # counts nor breaks the run, and degrees {3, 4}, whose walk does
+        # not close (lcm 12 > 7), start it again; a block starts once 20
+        # closed walks follow, and the next one past its last prime
+        primes = primes_in_range(2, 400)
+        answers = {primes[5]: None, primes[10]: (3, 4)}
+        blocks = []
+
+        def block(coeffs, block_primes):
+            blocks.append(block_primes)
+            return {}
+
+        monkeypatch.setattr(factor, "gf_block_degrees", block)
+        monkeypatch.setattr(
+            factor, "_one_prime_degrees", lambda coeffs, p: answers.get(p, (7,))
+        )
+        coeffs = (1,) * 8
+        for p in primes[:60]:
+            assert factor._degree_blocks.degrees(coeffs, p) == answers.get(p, (7,))
+        assert [b[0] for b in blocks] == [primes[31], primes[47]]
+
+    def test_cache_reads_every_prime_as_one_walk_would(self, monkeypatch):
+        # blocks from the first prime on: every prime of a run, decided by
+        # its block or left to its own walk, and the primes dividing
+        # lc(f), get the one-prime answer
+        monkeypatch.setattr(factor, "_BLOCK_RUN", 0)
+        blocks = []
+
+        def counting(coeffs, primes):
+            blocks.append(primes)
+            return modp.gf_block_degrees(coeffs, primes)
+
+        monkeypatch.setattr(factor, "gf_block_degrees", counting)
+        rng = Random(7)
+        for n in (2, 6, 9, 15):
+            coeffs = tuple([rng.randint(-9, 9) for _ in range(n)] + [6])
+            factor._degree_blocks.cache_clear()
+            for p in primes_in_range(2, 400):
+                want = one_prime_degrees(coeffs, p)
+                got = factor._degree_blocks.degrees(coeffs, p)
+                assert (None if got is None else list(got)) == want, (coeffs, p)
+        assert len(blocks) > 4 * 4
+        assert all(b[0] not in (2, 3) and 2 not in b and 3 not in b for b in blocks)

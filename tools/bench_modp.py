@@ -12,7 +12,10 @@ layer seen from above.  ``stream_per_sample_s`` is the median, over
 stream of f drawn to ``USABLE_PRIMES`` usable samples, divided by that
 count: the walks and all the work around them (the unusable primes, the
 reduction of f mod p, the memo, the cycle type), which a bare walk
-timing does not see.
+timing does not see.  Past its first ``factor._BLOCK_RUN`` primes such a
+stream takes its degrees from block walks (``modp.gf_block_degrees``);
+``stream_one_prime_per_sample_s`` times the same streams with every
+sample from its own walk, as before blocks.
 
 ``kernels``: for the same polynomial of each degree and the same usable
 primes, the median time of one ``gf_pow_mod([0, 1], p, f, p)`` (x^p mod
@@ -114,7 +117,8 @@ Every timed call but those of the ``kernel`` section, and each input of
 ``lifted_degrees``, starts with the memos of ``factor._modular_degrees``,
 ``polynomials.discriminant``, ``factor._lift_and_recombine``,
 ``factor._nonzero_roots`` and ``galois._squarefree_resolvent`` emptied,
-so a call that repeats an input (the
+and with no degree block held (``factor._degree_blocks``), so a call
+that repeats an input (the
 ``POLY_REPS`` discriminants of one polynomial, the ``KERNEL_ROUNDS``
 order bounds of one g(x^2), the ``FACTOR_REPS`` factorings of one input)
 times the arithmetic, not a read of the value an earlier call left there.
@@ -306,8 +310,10 @@ ENGINE_MEMOS = {
 
 def clear_memos() -> None:
     """Empty the memos of modular degrees, discriminants, Zassenhaus
-    factors, rational roots and squarefree resolvents."""
+    factors, rational roots and squarefree resolvents, and drop the
+    degree block held."""
     factor._modular_degrees_memo.cache_clear()
+    factor._degree_blocks.cache_clear()
     polynomials._discriminant_memo.cache_clear()
     galois._squarefree_resolvent_memo.cache_clear()
     for memo in ENGINE_MEMOS.values():
@@ -336,7 +342,8 @@ def median_call_s(speed: MachineSpeed, calls):
 
 def time_samples(speed: MachineSpeed, f: IntPoly) -> dict:
     """Median seconds of one usable sample over the first usable primes,
-    and of one sample of a whole stream."""
+    and of one sample of a whole stream, read in blocks past its first
+    primes and from one walk a prime."""
     spans = []
     primes = primes_from(2)
     last = 0
@@ -351,10 +358,19 @@ def time_samples(speed: MachineSpeed, f: IntPoly) -> dict:
         samples = galois.FrobeniusSamples(f, galois.DEFAULT_PRIME_BOUND)
         assert len(list(islice(samples, USABLE_PRIMES))) == USABLE_PRIMES
 
-    streams = [timed(speed, stream)[1:] for _ in range(KERNEL_ROUNDS)]
+    streams, one_prime, run = [], [], factor._BLOCK_RUN
+    for _ in range(KERNEL_ROUNDS):
+        streams.append(timed(speed, stream)[1:])
+        factor._BLOCK_RUN = math.inf  # no run is long enough for a block
+        try:
+            one_prime.append(timed(speed, stream)[1:])
+        finally:
+            factor._BLOCK_RUN = run
     return {
         "median_s": lambda: median_s(speed, spans),
         "stream_per_sample_s": lambda: median_s(speed, streams) / USABLE_PRIMES,
+        "stream_one_prime_per_sample_s": lambda: median_s(speed, one_prime)
+        / USABLE_PRIMES,
         "samples": len(spans),
         "largest_prime": last,
     }
