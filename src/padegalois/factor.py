@@ -45,7 +45,6 @@ from random import Random
 
 from .modp import (
     gf_block_degrees,
-    gf_ddf_degree_multiset,
     gf_deriv,
     gf_distinct_degree,
     gf_divmod,
@@ -227,13 +226,12 @@ def _usable_prime_count(f: IntPoly, prime_bound: int, cap: int) -> int:
 
 def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
     """Sorted degrees of the irreducible factors of f mod p, or None when
-    p divides lc(f) or f is not squarefree mod p.  f is reduced mod p and
-    made monic in one pass, and ``gf_ddf_degree_multiset`` reads the
-    degrees off one Frobenius walk: when x^(p^L) = x mod f for some L <=
-    n, f divides the squarefree x^(p^L) - x; only when there is no such
-    L is gcd(f, f') taken.  A stream that reads on takes its degrees
-    from block walks instead (``_DegreeBlocks``), with the same answers.
-    The last ``MODULAR_DEGREES_MEMO_SIZE`` answers are kept, keyed by the
+    p divides lc(f) or f is not squarefree mod p.  They come from one
+    Frobenius walk (``modp.gf_block_degrees``), of p alone or of a block
+    of primes that p is in (``_DegreeBlocks``), with the same answers:
+    when x^(p^L) = x mod f for some L <= n, f divides the squarefree
+    x^(p^L) - x; only when there is no such L is gcd(f, f') taken.  The
+    last ``MODULAR_DEGREES_MEMO_SIZE`` answers are kept, keyed by the
     coefficients of f and p, so a replay of a verdict reads the samples
     classify drew; each call gets a list of its own."""
     degrees = _modular_degrees_memo(f.coeffs, p)
@@ -245,33 +243,23 @@ def _modular_degrees_memo(coeffs: tuple, p: int) -> tuple[int, ...] | None:
     return _degree_blocks.degrees(coeffs, p)
 
 
-def _one_prime_degrees(coeffs: tuple, p: int) -> tuple[int, ...] | None:
-    """The degrees of f mod p from one walk at p alone."""
-    lead = coeffs[-1] % p
-    if not lead:
-        return None
-    inv = pow(lead, -1, p)
-    degrees = gf_ddf_degree_multiset([c % p * inv % p for c in coeffs], p)
-    return None if degrees is None else tuple(degrees)
-
-
 class _DegreeBlocks:
     """The one-entry block cache under ``_modular_degrees_memo``, keyed by
     the coefficients of f.
 
-    It counts the usable primes (those with degrees) in the run of
-    consecutive primes at which f has been asked, and a usable prime whose
-    walk did not close (the lcm of its degrees exceeds n) starts the count
-    again: a block decides such a prime no better than its own walk, and
-    pays for it.  Until the count reaches ``_BLOCK_RUN``, each prime takes
-    its own walk.  From then on, a prime beyond the block held starts a
-    new block: it and the primes after it that do not divide lc(f),
-    ``FROBENIUS_BLOCK_PRIMES`` in all, go through one
-    ``modp.gf_block_degrees`` walk, and the primes that walk decides are
-    kept.  A prime of the block that it leaves open takes its own walk.
-    Another polynomial, or a prime that does not follow the last one
-    asked, drops the block and starts the run again, so no block outlives
-    the stream that asked for it."""
+    Every prime asked comes out of one ``modp.gf_block_degrees`` walk: a
+    prime beyond the block held starts a new block, and the block's
+    answers are kept.  The block is that prime alone until the run of
+    consecutive primes at which f has been asked holds ``_BLOCK_RUN``
+    usable primes (those with degrees) whose walks closed; from then on
+    it is the prime and the primes after it that do not divide lc(f),
+    ``FROBENIUS_BLOCK_PRIMES`` in all.  A usable prime whose walk did not
+    close (the lcm of its degrees exceeds n) starts the count again: a
+    block decides such a prime no better than a walk of its own, and
+    pays for it.  A prime that divides lc(f) and starts no block is
+    unusable with no walk.  Another polynomial, or a prime that does not
+    follow the last one asked, drops the block and starts the run again,
+    so no block outlives the stream that asked for it."""
 
     def __init__(self) -> None:
         self.cache_clear()
@@ -281,22 +269,25 @@ class _DegreeBlocks:
         self.last = 0  # the last prime asked
         self.run = 0  # usable primes with closed walks since the run began
         self.end = 0  # the last prime of the block held
-        self.decided: dict[int, tuple[int, ...]] = {}
+        self.decided: dict[int, tuple[int, ...] | None] = {}
 
     def degrees(self, coeffs: tuple, p: int) -> tuple[int, ...] | None:
         if coeffs != self.coeffs or p != next_prime(self.last):
             self.cache_clear()
             self.coeffs = coeffs
         self.last = p
-        if p > self.end and self.run >= _BLOCK_RUN and len(coeffs) > 2:
+        if p > self.end:
             lead = coeffs[-1]
-            primes = (q for q in primes_from(p) if lead % q)
-            block = list(itertools.islice(primes, FROBENIUS_BLOCK_PRIMES))
+            if self.run >= _BLOCK_RUN and len(coeffs) > 2:
+                primes = (q for q in primes_from(p) if lead % q)
+                block = list(itertools.islice(primes, FROBENIUS_BLOCK_PRIMES))
+            elif lead % p:
+                block = [p]
+            else:
+                return None
             self.decided = gf_block_degrees(coeffs, block)
             self.end = block[-1]
         degrees = self.decided.get(p)
-        if degrees is None:
-            degrees = _one_prime_degrees(coeffs, p)
         if degrees is not None:
             # a walk that did not close (degrees of lcm above n) ends the run
             self.run = self.run + 1 if math.lcm(*degrees) < len(coeffs) else 0
@@ -650,8 +641,13 @@ def _lift_and_recombine_memo(coeffs: tuple, cutoff: int) -> tuple[IntPoly, ...]:
         return (f,)
     rng = Random(DEFAULT_EDF_SEED)
     fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
+    if multiset[0] == multiset[-1]:
+        # factors all of one degree make one distinct-degree stage: no walk
+        stages = [(fm, multiset[0])]
+    else:
+        stages = gf_distinct_degree(fm, p)
     modular: list[list[int]] = []
-    for stage, deg in gf_distinct_degree(fm, p):
+    for stage, deg in stages:
         modular.extend(gf_equal_degree(stage, deg, p, rng))
     # M = p^K with K least such that M > 2 * the Mignotte bound
     bound = 2 * mignotte_factor_bound(f)

@@ -47,8 +47,9 @@ It never calls ``is_irreducible``: a Tschirnhaus transform is proven
 irreducible by its squarefree resolvent.  ``verify_identification``
 rebuilds every evidence item of a verdict on that same polynomial, each
 kind by one entry of ``_REBUILD``, with the pure functions that built it
-(the factor degrees mod p, discriminants, factorizations and rational
-roots it needs may come from their bounded memos), then re-derives the
+(the factor degrees mod p, discriminants, factorizations, rational
+roots and squarefree resolvents it needs may come from their bounded
+memos), then re-derives the
 name and the certainty from the items with ``_verdict``.  The inner
 verdict of a block item and the census candidates of a cyclic verdict
 are re-derived by classifying again, at the verdict's own prime bound.
@@ -247,9 +248,10 @@ def dedekind_cycle_type(f: IntPoly, p: int) -> CycleType | None:
 
     Usable means p does not divide the leading coefficient and f stays
     squarefree mod p; then the degrees of the irreducible factors of
-    f mod p, which ``factor._modular_degrees`` reads off distinct-degree
-    factorization, form the cycle type of an element of the Galois group
-    acting on the roots.
+    f mod p, which ``factor._modular_degrees`` reads off one Frobenius
+    walk (by arithmetic on its order and traces, with distinct-degree
+    stages only where that leaves them open), form the cycle type of an
+    element of the Galois group acting on the roots.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
@@ -1380,17 +1382,18 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     primitive part of f with a positive leading coefficient, or the
     factor that a ``reducible`` item selects; it must have the verdict's
     degree.  Every item is rebuilt on the target with the same pure
-    functions that built it, and must come out the same.  Four bounded
+    functions that built it, and must come out the same.  Five bounded
     memos may still hold what classify computed: the modular factor
     degrees of ``factor._modular_degrees``, the discriminants of
-    ``polynomials.discriminant``, and, behind ``factor_over_integers`` and
+    ``polynomials.discriminant``, the squarefree resolvents of
+    ``_squarefree_resolvent``, and, behind ``factor_over_integers`` and
     ``rational_roots``, the Zassenhaus factors of ``_lift_and_recombine``
     and the roots of ``_nonzero_roots``.  Each is keyed by the polynomial
-    the replay rebuilds from f (and the prime, or the recombination
-    cutoff), never by an item, since an item may be hand-made: a tampered
-    item is rebuilt as it would be on empty memos.  A verify in a fresh
-    process recomputes all of it.  The inner verdict of a
-    block item is re-derived by ``classify``, and the census candidates
+    the replay rebuilds from f (and the prime, the recombination cutoff,
+    or the resolvent's builder and Tschirnhaus shift), never by what an
+    item claims, since an item may be hand-made: a tampered item is
+    rebuilt as it would be on empty memos.  A verify in a fresh process
+    recomputes all of it.  The inner verdict of a block item is re-derived by ``classify``, and the census candidates
     of a cyclic verdict (one with a ``candidates`` item but no ``parity``
     item) by running the elimination and the block-order cut again on a
     fresh stream, both up to the verdict's own prime bound, or the

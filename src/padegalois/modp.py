@@ -7,13 +7,12 @@ but for the block walk below, which runs modulo a product of primes and
 needs no inverse there, as its f is monic.
 
 Every cycle type, irreducibility test and modular factorization starts
-from a Frobenius walk of f: ``_frobenius_walk`` at one prime, or a block
-walk at several (below).  It works with the
-Frobenius matrix of f (von zur Gathen and Shoup, "Computing Frobenius
-maps and factoring polynomials", 1992): the p-th power map is linear
-over the prime field, so once x^p mod f is known, the rows x^(ip) mod f
-follow by multiplication, and each x^(p^d) comes from the one before by
-a matrix-vector product.  One modular power per (f, p) replaces one per
+from a Frobenius walk of f.  It works with the Frobenius matrix of f
+(von zur Gathen and Shoup, "Computing Frobenius maps and factoring
+polynomials", 1992): the p-th power map is linear over the prime field,
+so once x^p mod f is known, the rows x^(ip) mod f follow by
+multiplication, and each x^(p^d) comes from the one before by a
+matrix-vector product.  One modular power per (f, p) replaces one per
 degree.
 
 The walk finds the Frobenius order and takes no gcd.  It runs h_d =
@@ -28,22 +27,25 @@ bound once.  The trace t of the matrix counts the linear factors mod p
 with p > n builds all n rows, and the trace of the squared matrix,
 tr(Q^2) = t + 2 N_2 mod p, counts the N_2 quadratic factors as well.
 
-``gf_ddf_degree_multiset`` looks the walk up once and decides the factor
-degrees by arithmetic when it can: L = 1 means f splits, and otherwise
-the degrees divide L, have lcm L, sum to n and hold as many ones as the
-trace says, which often leaves one multiset (always for L prime).  When
-more than one fits, the degrees must also hold N_2 twos, read from
-tr(Q^2) only then; that settles most of the rest, such as {4, 4}
-against {4, 2, 2}.  Only when the fit is still open, or when p <= n or
-the walk did not close, does it call ``gf_distinct_degree``, which
-takes gcds; so does the modular factorization, which needs the stage
-polynomials.  A walk that does not close also pays for the squarefree
-test gcd(f, f').  On a closed walk, the gcd g = gcd(f, prod_q (h_(L/q) -
-x)), q prime, collects the factors of degree below L, as such a degree
-divides some L/q (Rabin, "Probabilistic algorithms in finite fields",
-1980); g = 1 leaves f one stage, and otherwise the stages at the proper
-divisors of L are taken on g.  A walk that runs to n takes a stage at
-every degree.
+Every Frobenius sample comes out of ``gf_block_degrees``, which walks a
+block of primes at once (below); a sample at one prime is a block of
+one, which ``gf_ddf_degree_multiset`` wraps.  The degrees are decided
+by arithmetic when they can be: L = 1 means f splits, and otherwise
+they divide L, have lcm L, sum to n and hold as many ones as the trace
+says, which often leaves one multiset (always for L prime).  When more
+than one fits, the degrees must also hold N_2 twos, read from tr(Q^2)
+only then; that settles most of the rest, such as {4, 4} against {4, 2,
+2}.  Only when the fit is still open, or when p <= n or the walk did
+not close, are the distinct-degree stages taken (``_stages``), off the
+same walk read mod p; only a walk that did not close pays for the
+squarefree test gcd(f, f').  ``gf_distinct_degree``, which the modular
+factorization calls for the stage polynomials, walks on its own and
+takes the same stages.  On a closed walk, the gcd g = gcd(f, prod_q
+(h_(L/q) - x)), q prime, collects the factors of degree below L, as
+such a degree divides some L/q (Rabin, "Probabilistic algorithms in
+finite fields", 1980); g = 1 leaves f one stage, and otherwise the
+stages at the proper divisors of L are taken on g.  A walk that runs to
+n takes a stage at every degree.
 
 The work modulo f runs on packed integers (Kronecker substitution; see
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
@@ -61,23 +63,22 @@ to p of about 2.4e5 at n = 25, past the sampler's default prime bound
 10^4, and two beyond.  No slot carries into the next, and each product
 modulo f is reduced mod p once, when it is unpacked.
 
-A stream that reads on shares one walk among a block of primes
-(``gf_block_degrees``).  By the Chinese remainder theorem, (Z/m)[x]/(f),
-m = p_1 ... p_B, is the product of the rings F_(p_i)[x]/(f), and g ->
-g(h), with h = x^(p_i) mod (f, p_i) for every i, is the p_i-Frobenius in
-each of them (von zur Gathen and Shoup again: Frobenius as modular
-composition).  h comes from one modular power x^(p_1) mod (f, m) and
-shifts by x^(p_(i+1) - p_i); then ``_walk``, the loop that also runs
-``_frobenius_walk`` for a block of one prime, builds the rows h^j mod (f,
-m) and the steps h_(d+1) = h_d(h).  Each prime reads its closing step off
-gcd(m, coefficients of h_d - x), one C call a step, its linear count off
-tr(Q) mod p_i and, when the fit is open, its quadratic count off tr(Q^2)
-mod p_i (``_closed_fit``, shared with the one-prime path).  A prime
-still open after that (a walk not closed by step n, p <= n, or a fit
-open after tr(Q^2)) takes its own walk.  ``factor._DegreeBlocks``
-decides when: once a run of consecutive primes asked for a polynomial
-holds 20 usable ones whose walks closed, the run reads on in blocks of
-16.
+A block of primes shares one walk (``gf_block_degrees``).  By the
+Chinese remainder theorem, (Z/m)[x]/(f), m = p_1 ... p_B, is the product
+of the rings F_(p_i)[x]/(f), and g -> g(h), with h = x^(p_i) mod (f,
+p_i) for every i, is the p_i-Frobenius in each of them (von zur Gathen
+and Shoup again: Frobenius as modular composition).  h comes from one
+modular power x^(p_1) mod (f, m) and shifts by x^(p_(i+1) - p_i); then
+``_walk`` builds the rows h^j mod (f, m) and the steps h_(d+1) =
+h_d(h).  Each prime reads its closing step off gcd(m, coefficients of
+h_d - x), one C call a step, its linear count off tr(Q) mod p_i and,
+when the fit is open, its quadratic count off tr(Q^2) mod p_i
+(``_closed_fit``).  A prime still open after that (a walk not closed by
+step n, p <= n, or a fit open after tr(Q^2)) takes its stages off the
+block's walk reduced mod p_i, so no prime is walked twice.
+``factor._DegreeBlocks`` chooses the blocks: a block of one prime until
+a run of consecutive primes asked for a polynomial holds 20 usable ones
+whose walks closed, and blocks of 16 once the run reads on.
 
 ``gf_pow_mod`` works left to right: square, then multiply by the base on
 each set bit.  The high half of a product is reduced with a packed table
@@ -486,38 +487,6 @@ def _walk(
     return walk, orders, matrix
 
 
-@lru_cache(maxsize=1)
-def _frobenius_walk(
-    f: tuple[int, ...], p: int
-) -> tuple[list[list[int]], int | None, int | None, list[list[int]]]:
-    """The walk h_d = x^(p^d) mod f, d = 1, 2, ..., of monic f of degree
-    n, up to the first d with h_d = x or to d = n: (h_1, ..., h_d), that
-    d if h_d = x, else None, the trace of the Frobenius matrix, and the
-    rows of that matrix built so far.  It is ``_walk`` over a block of one
-    prime, from the one modular power x^p mod f.
-
-    The rows x^(ip) mod f, i < n, are the Frobenius matrix Q.  For
-    squarefree f its trace, sum_i [x^i] (x^(ip) mod f), is the number of
-    linear factors of f, mod p (Berlekamp, "Factoring polynomials over
-    finite fields", 1967): on a factor field of degree d, Frobenius acts
-    as the regular representation of the cyclic group of order d, whose
-    trace is 0 for d > 1.  It is read as slot i of row i, and is None
-    when fewer than n rows were built.
-
-    The walk of the last (f, p) is kept, so asking for the order and then
-    for the degrees walks once; its lists are shared, and no caller may
-    change them."""
-    n = len(f) - 1
-    if n < 2:  # x mod f is a constant: nothing to walk
-        return [], 1, None, []
-    f = list(f)
-    walk, (order,), matrix = _walk(f, p, gf_pow_mod([0, 1], p, f, p), (p,))
-    trace = None
-    if len(matrix) == n:
-        trace = sum(r[i] for i, r in enumerate(matrix)) % p
-    return walk, order, trace, matrix
-
-
 def _frobenius_image(f: list[int], m: int, primes: Sequence[int]) -> list[int]:
     """The h with h = x^p mod (f, p) for each of the distinct primes p_1
     < ... < p_B, m their product and f monic mod m of degree n >= 2, by
@@ -528,7 +497,10 @@ def _frobenius_image(f: list[int], m: int, primes: Sequence[int]) -> list[int]:
     primes after it only, so each shift reduces the slot it carries
     modulo their product, which shrinks from one prime to the next.  No
     other slot is reduced before the end: a shift adds less than m^2 to
-    a slot, and the slots are wide enough for B (p_B - p_1 + 1) m^3."""
+    a slot, and the slots are wide enough for B (p_B - p_1 + 1) m^3.  For
+    one prime, h is the modular power alone."""
+    if len(primes) == 1:
+        return gf_pow_mod([0, 1], m, f, m)
     n = len(f) - 1
     span = len(primes) * (primes[-1] - primes[0] + 1)
     k = ((span * m**3).bit_length() + 63) // 64
@@ -548,35 +520,64 @@ def _frobenius_image(f: list[int], m: int, primes: Sequence[int]) -> list[int]:
     return gf_trim([c % m for c in _unpack(total, n, k)])
 
 
+def _block_walk(
+    f: Sequence[int], primes: Sequence[int]
+) -> tuple[list[int], list[list[int]], list[int | None], list[list[int]]]:
+    """f made monic mod m, the product of the distinct ``primes``, and the
+    ``_walk`` of it from h = x^p mod (f, p) at each p
+    (``_frobenius_image``): the steps, the order at each prime and the
+    rows of the Frobenius matrix built.  f has integer coefficients and a
+    leading coefficient prime to m.  For degree n < 2, x mod f is a
+    constant, and the order is 1 at every prime with nothing walked."""
+    m = math.prod(primes)
+    inv = pow(f[-1], -1, m)
+    f = [c % m * inv % m for c in f]
+    if len(f) < 3:
+        return f, [], [1] * len(primes), []
+    return (f, *_walk(f, m, _frobenius_image(f, m, primes), primes))
+
+
 def gf_block_degrees(
     f: Sequence[int], primes: Sequence[int]
-) -> dict[int, tuple[int, ...]]:
-    """The sorted factor degrees of f mod p, for the primes of a block
-    that one walk decides: f has integer coefficients, degree n >= 2 and
-    a leading coefficient prime to each of the distinct ``primes``.
+) -> dict[int, tuple[int, ...] | None]:
+    """The sorted factor degrees of f mod p, or None where f is not
+    squarefree mod p, for every prime of a block: f has integer
+    coefficients and a leading coefficient prime to each of the distinct
+    ``primes``.  One walk serves them all.
 
     By the Chinese remainder theorem, (Z/m)[x]/(f), m the product of the
     primes, is the product of the rings F_p[x]/(f), and composing with h
-    = x^p mod (f, p), for every p at once (``_frobenius_image``), is the
-    p-Frobenius in each factor.  So one ``_walk`` over Z/m, of f made
-    monic mod m, gives each prime its closing step, and its rows give
-    tr(Q) and, when asked, tr(Q^2) mod every p.  Each prime that closes
-    is read as ``gf_ddf_degree_multiset`` reads it (``_closed_fit``).
-    A prime left open (the walk did not close by step n, p <= n, or the
-    fit is open after tr(Q^2)) is missing from the answer, for the
-    one-prime path to decide."""
+    = x^p mod (f, p), for every p at once, is the p-Frobenius in each
+    factor.  So one walk over Z/m (``_block_walk``) gives each prime its
+    closing step, and its rows give tr(Q) and, when asked, tr(Q^2) mod
+    every p; for squarefree f, tr(Q) mod p is the number of linear
+    factors (Berlekamp, "Factoring polynomials over finite fields",
+    1967): on a factor field of degree d, Frobenius acts as the regular
+    representation of the cyclic group of order d, whose trace is 0 for
+    d > 1.  Each prime that closes is read by arithmetic
+    (``_closed_fit``).  A prime that arithmetic leaves open (the walk did
+    not close by step n, p <= n, or the fit is open after tr(Q^2)) takes
+    its stages off the walk reduced mod p (``_stages``), after the
+    squarefree test gcd(f, f') if its walk did not close.  For one prime
+    the walk is already reduced."""
     n = len(f) - 1
-    m = math.prod(primes)
-    inv = pow(f[-1], -1, m)
-    f = [c * inv % m for c in f]
-    _, orders, matrix = _walk(f, m, _frobenius_image(f, m, primes), primes)
+    f, walk, orders, matrix = _block_walk(f, primes)
     trace = sum(r[i] for i, r in enumerate(matrix)) if len(matrix) == n else None
     out = {}
     for p, order in zip(primes, orders):
-        if order is not None:
-            fit = _closed_fit(n, p, order, trace, matrix)
-            if fit is not None:
-                out[p] = fit
+        fit = None if order is None else _closed_fit(n, p, order, trace, matrix)
+        if fit is None:
+            f_p, walk_p = f, walk
+            if len(primes) > 1:
+                f_p = [c % p for c in f]
+                walk_p = [gf_trim([c % p for c in h]) for h in walk[:order]]
+            # a walk that closed proves f squarefree mod p
+            if order is not None or len(gf_gcd(f_p, gf_deriv(f_p, p), p)) == 1:
+                parts: list[int] = []
+                for g, d in _stages(f_p, p, walk_p, order):
+                    parts += [d] * ((len(g) - 1) // d)
+                fit = tuple(sorted(parts))
+        out[p] = fit
     return out
 
 
@@ -586,28 +587,38 @@ def gf_frobenius_order(f: list[int], p: int) -> int | None:
     degrees of its irreducible factors, and None means that lcm exceeds
     n.  An L proves f squarefree: f then divides x^(p^L) - x, which is
     squarefree (its derivative is -1)."""
-    return _frobenius_walk(tuple(f), p)[1]
+    _, _, (order,), _ = _block_walk(f, [p])
+    return order
 
 
 def gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Distinct-degree stages of squarefree monic f: list of (product, d)
-    where product collects all irreducible factors of degree exactly d.
+    where product collects all irreducible factors of degree exactly d,
+    from a walk of f at p alone (see ``_stages``)."""
+    f, walk, (order,), _ = _block_walk(f, [p])
+    return _stages(f, p, walk, order)
 
-    Stage d is gcd(h_d - x, work), with h_d = x^(p^d) mod f and work
-    being f with the stages below d divided out.  The order comes first:
-    the walk of ``_frobenius_walk`` finds the least L with h_L = x, and
-    takes no gcd.  When there is such an L, a factor degree e < L divides
-    L/q for a prime q, so g = gcd(f, prod_q (h_(L/q) - x)) collects the
-    factors of degree below L (Rabin); L = 1 or L = n a prime power
-    means g = 1 with no gcd.  g = 1 makes f one stage of degree L, and
-    otherwise the stages at the proper divisors of L are taken on g, in
-    ascending order, and f/g is the stage of degree L.  A walk that ends
-    at d = n without reaching x takes every stage in turn on f.  The
-    stages stop once work has degree below 2d: at most one factor is
-    left, and its degree is that of work.  h_d stays reduced modulo f:
-    work divides f, so gcd(h_d - x, work) is the same either way.
-    """
-    walk, order = _frobenius_walk(tuple(f), p)[:2]
+
+def _stages(
+    f: list[int], p: int, walk: list[list[int]], order: int | None
+) -> list[tuple[list[int], int]]:
+    """The distinct-degree stages of squarefree monic f mod p, as in
+    ``gf_distinct_degree``, from its walk (h_1, ..., h_d), h_d = x^(p^d)
+    mod f, reduced mod p, and its order: the least L with h_L = x, or
+    None for a walk that ran to d = n.
+
+    Stage d is gcd(h_d - x, work), with work being f with the stages
+    below d divided out.  When there is an L, a factor degree e < L
+    divides L/q for a prime q, so g = gcd(f, prod_q (h_(L/q) - x))
+    collects the factors of degree below L (Rabin); L = 1 or L = n a
+    prime power means g = 1 with no gcd.  g = 1 makes f one stage of
+    degree L, and otherwise the stages at the proper divisors of L are
+    taken on g, in ascending order, and f/g is the stage of degree L.  A
+    walk that ends at d = n without reaching x takes every stage in turn
+    on f.  The stages stop once work has degree below 2d: at most one
+    factor is left, and its degree is that of work.  h_d stays reduced
+    modulo f: work divides f, so gcd(h_d - x, work) is the same either
+    way."""
     work, top = f[:], []  # top: the stage of degree L, when taken apart
     if order is None:
         degrees = range(1, len(walk) + 1)
@@ -729,36 +740,12 @@ def _closed_fit(
 
 def gf_ddf_degree_multiset(f: list[int], p: int) -> list[int] | None:
     """Sorted degrees of the irreducible factors of monic f, or None when
-    f is not squarefree.
-
-    Arithmetic first, from the walk of ``_frobenius_walk``, looked up
-    once.  A walk that closes proves f squarefree; only one that does not
-    pays for the test gcd(f, f') = 1.  A walk that closes at L = 1 means
-    f splits.  One that closes at L > 1, with p above the degree n, holds
-    the whole Frobenius matrix Q, whose trace t counts the linear
-    factors: the degrees divide L, have lcm L, sum to n and hold exactly
-    t ones.  When one multiset alone does that (always for L prime, and
-    for L = n = q1 q2 with t = 0), it is the answer, with no gcd.  When
-    more than one does, tr(Q^2) counts the quadratic factors too (see
-    ``_quadratic_count``), which settles most of the rest, as {4, 4}
-    against {4, 2, 2}; ``_closed_fit`` reads both, for this walk and for
-    each prime of a block walk.  Otherwise ``gf_distinct_degree`` takes the
-    stages: each stage of degree d and total degree k contributes k/d
-    copies of d, so this never needs random splitting and is fully
-    deterministic — the workhorse of the cycle-type sampler.
-    """
-    _, order, trace, matrix = _frobenius_walk(tuple(f), p)
-    if order is None:
-        if len(gf_gcd(f, gf_deriv(f, p), p)) != 1:
-            return None
-    else:
-        fit = _closed_fit(len(f) - 1, p, order, trace, matrix)
-        if fit is not None:
-            return list(fit)
-    out: list[int] = []
-    for g, d in gf_distinct_degree(f, p):
-        out.extend([d] * ((len(g) - 1) // d))
-    return sorted(out)
+    f is not squarefree: ``gf_block_degrees`` over the block of p alone.
+    The degrees come by arithmetic off the walk's order and traces, or
+    else from distinct-degree stages off the same walk, so this never
+    needs random splitting and is fully deterministic."""
+    degrees = gf_block_degrees(f, [p])[p]
+    return None if degrees is None else list(degrees)
 
 
 def _edf_split(f: list[int], d: int, p: int, rng: Random) -> list[list[int]]:

@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from padegalois import factor, galois, modp, polynomials
+from padegalois import factor, galois, polynomials
 
 hypothesis.settings.register_profile(
     "default",
@@ -29,5 +29,4 @@ def _cold_memos():
     factor._nonzero_roots_memo.cache_clear()
     polynomials._discriminant_memo.cache_clear()
     galois._squarefree_resolvent_memo.cache_clear()
-    modp._frobenius_walk.cache_clear()
     factor._degree_blocks.cache_clear()

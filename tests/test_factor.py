@@ -290,6 +290,29 @@ class TestFactorOverIntegers:
         fac = factor_over_integers(IntPoly((1, 0, 0, 0, 1)))
         assert fac.is_single_irreducible()
 
+    def test_one_degree_mod_p_takes_no_stages(self, monkeypatch):
+        # mod 13 both quadratics stay irreducible (discriminants -7 and
+        # -11 are non-residues): f is one stage of degree 2, split with no
+        # distinct-degree walk; degrees 1 and 2 mod 13 take the stages
+        calls = []
+        original = factor_mod.gf_distinct_degree
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(factor_mod, "gf_distinct_degree", counting)
+        quadratics = [IntPoly((2, 1, 1)), IntPoly((3, 1, 1))]
+        f = quadratics[0] * quadratics[1]
+        assert _modular_degrees(f, 13) == [2, 2]
+        assert factor_over_integers(f).factors == tuple((q, 1) for q in quadratics)
+        assert calls == []
+        g = IntPoly((1, 1)) * quadratics[0] * IntPoly((-2, 0, 0, 1))
+        assert _modular_degrees(g, 13)[0] == 1
+        degrees = [q.degree() for q, _ in factor_over_integers(g).factors]
+        assert sorted(degrees) == [1, 2, 3]
+        assert calls
+
     def test_cutoff_error(self, monkeypatch):
         monkeypatch.setattr(factor_mod, "RECOMBINATION_CUTOFF", 1)
         with pytest.raises(FactorCutoffError):

@@ -1175,20 +1175,23 @@ class TestFrobeniusStream:
 
 
 def _one_prime_walks(monkeypatch) -> None:
-    """From now on every degree list comes from its own walk: none is
-    read from a block or from what the memo holds."""
+    """From now on every degree list comes from a walk of its prime
+    alone: none is read from a longer block or from what the memo
+    holds."""
     monkeypatch.setattr(factor, "_BLOCK_RUN", inf)
     factor._modular_degrees_memo.cache_clear()
     factor._degree_blocks.cache_clear()
 
 
 def _counting_blocks(monkeypatch) -> list:
-    """The prime blocks that the degree cache walks from now on."""
+    """The blocks of more than one prime that the degree cache walks
+    from now on; a block of one is a one-prime sample."""
     blocks = []
     original = factor.gf_block_degrees
 
     def counting(coeffs, primes):
-        blocks.append(primes)
+        if len(primes) > 1:
+            blocks.append(primes)
         return original(coeffs, primes)
 
     monkeypatch.setattr(factor, "gf_block_degrees", counting)

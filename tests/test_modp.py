@@ -628,6 +628,35 @@ def partitions(n, largest=None):
             yield (d,) + rest
 
 
+def frobenius_walk(f, p):
+    """(walk, order, trace, matrix) of monic f mod p: the steps
+    x^(p^d) mod f of ``modp._walk`` from x^p mod f, the first d with
+    x^(p^d) = x (None if none), the trace of the Frobenius matrix mod p
+    (None when fewer than n rows were built) and its rows built."""
+    n = len(f) - 1
+    if n < 2:  # x mod f is a constant: nothing to walk
+        return [], 1, None, []
+    walk, (order,), matrix = modp._walk(f, p, gf_pow_mod([0, 1], p, f, p), (p,))
+    trace = None
+    if len(matrix) == n:
+        trace = sum(r[i] for i, r in enumerate(matrix)) % p
+    return walk, order, trace, matrix
+
+
+def counting_stages(monkeypatch):
+    """The calls of ``modp._stages`` from now on: each is one prime
+    whose degrees arithmetic left open."""
+    calls = []
+    original = modp._stages
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(modp, "_stages", counting)
+    return calls
+
+
 class TestDegreesByArithmetic:
     """Factor degrees read off the walk's order and the Frobenius trace,
     against distinct-degree stages and the plain gcd oracle."""
@@ -645,7 +674,7 @@ class TestDegreesByArithmetic:
                 stages = gf_distinct_degree(fm, p)
                 by_stages = [d for g, d in stages for _ in range(0, len(g) - 1, d)]
                 assert got == sorted(by_stages) == sorted(want), (f, p)
-                _, order, trace, matrix = modp._frobenius_walk(tuple(fm), p)
+                _, order, trace, matrix = frobenius_walk(fm, p)
                 if order is not None and order > 1:
                     by_fit = p > n and trace is not None
                     if by_fit and modp._degree_fit(n, order, trace) is None:
@@ -668,7 +697,7 @@ class TestDegreesByArithmetic:
                 fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
                 if len(fm) != n + 1 or len(gf_gcd(fm, modp.gf_deriv(fm, p), p)) != 1:
                     continue
-                trace = modp._frobenius_walk(tuple(fm), p)[2]
+                trace = frobenius_walk(fm, p)[2]
                 if trace is not None:
                     assert trace == len(gf_roots(fm, p)), (f, p)
                     seen += 1
@@ -696,13 +725,7 @@ class TestDegreesByArithmetic:
         # degrees follow by arithmetic
         f = _column_polys("InvSqrtPade", 31)[0]
         assert f.degree() == 15
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return gf_distinct_degree(*args)
-
-        monkeypatch.setattr(modp, "gf_distinct_degree", counting)
+        calls = counting_stages(monkeypatch)
         orders = set()
         samples = 0
         for p in primes_in_range(16, 10_000):
@@ -748,7 +771,7 @@ class TestSquareTrace:
     def test_square_trace_counts_the_quadratic_factors(self, p, degrees, seed):
         f, got = product_of_irreducibles(Random(seed), degrees, p)
         n = len(f) - 1
-        _, order, trace, matrix = modp._frobenius_walk(tuple(f), p)
+        _, order, trace, matrix = frobenius_walk(f, p)
         if n < 2 or order is None or order == 1:
             return
         stages = dict((d, (len(g) - 1) // d) for g, d in gf_distinct_degree(f, p))
@@ -762,18 +785,12 @@ class TestSquareTrace:
         # both close at L = 4 with no linear factor, where {4, 4} and
         # {4, 2, 2} both fit; tr(Q^2) tells them apart with no gcd
         rng = Random(p)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return gf_distinct_degree(*args)
-
-        monkeypatch.setattr(modp, "gf_distinct_degree", counting)
+        calls = counting_stages(monkeypatch)
         for degrees in ([4, 4], [4, 2, 2]):
             for _ in range(5):
                 f, got = product_of_irreducibles(rng, degrees, p)
                 assert got == degrees
-                walk, order, trace, _ = modp._frobenius_walk(tuple(f), p)
+                walk, order, trace, _ = frobenius_walk(f, p)
                 assert (order, trace) == (4, 0)
                 assert modp._degree_fit(8, 4, 0) is None
                 assert gf_ddf_degree_multiset(f, p) == sorted(degrees)
@@ -840,6 +857,13 @@ def one_prime_degrees(coeffs, p):
     return gf_ddf_degree_multiset(gf_monic(gf_from_int_coeffs(coeffs, p), p), p)
 
 
+def oracle_degrees(coeffs, p):
+    """The factor degrees of f mod p, ascending, by the gcd oracle, or
+    None when p divides lc(f) or f is not squarefree mod p."""
+    parts = cycle_type_by_gcd(IntPoly(coeffs), p)
+    return None if parts is None else parts[::-1]
+
+
 def with_square_mod(q, coeffs, rng):
     """Integer coefficients with the leading coefficient of coeffs that
     are lc * r^2 * s mod q, r and s monic: a repeated factor mod q."""
@@ -859,7 +883,8 @@ BLOCK_STARTS = [2, 3, 13] + sorted({p for _, p in SLOT_BOUNDARY})
 
 class TestBlockWalk:
     """``modp.gf_block_degrees``: one walk over Z/m, m the product of a
-    block of primes, against ``gf_ddf_degree_multiset`` at each prime."""
+    block of primes, answers every prime of the block, against the gcd
+    oracle ``cycle_type_by_gcd`` at each prime."""
 
     @pytest.mark.parametrize("start", BLOCK_STARTS)
     @settings(max_examples=8)
@@ -874,20 +899,21 @@ class TestBlockWalk:
         if data.draw(st.booleans()):
             q = data.draw(st.sampled_from(primes))
             coeffs = with_square_mod(q, coeffs, Random(data.draw(SEEDS)))
-            assert one_prime_degrees(coeffs, q) is None
+            assert oracle_degrees(coeffs, q) is None
         got = modp.gf_block_degrees(coeffs, primes)
-        assert set(got) <= set(primes)
+        assert sorted(got) == primes
         for p in primes:
-            if p in got:
-                assert list(got[p]) == one_prime_degrees(coeffs, p), (coeffs, p)
+            # None exactly where f is not squarefree mod p
+            assert got[p] == oracle_degrees(coeffs, p), (coeffs, p)
 
-    def test_seeded_blocks_decide_most_primes(self):
+    def test_seeded_blocks_decide_most_primes(self, monkeypatch):
         # random dense polynomials and products, some with a square
-        # factor mod a prime of the block; each block decided prime
-        # agrees with the one-prime walk, and the primes the block
-        # leaves open include repeated factors, p <= n and open walks
+        # factor mod a prime of the block; every prime agrees with the
+        # oracle, most are decided by arithmetic, and some usable ones
+        # (p <= n, open walks, open fits) take the stages
         rng = Random(28)
-        pairs = nones = decided = small = 0
+        staged = counting_stages(monkeypatch)
+        pairs = nones = small = 0
         for trial in range(150):
             n = rng.randint(2, 16)
             lead = rng.choice([1, 2, -3, 10, 97, 3**5])
@@ -902,25 +928,26 @@ class TestBlockWalk:
             if trial % 5 == 0:
                 coeffs = with_square_mod(rng.choice(primes), coeffs, rng)
             got = modp.gf_block_degrees(coeffs, primes)
+            assert sorted(got) == primes
             for p in primes:
-                want = one_prime_degrees(coeffs, p)
+                want = oracle_degrees(coeffs, p)
                 pairs += 1
                 nones += want is None
                 small += p <= n
-                if p in got:
-                    decided += 1
-                    assert list(got[p]) == want, (coeffs, p)
+                assert got[p] == want, (coeffs, p)
         assert pairs == 2400
         assert nones > 100 and small > 100
+        decided = pairs - nones - len(staged)
         assert pairs - nones > decided > pairs // 2
 
     def test_one_prime_block_is_the_walk(self):
-        # a block of one prime reads the walk that _frobenius_walk keeps
+        # a block of one prime is the one-prime sample
         f = _column_polys("InvSqrtPade", 31)[0]
         for p in (37, 101, 9973):
             fm = gf_monic(gf_from_int_coeffs(f.coeffs, p), p)
-            want = gf_ddf_degree_multiset(fm, p)
-            assert list(modp.gf_block_degrees(f.coeffs, [p])[p]) == want
+            got = modp.gf_block_degrees(f.coeffs, [p])
+            assert got == {p: oracle_degrees(f.coeffs, p)}
+            assert gf_ddf_degree_multiset(fm, p) == list(got[p])
 
     def test_run_counts_usable_primes_with_closed_walks(self, monkeypatch):
         # made-up answers for a degree-7 f: an unusable prime neither
@@ -932,13 +959,11 @@ class TestBlockWalk:
         blocks = []
 
         def block(coeffs, block_primes):
-            blocks.append(block_primes)
-            return {}
+            if len(block_primes) > 1:
+                blocks.append(block_primes)
+            return {q: answers.get(q, (7,)) for q in block_primes}
 
         monkeypatch.setattr(factor, "gf_block_degrees", block)
-        monkeypatch.setattr(
-            factor, "_one_prime_degrees", lambda coeffs, p: answers.get(p, (7,))
-        )
         coeffs = (1,) * 8
         for p in primes[:60]:
             assert factor._degree_blocks.degrees(coeffs, p) == answers.get(p, (7,))
@@ -946,8 +971,8 @@ class TestBlockWalk:
 
     def test_cache_reads_every_prime_as_one_walk_would(self, monkeypatch):
         # blocks from the first prime on: every prime of a run, decided by
-        # its block or left to its own walk, and the primes dividing
-        # lc(f), get the one-prime answer
+        # arithmetic or by stages off its block's walk, and the primes
+        # dividing lc(f), get the one-prime answer
         monkeypatch.setattr(factor, "_BLOCK_RUN", 0)
         blocks = []
 

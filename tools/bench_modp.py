@@ -12,10 +12,12 @@ layer seen from above.  ``stream_per_sample_s`` is the median, over
 stream of f drawn to ``USABLE_PRIMES`` usable samples, divided by that
 count: the walks and all the work around them (the unusable primes, the
 reduction of f mod p, the memo, the cycle type), which a bare walk
-timing does not see.  Past its first ``factor._BLOCK_RUN`` primes such a
-stream takes its degrees from block walks (``modp.gf_block_degrees``);
+timing does not see.  Every sample comes out of a block walk
+(``modp.gf_block_degrees``): a block of one prime for the first
+``factor._BLOCK_RUN`` usable primes with closed walks, blocks of
+``factor.FROBENIUS_BLOCK_PRIMES`` past them.
 ``stream_one_prime_per_sample_s`` times the same streams with every
-sample from its own walk, as before blocks.
+sample from a block of one prime.
 
 ``kernels``: for the same polynomial of each degree and the same usable
 primes, the median time of one ``gf_pow_mod([0, 1], p, f, p)`` (x^p mod
@@ -99,8 +101,8 @@ polynomial of each degree in ``DEGREES`` and the ``cyclic`` one of each
 modulus in ``CYCLIC_MODULI``.  For each target, the median time of one
 ``gf_ddf_degree_multiset(f, p)`` over ``KERNEL_ROUNDS`` passes over its
 samples, and ``decided_share``, the share of its samples whose degrees
-that call reads off the walk's order and the Frobenius trace without
-calling ``gf_distinct_degree``.
+that call reads off the walk's order and the Frobenius traces without
+taking distinct-degree stages (``modp._stages``).
 
 ``--against PATH`` loads a second ``modp.py`` (PATH is the file, or the
 root of a checkout) and runs the ``kernel`` section alone, timing its
@@ -421,11 +423,11 @@ def time_kernels(speed: MachineSpeed, f: IntPoly) -> dict:
 
 
 def time_wreath(speed: MachineSpeed, f: IntPoly) -> dict:
-    """Median seconds of one cycle type over the first usable primes.
-    Each call walks a new (f, p), so the walk kept for the last (f, p)
-    serves none of them.  Then the median seconds of one whole order
-    bound, ``wreath_structure(f)`` on a fresh stream, over
-    ``KERNEL_ROUNDS`` calls, and the samples of f one such call draws."""
+    """Median seconds of one cycle type over the first usable primes,
+    each on emptied memos, so each walks its (f, p) at p alone.  Then
+    the median seconds of one whole order bound, ``wreath_structure(f)``
+    on a fresh stream, over ``KERNEL_ROUNDS`` calls, and the samples of f
+    one such call draws."""
     primes = [p for _, p in recorded_samples(f)]
     samples = []
     original = galois.dedekind_cycle_type
@@ -465,21 +467,21 @@ def recorded_samples(f: IntPoly) -> list[tuple[list[int], int]]:
 
 def decided_share(samples) -> float:
     """The share of the samples whose degrees ``gf_ddf_degree_multiset``
-    gives without calling ``gf_distinct_degree``."""
+    gives without taking distinct-degree stages (``modp._stages``)."""
     staged = 0
-    original = modp.gf_distinct_degree
+    original = modp._stages
 
     def counting(*args):
         nonlocal staged
         staged += 1
         return original(*args)
 
-    modp.gf_distinct_degree = counting
+    modp._stages = counting
     try:
         for fm, p in samples:
             modp.gf_ddf_degree_multiset(fm, p)
     finally:
-        modp.gf_distinct_degree = original
+        modp._stages = original
     return 1 - staged / len(samples)
 
 
@@ -488,7 +490,8 @@ def time_kernel(speed: MachineSpeed, samples, against=None) -> tuple[dict, list]
     and the decided share; with a second modp module, its median too,
     each sample timed with both in turn.  Also the spans of each round,
     per side, for the ratio of the rounds.  Consecutive calls of a side
-    are on different samples, so the walk it keeps serves none of them."""
+    are on different samples, so a side that keeps the walk of the last
+    (f, p), as some earlier checkouts do, gets no read of it."""
     sides = [modp] + ([against] if against else [])
     rounds = []  # per round, per side, the spans of its calls
     for r in range(KERNEL_ROUNDS):
