@@ -93,21 +93,21 @@ _DEGREE_SET_PRIMES = 20
 # degree lists kept by ``_modular_degrees``: a census replay reads back a
 # stream of over 200 samples
 MODULAR_DEGREES_MEMO_SIZE = 256
-# primes one block walk reads (``modp.gf_block_degrees``): a verified
-# InvSqrtPade table op took 0.67 of its one-prime time at 16 and at 8,
-# and 0.81 at 32, whose walks multiply numbers twice as wide and draw
-# more primes past the end of a read; classify-mix seed 7, blocks 0-5,
-# took 0.92 at 16, 0.93 at 8 and 0.95 at 32 (one process, best of 5)
+# primes one block walk reads (``modp.gf_block_degrees``): a sample of
+# the cyclic InvSqrtPade cells of degree 6, 9 and 15 took 18, 30 and 77
+# us in blocks of 16, against 51, 74 and 195 us alone, 18, 30 and 123 us
+# in blocks of 12 and 21, 35 and 89 us in blocks of 24 (one process,
+# best of 5)
 FROBENIUS_BLOCK_PRIMES = 16
 # usable primes with closed walks, in a run of consecutive primes, at
 # which the same polynomial is asked before its degrees come in blocks:
-# the degree-set test reads at most ``_DEGREE_SET_PRIMES`` usable primes
-# and ``_select_prime`` 12, so a block only serves a stream that reads
-# on.  Counting every prime asked instead, the degree-set test on
-# reducible inputs, whose runs hold unusable primes, paid for blocks it
-# never read; and a stream of dense degree-15 or -20 samples, whose walks
-# close at about half the primes, took 15 % and 33 % longer in blocks
-_BLOCK_RUN = _DEGREE_SET_PRIMES
+# a verified InvSqrtPade table op, whose 12 cyclic cells read 200 samples
+# each, took 164, 163, 164 and 175 ms at runs of 4, 8, 12 and 20, and
+# classify-mix seed 7, blocks 0-5, 451 to 465 ms at all four (one
+# process, best of 5).  A block is cut at what its read may still ask
+# for (``_DegreeBlocks``), so the degree-set test, which reads at most
+# ``_DEGREE_SET_PRIMES`` usable primes, walks no prime past them
+_BLOCK_RUN = 8
 # answers kept by ``_lift_and_recombine`` and ``_nonzero_roots`` each: a
 # verdict and its replay, but not one table op's factorings into the next
 _ENGINE_MEMO_SIZE = 8
@@ -253,15 +253,24 @@ class _DegreeBlocks:
     consecutive primes at which f has been asked holds ``_BLOCK_RUN``
     usable primes (those with degrees) whose walks closed; from then on
     it is the prime and the primes after it that do not divide lc(f),
-    ``FROBENIUS_BLOCK_PRIMES`` in all.  A usable prime whose walk did not
-    close (the lcm of its degrees exceeds n) starts the count again: a
-    block decides such a prime no better than a walk of its own, and
-    pays for it.  A prime that divides lc(f) and starts no block is
-    unusable with no walk.  Another polynomial, or a prime that does not
-    follow the last one asked, drops the block and starts the run again,
-    so no block outlives the stream that asked for it."""
+    ``FROBENIUS_BLOCK_PRIMES`` in all, cut at the reach of the read under
+    way (``reach``): no prime above its prime bound, and no more primes
+    than the usable samples it may still ask for.  A usable prime whose
+    walk did not close (the lcm of its degrees exceeds n) starts the
+    count again: a block decides such a prime no better than a walk of
+    its own, and pays for it.  A prime that divides lc(f) is unusable with
+    no walk.  Another polynomial, or a prime that does not follow the last
+    one asked, drops the block and starts the run again, so no block
+    outlives the stream that asked for it."""
 
     def __init__(self) -> None:
+        # the reach of the read under way: its prime bound, and the usable
+        # samples it may still ask for, the one asked included.  A block
+        # that an ask starts holds no prime above the bound and no more
+        # primes than that count.  A reader sets it around its asks and
+        # puts it back after; it shapes blocks only, never an answer, so
+        # the memo is keyed without it
+        self.reach: tuple[float, float] = (math.inf, math.inf)
         self.cache_clear()
 
     def cache_clear(self) -> None:
@@ -278,13 +287,15 @@ class _DegreeBlocks:
         self.last = p
         if p > self.end:
             lead = coeffs[-1]
-            if self.run >= _BLOCK_RUN and len(coeffs) > 2:
-                primes = (q for q in primes_from(p) if lead % q)
-                block = list(itertools.islice(primes, FROBENIUS_BLOCK_PRIMES))
-            elif lead % p:
-                block = [p]
-            else:
+            if lead % p == 0:
                 return None
+            block = [p]
+            if self.run >= _BLOCK_RUN and len(coeffs) > 2:
+                bound, wanted = self.reach
+                primes = (q for q in primes_from(p) if lead % q)
+                primes = itertools.takewhile(lambda q: q <= bound, primes)
+                size = min(wanted, FROBENIUS_BLOCK_PRIMES)
+                block = list(itertools.islice(primes, size))
             self.decided = gf_block_degrees(coeffs, block)
             self.end = block[-1]
         degrees = self.decided.get(p)
@@ -297,11 +308,19 @@ class _DegreeBlocks:
 _degree_blocks = _DegreeBlocks()
 
 
-def _usable_degrees(f: IntPoly):
-    """(p, _modular_degrees(f, p)) over the primes good_primes(f) yields."""
+def _usable_degrees(f: IntPoly, count: float = math.inf):
+    """(p, _modular_degrees(f, p)) over the primes good_primes(f) yields,
+    the first count of them; a block walked for them reaches no further."""
     for p in primes_from(13):
-        degrees = _modular_degrees(f, p)
+        if count == 0:
+            return
+        before, _degree_blocks.reach = _degree_blocks.reach, (math.inf, count)
+        try:
+            degrees = _modular_degrees(f, p)
+        finally:
+            _degree_blocks.reach = before
         if degrees is not None:
+            count -= 1
             yield p, degrees
 
 
@@ -572,7 +591,7 @@ def _select_prime(f: IntPoly, cutoff: int) -> tuple[int, list[int]]:
     """Smallest good prime >= 13 and the factor-degree multiset; probes
     further primes only when the count busts the recombination cutoff."""
     best: tuple[int, list[int]] | None = None
-    for p, multiset in itertools.islice(_usable_degrees(f), 12):
+    for p, multiset in _usable_degrees(f, 12):
         if len(multiset) <= cutoff:
             return p, multiset
         if best is None or len(multiset) < len(best[1]):
@@ -822,6 +841,8 @@ def is_irreducible(f: IntPoly) -> bool:
         return False
     if _eisenstein_irreducible(prim):
         return True
-    if _degree_set_irreducible(n, (d for _, d in _usable_degrees(prim))):
+    if _degree_set_irreducible(
+        n, (d for _, d in _usable_degrees(prim, _DEGREE_SET_PRIMES))
+    ):
         return True
     return factor_over_integers(prim).is_single_irreducible()

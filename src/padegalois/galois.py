@@ -63,10 +63,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, takewhile
-from math import comb, lcm
+from itertools import takewhile
+from math import comb, inf, lcm
 
 from .factor import (
+    _DEGREE_SET_PRIMES,
+    _degree_blocks,
     _degree_set_irreducible,
     _is_square,
     _modular_degrees,
@@ -270,22 +272,31 @@ class FrobeniusSamples:
     iteration starts again from the smallest prime, so tiers that share
     one stream never sample a prime twice.  Every tier reads the same
     pairs, the wreath order bound included: its element orders are the
-    orders of these cycle types.  A stream serves a single polynomial for
-    the length of one classification, or for one replay of the census
-    elimination in ``verify_identification``.  A bound below 2 leaves no
-    prime to sample and raises ValueError.
+    orders of these cycle types.  A tier that reads at most a fixed
+    number of pairs reads them with ``first``, so that no block of primes
+    walked for it reaches past them (``factor._DegreeBlocks``).  A stream
+    serves a single polynomial for the length of one classification, or
+    for one replay of the census elimination in ``verify_identification``.
+    A bound below 2 leaves no prime to sample and raises ValueError.
     """
 
     def __init__(self, f: IntPoly, prime_bound: int):
         if prime_bound < 2:
             raise ValueError(f"prime bound {prime_bound} leaves no prime to sample")
         self._f = f
+        self._bound = prime_bound
         self._primes = takewhile(lambda p: p <= prime_bound, primes_from(2))
         self._pairs: list[tuple[int, CycleType]] = []
 
     def __iter__(self):
+        return self.first(inf)
+
+    def first(self, count: float):
+        """The first count pairs, or every pair for count = inf."""
         index = 0
-        while index < len(self._pairs) or self._draw():
+        while index < count and (
+            index < len(self._pairs) or self._draw(count - index)
+        ):
             yield self._pairs[index]
             index += 1
 
@@ -293,13 +304,18 @@ class FrobeniusSamples:
         """How many cycle types the stream holds so far."""
         return len(self._pairs)
 
-    def _draw(self) -> bool:
-        """Append the next cycle type; False once past the bound."""
-        for p in self._primes:
-            t = dedekind_cycle_type(self._f, p)
-            if t is not None:
-                self._pairs.append((p, t))
-                return True
+    def _draw(self, wanted: float) -> bool:
+        """Append the next cycle type, for a reader that may ask for
+        wanted more; False once past the bound."""
+        before, _degree_blocks.reach = _degree_blocks.reach, (self._bound, wanted)
+        try:
+            for p in self._primes:
+                t = dedekind_cycle_type(self._f, p)
+                if t is not None:
+                    self._pairs.append((p, t))
+                    return True
+        finally:
+            _degree_blocks.reach = before
         return False
 
 
@@ -1099,7 +1115,7 @@ def sn_an_certificate(
     seen: set[tuple[int, ...]] = set()
     count, p = 0, prime_bound
     cap = max(stream.drawn(), SN_AN_CLASSIFY_SAMPLE_CAP)
-    for count, (p, t) in enumerate(islice(stream, cap), 1):
+    for count, (p, t) in enumerate(stream.first(cap), 1):
         jordan = _jordan_item(p, t, window)
         if jordan is not None:
             return _ident(n, [jordan, _disc_item(f), _samples_item(count, p)])
@@ -1205,7 +1221,7 @@ def wreath_structure(
         else lcm(*range(1, t + 1))
     )
     value = 1
-    for _, cycle in islice(stream, WREATH_ORDER_SAMPLES):
+    for _, cycle in stream.first(WREATH_ORDER_SAMPLES):
         value = lcm(value, cycle.order())
         if value == ceiling:
             break
@@ -1274,7 +1290,10 @@ def classify(
     prim = f.primitive_part()
     stream = FrobeniusSamples(prim, prime_bound)
     if prim.degree() >= 6 and prim.constant_coefficient() and _squarefree(prim):
-        if _degree_set_irreducible(prim.degree(), (t.parts for _, t in stream)):
+        if _degree_set_irreducible(
+            prim.degree(),
+            (t.parts for _, t in stream.first(_DEGREE_SET_PRIMES)),
+        ):
             return _classify_irreducible(prim, prime_bound, stream)
     fac = factor_over_integers(f)
     target = max(

@@ -52,9 +52,11 @@ Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", 2009).  A polynomial of degree < n is packed one
 coefficient per slot of k 64-bit words, so a product of two polynomials
 is one big-integer product and a combination sum_i c_i * row_i is a sum
-of big integers.  Packing and unpacking go through ``array`` and
-``int.to_bytes`` / ``int.from_bytes``, in C, with no per-coefficient
-shifts.  The shift tables x^j * row mod f, j < n, are built packed, one
+of big integers.  One-word slots are packed and unpacked through
+``array`` and ``int.to_bytes`` / ``int.from_bytes``, in C, with no
+per-coefficient shifts; slots of several words, which a block walk
+takes, are packed by a shift and a bitwise or a slot, and unpacked by a
+mask and a shift a slot.  The shift tables x^j * row mod f, j < n, are built packed, one
 slot shift and one multiple of x^n mod f a step, and never reduced: each
 slot stays below n p^2.  So a slot of n coefficients in [0, p) times a
 table, plus the low half of a product (below n p^2), stays below 2n^2
@@ -70,15 +72,20 @@ p_i) for every i, is the p_i-Frobenius in each of them (von zur Gathen
 and Shoup again: Frobenius as modular composition).  h comes from one
 modular power x^(p_1) mod (f, m) and shifts by x^(p_(i+1) - p_i); then
 ``_walk`` builds the rows h^j mod (f, m) and the steps h_(d+1) =
-h_d(h).  Each prime reads its closing step off gcd(m, coefficients of
-h_d - x), one C call a step, its linear count off tr(Q) mod p_i and,
-when the fit is open, its quadratic count off tr(Q^2) mod p_i
-(``_closed_fit``).  A prime still open after that (a walk not closed by
-step n, p <= n, or a fit open after tr(Q^2)) takes its stages off the
-block's walk reduced mod p_i, so no prime is walked twice.
-``factor._DegreeBlocks`` chooses the blocks: a block of one prime until
-a run of consecutive primes asked for a polynomial holds 20 usable ones
-whose walks closed, and blocks of 16 once the run reads on.
+h_d(h).  Each prime reads its closing step off gcd(m', coefficients of
+h_d - x), m' the product of the primes still open, one C call a step,
+its linear count off tr(Q) mod p_i and, when the fit is open, its
+quadratic count off tr(Q^2) mod p_i (``_closed_fit``).  A step after
+some primes closed is needed modulo m' only, so it is reduced mod m',
+and each next step multiplies by smaller coefficients; the rows stay
+modulo m, as the traces of the primes that closed read them.  A prime
+still open after that (a walk not closed by step n, p <= n, or a fit
+open after tr(Q^2)) takes its stages off the block's walk reduced mod
+p_i, so no prime is walked twice.  ``factor._DegreeBlocks`` chooses the
+blocks: a block of one prime until a run of consecutive primes asked for
+a polynomial holds 8 usable ones whose walks closed, and blocks of 16
+once the run reads on, each cut at the prime bound of the read and at
+the samples it may still ask for.
 
 ``gf_pow_mod`` works left to right: square, then multiply by the base on
 each set bit.  The high half of a product is reduced with a packed table
@@ -257,20 +264,30 @@ def _pack_words(a: list[int]) -> int:
 
 def _pack(a: list[int], k: int) -> int:
     """The integer holding the coefficients of a (each in [0, 2^(64k)))
-    in k-word slots, lowest first."""
+    in k-word slots, lowest first.  Slots of several words are shifted in
+    from the top, a shift and a bitwise or a slot."""
     if k == 1 and _LITTLE:
         return _pack_words(a)
-    w = 8 * k
-    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+    w = 64 * k
+    x = 0
+    for c in reversed(a):
+        x = x << w | c
+    return x
 
 
 def _unpack(x: int, m: int, k: int) -> Sequence[int]:
-    """The m lowest k-word slots of x (no slot above them), lowest first."""
+    """The m lowest k-word slots of x (no slot above them), lowest first.
+    Slots of several words are masked off the bottom, one mask and one
+    shift a slot, which beats slicing the bytes of x."""
     if k == 1 and _LITTLE:
         return array("Q", x.to_bytes(8 * m, "little"))
-    w = 8 * k
-    b = x.to_bytes(w * m, "little")
-    return [int.from_bytes(b[i : i + w], "little") for i in range(0, w * m, w)]
+    w = 64 * k
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(m):
+        out.append(x & mask)
+        x >>= w
+    return out
 
 
 def _codec(k: int, p: int):
@@ -434,9 +451,13 @@ def _walk(
     shifts.  The packing helpers are bound once, and every row is kept
     both packed, for the products, and as its n coefficients.  A prime
     closes at d when it divides every coefficient of h_d - x: one gcd with
-    the product of the primes still open, or, for one prime, h_d = x.  A
-    walk in which some prime p > n closes at an order above 1 builds
-    every row, since its degrees are then read off the traces."""
+    the product of the primes still open, or, for one prime, h_d = x.
+    Each step is reduced modulo that product, as the primes that closed
+    read no further step; the rows stay modulo m, whichever step builds
+    them.  So h_d is x^(p^d) mod (f, p) at every prime p that had not
+    closed before d, which is all that ``_stages`` reads of it.  A walk
+    in which some prime p > n closes at an order above 1 builds every
+    row, since its degrees are then read off the traces."""
     n = len(f) - 1
     k = _slot_words(n, m)
     pack, reduced = _codec(k, m)
@@ -480,7 +501,7 @@ def _walk(
             break
         if len(rows) < len(h):
             build(len(h))
-        h = gf_trim(reduced(sum(map(mul, h, rows)), n))
+        h = gf_trim([c % still for c in _unpack(sum(map(mul, h, rows)), n, k)])
         walk.append(h)
     if full and len(rows) < n:
         build(n)

@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padegalois import factor, galois
-from padegalois.factor import factor_mod_p, factor_over_integers, is_irreducible
+from padegalois.factor import (
+    FROBENIUS_BLOCK_PRIMES,
+    factor_mod_p,
+    factor_over_integers,
+    is_irreducible,
+)
 from padegalois.galois import (
     DEFAULT_PRIME_BOUND,
     Certainty,
@@ -1198,6 +1203,23 @@ def _counting_blocks(monkeypatch) -> list:
     return blocks
 
 
+def _handed_primes(monkeypatch, f) -> list:
+    """The primes of every block, of one prime or more, that the degree
+    cache walks for f from now on, on emptied memos."""
+    blocks = []
+    original = factor.gf_block_degrees
+
+    def counting(coeffs, primes):
+        if tuple(coeffs) == f.coeffs:
+            blocks.append(list(primes))
+        return original(coeffs, primes)
+
+    monkeypatch.setattr(factor, "gf_block_degrees", counting)
+    factor._modular_degrees_memo.cache_clear()
+    factor._degree_blocks.cache_clear()
+    return blocks
+
+
 class TestBlockSamples:
     """A stream that reads on takes its degrees from block walks
     (``factor._DegreeBlocks``); what it draws is what one-prime walks give."""
@@ -1231,6 +1253,38 @@ class TestBlockSamples:
         assert with_blocks[1] == SN_AN_CLASSIFY_SAMPLE_CAP
         _one_prime_walks(monkeypatch)
         assert hunt() == with_blocks
+
+    @pytest.mark.parametrize("read", ["classify", "is_irreducible"])
+    def test_degree_set_read_walks_no_prime_past_it(self, monkeypatch, read):
+        # a product of two cyclic cubics, whose walks all close, so blocks
+        # start within the degree-set read; that read asks for at most 20
+        # usable primes, from 2 in classify and from 13 in is_irreducible,
+        # and no block walks a prime past the last of them
+        f = IntPoly((1, -3, 0, 1)) * IntPoly((-1, -2, 1, 1))
+        handed = _handed_primes(monkeypatch, f)
+        if read == "classify":
+            assert classify(f).evidence[0]["kind"] == "reducible"
+        else:
+            assert not is_irreducible(f)
+        start = 2 if read == "classify" else 13
+        unusable = int(galois.discriminant(f))
+        usable = [p for p in primes_in_range(start, 1000) if unusable % p]
+        run = usable[factor._BLOCK_RUN - 1]
+        assert handed == [[p] for p in primes_in_range(start, run + 1)] + [
+            primes_in_range(run + 1, usable[19] + 1)
+        ]
+
+    def test_stream_walks_no_prime_past_its_bound(self, monkeypatch):
+        # the C15 denominator of the InvSqrtPade order-31 cell, read to a
+        # prime bound that falls inside its second block
+        f = _column_polys("InvSqrtPade", 31)[1]
+        handed = _handed_primes(monkeypatch, f)
+        asked = [p for p in primes_in_range(2, 150) if f.leading_coefficient() % p]
+        bound = asked[factor._BLOCK_RUN + FROBENIUS_BLOCK_PRIMES + 3]
+        pairs = list(FrobeniusSamples(f, bound))
+        assert pairs[-1][0] <= bound
+        assert [p for b in handed for p in b] == [p for p in asked if p <= bound]
+        assert len(handed[-2]) == FROBENIUS_BLOCK_PRIMES > len(handed[-1]) > 1
 
 
 def _changed_item(ident, kind, **changes):

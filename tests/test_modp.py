@@ -229,6 +229,27 @@ class TestSlotBoundary:
         assert modp._slot_words(n, below) == 1
         assert modp._slot_words(n, above) == 2
 
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_pack_unpack_round_trip(self, k):
+        # slots of k words: 0, 1 and 2^(64k) - 1 in every slot, values at
+        # the word edges inside a slot, and a set top slot over zeros;
+        # reduced is the unpack, reduced slot by slot modulo a prime or,
+        # as in a block walk, a product of primes
+        top = 2 ** (64 * k) - 1
+        edges = [2 ** (64 * j) for j in range(k)]
+        edges += [2 ** (64 * j) - 1 for j in range(1, k)]
+        rng = Random(k)
+        cases = [[0] * 7, [1] * 7, [top] * 7, [0] * 6 + [top], [0] * 6 + [1], edges]
+        cases += [[rng.choice([0, top, rng.getrandbits(64 * k)]) for _ in range(9)]]
+        block = math.prod(primes_in_range(2, 40 * k))
+        for p in (2, 9973, next_prime(2**40), block):
+            pack, reduced = modp._codec(k, p)
+            for slots in cases:
+                x = sum(c << (64 * k * i) for i, c in enumerate(slots))
+                assert modp._pack(slots, k) == pack(slots) == x
+                assert list(modp._unpack(x, len(slots), k)) == slots
+                assert reduced(x, len(slots)) == [c % p for c in slots]
+
     @pytest.mark.parametrize("n, p", SLOT_BOUNDARY)
     @settings(max_examples=25)
     @given(data=st.data())
@@ -952,22 +973,98 @@ class TestBlockWalk:
     def test_run_counts_usable_primes_with_closed_walks(self, monkeypatch):
         # made-up answers for a degree-7 f: an unusable prime neither
         # counts nor breaks the run, and degrees {3, 4}, whose walk does
-        # not close (lcm 12 > 7), start it again; a block starts once 20
-        # closed walks follow, and the next one past its last prime
+        # not close (lcm 12 > 7), start it again; a block starts once
+        # _BLOCK_RUN closed walks follow, and the next one past its last
+        # prime, each cut at the usable samples the reader may still ask
         primes = primes_in_range(2, 400)
-        answers = {primes[5]: None, primes[10]: (3, 4)}
+        answers = {primes[1]: None, primes[2]: (3, 4)}
         blocks = []
 
         def block(coeffs, block_primes):
-            if len(block_primes) > 1:
-                blocks.append(block_primes)
+            blocks.append(block_primes)
             return {q: answers.get(q, (7,)) for q in block_primes}
 
         monkeypatch.setattr(factor, "gf_block_degrees", block)
-        coeffs = (1,) * 8
-        for p in primes[:60]:
-            assert factor._degree_blocks.degrees(coeffs, p) == answers.get(p, (7,))
-        assert [b[0] for b in blocks] == [primes[31], primes[47]]
+        coeffs, wanted = (1,) * 8, 45
+        cache = factor._degree_blocks
+        asked = iter(primes)
+        while wanted:
+            p = next(asked)
+            monkeypatch.setattr(cache, "reach", (math.inf, wanted))
+            degrees = cache.degrees(coeffs, p)
+            assert degrees == answers.get(p, (7,))
+            wanted -= degrees is not None
+        # one-prime walks up to the end of the run, then blocks of
+        # FROBENIUS_BLOCK_PRIMES, the last cut at the samples still asked
+        start = 3 + factor._BLOCK_RUN
+        left = 45 - (start - 1)
+        assert 0 < left % FROBENIUS_BLOCK_PRIMES
+        sizes = [FROBENIUS_BLOCK_PRIMES] * (left // FROBENIUS_BLOCK_PRIMES)
+        sizes.append(left % FROBENIUS_BLOCK_PRIMES)
+        cuts = [start + sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        want = [[q] for q in primes[:start]]
+        want += [primes[a:b] for a, b in zip(cuts, cuts[1:])]
+        assert blocks == want
+
+    def test_blocks_end_at_the_reach_of_the_read(self, monkeypatch):
+        # a prime bound inside a block cuts it there, and a reader that may
+        # ask for fewer samples than a block holds cuts it at that many
+        # primes; primes dividing lc(f) are answered None with no walk
+        primes = primes_in_range(2, 400)
+        blocks = []
+
+        def block(coeffs, block_primes):
+            blocks.append(block_primes)
+            return {q: (7,) for q in block_primes}
+
+        monkeypatch.setattr(factor, "gf_block_degrees", block)
+        cache = factor._degree_blocks
+        lead = 5 * 7 * 41
+        run = [q for q in primes if lead % q][: factor._BLOCK_RUN]
+        after = [q for q in primes if q > run[-1]]
+        cut = FROBENIUS_BLOCK_PRIMES // 2
+        coeffs = (1,) * 7 + (lead,)
+        monkeypatch.setattr(cache, "reach", (after[cut - 1], math.inf))
+        for q in [q for q in primes if q < after[cut]]:
+            assert cache.degrees(coeffs, q) == (None if lead % q == 0 else (7,))
+        monkeypatch.setattr(cache, "reach", (math.inf, 3))
+        assert cache.degrees(coeffs, after[cut]) == (7,)
+        usable = [q for q in after if lead % q]
+        assert blocks == [[q] for q in run] + [
+            usable[: cut - 1],
+            usable[cut - 1 : cut + 2],
+        ]
+
+    @pytest.mark.parametrize(
+        "coeffs, primes",
+        [
+            # blocks from 11 and from 31 of the C6 and C15 cells of the
+            # InvSqrtPade table, where primes close at every divisor of n
+            (_column_polys("InvSqrtPade", 13)[0].coeffs, 11),
+            (_column_polys("InvSqrtPade", 31)[1].coeffs, 31),
+            # x^8 - 3 at primes 1 and 3 mod 8, where x^p mod f is a
+            # monomial of degree 1 or 3, so the walk builds rows 4..7 only
+            # at its end; 19 and 43 close at 4 as {4, 4}, which L and the
+            # linear count leave open against {4, 2, 2}, while 17 and 41
+            # close only at 8
+            ((-3, 0, 0, 0, 0, 0, 0, 0, 1), [17, 19, 41, 43]),
+        ],
+        ids=["C6", "C15", "x^8-3"],
+    )
+    def test_primes_closing_at_different_steps(self, monkeypatch, coeffs, primes):
+        if isinstance(primes, int):
+            primes = block_of(primes, coeffs[-1])
+        # every step after a prime closes is taken modulo the primes still
+        # open, but the rows stay whole: a prime that closed reads its
+        # traces off them, and every prime p > n here is decided by them
+        staged = counting_stages(monkeypatch)
+        assert min(primes) > len(coeffs) - 1
+        _, _, orders, _ = modp._block_walk(coeffs, primes)
+        assert len(set(orders) - {1}) > 1
+        got = modp.gf_block_degrees(coeffs, primes)
+        for p in primes:
+            assert got[p] == oracle_degrees(coeffs, p), p
+        assert not staged
 
     def test_cache_reads_every_prime_as_one_walk_would(self, monkeypatch):
         # blocks from the first prime on: every prime of a run, decided by

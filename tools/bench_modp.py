@@ -29,7 +29,14 @@ builds) and one whole ``gf_distinct_degree(f, p)``.
 ``cyclic``: the same medians for the minimal polynomial of 2cos(2 pi/m),
 m in ``CYCLIC_MODULI``, of degree (m - 1)/2 and Galois group C_(m-1)/2:
 every usable prime gives a uniform cycle type, the kind of sample the
-cyclic cells of the InvSqrtPade table draw by the hundred.
+cyclic cells of the InvSqrtPade table draw by the hundred.  Each also
+gives the two halves of one block walk, over the consecutive blocks of
+``factor.FROBENIUS_BLOCK_PRIMES`` primes up to the largest prime of its
+samples: ``block_image_s``, the median time of one
+``modp._frobenius_image`` (x^p mod (f, p) at every prime of the block,
+by one modular power, shifts and Chinese remainders), and
+``block_walk_s``, that of one ``modp._walk`` from that image (the rows
+and the steps, each step modulo the primes still open).
 
 ``resolvents``: for ``RESOLVENT_POLYS`` seeded squarefree monic quartics
 and as many quintics, the median time of one ``_difference_resolvent(f)``
@@ -150,7 +157,7 @@ import random
 import statistics
 import subprocess
 import sys
-from itertools import islice, zip_longest
+from itertools import islice, takewhile, zip_longest
 from operator import mul
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -376,6 +383,35 @@ def time_samples(speed: MachineSpeed, f: IntPoly) -> dict:
         "samples": len(spans),
         "largest_prime": last,
     }
+
+
+def time_block(speed: MachineSpeed, f: IntPoly, largest: int) -> dict:
+    """Median seconds of the image and of the walk of one block of
+    ``factor.FROBENIUS_BLOCK_PRIMES`` primes, over the consecutive blocks
+    of primes up to largest that do not divide lc(f)."""
+    lead = f.coeffs[-1]
+    primes = takewhile(lambda p: p <= largest, primes_from(2))
+    primes = [p for p in primes if lead % p]
+    size = factor.FROBENIUS_BLOCK_PRIMES
+    images, walks = [], []
+    for i in range(0, len(primes) - size + 1, size):
+        block = primes[i : i + size]
+        m = math.prod(block)
+        g = [c % m * pow(lead, -1, m) % m for c in f.coeffs]
+        h, *span = speed.timed(modp._frobenius_image, g, m, block)
+        images.append(span)
+        walks.append(speed.timed(modp._walk, g, m, h, block)[1:])
+    return {
+        "block_image_s": lambda: median_s(speed, images),
+        "block_walk_s": lambda: median_s(speed, walks),
+        "blocks": len(images),
+    }
+
+
+def time_cyclic(speed: MachineSpeed, f: IntPoly) -> dict:
+    """``time_samples`` of f, and ``time_block`` up to its largest prime."""
+    out = time_samples(speed, f)
+    return {**out, **time_block(speed, f, out["largest_prime"])}
 
 
 def time_kernels(speed: MachineSpeed, f: IntPoly) -> dict:
@@ -810,7 +846,7 @@ def main() -> None:
                 "by_degree": {str(n): time_samples(speed, f) for n, f in polys.items()},
                 "kernels": {str(n): time_kernels(speed, f) for n, f in polys.items()},
                 "cyclic": {
-                    str(m): time_samples(speed, cos_minimal_poly(m))
+                    str(m): time_cyclic(speed, cos_minimal_poly(m))
                     for m in CYCLIC_MODULI
                 },
                 "resolvents": time_resolvents(speed, rng, quartics),
