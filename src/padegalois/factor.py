@@ -44,6 +44,9 @@ from functools import lru_cache
 from random import Random
 
 from .modp import (
+    _at_prime,
+    _block_walk,
+    _stages,
     gf_block_degrees,
     gf_deriv,
     gf_distinct_degree,
@@ -68,7 +71,7 @@ from .polynomials import (
     discriminant,
     int_poly_gcd,
 )
-from .primes import is_prime, next_prime, primes_from
+from .primes import is_prime, primes_from
 
 __all__ = [
     "Factorization",
@@ -90,26 +93,25 @@ RECOMBINATION_CUTOFF = 24
 # degree lists the degree-set test reads before it gives up; every table
 # target certifies within 14
 _DEGREE_SET_PRIMES = 20
-# degree lists kept by ``_modular_degrees``: a census replay reads back a
-# stream of over 200 samples
-MODULAR_DEGREES_MEMO_SIZE = 256
 # primes one block walk reads (``modp.gf_block_degrees``): a sample of
 # the cyclic InvSqrtPade cells of degree 6, 9 and 15 took 18, 30 and 77
 # us in blocks of 16, against 51, 74 and 195 us alone, 18, 30 and 123 us
 # in blocks of 12 and 21, 35 and 89 us in blocks of 24 (one process,
 # best of 5)
 FROBENIUS_BLOCK_PRIMES = 16
-# usable primes with closed walks, in a run of consecutive primes, at
-# which the same polynomial is asked before its degrees come in blocks:
+# usable primes with closed walks, since the last open one, that the
+# degree table of a polynomial holds before it walks in blocks:
 # a verified InvSqrtPade table op, whose 12 cyclic cells read 200 samples
 # each, took 164, 163, 164 and 175 ms at runs of 4, 8, 12 and 20, and
 # classify-mix seed 7, blocks 0-5, 451 to 465 ms at all four (one
 # process, best of 5).  A block is cut at what its read may still ask
-# for (``_DegreeBlocks``), so the degree-set test, which reads at most
+# for (``_DegreeTable``), so the degree-set test, which reads at most
 # ``_DEGREE_SET_PRIMES`` usable primes, walks no prime past them
 _BLOCK_RUN = 8
-# answers kept by ``_lift_and_recombine`` and ``_nonzero_roots`` each: a
-# verdict and its replay, but not one table op's factorings into the next
+# answers kept by ``_lift_and_recombine`` and ``_nonzero_roots`` each, and
+# degree tables by ``_degree_table_memo``: a verdict and its replay, but
+# not one table op's factorings into the next.  One classify and its
+# verify sample at most 4 polynomials in the table ops and in classify-mix
 _ENGINE_MEMO_SIZE = 8
 
 
@@ -224,101 +226,89 @@ def _usable_prime_count(f: IntPoly, prime_bound: int, cap: int) -> int:
     return count
 
 
-def _modular_degrees(f: IntPoly, p: int) -> list[int] | None:
+def _modular_degrees(f: IntPoly, p: int, reach=(math.inf, 1)) -> list[int] | None:
     """Sorted degrees of the irreducible factors of f mod p, or None when
-    p divides lc(f) or f is not squarefree mod p.  They come from one
-    Frobenius walk (``modp.gf_block_degrees``), of p alone or of a block
-    of primes that p is in (``_DegreeBlocks``), with the same answers:
-    when x^(p^L) = x mod f for some L <= n, f divides the squarefree
-    x^(p^L) - x; only when there is no such L is gcd(f, f') taken.  The
-    last ``MODULAR_DEGREES_MEMO_SIZE`` answers are kept, keyed by the
-    coefficients of f and p, so a replay of a verdict reads the samples
-    classify drew; each call gets a list of its own."""
-    degrees = _modular_degrees_memo(f.coeffs, p)
+    p divides lc(f) or f is not squarefree mod p, as a list of the
+    caller's own, from the degree table of f (``_DegreeTable``) asked
+    with the reach of the read: its prime bound, and the usable samples
+    it may still ask for, p included.  By default it asks p alone."""
+    degrees = _degree_table_memo(f.coeffs).degrees(p, reach)
     return None if degrees is None else list(degrees)
 
 
-@lru_cache(maxsize=MODULAR_DEGREES_MEMO_SIZE)
-def _modular_degrees_memo(coeffs: tuple, p: int) -> tuple[int, ...] | None:
-    return _degree_blocks.degrees(coeffs, p)
+class _DegreeTable(dict):
+    """The factor degrees of one f mod every prime asked so far: p to the
+    sorted degrees, or None, as ``modp.gf_block_degrees`` gives them,
+    whatever block p is walked in.
+
+    A prime the table lacks is walked alone until the table holds
+    ``_BLOCK_RUN`` usable primes (those with degrees) whose walks closed,
+    walked since its last usable prime whose walk did not close (the lcm
+    of its degrees exceeds n): a block decides such a prime no better
+    than a walk of its own, and pays for it.  From then on it is walked
+    with the primes after it that do not divide lc(f), up to the first
+    one the table holds, ``FROBENIUS_BLOCK_PRIMES`` in all, cut at the
+    reach of the read: no prime above its prime bound, and no more
+    primes than the usable samples it may still ask for.  A prime that
+    divides lc(f) is None with no walk.  Every answer of a block goes
+    into the table.  The last walk any table made is kept for
+    ``_walked_stages``: f's coefficients, the block, f made monic modulo
+    the block's product, the steps and the orders."""
+
+    run = 0  # usable primes with closed walks since the last open one
+    last_walk: tuple | None = None
+
+    def __init__(self, coeffs: tuple) -> None:
+        self.coeffs = coeffs
+
+    def degrees(self, p: int, reach: tuple) -> tuple[int, ...] | None:
+        if p in self:
+            return self[p]
+        coeffs, lead = self.coeffs, self.coeffs[-1]
+        if lead % p == 0:
+            self[p] = None
+            return None
+        block = [p]
+        if self.run >= _BLOCK_RUN and len(coeffs) > 2:
+            bound, wanted = reach
+            primes = (q for q in primes_from(p) if lead % q)
+            primes = itertools.takewhile(lambda q: q <= bound and q not in self, primes)
+            size = min(wanted, FROBENIUS_BLOCK_PRIMES)
+            block = list(itertools.islice(primes, size))
+        walked = _block_walk(coeffs, block)
+        _DegreeTable.last_walk = (coeffs, block, *walked[:3])
+        self.update(gf_block_degrees(coeffs, block, walked))
+        for q in block:
+            if self[q] is not None:
+                # a walk that did not close (degrees of lcm above n) ends the run
+                self.run = self.run + 1 if math.lcm(*self[q]) < len(coeffs) else 0
+        return self[p]
 
 
-class _DegreeBlocks:
-    """The one-entry block cache under ``_modular_degrees_memo``, keyed by
-    the coefficients of f.
-
-    Every prime asked comes out of one ``modp.gf_block_degrees`` walk: a
-    prime beyond the block held starts a new block, and the block's
-    answers are kept.  The block is that prime alone until the run of
-    consecutive primes at which f has been asked holds ``_BLOCK_RUN``
-    usable primes (those with degrees) whose walks closed; from then on
-    it is the prime and the primes after it that do not divide lc(f),
-    ``FROBENIUS_BLOCK_PRIMES`` in all, cut at the reach of the read under
-    way (``reach``): no prime above its prime bound, and no more primes
-    than the usable samples it may still ask for.  A usable prime whose
-    walk did not close (the lcm of its degrees exceeds n) starts the
-    count again: a block decides such a prime no better than a walk of
-    its own, and pays for it.  A prime that divides lc(f) is unusable with
-    no walk.  Another polynomial, or a prime that does not follow the last
-    one asked, drops the block and starts the run again, so no block
-    outlives the stream that asked for it."""
-
-    def __init__(self) -> None:
-        # the reach of the read under way: its prime bound, and the usable
-        # samples it may still ask for, the one asked included.  A block
-        # that an ask starts holds no prime above the bound and no more
-        # primes than that count.  A reader sets it around its asks and
-        # puts it back after; it shapes blocks only, never an answer, so
-        # the memo is keyed without it
-        self.reach: tuple[float, float] = (math.inf, math.inf)
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self.coeffs: tuple | None = None
-        self.last = 0  # the last prime asked
-        self.run = 0  # usable primes with closed walks since the run began
-        self.end = 0  # the last prime of the block held
-        self.decided: dict[int, tuple[int, ...] | None] = {}
-
-    def degrees(self, coeffs: tuple, p: int) -> tuple[int, ...] | None:
-        if coeffs != self.coeffs or p != next_prime(self.last):
-            self.cache_clear()
-            self.coeffs = coeffs
-        self.last = p
-        if p > self.end:
-            lead = coeffs[-1]
-            if lead % p == 0:
-                return None
-            block = [p]
-            if self.run >= _BLOCK_RUN and len(coeffs) > 2:
-                bound, wanted = self.reach
-                primes = (q for q in primes_from(p) if lead % q)
-                primes = itertools.takewhile(lambda q: q <= bound, primes)
-                size = min(wanted, FROBENIUS_BLOCK_PRIMES)
-                block = list(itertools.islice(primes, size))
-            self.decided = gf_block_degrees(coeffs, block)
-            self.end = block[-1]
-        degrees = self.decided.get(p)
-        if degrees is not None:
-            # a walk that did not close (degrees of lcm above n) ends the run
-            self.run = self.run + 1 if math.lcm(*degrees) < len(coeffs) else 0
-        return degrees
+_degree_table_memo = lru_cache(maxsize=_ENGINE_MEMO_SIZE)(_DegreeTable)
 
 
-_degree_blocks = _DegreeBlocks()
+def _walked_stages(coeffs: tuple, p: int) -> list[tuple[list[int], int]] | None:
+    """The distinct-degree stages of f made monic mod p, a usable prime,
+    off the last walk a degree table made, reduced mod p as for an open
+    prime in ``modp.gf_block_degrees``; None when it is not of f at p."""
+    last = _DegreeTable.last_walk
+    if last is None or last[0] != coeffs or p not in last[1]:
+        return None
+    _, block, f, walk, orders = last
+    order = orders[block.index(p)]
+    f, walk = _at_prime(f, walk, order, p)
+    return _stages(f, p, walk, order)
 
 
 def _usable_degrees(f: IntPoly, count: float = math.inf):
-    """(p, _modular_degrees(f, p)) over the primes good_primes(f) yields,
-    the first count of them; a block walked for them reaches no further."""
+    """(p, ``_modular_degrees(f, p)``) over the first count primes p >= 13
+    at which squarefree f is usable: those that ``good_primes(f)``
+    yields.  A block walked for them reaches no further."""
     for p in primes_from(13):
         if count == 0:
             return
-        before, _degree_blocks.reach = _degree_blocks.reach, (math.inf, count)
-        try:
-            degrees = _modular_degrees(f, p)
-        finally:
-            _degree_blocks.reach = before
+        degrees = _modular_degrees(f, p, (math.inf, count))
         if degrees is not None:
             count -= 1
             yield p, degrees
@@ -664,7 +654,8 @@ def _lift_and_recombine_memo(coeffs: tuple, cutoff: int) -> tuple[IntPoly, ...]:
         # factors all of one degree make one distinct-degree stage: no walk
         stages = [(fm, multiset[0])]
     else:
-        stages = gf_distinct_degree(fm, p)
+        # off the walk that read the degrees, while it is the last one
+        stages = _walked_stages(coeffs, p) or gf_distinct_degree(fm, p)
     modular: list[list[int]] = []
     for stage, deg in stages:
         modular.extend(gf_equal_degree(stage, deg, p, rng))

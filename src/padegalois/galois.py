@@ -68,7 +68,6 @@ from math import comb, inf, lcm
 
 from .factor import (
     _DEGREE_SET_PRIMES,
-    _degree_blocks,
     _degree_set_irreducible,
     _is_square,
     _modular_degrees,
@@ -245,7 +244,7 @@ class GaloisIdentification:
 # ---------------------------------------------------------------------------
 
 
-def dedekind_cycle_type(f: IntPoly, p: int) -> CycleType | None:
+def dedekind_cycle_type(f: IntPoly, p: int, reach=(inf, 1)) -> CycleType | None:
     """Cycle type of a Frobenius element at p, or None if p is unusable.
 
     Usable means p does not divide the leading coefficient and f stays
@@ -253,7 +252,10 @@ def dedekind_cycle_type(f: IntPoly, p: int) -> CycleType | None:
     f mod p, which ``factor._modular_degrees`` reads off one Frobenius
     walk (by arithmetic on its order and traces, with distinct-degree
     stages only where that leaves them open), form the cycle type of an
-    element of the Galois group acting on the roots.
+    element of the Galois group acting on the roots.  A reader that asks
+    on past p passes its reach, its prime bound and the usable samples it
+    may still ask for, p included, where a block walked with p stops; by
+    default p is walked alone.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
@@ -261,7 +263,7 @@ def dedekind_cycle_type(f: IntPoly, p: int) -> CycleType | None:
         raise ValueError("need a nonconstant polynomial")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    degrees = _modular_degrees(f, p)
+    degrees = _modular_degrees(f, p, reach)
     return None if degrees is None else CycleType(tuple(degrees))
 
 
@@ -273,10 +275,12 @@ class FrobeniusSamples:
     one stream never sample a prime twice.  Every tier reads the same
     pairs, the wreath order bound included: its element orders are the
     orders of these cycle types.  A tier that reads at most a fixed
-    number of pairs reads them with ``first``, so that no block of primes
-    walked for it reaches past them (``factor._DegreeBlocks``).  A stream
-    serves a single polynomial for the length of one classification, or
-    for one replay of the census elimination in ``verify_identification``.
+    number of pairs reads them with ``first``, and each draw passes that
+    count and the bound to ``dedekind_cycle_type``, so that no block of
+    primes walked for it reaches past them (``factor._DegreeTable``).
+    A stream serves a single polynomial for the length of one
+    classification, or for one replay of the census elimination in
+    ``verify_identification``.
     A bound below 2 leaves no prime to sample and raises ValueError.
     """
 
@@ -307,15 +311,11 @@ class FrobeniusSamples:
     def _draw(self, wanted: float) -> bool:
         """Append the next cycle type, for a reader that may ask for
         wanted more; False once past the bound."""
-        before, _degree_blocks.reach = _degree_blocks.reach, (self._bound, wanted)
-        try:
-            for p in self._primes:
-                t = dedekind_cycle_type(self._f, p)
-                if t is not None:
-                    self._pairs.append((p, t))
-                    return True
-        finally:
-            _degree_blocks.reach = before
+        for p in self._primes:
+            t = dedekind_cycle_type(self._f, p, (self._bound, wanted))
+            if t is not None:
+                self._pairs.append((p, t))
+                return True
         return False
 
 
@@ -1402,8 +1402,8 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     factor that a ``reducible`` item selects; it must have the verdict's
     degree.  Every item is rebuilt on the target with the same pure
     functions that built it, and must come out the same.  Five bounded
-    memos may still hold what classify computed: the modular factor
-    degrees of ``factor._modular_degrees``, the discriminants of
+    memos may still hold what classify computed: the degree tables of
+    ``factor._modular_degrees``, the discriminants of
     ``polynomials.discriminant``, the squarefree resolvents of
     ``_squarefree_resolvent``, and, behind ``factor_over_integers`` and
     ``rational_roots``, the Zassenhaus factors of ``_lift_and_recombine``

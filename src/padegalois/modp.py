@@ -81,11 +81,11 @@ and each next step multiplies by smaller coefficients; the rows stay
 modulo m, as the traces of the primes that closed read them.  A prime
 still open after that (a walk not closed by step n, p <= n, or a fit
 open after tr(Q^2)) takes its stages off the block's walk reduced mod
-p_i, so no prime is walked twice.  ``factor._DegreeBlocks`` chooses the
-blocks: a block of one prime until a run of consecutive primes asked for
-a polynomial holds 8 usable ones whose walks closed, and blocks of 16
-once the run reads on, each cut at the prime bound of the read and at
-the samples it may still ask for.
+p_i, so no prime is walked twice.  ``factor._DegreeTable``, the degrees
+of one polynomial, chooses the blocks: one prime until it holds 8 usable
+primes whose walks closed since its last open one, 16 after that, each
+cut at the first prime it holds, at the read's prime bound and at the
+samples the read may still ask for.
 
 ``gf_pow_mod`` works left to right: square, then multiply by the base on
 each set bit.  The high half of a product is reduced with a packed table
@@ -559,12 +559,13 @@ def _block_walk(
 
 
 def gf_block_degrees(
-    f: Sequence[int], primes: Sequence[int]
+    f: Sequence[int], primes: Sequence[int], walked: tuple | None = None
 ) -> dict[int, tuple[int, ...] | None]:
     """The sorted factor degrees of f mod p, or None where f is not
     squarefree mod p, for every prime of a block: f has integer
     coefficients and a leading coefficient prime to each of the distinct
-    ``primes``.  One walk serves them all.
+    ``primes``.  One walk serves them all: ``walked``, when the caller
+    keeps the ``_block_walk`` of f over the primes, or else one made here.
 
     By the Chinese remainder theorem, (Z/m)[x]/(f), m the product of the
     primes, is the product of the rings F_p[x]/(f), and composing with h
@@ -582,7 +583,7 @@ def gf_block_degrees(
     squarefree test gcd(f, f') if its walk did not close.  For one prime
     the walk is already reduced."""
     n = len(f) - 1
-    f, walk, orders, matrix = _block_walk(f, primes)
+    f, walk, orders, matrix = walked or _block_walk(f, primes)
     trace = sum(r[i] for i, r in enumerate(matrix)) if len(matrix) == n else None
     out = {}
     for p, order in zip(primes, orders):
@@ -590,8 +591,7 @@ def gf_block_degrees(
         if fit is None:
             f_p, walk_p = f, walk
             if len(primes) > 1:
-                f_p = [c % p for c in f]
-                walk_p = [gf_trim([c % p for c in h]) for h in walk[:order]]
+                f_p, walk_p = _at_prime(f, walk, order, p)
             # a walk that closed proves f squarefree mod p
             if order is not None or len(gf_gcd(f_p, gf_deriv(f_p, p), p)) == 1:
                 parts: list[int] = []
@@ -600,6 +600,14 @@ def gf_block_degrees(
                 fit = tuple(sorted(parts))
         out[p] = fit
     return out
+
+
+def _at_prime(
+    f: list[int], walk: list[list[int]], order: int | None, p: int
+) -> tuple[list[int], list[list[int]]]:
+    """f and its walk's steps up to ``order`` (all for None), from a walk
+    of a block that holds p, reduced mod p: those of p alone."""
+    return [c % p for c in f], [gf_trim([c % p for c in h]) for h in walk[:order]]
 
 
 def gf_frobenius_order(f: list[int], p: int) -> int | None:

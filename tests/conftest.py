@@ -23,10 +23,10 @@ def _cold_memos():
     """Every test starts with empty memos, so the work it counts below
     them (modular powers, gcds, DDF calls, Hensel steps, root searches,
     resolvent builds, block walks) does not depend on which test ran
-    before it."""
-    factor._modular_degrees_memo.cache_clear()
+    before it; no walk is kept for factoring to read its stages off."""
+    factor._degree_table_memo.cache_clear()
+    factor._DegreeTable.last_walk = None
     factor._lift_and_recombine_memo.cache_clear()
     factor._nonzero_roots_memo.cache_clear()
     polynomials._discriminant_memo.cache_clear()
     galois._squarefree_resolvent_memo.cache_clear()
-    factor._degree_blocks.cache_clear()

@@ -290,28 +290,65 @@ class TestFactorOverIntegers:
         fac = factor_over_integers(IntPoly((1, 0, 0, 0, 1)))
         assert fac.is_single_irreducible()
 
-    def test_one_degree_mod_p_takes_no_stages(self, monkeypatch):
-        # mod 13 both quadratics stay irreducible (discriminants -7 and
-        # -11 are non-residues): f is one stage of degree 2, split with no
-        # distinct-degree walk; degrees 1 and 2 mod 13 take the stages
-        calls = []
-        original = factor_mod.gf_distinct_degree
+    @staticmethod
+    def counting_stages(monkeypatch) -> tuple[list, list]:
+        """The distinct-degree walks factoring makes from now on, and the
+        stages it reads off the last walk a degree table made."""
+        calls, staged = [], []
+        walk, off_walk = factor_mod.gf_distinct_degree, factor_mod._stages
 
         def counting(*args):
             calls.append(args)
-            return original(*args)
+            return walk(*args)
+
+        def counting_staged(*args):
+            staged.append(args)
+            return off_walk(*args)
 
         monkeypatch.setattr(factor_mod, "gf_distinct_degree", counting)
+        monkeypatch.setattr(factor_mod, "_stages", counting_staged)
+        return calls, staged
+
+    def test_one_degree_mod_p_takes_no_stages(self, monkeypatch):
+        # mod 13 both quadratics stay irreducible (discriminants -7 and
+        # -11 are non-residues): f is one stage of degree 2, split with no
+        # distinct-degree walk; degrees 1 and 2 mod 13 take the stages,
+        # off the last walk, at 13, of what is left after the root -1
+        calls, staged = self.counting_stages(monkeypatch)
         quadratics = [IntPoly((2, 1, 1)), IntPoly((3, 1, 1))]
         f = quadratics[0] * quadratics[1]
         assert _modular_degrees(f, 13) == [2, 2]
         assert factor_over_integers(f).factors == tuple((q, 1) for q in quadratics)
-        assert calls == []
+        assert calls == staged == []
         g = IntPoly((1, 1)) * quadratics[0] * IntPoly((-2, 0, 0, 1))
         assert _modular_degrees(g, 13)[0] == 1
         degrees = [q.degree() for q, _ in factor_over_integers(g).factors]
         assert sorted(degrees) == [1, 2, 3]
-        assert calls
+        assert calls == [] and len(staged) == 1
+
+    def test_stages_off_the_kept_walk_or_a_walk_of_their_own(self, monkeypatch):
+        # degrees 2 and 3 mod 13 (2 is no cube mod 13): factoring reads
+        # its stages off the walk at 13 while it is the last walk made,
+        # and walks 13 again once 17 has been walked since; both give the
+        # same factors, as does a block walk that holds 13
+        calls, staged = self.counting_stages(monkeypatch)
+        f = IntPoly((2, 1, 1)) * IntPoly((-2, 0, 0, 1))
+        assert _modular_degrees(f, 13) == [2, 3]
+        want = factor_over_integers(f).factors
+        assert (len(calls), len(staged)) == (0, 1)
+        factor_mod._lift_and_recombine_memo.cache_clear()
+        assert _modular_degrees(f, 17) is not None
+        assert factor_over_integers(f).factors == want
+        assert (len(calls), len(staged)) == (1, 1)
+        factor_mod._lift_and_recombine_memo.cache_clear()
+        factor_mod._degree_table_memo.cache_clear()
+        monkeypatch.setattr(factor_mod, "_BLOCK_RUN", 0)
+        table = factor_mod._degree_table_memo(f.coeffs)
+        assert table.degrees(11, (100, 8)) is not None
+        block = factor_mod._DegreeTable.last_walk[1]
+        assert block == [11, 13, 17, 19, 23, 29, 31, 37]
+        assert factor_over_integers(f).factors == want
+        assert (len(calls), len(staged)) == (1, 2)
 
     def test_cutoff_error(self, monkeypatch):
         monkeypatch.setattr(factor_mod, "RECOMBINATION_CUTOFF", 1)

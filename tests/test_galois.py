@@ -58,7 +58,7 @@ from padegalois.polynomials import (
 )
 from padegalois.primes import is_prime
 from padegalois.series import SeriesId, scale_to_monic_integer, taylor
-from padegalois.tables import TABLES, _column_polys
+from padegalois.tables import TABLES, _column_polys, reproduce
 
 from .oracles import (
     cycle_type_by_gcd,
@@ -789,10 +789,10 @@ class TestWreathStructure:
         samples = []
         original = galois.dedekind_cycle_type
 
-        def counting(f, p):
+        def counting(f, p, *reach):
             if f == target:
                 samples.append(p)
-            return original(f, p)
+            return original(f, p, *reach)
 
         monkeypatch.setattr(galois, "dedekind_cycle_type", counting)
         wreath_structure(target)
@@ -966,9 +966,9 @@ class TestClassify:
         calls = []
         original = galois.dedekind_cycle_type
 
-        def counting(g, p):
+        def counting(g, p, *reach):
             calls.append((g.coeffs, p))
-            return original(g, p)
+            return original(g, p, *reach)
 
         monkeypatch.setattr(galois, "dedekind_cycle_type", counting)
         classify(f, prime_bound=2000)
@@ -1169,9 +1169,9 @@ class TestFrobeniusStream:
         calls = []
         original = galois.dedekind_cycle_type
 
-        def counting(f, p):
+        def counting(f, p, *reach):
             calls.append((f.coeffs, p))
-            return original(f, p)
+            return original(f, p, *reach)
 
         monkeypatch.setattr(galois, "dedekind_cycle_type", counting)
         classify(parse_int_poly(text))
@@ -1184,8 +1184,7 @@ def _one_prime_walks(monkeypatch) -> None:
     alone: none is read from a longer block or from what the memo
     holds."""
     monkeypatch.setattr(factor, "_BLOCK_RUN", inf)
-    factor._modular_degrees_memo.cache_clear()
-    factor._degree_blocks.cache_clear()
+    factor._degree_table_memo.cache_clear()
 
 
 def _counting_blocks(monkeypatch) -> list:
@@ -1194,10 +1193,10 @@ def _counting_blocks(monkeypatch) -> list:
     blocks = []
     original = factor.gf_block_degrees
 
-    def counting(coeffs, primes):
+    def counting(coeffs, primes, *walked):
         if len(primes) > 1:
             blocks.append(primes)
-        return original(coeffs, primes)
+        return original(coeffs, primes, *walked)
 
     monkeypatch.setattr(factor, "gf_block_degrees", counting)
     return blocks
@@ -1209,20 +1208,19 @@ def _handed_primes(monkeypatch, f) -> list:
     blocks = []
     original = factor.gf_block_degrees
 
-    def counting(coeffs, primes):
+    def counting(coeffs, primes, *walked):
         if tuple(coeffs) == f.coeffs:
             blocks.append(list(primes))
-        return original(coeffs, primes)
+        return original(coeffs, primes, *walked)
 
     monkeypatch.setattr(factor, "gf_block_degrees", counting)
-    factor._modular_degrees_memo.cache_clear()
-    factor._degree_blocks.cache_clear()
+    factor._degree_table_memo.cache_clear()
     return blocks
 
 
 class TestBlockSamples:
     """A stream that reads on takes its degrees from block walks
-    (``factor._DegreeBlocks``); what it draws is what one-prime walks give."""
+    (``factor._DegreeTable``); what it draws is what one-prime walks give."""
 
     def test_invsqrt_order_31_stream(self, monkeypatch):
         # the C15 denominator of the InvSqrtPade order-31 cell, a cyclic
@@ -1449,6 +1447,54 @@ _UNFIT = {
         lambda v: classify(parse_int_poly("x^2 + 1")),
     ),
 }
+
+
+def _walked(monkeypatch) -> list:
+    """The (coefficients, p) of every prime handed to
+    ``factor.gf_block_degrees`` from now on, in a list the caller may
+    empty."""
+    walked = []
+    original = factor.gf_block_degrees
+
+    def counting(coeffs, primes, *walk):
+        walked.extend((tuple(coeffs), p) for p in primes)
+        return original(coeffs, primes, *walk)
+
+    monkeypatch.setattr(factor, "gf_block_degrees", counting)
+    return walked
+
+
+class TestOneWalkPerPrime:
+    """A degree table answers every prime it has walked, so no (f, p) is
+    walked twice within one table op, nor within one classify and the
+    verify of its verdict."""
+
+    def test_verified_tables_pass(self, monkeypatch):
+        walked = _walked(monkeypatch)
+        cells = 0
+        for table_id in TABLES:
+            walked.clear()
+            report = reproduce(table_id, cache=None, verify=True)
+            cells += report["summary"]["cells"]
+            assert walked and len(set(walked)) == len(walked), table_id
+        assert cells == 86
+
+    def test_classify_mix_block(self, monkeypatch):
+        walked = _walked(monkeypatch)
+        for entry in _stream_inputs().block(1, 0):
+            walked.clear()
+            f = IntPoly(entry["coeffs"])
+            assert verify_identification(f, classify(f)), entry
+            assert len(set(walked)) == len(walked), entry
+
+    @pytest.mark.parametrize("name", list(_TAMPER_TARGETS))
+    def test_verify_after_classify_walks_no_prime(self, monkeypatch, name):
+        # every tier: cyclic, Jordan, exact, census and wreath verdicts
+        f = _TAMPER_TARGETS[name]()
+        ident = classify(f)
+        walked = _walked(monkeypatch)
+        assert verify_identification(f, ident)
+        assert walked == []
 
 
 class TestVerifyIdentification:

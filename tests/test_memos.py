@@ -1,4 +1,4 @@
-"""The bounded memos of ``factor._modular_degrees``,
+"""The bounded memos of ``factor._modular_degrees`` (its degree tables),
 ``polynomials.discriminant``, ``factor._lift_and_recombine``,
 ``factor._nonzero_roots`` and ``galois._squarefree_resolvent``.
 
@@ -9,12 +9,13 @@ answers, on true verdicts and tampered ones alike.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from padegalois import factor, galois, polynomials
 from padegalois.factor import (
-    MODULAR_DEGREES_MEMO_SIZE,
+    _ENGINE_MEMO_SIZE,
     _lift_and_recombine,
     _modular_degrees,
     _nonzero_roots,
@@ -36,7 +37,7 @@ from padegalois.tables import TABLES, reproduce
 
 from .test_galois import _TAMPER_TARGETS, _TAMPERS, _stream_inputs
 
-_DEGREES = factor._modular_degrees_memo
+_DEGREES = factor._degree_table_memo
 _DISCRIMINANTS = polynomials._discriminant_memo
 _LIFTS = factor._lift_and_recombine_memo
 _ROOTS = factor._nonzero_roots_memo
@@ -50,13 +51,17 @@ def _clear():
 
 
 def test_degree_memo_keeps_at_most_its_bound():
-    f = IntPoly((1, 1, 0, 1))
-    primes = primes_from(2)
-    for _ in range(MODULAR_DEGREES_MEMO_SIZE + 40):
-        _modular_degrees(f, next(primes))
+    # one table a polynomial, however many primes it holds: the last
+    # eight polynomials asked keep theirs
+    primes = list(islice(primes_from(2), 300))
+    for c in range(1, 20):
+        f = IntPoly((c, 1, 0, 1))
+        for p in primes:
+            _modular_degrees(f, p)
     info = _DEGREES.cache_info()
-    assert info.maxsize == MODULAR_DEGREES_MEMO_SIZE == 256
-    assert info.currsize == MODULAR_DEGREES_MEMO_SIZE
+    assert info.maxsize == _ENGINE_MEMO_SIZE == 8
+    assert info.currsize == _ENGINE_MEMO_SIZE
+    assert sorted(_DEGREES(f.coeffs)) == primes
 
 
 def test_discriminant_memo_keeps_at_most_its_bound():

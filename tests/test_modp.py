@@ -386,11 +386,27 @@ class TestFactorization:
         assert gf_ddf_degree_multiset(gf_monic(f, p), p) == [1, 1, 2]
 
 
+def block_stages(f, p):
+    """``factor._walked_stages``: the distinct-degree stages of monic f of
+    degree >= 2 mod p, as factoring takes them off the last walk, here of
+    the block of four primes from the one before p, reduced mod p."""
+    table = factor._DegreeTable(tuple(f))
+    table.run = factor._BLOCK_RUN
+    start = next((q for q in range(p - 1, 1, -1) if is_prime(q)), p)
+    table.degrees(start, (math.inf, 4))
+    block = factor._DegreeTable.last_walk[1]
+    assert len(block) == 4 and p in block
+    return factor._walked_stages(tuple(f), p)
+
+
 class TestDistinctDegree:
     @given(squarefree_monic())
     def test_matches_powering_oracle(self, case):
         f, p = case
-        assert gf_distinct_degree(f, p) == ddf_by_powering(f, p)
+        want = ddf_by_powering(f, p)
+        assert gf_distinct_degree(f, p) == want
+        if len(f) > 2:
+            assert block_stages(f, p) == want
 
     @pytest.mark.parametrize("p", DDF_PRIMES)
     def test_early_stage_shrinks_work(self, p):
@@ -473,6 +489,8 @@ class TestOrderFirst:
         order = lcm_of(got)
         assert gf_frobenius_order(f, p) == (order if order <= n else None)
         assert gf_distinct_degree(f, p) == ddf_by_powering(f, p)
+        if n > 1:
+            assert block_stages(f, p) == ddf_by_powering(f, p)
         assert gf_ddf_degree_multiset(f, p) == sorted(got)
 
     @given(st.sampled_from(ORDER_PRIMES), st.integers(1, 6), st.integers(1, 4), SEEDS)
@@ -980,18 +998,17 @@ class TestBlockWalk:
         answers = {primes[1]: None, primes[2]: (3, 4)}
         blocks = []
 
-        def block(coeffs, block_primes):
+        def block(coeffs, block_primes, walked):
             blocks.append(block_primes)
             return {q: answers.get(q, (7,)) for q in block_primes}
 
         monkeypatch.setattr(factor, "gf_block_degrees", block)
         coeffs, wanted = (1,) * 8, 45
-        cache = factor._degree_blocks
+        table = factor._DegreeTable(coeffs)
         asked = iter(primes)
         while wanted:
             p = next(asked)
-            monkeypatch.setattr(cache, "reach", (math.inf, wanted))
-            degrees = cache.degrees(coeffs, p)
+            degrees = table.degrees(p, (math.inf, wanted))
             assert degrees == answers.get(p, (7,))
             wanted -= degrees is not None
         # one-prime walks up to the end of the run, then blocks of
@@ -1013,26 +1030,47 @@ class TestBlockWalk:
         primes = primes_in_range(2, 400)
         blocks = []
 
-        def block(coeffs, block_primes):
+        def block(coeffs, block_primes, walked):
             blocks.append(block_primes)
             return {q: (7,) for q in block_primes}
 
         monkeypatch.setattr(factor, "gf_block_degrees", block)
-        cache = factor._degree_blocks
         lead = 5 * 7 * 41
         run = [q for q in primes if lead % q][: factor._BLOCK_RUN]
         after = [q for q in primes if q > run[-1]]
         cut = FROBENIUS_BLOCK_PRIMES // 2
         coeffs = (1,) * 7 + (lead,)
-        monkeypatch.setattr(cache, "reach", (after[cut - 1], math.inf))
+        table = factor._DegreeTable(coeffs)
         for q in [q for q in primes if q < after[cut]]:
-            assert cache.degrees(coeffs, q) == (None if lead % q == 0 else (7,))
-        monkeypatch.setattr(cache, "reach", (math.inf, 3))
-        assert cache.degrees(coeffs, after[cut]) == (7,)
+            want = None if lead % q == 0 else (7,)
+            assert table.degrees(q, (after[cut - 1], math.inf)) == want
+        assert table.degrees(after[cut], (math.inf, 3)) == (7,)
         usable = [q for q in after if lead % q]
         assert blocks == [[q] for q in run] + [
             usable[: cut - 1],
             usable[cut - 1 : cut + 2],
+        ]
+
+    def test_blocks_stop_at_a_prime_the_table_holds(self, monkeypatch):
+        # a read from 13 leaves 13, 17 and 19 in the table; a read from 2
+        # then walks the primes below 13 in one block, reads the three
+        # back, and walks on from 23; a prime asked again walks nothing
+        monkeypatch.setattr(factor, "_BLOCK_RUN", 0)
+        blocks = []
+
+        def block(coeffs, block_primes, walked):
+            blocks.append(block_primes)
+            return {q: (7,) for q in block_primes}
+
+        monkeypatch.setattr(factor, "gf_block_degrees", block)
+        table = factor._DegreeTable((1,) * 8)
+        assert table.degrees(13, (math.inf, 3)) == (7,)
+        for p in primes_in_range(2, 24):
+            assert table.degrees(p, (math.inf, math.inf)) == (7,)
+        assert blocks == [
+            [13, 17, 19],
+            [2, 3, 5, 7, 11],
+            block_of(23, 1),
         ]
 
     @pytest.mark.parametrize(
@@ -1073,18 +1111,18 @@ class TestBlockWalk:
         monkeypatch.setattr(factor, "_BLOCK_RUN", 0)
         blocks = []
 
-        def counting(coeffs, primes):
+        def counting(coeffs, primes, walked):
             blocks.append(primes)
-            return modp.gf_block_degrees(coeffs, primes)
+            return modp.gf_block_degrees(coeffs, primes, walked)
 
         monkeypatch.setattr(factor, "gf_block_degrees", counting)
         rng = Random(7)
         for n in (2, 6, 9, 15):
             coeffs = tuple([rng.randint(-9, 9) for _ in range(n)] + [6])
-            factor._degree_blocks.cache_clear()
+            table = factor._DegreeTable(coeffs)
             for p in primes_in_range(2, 400):
                 want = one_prime_degrees(coeffs, p)
-                got = factor._degree_blocks.degrees(coeffs, p)
+                got = table.degrees(p, (math.inf, math.inf))
                 assert (None if got is None else list(got)) == want, (coeffs, p)
         assert len(blocks) > 4 * 4
         assert all(b[0] not in (2, 3) and 2 not in b and 3 not in b for b in blocks)

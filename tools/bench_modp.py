@@ -122,13 +122,27 @@ all samples in each round, so its spread shows how far to trust it.
 Run-to-run spread between two processes hides gains under 1.5x; one
 process taking turns does not.
 
+``walks``: counts, not times, for one ``reproduce(t, cache=None,
+verify=True)`` pass over the six tables (an operation a table) and for
+classify + ``verify_identification`` over classify-mix seed 7, blocks
+0-5, of ``perfbench/inputs.py`` (an operation an input), each started on
+emptied memos: ``samples``, the ``dedekind_cycle_type`` calls;
+``table_asks`` and ``table_hits``, the primes asked of the degree tables
+(``factor._DegreeTable.degrees``) and those the table already held;
+``one_prime_walks`` and ``block_walks``, the ``gf_block_degrees`` calls
+of one prime and of more, and ``block_primes`` the primes of the latter;
+``unasked_block_primes``, those that no read asked in the operation that
+walked them; ``distinct_degree_walks``, the ``gf_distinct_degree`` calls
+of factoring; and ``rewalked_in_later_op``, the (f, p) walked in an
+operation that an earlier one had walked.  ``--walks`` prints this
+section alone.
+
 Every timed call but those of the ``kernel`` section, and each input of
-``lifted_degrees``, starts with the memos of ``factor._modular_degrees``,
-``polynomials.discriminant``, ``factor._lift_and_recombine``,
-``factor._nonzero_roots`` and ``galois._squarefree_resolvent`` emptied,
-and with no degree block held (``factor._degree_blocks``), so a call
-that repeats an input (the
-``POLY_REPS`` discriminants of one polynomial, the ``KERNEL_ROUNDS``
+``lifted_degrees``, starts with the memos of ``factor._modular_degrees``
+(its degree tables), ``polynomials.discriminant``,
+``factor._lift_and_recombine``, ``factor._nonzero_roots`` and
+``galois._squarefree_resolvent`` emptied, so a call that repeats an input
+(the ``POLY_REPS`` discriminants of one polynomial, the ``KERNEL_ROUNDS``
 order bounds of one g(x^2), the ``FACTOR_REPS`` factorings of one input)
 times the arithmetic, not a read of the value an earlier call left there.
 
@@ -142,6 +156,7 @@ directly.
 
 Run from the repository root:  python3 tools/bench_modp.py
                             python3 tools/bench_modp.py --against ../old
+                            python3 tools/bench_modp.py --walks
 """
 
 from __future__ import annotations
@@ -164,6 +179,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import inputs as stream_inputs  # noqa: E402
 from speed import MachineSpeed  # noqa: E402
 
 from padegalois import factor, galois, modp, polynomials, tables  # noqa: E402
@@ -318,11 +334,11 @@ ENGINE_MEMOS = {
 
 
 def clear_memos() -> None:
-    """Empty the memos of modular degrees, discriminants, Zassenhaus
-    factors, rational roots and squarefree resolvents, and drop the
-    degree block held."""
-    factor._modular_degrees_memo.cache_clear()
-    factor._degree_blocks.cache_clear()
+    """Empty the memos of degree tables, discriminants, Zassenhaus
+    factors, rational roots and squarefree resolvents, and drop the last
+    walk kept for factoring."""
+    factor._degree_table_memo.cache_clear()
+    factor._DegreeTable.last_walk = None
     polynomials._discriminant_memo.cache_clear()
     galois._squarefree_resolvent_memo.cache_clear()
     for memo in ENGINE_MEMOS.values():
@@ -785,6 +801,100 @@ def time_census(speed: MachineSpeed) -> dict:
     return out
 
 
+def count_walks(ops) -> dict:
+    """The ``walks`` counts over ops, argument-free calls run in turn, on
+    emptied memos."""
+    counts = dict.fromkeys(
+        (
+            "samples",
+            "table_asks",
+            "table_hits",
+            "one_prime_walks",
+            "block_walks",
+            "block_primes",
+            "distinct_degree_walks",
+        ),
+        0,
+    )
+    asked: set = set()  # (coefficients, p) asked in the operation under way
+    walked: list = []  # ((coefficients, p), in a block) walked in it
+    earlier: set = set()  # (coefficients, p) walked in the operations before
+    unasked = rewalked = 0
+    sample, degrees = galois.dedekind_cycle_type, factor._DegreeTable.degrees
+    block, distinct = factor.gf_block_degrees, factor.gf_distinct_degree
+
+    def counting_sample(*args):
+        counts["samples"] += 1
+        return sample(*args)
+
+    def counting_degrees(table, p, *reach):
+        counts["table_asks"] += 1
+        counts["table_hits"] += p in table
+        asked.add((table.coeffs, p))
+        return degrees(table, p, *reach)
+
+    def counting_block(coeffs, primes, *walk):
+        several = len(primes) > 1
+        counts["block_walks" if several else "one_prime_walks"] += 1
+        counts["block_primes"] += len(primes) if several else 0
+        walked.extend(((tuple(coeffs), p), several) for p in primes)
+        return block(coeffs, primes, *walk)
+
+    def counting_distinct(*args):
+        counts["distinct_degree_walks"] += 1
+        return distinct(*args)
+
+    galois.dedekind_cycle_type = counting_sample
+    factor._DegreeTable.degrees = counting_degrees
+    factor.gf_block_degrees = counting_block
+    factor.gf_distinct_degree = counting_distinct
+    clear_memos()
+    try:
+        for op in ops:
+            asked.clear()
+            walked.clear()
+            op()
+            unasked += sum(several and key not in asked for key, several in walked)
+            here = {key for key, _ in walked}
+            rewalked += len(here & earlier)
+            earlier |= here
+    finally:
+        galois.dedekind_cycle_type = sample
+        factor._DegreeTable.degrees = degrees
+        factor.gf_block_degrees = block
+        factor.gf_distinct_degree = distinct
+    return {
+        **counts,
+        "unasked_block_primes": unasked,
+        "rewalked_in_later_op": rewalked,
+    }
+
+
+def walks_section() -> dict:
+    """The ``walks`` counts of a verified tables pass and of classify-mix
+    seed 7, blocks 0-5."""
+
+    def table_op(table_id):
+        return lambda: reproduce(table_id, cache=None, verify=True)
+
+    def mix_op(coeffs):
+        def op() -> None:
+            f = IntPoly(tuple(coeffs))
+            assert galois.verify_identification(f, galois.classify(f))
+
+        return op
+
+    mix = [
+        mix_op(entry["coeffs"])
+        for index in range(6)
+        for entry in stream_inputs.block(7, index)
+    ]
+    return {
+        "tables_pass": count_walks([table_op(t) for t in TABLES]),
+        "classify_mix_seed7_blocks0_5": count_walks(mix),
+    }
+
+
 def resolve(obj):
     """obj with every thunk replaced by its value."""
     if isinstance(obj, dict):
@@ -823,7 +933,15 @@ def main() -> None:
         help="a second modp.py, or a checkout root: run the kernel section "
         "alone, timing both modules in turn",
     )
+    parser.add_argument(
+        "--walks",
+        action="store_true",
+        help="print the walks section alone: counts, no timing",
+    )
     args = parser.parse_args()
+    if args.walks:
+        print(json.dumps({"git_revision": git_revision(), "walks": walks_section()}))
+        return
     rng = random.Random(SEED)
     polys = {n: squarefree_poly(n, rng) for n in DEGREES}
     if args.against:
@@ -859,6 +977,7 @@ def main() -> None:
                 "wreath": {str(n): time_wreath(speed, f) for n, f in even.items()},
                 "kernel": kernel_section(speed, polys),
             }
+        timed["walks"] = walks_section()
     result = {
         "git_revision": git_revision(),
         "python": platform.python_version(),
