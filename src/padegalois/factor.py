@@ -109,7 +109,7 @@ FROBENIUS_BLOCK_PRIMES = 16
 # ``_DEGREE_SET_PRIMES`` usable primes, walks no prime past them
 _BLOCK_RUN = 8
 # answers kept by ``_lift_and_recombine`` and ``_nonzero_roots`` each, and
-# degree tables by ``_degree_table_memo``: a verdict and its replay, but
+# degree tables by ``_degree_table_memo``: a verdict and its verify, but
 # not one table op's factorings into the next.  One classify and its
 # verify sample at most 4 polynomials in the table ops and in classify-mix
 _ENGINE_MEMO_SIZE = 8
@@ -210,20 +210,22 @@ def good_primes(f: IntPoly):
                 raise ValueError("no good prime: f is not squarefree", gcd)
 
 
-def _usable_prime_count(f: IntPoly, prime_bound: int, cap: int) -> int:
-    """How many primes up to prime_bound are usable for f in the sense of
-    ``_modular_degrees``, counted up to cap, with no walk.  For p not
-    dividing lc(f), f mod p keeps degree n and is squarefree exactly when
-    its discriminant, disc(f) mod p, is nonzero; so p is usable exactly
-    when it does not divide lc(f)·disc(f).
+def _usable_primes(f: IntPoly):
+    """The primes usable for f in the sense of ``_modular_degrees``, in
+    ascending order, with no walk.  For p not dividing lc(f), f mod p keeps
+    degree n and is squarefree exactly when its discriminant, disc(f) mod
+    p, is nonzero; so p is usable exactly when it does not divide
+    lc(f)·disc(f).  None is when f is not squarefree.
     """
     unusable = f.coeffs[-1] * int(discriminant(f))
-    count = 0
-    for p in primes_from(2):
-        if p > prime_bound or count == cap:
-            break
-        count += unusable % p != 0
-    return count
+    return (p for p in primes_from(2) if unusable % p) if unusable else iter(())
+
+
+def _usable_prime_count(f: IntPoly, prime_bound: int, cap: int) -> int:
+    """How many primes up to prime_bound are usable for f, counted up to
+    cap (``_usable_primes``)."""
+    usable = itertools.takewhile(lambda p: p <= prime_bound, _usable_primes(f))
+    return sum(1 for _ in itertools.islice(usable, cap))
 
 
 def _modular_degrees(f: IntPoly, p: int, reach=(math.inf, 1)) -> list[int] | None:
@@ -781,7 +783,7 @@ def factor_over_integers(f: IntPoly) -> Factorization:
     rationals (constant input yields a unit-only factorization).  Its
     engines ``_nonzero_roots`` and ``_lift_and_recombine`` keep their last
     ``_ENGINE_MEMO_SIZE`` answers, keyed by the normalised polynomial they
-    get, so classify and its replay factor a resolvent once; a fresh
+    get, so classify and its verify factor a resolvent once; a fresh
     process recomputes every factorization."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -818,8 +820,8 @@ def is_irreducible(f: IntPoly) -> bool:
     rationals.  Fast paths: degree one, an Eisenstein certificate, or the
     degree-set test ``_degree_set_irreducible`` on the factor degrees mod
     the good primes from 13.  Otherwise the full engine decides.
-    ``classify`` runs the same test on its Frobenius stream instead; the
-    verifier runs it on the cycle types it replays, and falls back here."""
+    ``classify`` and ``verify_identification`` run the same test on the
+    Frobenius stream of their target instead, and factor when it fails."""
     if f.degree() < 1:
         raise ValueError("irreducibility is about nonconstant polynomials")
     _, prim, _ = f.content_primitive()

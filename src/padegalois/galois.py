@@ -42,28 +42,26 @@ certainty, and every tier names its result through it.
 ``classify`` runs the tiers on the largest irreducible factor of f; when
 f is irreducible that is its primitive part with a positive leading
 coefficient.  From degree 6 on, classify first runs the degree-set test
-on the stream of that part and factors f only when it gives no proof.
-It never calls ``is_irreducible``: a Tschirnhaus transform is proven
-irreducible by its squarefree resolvent.  ``verify_identification``
-rebuilds every evidence item of a verdict on that same polynomial, each
-kind by one entry of ``_REBUILD``, with the pure functions that built it
-(the factor degrees mod p, discriminants, factorizations, rational
-roots and squarefree resolvents it needs may come from their bounded
-memos), then re-derives the
-name and the certainty from the items with ``_verdict``.  The inner
-verdict of a block item and the census candidates of a cyclic verdict
-are re-derived by classifying again, at the verdict's own prime bound.
-A ``samples`` count is replayed from lc(f)·disc(f), since every tier
-reads a prefix of the usable primes; only ``order_lower_bound`` and the
-``all_uniform`` flag are stated claims that are not replayed.
+on the stream of that part and factors f only when it gives no proof
+(``_target``).  It never calls ``is_irreducible``: a Tschirnhaus
+transform is proven irreducible by its squarefree resolvent.
+
+``verify_identification`` is one rule: every tier is a deterministic
+stopping rule over one stream, so a verdict is checked by running again
+the steps that made it, along the path its evidence names, and comparing
+the whole verdict.  It picks the target as classify does, runs the tier
+that the evidence kinds name at the prime bound the verdict records or
+its items imply, and the name, the T-notation, the certainty and every
+item must come out the same.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
+from itertools import islice, takewhile
 from math import comb, inf, lcm
 
 from .factor import (
@@ -73,6 +71,7 @@ from .factor import (
     _modular_degrees,
     _squarefree,
     _usable_prime_count,
+    _usable_primes,
     factor_over_integers,
     is_irreducible,
     rational_roots,
@@ -82,14 +81,13 @@ from .polynomials import (
     IntPoly,
     discriminant,
     format_poly,
-    parse_int_poly,
 )
 from .primes import is_prime, primes_from
 
 DEFAULT_PRIME_BOUND = 10_000
 
 # resolvents kept by ``_squarefree_resolvent``: every repeat inside one
-# classify and its replay, and none from one op into the next
+# classify and its verify, and none from one op into the next
 _RESOLVENT_MEMO_SIZE = 4
 
 # Usable Frobenius samples required before the cyclic heuristic may fire.
@@ -210,7 +208,8 @@ class GaloisIdentification:
     """A group verdict together with machine-checkable evidence.
 
     ``evidence`` is a tuple of JSON-friendly dicts, each tagged with a
-    ``kind`` that ``verify_identification`` knows how to recompute.
+    ``kind``; the kinds name the tier that ``verify_identification`` runs
+    again.
     """
 
     group_name: str
@@ -279,8 +278,7 @@ class FrobeniusSamples:
     count and the bound to ``dedekind_cycle_type``, so that no block of
     primes walked for it reaches past them (``factor._DegreeTable``).
     A stream serves a single polynomial for the length of one
-    classification, or for one replay of the census elimination in
-    ``verify_identification``.
+    classification, or of one run again in ``verify_identification``.
     A bound below 2 leaves no prime to sample and raises ValueError.
     """
 
@@ -468,12 +466,11 @@ def _squarefree_resolvent(f: IntPoly, build, shift) -> IntPoly | None:
 
     The last ``_RESOLVENT_MEMO_SIZE`` answers are kept, keyed by the
     coefficients of f made monic, the builder and the shift, so the
-    replay of a verdict reads the resolvents classify built; the answer
-    is an immutable ``IntPoly``, shared.  A replayed shift comes from
-    the evidence, a list once read back from JSON, and is keyed as a
-    tuple.  Anything but a pair of ints raises TypeError, as the
-    transform would: (True, 0) and (1.0, 0) hash as (1, 0), and must not
-    read its resolvent.
+    verify of a verdict reads the resolvents classify built; the answer
+    is an immutable ``IntPoly``, shared.  A shift given as a list is
+    keyed as a tuple.  Anything but a pair of ints raises TypeError, as
+    the transform would: (True, 0) and (1.0, 0) hash as (1, 0), and must
+    not read its resolvent.
     """
     if shift is not None:
         if [type(c) for c in shift] != [int, int]:
@@ -641,10 +638,8 @@ def _quintic_resolvent(base: IntPoly) -> IntPoly:
 # ---------------------------------------------------------------------------
 # Evidence items and the verdict rules
 # ---------------------------------------------------------------------------
-# Each kind of evidence item is built by one helper below: the tier that
-# emits the item calls it on the polynomial it classifies, and
-# verify_identification calls it again on the polynomial under test and
-# compares the two.
+# Each kind of evidence item is built by one helper below, which the
+# tier that emits the item calls on the polynomial it classifies.
 
 
 def _degree_item(f: IntPoly) -> dict:
@@ -839,18 +834,14 @@ def _verdict(n: int, evidence, inner: GaloisIdentification | None = None):
     """(group_name, t_notation, certainty) that degree-n evidence implies.
 
     These are the tier rules, written once: every tier names its result
-    here, and verify_identification re-derives a stored verdict here
-    once its items have been replayed.  Only the items are read, with
-    the census and, for the block rules, ``inner``: the verdict on h
-    where f = h(x^2).  The ``samples`` counts are taken as stated, and
-    so are the candidates of a cyclic verdict; verify_identification
-    replays both apart.  Raises ValueError when the items imply no
-    verdict, RuntimeError when they leave no census group.
+    here.  Only the items a tier built are read, with the census and,
+    for the block rules, ``inner``: the verdict on h where f = h(x^2).
+    Raises ValueError when the items imply no verdict, RuntimeError when
+    they leave no census group.
     """
     first: dict[str, dict] = {}
     for item in evidence:
         first.setdefault(item["kind"], item)
-    types = {tuple(e["parts"]) for e in evidence if e["kind"] == "cycle_type"}
     if "block_structure" in first:
         if inner is None:
             raise ValueError("a block verdict needs its inner verdict")
@@ -864,8 +855,6 @@ def _verdict(n: int, evidence, inner: GaloisIdentification | None = None):
     if "samples" not in first:
         # the exact tier, degree 1..5
         if n <= 2:
-            if first["degree"]["value"] != n:
-                raise ValueError("degree item disagrees with the verdict")
             return f"C{n}", f"{n}T1", Certainty.proven()
         square = first["disc_square"]["square"]
         if n == 3:
@@ -901,16 +890,13 @@ def _verdict(n: int, evidence, inner: GaloisIdentification | None = None):
     if "parity" in first:
         # census elimination: every observed type and the parity must fit
         square = first["parity"]["disc_square"]
+        types = {tuple(e["parts"]) for e in evidence if e["kind"] == "cycle_type"}
         names = tuple(
             r.name
             for r in transitive_groups(n)
             if r.all_even == square and types <= r.cycle_types
         )
-        cut = first.get("block_order_filter")
-        if cut is not None:
-            proven_inner = inner is not None and inner.certainty.is_proven
-            if not proven_inner or cut["before"] != list(names):
-                raise ValueError("block-order cut does not fit the evidence")
+        if "block_order_filter" in first:
             names = _block_order_cut(inner.group_name, n // 2, names, n)[1]
         if not names:
             raise RuntimeError(
@@ -918,8 +904,6 @@ def _verdict(n: int, evidence, inner: GaloisIdentification | None = None):
             )
         if len(names) == 1:
             return names[0], _t_label(n, names[0]), Certainty.proven()
-        if first.get("candidates", {}).get("names") != list(names):
-            raise ValueError("candidates item disagrees with the evidence")
         return (
             "one of " + ", ".join(names),
             None,
@@ -927,15 +911,7 @@ def _verdict(n: int, evidence, inner: GaloisIdentification | None = None):
         )
     if first["samples"].get("all_uniform"):
         name = f"C{n}"
-        stated = first.get("candidates")
-        candidates = tuple(stated["names"]) if stated else ()
-        if (
-            count < MIN_CYCLIC_SAMPLES
-            or (n,) not in types
-            or any(len(set(t)) > 1 for t in types)
-            or (stated and name not in candidates)
-        ):
-            raise ValueError("the samples do not make a cyclic verdict")
+        candidates = first.get("candidates", {}).get("names", ())
         return (
             name,
             _t_label(n, name),
@@ -960,7 +936,7 @@ def exact_small_degree(f: IntPoly) -> GaloisIdentification:
     Always returns a proven verdict; raises ValueError on reducible input
     or degree outside 1..5.  As with classify, the resolvents are built
     from the primitive part of f with a positive leading coefficient,
-    which is where verify_identification replays them.
+    which is where verify_identification runs them again.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
@@ -1198,8 +1174,8 @@ def wreath_structure(
     The roots pair up as (root, -root) over the roots of g, so the group
     embeds into C2 wr Gal(g) on t blocks of size 2; the verdict is proven
     when the one on g is.  The lcm of the element orders of the first
-    WREATH_ORDER_SAMPLES cycle types of the stream is a stated order
-    lower bound.  Every element order divides the ceiling 2·exp(Gal g),
+    WREATH_ORDER_SAMPLES cycle types of the stream is an order lower
+    bound.  Every element order divides the ceiling 2·exp(Gal g),
     which ``_exponent_bound`` bounds from the verdict on g when it is
     proven and by lcm(1..t) otherwise; once the lcm reaches that ceiling
     it is final, and no further sample is drawn.  The ``samples`` count
@@ -1237,6 +1213,27 @@ def wreath_structure(
 # ---------------------------------------------------------------------------
 
 
+def _census_and_cyclic(
+    g: IntPoly, prime_bound: int, stream: FrobeniusSamples
+) -> GaloisIdentification:
+    """classify's verdict at degree 6 or 7: the census elimination, and
+    when it leaves C_n among its candidates, the cyclic heuristic with
+    those candidates, if it fires and reads at least as far as the census
+    did, so that the merged verdict's prime bound covers both reads."""
+    n = g.degree()
+    ident = _census_verdict(g, prime_bound, stream)
+    if f"C{n}" not in ident.certainty.candidates:
+        return ident
+    cyc = cyclic_heuristic(g, prime_bound, _stream=stream)
+    if (
+        cyc.certainty.kind != HEURISTIC
+        or cyc.certainty.prime_bound < ident.certainty.prime_bound
+    ):
+        return ident
+    names = next(e for e in ident.evidence if e["kind"] == "candidates")
+    return _ident(n, cyc.evidence + (names,))
+
+
 def _classify_irreducible(
     g: IntPoly, prime_bound: int, stream: FrobeniusSamples
 ) -> GaloisIdentification:
@@ -1244,19 +1241,7 @@ def _classify_irreducible(
     if n <= 5:
         return _exact_verdict(g)
     if n <= 7:
-        ident = _census_verdict(g, prime_bound, stream)
-        if f"C{n}" not in ident.certainty.candidates:
-            return ident
-        cyc = cyclic_heuristic(g, prime_bound, _stream=stream)
-        # verify_identification replays the census up to the prime bound
-        # of the merged verdict, so that bound has to cover it
-        if (
-            cyc.certainty.kind != HEURISTIC
-            or cyc.certainty.prime_bound < ident.certainty.prime_bound
-        ):
-            return ident
-        names = next(e for e in ident.evidence if e["kind"] == "candidates")
-        return _ident(n, cyc.evidence + (names,))
+        return _census_and_cyclic(g, prime_bound, stream)
     cyc = cyclic_heuristic(g, prime_bound, _stream=stream)
     if cyc.certainty.kind == HEURISTIC:
         return cyc
@@ -1269,6 +1254,41 @@ def _classify_irreducible(
     # A Jordan sample is never uniform, so none comes before the sample
     # that refuted cyclicity; the hunt reads on past it to its cap.
     return sn_an_certificate(g, prime_bound, _stream=stream)
+
+
+def _target(f: IntPoly, prime_bound: int):
+    """(target, reducible items, stream): the irreducible polynomial that
+    classify decides on, the ``reducible`` item naming it when f is not
+    irreducible, and the Frobenius stream of the target up to prime_bound.
+
+    The target is the primitive part of f with a positive leading
+    coefficient when that is irreducible.  From degree 6 on, the
+    degree-set test on the first cycle types of its stream may prove so,
+    and nothing is factored; otherwise f is factored and the target is
+    its factor of largest degree (ties broken by coefficient order).
+    """
+    prim = f.primitive_part()
+    stream = FrobeniusSamples(prim, prime_bound)
+    if prim.degree() >= 6 and prim.constant_coefficient() and _squarefree(prim):
+        if _degree_set_irreducible(
+            prim.degree(),
+            (t.parts for _, t in stream.first(_DEGREE_SET_PRIMES)),
+        ):
+            return prim, (), stream
+    fac = factor_over_integers(f)
+    target = max(
+        (poly for poly, _ in fac.factors), key=lambda g: (g.degree(), g.coeffs)
+    )
+    if target != prim:
+        stream = FrobeniusSamples(target, prime_bound)
+    if fac.degree_multiset() == [f.degree()]:
+        return target, (), stream
+    item = {
+        "kind": "reducible",
+        "factor_count": sum(m for _, m in fac.factors),
+        "selected": format_poly(target),
+    }
+    return target, (item,), stream
 
 
 def classify(
@@ -1287,35 +1307,9 @@ def classify(
         raise TypeError("expected an IntPoly")
     if f.degree() < 1:
         raise ValueError("need a nonconstant polynomial")
-    prim = f.primitive_part()
-    stream = FrobeniusSamples(prim, prime_bound)
-    if prim.degree() >= 6 and prim.constant_coefficient() and _squarefree(prim):
-        if _degree_set_irreducible(
-            prim.degree(),
-            (t.parts for _, t in stream.first(_DEGREE_SET_PRIMES)),
-        ):
-            return _classify_irreducible(prim, prime_bound, stream)
-    fac = factor_over_integers(f)
-    target = max(
-        (poly for poly, _ in fac.factors), key=lambda g: (g.degree(), g.coeffs)
-    )
-    if target != prim:
-        stream = FrobeniusSamples(target, prime_bound)
-    pre: list[dict] = []
-    if fac.degree_multiset() != [f.degree()]:
-        pre.append(
-            {
-                "kind": "reducible",
-                "factor_count": sum(m for _, m in fac.factors),
-                "selected": format_poly(target),
-            }
-        )
+    target, pre, stream = _target(f, prime_bound)
     ident = _classify_irreducible(target, prime_bound, stream)
-    if pre:
-        ident = dataclasses.replace(
-            ident, evidence=tuple(pre) + ident.evidence
-        )
-    return ident
+    return dataclasses.replace(ident, evidence=pre + ident.evidence)
 
 
 def classify_all_factors(
@@ -1340,134 +1334,120 @@ def classify_all_factors(
 
 
 # ---------------------------------------------------------------------------
-# Independent re-validation of a verdict
+# Verification: the steps of a verdict, run again
 # ---------------------------------------------------------------------------
 
 
-def _sample_at(f: IntPoly, p: int) -> CycleType:
-    t = dedekind_cycle_type(f, p)
-    if t is None:
-        raise ValueError(f"{p} is not a usable prime for {format_poly(f)}")
-    return t
+def _run_again(
+    f: IntPoly, evidence, prime_bound: int, stream: FrobeniusSamples
+) -> GaloisIdentification:
+    """The verdict of the tier whose evidence items these are, run again
+    on f and its stream at prime_bound.
+
+    The kinds name the tier: a block structure the wreath tier; no
+    ``samples`` item the exact tier; a parity item the census, on its own,
+    or with a block-order cut as classify runs it at degree 6 and 7;
+    census candidates without one the cyclic verdict that classify merged
+    with them; a Jordan cycle, or cycle types that do not refute
+    cyclicity under samples that are not all uniform, the Jordan hunt;
+    anything else the cyclic heuristic.  The stream first draws as many
+    samples as the hunt counts, which is its cap whenever classify's
+    cyclic tier had read past ``SN_AN_CLASSIFY_SAMPLE_CAP``.
+    """
+    kinds = {item["kind"] for item in evidence}
+    samples = next((e for e in evidence if e["kind"] == "samples"), None)
+    if "block_structure" in kinds:
+        return wreath_structure(f, prime_bound, _stream=stream)
+    if samples is None:
+        return _exact_verdict(f)
+    if "parity" in kinds and "block_order_filter" not in kinds:
+        return eliminate_degree_le7(f, prime_bound, _stream=stream)
+    if kinds & {"parity", "candidates"}:
+        return _census_and_cyclic(f, prime_bound, stream)
+    notes = ["note" in e for e in evidence if e["kind"] == "cycle_type"]
+    if "jordan_cycle" in kinds or not (samples.get("all_uniform") or all(notes)):
+        for _ in stream.first(samples["count"]):
+            pass
+        return sn_an_certificate(f, prime_bound, _stream=stream)
+    return cyclic_heuristic(f, prime_bound, _stream=stream)
 
 
-# kind -> (f, item, inner) -> the item rebuilt on f from its own
-# parameters (prime, shift, candidates before a cut) and the inner
-# verdict; a sampled item is sampled again at its prime.  Every tier reads
-# a prefix of the usable primes, so a ``samples`` count is the number of
-# usable primes up to its last one, counted from lc(f)·disc(f) with no
-# sample, and capped one past the stated count.  A ``reducible`` item has
-# chosen f; ``all_uniform`` and ``order_lower_bound`` are read by _verdict
-# but not replayed, and the candidates are checked by _verdict or, for a
-# cyclic verdict, by a replay of the census: those come back as stated.
-_REBUILD = {
-    "cycle_type": lambda f, item, inner: _cycle_type_item(
-        item["prime"], _sample_at(f, item["prime"]), item.get("note")
-    ),
-    "jordan_cycle": lambda f, item, inner: _jordan_item(
-        item["prime"], _sample_at(f, item["prime"]), _jordan_window(f.degree())
-    ),
-    "degree": lambda f, item, inner: _degree_item(f),
-    "disc_square": lambda f, item, inner: _disc_item(f, "disc_square"),
-    "parity": lambda f, item, inner: _disc_item(f, "parity"),
-    "resolvent_cubic": lambda f, item, inner: _resolvent_cubic_item(f),
-    "quintic_resolvent": lambda f, item, inner: _quintic_resolvent_item(
-        f, item["shift"]
-    ),
-    "difference_degrees": lambda f, item, inner: _difference_degrees_item(
-        f, item["shift"]
-    ),
-    "block_structure": lambda f, item, inner: (
-        _block_structure(f) or (None,)
-    )[0],
-    "inner_group": lambda f, item, inner: _inner_group_item(inner),
-    "block_order_filter": lambda f, item, inner: _block_order_item(
-        f, inner, item["before"]
-    ),
-    "reducible": lambda f, item, inner: item,
-    "samples": lambda f, item, inner: {
-        **item,
-        "count": _usable_prime_count(f, item["prime_bound"], item["count"] + 1),
-    },
-    "order_lower_bound": lambda f, item, inner: item,
-    "candidates": lambda f, item, inner: item,
-}
+def _prime_bound(ident: GaloisIdentification) -> int:
+    """A prime bound at which the sampling tier of ident reads what it
+    read, but for a wreath verdict (``_wreath_bound``).
+
+    A verdict that is not proven records the last prime its tier read,
+    or the bound of an empty read; every tier stops by itself or at the
+    last usable prime below its bound, either way the same at that prime.
+    A proven census cut may have read to its bound, and its ``samples``
+    item records the last prime.  The census and the Jordan hunt prove
+    only by stopping, so any bound past their last prime serves, and the
+    default one is taken, as for a verdict with no samples.
+    """
+    certainty = ident.certainty
+    samples = next((e for e in ident.evidence if e["kind"] == "samples"), None)
+    if certainty.prime_bound or samples is None:
+        return certainty.prime_bound or DEFAULT_PRIME_BOUND
+    if any(e["kind"] == "block_order_filter" for e in ident.evidence):
+        return samples["prime_bound"]
+    return max(samples["prime_bound"], DEFAULT_PRIME_BOUND)
+
+
+def _wreath_bound(f: IntPoly, certainty: Certainty, count: int) -> int:
+    """A prime bound at which ``wreath_structure(f)`` counts count usable
+    primes (up to ``WREATH_ORDER_SAMPLES``) and names an inner verdict of
+    that certainty: below the next usable prime, and at the count-th or
+    above, as far up as the inner verdict allows.  A proven one stays so
+    at any larger bound; one that is not is the same at any bound from
+    the last prime it read, which the certainty records.
+    """
+    count = min(count, WREATH_ORDER_SAMPLES)
+    usable = list(islice(_usable_primes(f), count + 1))
+    if not certainty.is_proven:
+        return max([certainty.prime_bound] + usable[count - 1 : count])
+    if count < WREATH_ORDER_SAMPLES:
+        return usable[count] - 1
+    return DEFAULT_PRIME_BOUND
+
+
+def _canonical(ident: GaloisIdentification) -> str:
+    return json.dumps(ident.to_dict(), sort_keys=True)
 
 
 def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
-    """Replay a verdict's evidence on f, then re-derive the verdict.
+    """Run again the steps that classify took to a verdict, along the path
+    its evidence names, and compare.
 
-    Four steps.  The target is the polynomial classify decided on: the
-    primitive part of f with a positive leading coefficient, or the
-    factor that a ``reducible`` item selects; it must have the verdict's
-    degree.  Every item is rebuilt on the target with the same pure
-    functions that built it, and must come out the same.  Five bounded
-    memos may still hold what classify computed: the degree tables of
-    ``factor._modular_degrees``, the discriminants of
-    ``polynomials.discriminant``, the squarefree resolvents of
-    ``_squarefree_resolvent``, and, behind ``factor_over_integers`` and
-    ``rational_roots``, the Zassenhaus factors of ``_lift_and_recombine``
-    and the roots of ``_nonzero_roots``.  Each is keyed by the polynomial
-    the replay rebuilds from f (and the prime, the recombination cutoff,
-    or the resolvent's builder and Tschirnhaus shift), never by what an
-    item claims, since an item may be hand-made: a tampered item is
-    rebuilt as it would be on empty memos.  A verify in a fresh process
-    recomputes all of it.  The inner verdict of a block item is re-derived by ``classify``, and the census candidates
-    of a cyclic verdict (one with a ``candidates`` item but no ``parity``
-    item) by running the elimination and the block-order cut again on a
-    fresh stream, both up to the verdict's own prime bound, or the
-    default one for a verdict that records none.  The target must be
-    irreducible, since every tier reads the Galois group of an
-    irreducible polynomial: the degree-set test on the replayed cycle
-    types of the ``cycle_type`` and ``jordan_cycle`` items proves that
-    for a few verdicts, and ``is_irreducible`` decides the rest.  Last,
-    ``_verdict`` must turn the items into the stated name, T-notation and
-    certainty.  Only ``order_lower_bound`` and the ``all_uniform`` flag
-    of a ``samples`` item are stated claims that are not replayed; a
-    ``samples`` count is.  Returns False, and never raises, on a verdict
-    that does not fit f, tampered or malformed evidence included.
+    The target is chosen as classify chooses it (``_target``), which
+    proves it irreducible and re-derives any ``reducible`` item.  Then the
+    tier that the evidence kinds name runs again on the target's stream
+    (``_run_again``), at the prime bound the verdict records or its items
+    imply (``_prime_bound``, ``_wreath_bound``), and its whole verdict,
+    with the reducible item first, must equal ident in canonical JSON: the
+    group name, the T-notation, the certainty and every evidence item,
+    sampled claims, counts, order bounds and census candidates included;
+    a Tschirnhaus shift read back from JSON as a list matches its tuple.  Verdicts of the
+    public tiers called on their own verify the same way.  The bounded
+    memos behind the samples, discriminants, factorizations, rational
+    roots and resolvents are keyed by the polynomials the run builds from
+    f, never by what an item claims, so right after classify the run
+    reads what classify computed, and a verify in a fresh process costs
+    about one classify of the target.  Returns False, and never raises,
+    on a verdict that does not fit f, tampered or malformed evidence
+    included.
     """
     if not isinstance(f, IntPoly):
         raise TypeError("expected an IntPoly")
     try:
-        target = f.primitive_part()
+        bound = _prime_bound(ident)
+        target, pre, stream = _target(f, bound)
         for item in ident.evidence:
-            if item["kind"] == "reducible":
-                target = parse_int_poly(item["selected"])
-                if not target.divides(f):
-                    return False
-        n = ident.degree
-        if target.degree() != n:
-            return False
-        kinds = {item["kind"] for item in ident.evidence}
-        bound = ident.certainty.prime_bound or DEFAULT_PRIME_BOUND
-        inner = None
-        if kinds & {"inner_group", "block_order_filter"}:
-            found = _block_structure(target)
-            if found is None:
-                return False
-            inner = classify(found[1], bound)
-        for item in ident.evidence:
-            if _REBUILD[item["kind"]](target, item, inner) != item:
-                return False
-        # the stated parts, now that the replay has matched them
-        parts = (
-            item["parts"]
-            for item in ident.evidence
-            if item["kind"] in ("cycle_type", "jordan_cycle")
-        )
-        if not _degree_set_irreducible(n, parts) and not is_irreducible(target):
-            return False
-        if "candidates" in kinds and "parity" not in kinds:
-            census = _census_verdict(
-                target, bound, FrobeniusSamples(target, bound)
-            )
-            if census.certainty.candidates != ident.certainty.candidates:
-                return False
-        return _verdict(ident.degree, ident.evidence, inner) == (
-            ident.group_name,
-            ident.t_notation,
-            ident.certainty,
-        )
+            if item["kind"] == "order_lower_bound":
+                wreath = _wreath_bound(target, ident.certainty, item["samples"])
+                if wreath != bound:
+                    bound, stream = wreath, FrobeniusSamples(target, wreath)
+        again = _run_again(target, ident.evidence, bound, stream)
+        again = dataclasses.replace(again, evidence=pre + again.evidence)
+        return _canonical(again) == _canonical(ident)
     except (ArithmeticError, LookupError, RuntimeError, TypeError, ValueError):
         return False

@@ -1305,6 +1305,8 @@ _TAMPER_TARGETS = {
     "C2wrS3": lambda: parse_int_poly("x^6 + x^2 + 1"),
     "one of D6, C2wrC3, C2wrS3": lambda: parse_int_poly("x^6 - 2"),
     "subgroup of C2 wr S4": lambda: parse_int_poly("x^8 + 3*x^2 + 1"),
+    # reducible: its verdict names the factor x^3 - x - 1 it decides on
+    "S3": lambda: parse_int_poly("x^3 - x - 1") * parse_int_poly("x^2 + 1"),
 }
 
 
@@ -1401,6 +1403,22 @@ _TAMPERS = {
             evidence=_changed_item(v, "inner_group", name="C4"),
         ),
     ),
+    # the order bound and the reducible item are derived again, not stated
+    "wreath-order-doubled": (
+        "subgroup of C2 wr S4",
+        lambda v: dataclasses.replace(
+            v,
+            evidence=_changed_item(
+                v, "order_lower_bound", value=2 * _order_item(v)["value"]
+            ),
+        ),
+    ),
+    "S3-factor-count": (
+        "S3",
+        lambda v: dataclasses.replace(
+            v, evidence=_changed_item(v, "reducible", factor_count=7)
+        ),
+    ),
 }
 
 # a verdict of x^7 - x - 1 -> one that does not fit it
@@ -1484,8 +1502,12 @@ class TestOneWalkPerPrime:
         for entry in _stream_inputs().block(1, 0):
             walked.clear()
             f = IntPoly(entry["coeffs"])
-            assert verify_identification(f, classify(f)), entry
+            ident = classify(f)
+            by_classify = set(walked)
+            assert verify_identification(f, ident), entry
             assert len(set(walked)) == len(walked), entry
+            # the verifier walks no (f, p) that its classify did not
+            assert set(walked) <= by_classify, entry
 
     @pytest.mark.parametrize("name", list(_TAMPER_TARGETS))
     def test_verify_after_classify_walks_no_prime(self, monkeypatch, name):
@@ -1495,6 +1517,57 @@ class TestOneWalkPerPrime:
         walked = _walked(monkeypatch)
         assert verify_identification(f, ident)
         assert walked == []
+
+
+# The wreath verdicts of the _WREATH_CELLS targets, by table and order.
+_WREATH_NAMES = {
+    ("Atanh2Pade", 16): "subgroup of C2 wr S4",
+    ("SinSinh", 9): "subgroup of C2 wr D4",
+    ("SinSinh", 13): "subgroup of C2 wr C2wrS3",
+    ("SinSinh", 17): "subgroup of C2 wr C2 wr S4",
+}
+
+# (polynomial, tier, prime bound, group name): verdicts that running their
+# tier again must keep.  Proven wreath verdicts at bounds that leave fewer
+# than WREATH_ORDER_SAMPLES usable primes; a proven census cut whose
+# elimination read every prime up to its bound; the census of x^6 - 2 on
+# its own, seven names that classify cuts to three; and the wreath tier on
+# a quartic that classify decides exactly (D4).
+_KEPT = [
+    *(
+        pytest.param(
+            lambda cell=cell: _wreath_target(*cell),
+            tier,
+            bound,
+            _WREATH_NAMES[cell],
+            id=f"{tier.__name__}-{cell[0]}-{cell[1]}-{bound}",
+        )
+        for cell in _WREATH_CELLS
+        for tier in (wreath_structure, classify)
+        for bound in (60, 200)
+    ),
+    pytest.param(
+        lambda: parse_int_poly("x^6 + 2*x^2 + 2"),
+        classify,
+        60,
+        "C2wrS3",
+        id="classify-x^6+2x^2+2-60",
+    ),
+    pytest.param(
+        lambda: parse_int_poly("x^6 - 2"),
+        eliminate_degree_le7,
+        DEFAULT_PRIME_BOUND,
+        "one of D6, C2wrC3, C3^2:V4, C2wrS3, S3wrS2, PGL(2,5), S6",
+        id="eliminate_degree_le7-x^6-2",
+    ),
+    pytest.param(
+        lambda: parse_int_poly("x^4 + x^2 + 7"),
+        wreath_structure,
+        DEFAULT_PRIME_BOUND,
+        "subgroup of C2 wr C2",
+        id="wreath_structure-x^4+x^2+7",
+    ),
+]
 
 
 class TestVerifyIdentification:
@@ -1574,8 +1647,9 @@ class TestVerifyIdentification:
         assert not verify_identification(f, unfit(classify(f)))
 
     def test_full_cycle_item_proves_irreducibility(self, monkeypatch):
-        # the proven S7 verdict holds the 7-cycle at p = 2, which the
-        # verifier recomputes instead of factoring the target
+        # the proven S7 verdict holds the 7-cycle at p = 2, the first
+        # sample of the stream on which the verifier, as classify, runs
+        # the degree-set test instead of factoring the target
         f = parse_int_poly("x^7 - x - 1")
         ident = classify(f)
         calls = []
@@ -1592,8 +1666,9 @@ class TestVerifyIdentification:
         assert calls == []
 
     def test_replayed_degree_sets_prove_irreducibility(self, monkeypatch):
-        # the S7 verdict holds no 7-cycle; its replayed types [6, 1] at
-        # p = 3 and [4, 3] at p = 5 leave only the degrees 0 and 7
+        # the S7 verdict holds no 7-cycle; the types [6, 1] at p = 3 and
+        # [4, 3] at p = 5 on the stream the verifier reads leave only the
+        # degrees 0 and 7
         f = parse_int_poly(
             "2*x^7 + x^6 - 2*x^5 + 5*x^4 + 2*x^3 - 5*x^2 + 2*x + 7"
         )
@@ -1613,37 +1688,69 @@ class TestVerifyIdentification:
         assert calls == []
 
     def test_each_sample_is_replayed_once(self, monkeypatch):
-        # the degree-set test and the rebuilt items read one replay
-        f = parse_int_poly("x^7 - x - 1")
-        ident = classify(f)
-        primes = [e["prime"] for e in ident.evidence if e["kind"] == "cycle_type"]
+        # the verifier reads one stream of the target, and the inner
+        # polynomial's of a block verdict: each prime at most once, and
+        # only primes that classify read; for the census verdict of
+        # x^7 - x - 1, in classify's very order
         calls = []
         original = galois.dedekind_cycle_type
 
-        def counting(g, p):
-            calls.append(p)
-            return original(g, p)
+        def counting(g, p, *reach):
+            calls.append((g, p))
+            return original(g, p, *reach)
 
         monkeypatch.setattr(galois, "dedekind_cycle_type", counting)
-        assert ident.group_name == "S7" and len(primes) > 1
-        assert verify_identification(f, ident)
-        assert calls == primes
+        for name, make in _TAMPER_TARGETS.items():
+            f = make()
+            calls.clear()
+            ident = classify(f)
+            by_classify = list(calls)
+            calls.clear()
+            assert verify_identification(f, ident), name
+            assert len(set(calls)) == len(calls), name
+            assert set(calls) <= set(by_classify), name
+            if name == "S7":
+                assert len(calls) > 1 and calls == by_classify
 
     def test_jordan_sample_reaches_the_degree_set_test(self, monkeypatch):
+        # the verifier proves the target irreducible as classify does: the
+        # degree-set test reads the same first cycle types of its stream,
+        # the Jordan sample among them, and nothing is factored
         q8 = scale_to_monic_integer(8)
-        ident = sn_an_certificate(q8)
-        jordan = next(e for e in ident.evidence if e["kind"] == "jordan_cycle")
         lists = []
         original = galois._degree_set_irreducible
 
         def recording(n, degree_lists):
-            degree_lists = [list(d) for d in degree_lists]
-            lists.extend(degree_lists)
+            degree_lists = [tuple(d) for d in degree_lists]
+            lists.append(degree_lists)
             return original(n, degree_lists)
 
+        def factoring(*args):
+            raise AssertionError("factored")
+
         monkeypatch.setattr(galois, "_degree_set_irreducible", recording)
+        monkeypatch.setattr(galois, "factor_over_integers", factoring)
+        ident = classify(q8)
+        jordan = next(e for e in ident.evidence if e["kind"] == "jordan_cycle")
         assert verify_identification(q8, ident)
-        assert lists == [list(dedekind_cycle_type(q8, jordan["prime"]).parts)]
+        assert len(lists) == 2 and lists[0] == lists[1]
+        assert tuple(jordan["parts"]) in lists[1]
+
+    @pytest.mark.parametrize(("make", "tier", "bound", "name"), _KEPT)
+    def test_a_run_again_keeps_the_verdict(self, make, tier, bound, name):
+        f = make()
+        ident = tier(f, bound)
+        assert ident.group_name == name
+        if bound < DEFAULT_PRIME_BOUND:
+            # a proven verdict records no prime bound; its items tell the
+            # run which bound to read to
+            assert ident.certainty.to_dict() == {"kind": "proven"}
+            assert all(
+                e["samples"] < WREATH_ORDER_SAMPLES
+                for e in ident.evidence
+                if e["kind"] == "order_lower_bound"
+            )
+        assert verify_identification(f, ident)
 
     @pytest.mark.parametrize(
         "text",

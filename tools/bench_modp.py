@@ -133,9 +133,12 @@ emptied memos: ``samples``, the ``dedekind_cycle_type`` calls;
 of one prime and of more, and ``block_primes`` the primes of the latter;
 ``unasked_block_primes``, those that no read asked in the operation that
 walked them; ``distinct_degree_walks``, the ``gf_distinct_degree`` calls
-of factoring; and ``rewalked_in_later_op``, the (f, p) walked in an
-operation that an earlier one had walked.  ``--walks`` prints this
-section alone.
+of factoring; ``rewalked_in_later_op``, the (f, p) walked in an
+operation that an earlier one had walked; ``verify_new_walks``, the (f,
+p) that ``verify_identification`` walks and its operation had not walked
+before it, so not its classify; and ``verify_is_irreducible_calls``, the
+``is_irreducible`` calls made inside ``verify_identification``.
+``--walks`` prints this section alone.
 
 Every timed call but those of the ``kernel`` section, and each input of
 ``lifted_degrees``, starts with the memos of ``factor._modular_degrees``
@@ -813,6 +816,8 @@ def count_walks(ops) -> dict:
             "block_walks",
             "block_primes",
             "distinct_degree_walks",
+            "verify_new_walks",
+            "verify_is_irreducible_calls",
         ),
         0,
     )
@@ -822,6 +827,8 @@ def count_walks(ops) -> dict:
     unasked = rewalked = 0
     sample, degrees = galois.dedekind_cycle_type, factor._DegreeTable.degrees
     block, distinct = factor.gf_block_degrees, factor.gf_distinct_degree
+    verify, irreducible = galois.verify_identification, galois.is_irreducible
+    verifying = []  # one entry while a verify is under way
 
     def counting_sample(*args):
         counts["samples"] += 1
@@ -844,10 +851,28 @@ def count_walks(ops) -> dict:
         counts["distinct_degree_walks"] += 1
         return distinct(*args)
 
+    def counting_verify(*args):
+        start = len(walked)
+        verifying.append(start)
+        try:
+            return verify(*args)
+        finally:
+            verifying.pop()
+            before = {key for key, _ in walked[:start]}
+            new = {key for key, _ in walked[start:]} - before
+            counts["verify_new_walks"] += len(new)
+
+    def counting_irreducible(*args):
+        counts["verify_is_irreducible_calls"] += bool(verifying)
+        return irreducible(*args)
+
     galois.dedekind_cycle_type = counting_sample
     factor._DegreeTable.degrees = counting_degrees
     factor.gf_block_degrees = counting_block
     factor.gf_distinct_degree = counting_distinct
+    galois.verify_identification = counting_verify
+    tables.verify_identification = counting_verify
+    galois.is_irreducible = counting_irreducible
     clear_memos()
     try:
         for op in ops:
@@ -863,6 +888,9 @@ def count_walks(ops) -> dict:
         factor._DegreeTable.degrees = degrees
         factor.gf_block_degrees = block
         factor.gf_distinct_degree = distinct
+        galois.verify_identification = verify
+        tables.verify_identification = verify
+        galois.is_irreducible = irreducible
     return {
         **counts,
         "unasked_block_primes": unasked,
