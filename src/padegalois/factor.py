@@ -17,10 +17,14 @@ Factoring over the integers always splits with ``DEFAULT_EDF_SEED``;
 ``factor_mod_p`` takes a seed and records it in its ``ModPFactorization``.
 
 Prime policy: a prime is usable when it does not divide the leading
-coefficient and keeps the input squarefree.  ``_modular_degrees`` reads
-the factor degrees mod a usable prime for the cycle types of ``galois``,
-the prime choice and the degree-set test, which lets ``galois.classify``
-prove most inputs irreducible without factoring them.  The smallest
+coefficient and keeps the input squarefree, that is when it does not
+divide lc(f)·disc(f) (``_unusable``), which each polynomial's degree
+table reads once off the memoized discriminant; an unusable prime is
+never walked, and no gcd(f, f') mod p is taken to find one.
+``_modular_degrees`` reads the factor degrees mod a usable prime for the
+cycle types of ``galois``, the prime choice and the degree-set test,
+which lets ``galois.classify`` prove most inputs irreducible without
+factoring them.  The smallest
 usable prime >= 13 is used; when it yields more than
 ``RECOMBINATION_CUTOFF`` modular factors, further usable primes are
 probed, and only if all of them bust the cutoff does the engine raise
@@ -48,13 +52,11 @@ from .modp import (
     _block_walk,
     _stages,
     gf_block_degrees,
-    gf_deriv,
     gf_distinct_degree,
     gf_divmod,
     gf_equal_degree,
     gf_factor_monic,
     gf_from_int_coeffs,
-    gf_gcd,
     gf_monic,
     gf_mod,
     gf_mul,
@@ -173,51 +175,47 @@ class ModPFactorization:
 
 
 def _squarefree(f: IntPoly) -> bool:
-    """True when f has no repeated factor over the rationals.  The first
-    prime that ``good_primes`` yields proves it, as a square factor of f
-    would stay one mod a prime not dividing lc(f); the gcd over Z is
-    taken only once deg f + 1 such primes have failed."""
+    """True when f has no repeated factor over the rationals: for degree
+    >= 1, when disc(f) != 0 (``good_primes``, whose error for disc(f) = 0
+    takes the gcd over Z)."""
     if f.degree() < 1:
         return f.degree() == 0
     try:
-        next(good_primes(f))
+        good_primes(f)
     except ValueError:
         return False
     return True
 
 
-def good_primes(f: IntPoly):
-    """Primes p >= 13 with p not dividing lc(f) and f squarefree mod p.
+def _unusable(f: IntPoly) -> int:
+    """lc(f)·disc(f), f of degree >= 1, off the memoized discriminant.  For
+    p not dividing lc(f), f mod p keeps degree n and is squarefree exactly
+    when disc(f) mod p, its discriminant, is nonzero; so a prime is usable
+    for f, in the sense of ``_modular_degrees``, exactly when it does not
+    divide this number.  0 is when f is not squarefree."""
+    return f.coeffs[-1] * int(discriminant(f))
 
-    Raises ValueError when f is not squarefree over the integers, where
-    no prime qualifies, with gcd(f, f') over Z as its second argument.  A
-    squarefree f fails at primes dividing its discriminant only, so that
-    is checked once more than deg f have failed.
+
+def good_primes(f: IntPoly):
+    """The primes p >= 13 usable for f (``_unusable``), in ascending
+    order: p divides neither lc(f) nor disc(f), so f mod p keeps its
+    degree and stays squarefree.
+
+    Raises ValueError when disc(f) = 0, that is when f is not squarefree
+    over the integers and no prime qualifies, with gcd(f, f') over Z as
+    its second argument.
     """
-    lc = f.leading_coefficient()
-    failed = 0
-    for p in primes_from(13):
-        if lc % p == 0:
-            continue
-        fm = gf_from_int_coeffs(f.coeffs, p)
-        if len(gf_gcd(fm, gf_deriv(fm, p), p)) == 1:
-            yield p
-            continue
-        failed += 1
-        if failed == f.degree() + 1:
-            gcd = int_poly_gcd(f, f.derivative())
-            if gcd.degree():
-                raise ValueError("no good prime: f is not squarefree", gcd)
+    unusable = _unusable(f)
+    if not unusable:
+        gcd = int_poly_gcd(f, f.derivative())
+        raise ValueError("no good prime: f is not squarefree", gcd)
+    return (p for p in primes_from(13) if unusable % p)
 
 
 def _usable_primes(f: IntPoly):
-    """The primes usable for f in the sense of ``_modular_degrees``, in
-    ascending order, with no walk.  For p not dividing lc(f), f mod p keeps
-    degree n and is squarefree exactly when its discriminant, disc(f) mod
-    p, is nonzero; so p is usable exactly when it does not divide
-    lc(f)·disc(f).  None is when f is not squarefree.
-    """
-    unusable = f.coeffs[-1] * int(discriminant(f))
+    """The primes usable for f (``_unusable``), in ascending order from 2,
+    with no walk; none when f is not squarefree."""
+    unusable = _unusable(f)
     return (p for p in primes_from(2) if unusable % p) if unusable else iter(())
 
 
@@ -230,50 +228,53 @@ def _usable_prime_count(f: IntPoly, prime_bound: int, cap: int) -> int:
 
 def _modular_degrees(f: IntPoly, p: int, reach=(math.inf, 1)) -> list[int] | None:
     """Sorted degrees of the irreducible factors of f mod p, or None when
-    p divides lc(f) or f is not squarefree mod p, as a list of the
-    caller's own, from the degree table of f (``_DegreeTable``) asked
-    with the reach of the read: its prime bound, and the usable samples
-    it may still ask for, p included.  By default it asks p alone."""
+    p is not usable for f, that is when it divides lc(f)·disc(f)
+    (``_unusable``), as a list of the caller's own, from the degree table
+    of f (``_DegreeTable``) asked with the reach of the read: its prime
+    bound, and the usable samples it may still ask for, p included.  By
+    default it asks p alone."""
     degrees = _degree_table_memo(f.coeffs).degrees(p, reach)
     return None if degrees is None else list(degrees)
 
 
 class _DegreeTable(dict):
     """The factor degrees of one f mod every prime asked so far: p to the
-    sorted degrees, or None, as ``modp.gf_block_degrees`` gives them,
-    whatever block p is walked in.
+    sorted degrees, as ``modp.gf_block_degrees`` gives them, whatever
+    block p is walked in, or None.
 
-    A prime the table lacks is walked alone until the table holds
-    ``_BLOCK_RUN`` usable primes (those with degrees) whose walks closed,
-    walked since its last usable prime whose walk did not close (the lcm
-    of its degrees exceeds n): a block decides such a prime no better
-    than a walk of its own, and pays for it.  From then on it is walked
-    with the primes after it that do not divide lc(f), up to the first
-    one the table holds, ``FROBENIUS_BLOCK_PRIMES`` in all, cut at the
-    reach of the read: no prime above its prime bound, and no more
-    primes than the usable samples it may still ask for.  A prime that
-    divides lc(f) is None with no walk.  Every answer of a block goes
-    into the table.  The last walk any table made is kept for
+    Usability is decided once, from u = lc(f)·disc(f) (``_unusable``): a
+    prime that divides u is None with no walk, and no block holds one.
+    A usable prime the table lacks is walked alone until the table holds
+    ``_BLOCK_RUN`` primes whose walks closed, walked since its last prime
+    whose walk did not close (the lcm of its degrees exceeds n): a block
+    decides such a prime no better than a walk of its own, and pays for
+    it.  From then on it is walked with the usable primes after it, up
+    to the first one the table holds, ``FROBENIUS_BLOCK_PRIMES`` in all,
+    cut at the reach of the read: no prime above its prime bound, and no
+    more primes than the usable samples it may still ask for, so a block
+    holds as many samples as primes.  Every answer of a block goes into
+    the table.  The last walk any table made is kept for
     ``_walked_stages``: f's coefficients, the block, f made monic modulo
     the block's product, the steps and the orders."""
 
-    run = 0  # usable primes with closed walks since the last open one
+    run = 0  # primes with closed walks since the last open one
     last_walk: tuple | None = None
 
     def __init__(self, coeffs: tuple) -> None:
         self.coeffs = coeffs
+        self.unusable = _unusable(IntPoly(coeffs))
 
     def degrees(self, p: int, reach: tuple) -> tuple[int, ...] | None:
         if p in self:
             return self[p]
-        coeffs, lead = self.coeffs, self.coeffs[-1]
-        if lead % p == 0:
+        coeffs, unusable = self.coeffs, self.unusable
+        if unusable % p == 0:
             self[p] = None
             return None
         block = [p]
         if self.run >= _BLOCK_RUN and len(coeffs) > 2:
             bound, wanted = reach
-            primes = (q for q in primes_from(p) if lead % q)
+            primes = (q for q in primes_from(p) if unusable % q)
             primes = itertools.takewhile(lambda q: q <= bound and q not in self, primes)
             size = min(wanted, FROBENIUS_BLOCK_PRIMES)
             block = list(itertools.islice(primes, size))
@@ -281,9 +282,8 @@ class _DegreeTable(dict):
         _DegreeTable.last_walk = (coeffs, block, *walked[:3])
         self.update(gf_block_degrees(coeffs, block, walked))
         for q in block:
-            if self[q] is not None:
-                # a walk that did not close (degrees of lcm above n) ends the run
-                self.run = self.run + 1 if math.lcm(*self[q]) < len(coeffs) else 0
+            # a walk that did not close (degrees of lcm above n) ends the run
+            self.run = self.run + 1 if math.lcm(*self[q]) < len(coeffs) else 0
         return self[p]
 
 
@@ -304,16 +304,14 @@ def _walked_stages(coeffs: tuple, p: int) -> list[tuple[list[int], int]] | None:
 
 
 def _usable_degrees(f: IntPoly, count: float = math.inf):
-    """(p, ``_modular_degrees(f, p)``) over the first count primes p >= 13
-    at which squarefree f is usable: those that ``good_primes(f)``
-    yields.  A block walked for them reaches no further."""
-    for p in primes_from(13):
+    """(p, ``_modular_degrees(f, p)``) over the first count primes that
+    ``good_primes(f)`` yields, for squarefree f.  A block walked for them
+    reaches no further."""
+    for p in good_primes(f):
         if count == 0:
             return
-        degrees = _modular_degrees(f, p, (math.inf, count))
-        if degrees is not None:
-            count -= 1
-            yield p, degrees
+        yield p, _modular_degrees(f, p, (math.inf, count))
+        count -= 1
 
 
 def _degree_set_irreducible(n: int, degree_lists) -> bool:
@@ -436,9 +434,8 @@ def _nonzero_roots(f: IntPoly) -> tuple[list[Fraction], IntPoly]:
     """The rational roots of primitive f of degree >= 1 with f(0) != 0,
     with multiplicity and sorted, and gcd(f, f'), whose cofactor in f is
     the radical searched for roots.  The gcd over Z is taken only when
-    ``good_primes`` finds no prime that keeps f squarefree, and then once:
-    the failed search hands it back.  So a non-squarefree f pays deg f + 1
-    extra gcds mod p.  The last ``_ENGINE_MEMO_SIZE`` answers are kept,
+    disc(f) = 0, and then once: ``good_primes`` hands it back with its
+    error.  The last ``_ENGINE_MEMO_SIZE`` answers are kept,
     keyed by the coefficients of f; each call gets a list of its own."""
     roots, cof = _nonzero_roots_memo(f.coeffs)
     return list(roots), cof
@@ -450,7 +447,7 @@ def _nonzero_roots_memo(coeffs: tuple) -> tuple[tuple[Fraction, ...], IntPoly]:
     roots: list[Fraction] = []
     rad, cof = f, IntPoly.one()
     try:
-        next(good_primes(f))
+        good_primes(f)
     except ValueError as failed:
         cof = failed.args[1]
         rad = f.exact_div(cof)
@@ -461,7 +458,7 @@ def _nonzero_roots_memo(coeffs: tuple) -> tuple[tuple[Fraction, ...], IntPoly]:
         num_bound = abs(rad.constant_coefficient())
         den_bound = abs(rad.leading_coefficient())
         target = 2 * num_bound * den_bound + 1
-        p = next(iter(good_primes(rad)))
+        p = next(good_primes(rad))
         for t0 in gf_roots(gf_from_int_coeffs(rad.coeffs, p), p):
             t, m = _newton_lift_root(rad, t0, p, target)
             cand = _rational_reconstruct(t, m, num_bound, den_bound)

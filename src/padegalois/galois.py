@@ -246,12 +246,14 @@ class GaloisIdentification:
 def dedekind_cycle_type(f: IntPoly, p: int, reach=(inf, 1)) -> CycleType | None:
     """Cycle type of a Frobenius element at p, or None if p is unusable.
 
-    Usable means p does not divide the leading coefficient and f stays
-    squarefree mod p; then the degrees of the irreducible factors of
-    f mod p, which ``factor._modular_degrees`` reads off one Frobenius
-    walk (by arithmetic on its order and traces, with distinct-degree
-    stages only where that leaves them open), form the cycle type of an
-    element of the Galois group acting on the roots.  A reader that asks
+    Usable means p does not divide lc(f)·disc(f), so f mod p keeps its
+    degree and stays squarefree; then the degrees of the irreducible
+    factors of f mod p, which ``factor._modular_degrees`` reads off one
+    Frobenius walk (by arithmetic on its order and traces, with
+    distinct-degree stages only where that leaves them open), form the
+    cycle type of an element of the Galois group acting on the roots.  An
+    unusable prime is None with no walk, off the discriminant that the
+    degree table of f reads once.  A reader that asks
     on past p passes its reach, its prime bound and the usable samples it
     may still ask for, p included, where a block walked with p stops; by
     default p is walked alone.
@@ -1410,6 +1412,27 @@ def _wreath_bound(f: IntPoly, certainty: Certainty, count: int) -> int:
     return DEFAULT_PRIME_BOUND
 
 
+def _stated_read(f: IntPoly, certainty: Certainty) -> None:
+    """Raise ValueError unless the sample count and prime bound that a
+    verdict which is not proven states are those of a read of one
+    stream: that of f, or, for the inner verdict a wreath verdict
+    carries, that of g where f = g(x^2), or of the g of g, and so on.  A
+    read of count usable samples ends at the count-th usable prime, and
+    a read of none at a bound below the first (``factor._usable_primes``).
+    Nothing is sampled, and no more primes are looked at than the count
+    states, so a stated bound far past the read costs nothing.
+    """
+    count, bound = certainty.sample_count, certainty.prime_bound
+    while True:
+        usable = takewhile(lambda p: p <= bound, _usable_primes(f))
+        read = list(islice(usable, count + 1))
+        if len(read) == count and read[-1:] in ([], [bound]):
+            return
+        if _block_structure(f) is None:
+            raise ValueError("the stated count and bound are no read of a stream")
+        f = f.even_part_compressed()
+
+
 def _canonical(ident: GaloisIdentification) -> str:
     return json.dumps(ident.to_dict(), sort_keys=True)
 
@@ -1422,7 +1445,9 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     proves it irreducible and re-derives any ``reducible`` item.  Then the
     tier that the evidence kinds name runs again on the target's stream
     (``_run_again``), at the prime bound the verdict records or its items
-    imply (``_prime_bound``, ``_wreath_bound``), and its whole verdict,
+    imply (``_prime_bound``, ``_wreath_bound``), once the count and bound
+    of a verdict that is not proven are found to be those of a read
+    (``_stated_read``), and its whole verdict,
     with the reducible item first, must equal ident in canonical JSON: the
     group name, the T-notation, the certainty and every evidence item,
     sampled claims, counts, order bounds and census candidates included;
@@ -1441,6 +1466,8 @@ def verify_identification(f: IntPoly, ident: GaloisIdentification) -> bool:
     try:
         bound = _prime_bound(ident)
         target, pre, stream = _target(f, bound)
+        if not ident.certainty.is_proven:
+            _stated_read(target, ident.certainty)
         for item in ident.evidence:
             if item["kind"] == "order_lower_bound":
                 wreath = _wreath_bound(target, ident.certainty, item["samples"])

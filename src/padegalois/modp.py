@@ -37,8 +37,10 @@ than one fits, the degrees must also hold N_2 twos, read from tr(Q^2)
 only then; that settles most of the rest, such as {4, 4} against {4, 2,
 2}.  Only when the fit is still open, or when p <= n or the walk did
 not close, are the distinct-degree stages taken (``_stages``), off the
-same walk read mod p; only a walk that did not close pays for the
-squarefree test gcd(f, f').  ``gf_distinct_degree``, which the modular
+same walk read mod p.  A walk that closed proves f squarefree mod p; one
+that did not takes the squarefree test gcd(f, f') first, which a prime
+from ``factor``'s degree tables always passes, as they walk no prime
+that divides lc(f)·disc(f).  ``gf_distinct_degree``, which the modular
 factorization calls for the stage polynomials, walks on its own and
 takes the same stages.  On a closed walk, the gcd g = gcd(f, prod_q
 (h_(L/q) - x)), q prime, collects the factors of degree below L, as
@@ -82,10 +84,11 @@ modulo m, as the traces of the primes that closed read them.  A prime
 still open after that (a walk not closed by step n, p <= n, or a fit
 open after tr(Q^2)) takes its stages off the block's walk reduced mod
 p_i, so no prime is walked twice.  ``factor._DegreeTable``, the degrees
-of one polynomial, chooses the blocks: one prime until it holds 8 usable
-primes whose walks closed since its last open one, 16 after that, each
-cut at the first prime it holds, at the read's prime bound and at the
-samples the read may still ask for.
+of one polynomial, chooses the blocks among the primes that divide
+neither lc(f) nor disc(f): one prime until it holds 8 whose walks closed
+since its last open one, 16 after that, each cut at the first prime it
+holds, at the read's prime bound and at the samples the read may still
+ask for.
 
 ``gf_pow_mod`` works left to right: square, then multiply by the base on
 each set bit.  The high half of a product is reduced with a packed table
@@ -580,8 +583,10 @@ def gf_block_degrees(
     (``_closed_fit``).  A prime that arithmetic leaves open (the walk did
     not close by step n, p <= n, or the fit is open after tr(Q^2)) takes
     its stages off the walk reduced mod p (``_stages``), after the
-    squarefree test gcd(f, f') if its walk did not close.  For one prime
-    the walk is already reduced."""
+    squarefree test gcd(f, f') if its walk did not close; this function
+    keeps that test for any caller, though ``factor._DegreeTable`` hands
+    it only primes that divide neither lc(f) nor disc(f), which pass it.
+    For one prime the walk is already reduced."""
     n = len(f) - 1
     f, walk, orders, matrix = walked or _block_walk(f, primes)
     trace = sum(r[i] for i, r in enumerate(matrix)) if len(matrix) == n else None

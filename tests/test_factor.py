@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -137,8 +138,8 @@ class TestSquarefreeByOnePrime:
         ids=["x^2", "(x+1)^2(x-2)"],
     )
     def test_square_factor_takes_the_integer_gcd(self, integer_gcds, f):
-        # no prime keeps a square factor apart: deg f + 1 primes fail,
-        # then the gcd over Z decides
+        # disc(f) = 0 rules out every prime with no gcd mod p; the error
+        # of good_primes carries the one gcd over Z
         assert not _squarefree(f)
         assert len(integer_gcds) == 1
 
@@ -148,12 +149,12 @@ class TestSquarefreeByOnePrime:
         assert integer_gcds == []
 
     def test_primes_dividing_the_leading_coefficient_are_skipped(self, integer_gcds):
-        # 13 * 17 * 19 * x^2 + 1 is squarefree, but reduces to the constant
-        # 1 at 13, 17 and 19, which prove nothing; 23 proves it
+        # 13 * 17 * 19 * x^2 + 1 is squarefree, though it reduces to the
+        # constant 1 at 13, 17 and 19: disc(f) != 0 proves it, with no gcd
         lc = 13 * 17 * 19
         assert _squarefree(IntPoly((1, 0, lc)))
         assert integer_gcds == []
-        # lc * (x + 1)^2: the primes of lc are skipped, three others fail
+        # lc * (x + 1)^2: disc(f) = 0, and one gcd over Z
         assert not _squarefree(IntPoly((lc, 2 * lc, lc)))
         assert len(integer_gcds) == 1
 
@@ -502,6 +503,35 @@ class TestLargestFactorAndIrreducibility:
         # x^2 and (x + 1)^2: no prime keeps them squarefree
         with pytest.raises(ValueError):
             next(good_primes(f))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            IntPoly((0, 0, 1)),
+            IntPoly((1, 2, 1)),
+            IntPoly((3, -1, 1)) ** 2 * IntPoly((1, 0, 0, 2)),
+            6 * IntPoly((-2, 1)) ** 3 * IntPoly((1, 1)),
+        ],
+        ids=["x^2", "(x+1)^2", "(x^2-x+3)^2(2x^3+1)", "6(x-2)^3(x+1)"],
+    )
+    def test_good_primes_error_carries_the_integer_gcd(self, f):
+        # disc(f) = 0: the error hands back gcd(f, f') over Z, which the
+        # root search divides out
+        assert discriminant(f) == 0
+        with pytest.raises(ValueError) as raised:
+            next(good_primes(f))
+        gcd = raised.value.args[1]
+        assert gcd == int_poly_gcd(f, f.derivative()) and gcd.degree() > 0
+
+    def test_good_primes_skip_every_prime_of_lc_disc(self):
+        # 221 x^5 - x - 22, 221 = 13 * 17: from 13 on, good_primes skips
+        # the primes of lc(f), and 223 and 701, which divide disc(f) alone
+        f = IntPoly((-22, -1, 0, 0, 0, 13 * 17))
+        unusable = f.leading_coefficient() * int(discriminant(f))
+        primes = primes_in_range(13, 2000)
+        assert [p for p in primes if unusable % p == 0] == [13, 17, 223, 701]
+        got = list(takewhile(lambda p: p < 2000, good_primes(f)))
+        assert got == [p for p in primes if unusable % p]
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import islice, permutations
 from math import inf, lcm
@@ -1257,7 +1258,8 @@ class TestBlockSamples:
         # a product of two cyclic cubics, whose walks all close, so blocks
         # start within the degree-set read; that read asks for at most 20
         # usable primes, from 2 in classify and from 13 in is_irreducible,
-        # and no block walks a prime past the last of them
+        # and no walk takes a prime past the last of them, nor a prime
+        # that divides disc(f) (lc(f) = 1)
         f = IntPoly((1, -3, 0, 1)) * IntPoly((-1, -2, 1, 1))
         handed = _handed_primes(monkeypatch, f)
         if read == "classify":
@@ -1267,21 +1269,27 @@ class TestBlockSamples:
         start = 2 if read == "classify" else 13
         unusable = int(galois.discriminant(f))
         usable = [p for p in primes_in_range(start, 1000) if unusable % p]
-        run = usable[factor._BLOCK_RUN - 1]
-        assert handed == [[p] for p in primes_in_range(start, run + 1)] + [
-            primes_in_range(run + 1, usable[19] + 1)
-        ]
+        skipped = [p for p in primes_in_range(start, usable[19]) if p not in usable]
+        # disc(f) = 3^4 7^2
+        assert skipped == ([3, 7] if read == "classify" else [])
+        run = factor._BLOCK_RUN
+        assert handed == [[p] for p in usable[:run]] + [usable[run:20]]
 
     def test_stream_walks_no_prime_past_its_bound(self, monkeypatch):
         # the C15 denominator of the InvSqrtPade order-31 cell, read to a
-        # prime bound that falls inside its second block
+        # prime bound that falls inside its second block: the primes walked
+        # are those that divide neither lc(f) nor disc(f), each a sample
         f = _column_polys("InvSqrtPade", 31)[1]
         handed = _handed_primes(monkeypatch, f)
-        asked = [p for p in primes_in_range(2, 150) if f.leading_coefficient() % p]
+        unusable = f.leading_coefficient() * int(galois.discriminant(f))
+        asked = [p for p in primes_in_range(2, 150) if unusable % p]
+        skipped = [p for p in primes_in_range(2, 150) if p not in asked]
+        # a prime of disc(f) that does not divide lc(f) is skipped too
+        assert any(f.leading_coefficient() % p for p in skipped)
         bound = asked[factor._BLOCK_RUN + FROBENIUS_BLOCK_PRIMES + 3]
         pairs = list(FrobeniusSamples(f, bound))
-        assert pairs[-1][0] <= bound
-        assert [p for b in handed for p in b] == [p for p in asked if p <= bound]
+        walked = [p for b in handed for p in b]
+        assert walked == [p for p, _ in pairs] == [p for p in asked if p <= bound]
         assert len(handed[-2]) == FROBENIUS_BLOCK_PRIMES > len(handed[-1]) > 1
 
 
@@ -1419,6 +1427,13 @@ _TAMPERS = {
             v, evidence=_changed_item(v, "reducible", factor_count=7)
         ),
     ),
+    # a certainty bound past the last prime that its samples item records
+    "C8-bound-past-the-read": (
+        "C8",
+        lambda v: dataclasses.replace(
+            v, certainty=dataclasses.replace(v.certainty, prime_bound=10**9)
+        ),
+    ),
 }
 
 # a verdict of x^7 - x - 1 -> one that does not fit it
@@ -1508,6 +1523,27 @@ class TestOneWalkPerPrime:
             assert len(set(walked)) == len(walked), entry
             # the verifier walks no (f, p) that its classify did not
             assert set(walked) <= by_classify, entry
+
+    def test_no_walk_at_a_prime_dividing_lc_disc(self, monkeypatch):
+        # a degree table answers None at such a prime, off lc(f)·disc(f),
+        # and no block holds one: in a verified pass over the 86 cells,
+        # and in classify + verify of classify-mix seed 1, block 0
+        walked = _walked(monkeypatch)
+        cells = sum(
+            reproduce(table_id, cache=None, verify=True)["summary"]["cells"]
+            for table_id in TABLES
+        )
+        assert cells == 86
+        for entry in _stream_inputs().block(1, 0):
+            f = IntPoly(entry["coeffs"])
+            assert verify_identification(f, classify(f)), entry
+        assert walked
+        unusable = {}
+        for coeffs, p in walked:
+            if coeffs not in unusable:
+                disc = galois.discriminant(IntPoly(coeffs))
+                unusable[coeffs] = coeffs[-1] * int(disc)
+            assert unusable[coeffs] % p, (coeffs, p)
 
     @pytest.mark.parametrize("name", list(_TAMPER_TARGETS))
     def test_verify_after_classify_walks_no_prime(self, monkeypatch, name):
@@ -1637,6 +1673,33 @@ class TestVerifyIdentification:
         assert ident.certainty.prime_bound == bound
         assert verify_identification(f, ident)
         assert tier(f, 7).certainty.sample_count == 1
+        # an empty read stated at a bound past 7 is no read of the stream
+        far = dataclasses.replace(ident.certainty, prime_bound=10**9)
+        assert not verify_identification(f, dataclasses.replace(ident, certainty=far))
+
+    @pytest.mark.parametrize("wreath", [False, True], ids=["g(x+1)", "g(x^2+1)"])
+    def test_a_bound_past_the_read_fails_at_once(self, wreath):
+        # the C2^3 octic g(x + 1), g = x^8 - 40x^6 + 352x^4 - 960x^2 + 576,
+        # has no 8-cycle, so its unknown verdict reads every usable prime
+        # up to its bound, and a run again at a stated bound of 10^9 would
+        # read as far; the stated count and bound are checked against the
+        # read before any tier runs again.  g(x^2 + 1) carries that
+        # certainty in a wreath verdict, with no samples item
+        f = parse_int_poly(
+            "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576"
+        ).shift_argument(1)
+        if wreath:
+            coeffs = [0] * (2 * f.degree() + 1)
+            coeffs[::2] = f.coeffs
+            f = IntPoly(coeffs)
+        ident = classify(f, prime_bound=2000)
+        assert ident.certainty.kind == "unknown"
+        assert ident.group_name.startswith("subgroup of C2 wr") == wreath
+        assert verify_identification(f, ident)
+        far = dataclasses.replace(ident.certainty, prime_bound=10**9)
+        start = time.perf_counter()
+        assert not verify_identification(f, dataclasses.replace(ident, certainty=far))
+        assert time.perf_counter() - start < 0.05
 
     @pytest.mark.parametrize("case", list(_UNFIT))
     def test_unfit_verdict_returns_false(self, case):

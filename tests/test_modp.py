@@ -29,7 +29,7 @@ from padegalois.modp import (
     gf_squarefree,
     gf_trim,
 )
-from padegalois.polynomials import IntPoly
+from padegalois.polynomials import IntPoly, discriminant
 from padegalois.primes import is_prime, next_prime, primes_from
 from padegalois.tables import _column_polys
 
@@ -389,13 +389,19 @@ class TestFactorization:
 def block_stages(f, p):
     """``factor._walked_stages``: the distinct-degree stages of monic f of
     degree >= 2 mod p, as factoring takes them off the last walk, here of
-    the block of four primes from the one before p, reduced mod p."""
+    the block of four usable primes from the one before p, reduced mod
+    p.  A usable prime divides neither lc(f) nor disc(f), f taken over Z."""
     table = factor._DegreeTable(tuple(f))
     table.run = factor._BLOCK_RUN
-    start = next((q for q in range(p - 1, 1, -1) if is_prime(q)), p)
+    unusable = table.unusable
+    assert unusable == f[-1] * int(discriminant(IntPoly(f))) and unusable % p
+    start = next(
+        (q for q in range(p - 1, 1, -1) if is_prime(q) and unusable % q), p
+    )
     table.degrees(start, (math.inf, 4))
     block = factor._DegreeTable.last_walk[1]
     assert len(block) == 4 and p in block
+    assert block[0] == start and all(unusable % q for q in block)
     return factor._walked_stages(tuple(f), p)
 
 
@@ -881,9 +887,41 @@ class TestModularDegrees:
         assert _modular_degrees(IntPoly(square), p) is None
 
 
+class TestUsableAtPrimesOffLcDisc:
+    """``factor._modular_degrees(f, p)`` is None exactly when p divides
+    lc(f)·disc(f), and the gcd oracle's degrees otherwise."""
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_none_exactly_at_primes_of_lc_disc(self, data):
+        # dense inputs, inputs with a square factor mod p, and inputs with
+        # a square factor over Z, for which every prime is None
+        n = data.draw(st.integers(1, 10))
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 13, 101, 9973]))
+        lead = data.draw(st.sampled_from([1, -2, 3, 35, p]) | st.integers(1, 10**4))
+        coeffs = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+        coeffs = coeffs + [lead]
+        shape = data.draw(st.sampled_from(["dense", "square mod p", "square"]))
+        if shape == "square mod p" and n >= 2 and lead % p:
+            coeffs = with_square_mod(p, coeffs, Random(data.draw(SEEDS)))
+        elif shape == "square":
+            k = data.draw(st.integers(1, min(3, n)))
+            root = IntPoly(coeffs[:k] + [1])
+            coeffs = list((root * root * IntPoly(coeffs[k:])).coeffs)
+        f = IntPoly(coeffs)
+        unusable = f.leading_coefficient() * int(discriminant(f))
+        got = _modular_degrees(f, p)
+        if unusable % p == 0:
+            assert got is None, (coeffs, p)
+        else:
+            assert got == list(oracle_degrees(coeffs, p)), (coeffs, p)
+        assert (got is None) == (oracle_degrees(coeffs, p) is None)
+
+
 def block_of(start, lead):
     """The first ``FROBENIUS_BLOCK_PRIMES`` primes >= start that do not
-    divide lead: the block the degree cache walks from start."""
+    divide lead: for lead = lc(f)·disc(f), the block the degree table of f
+    walks from start."""
     primes = (q for q in primes_from(start) if lead % q)
     return list(islice(primes, FROBENIUS_BLOCK_PRIMES))
 
@@ -989,44 +1027,53 @@ class TestBlockWalk:
             assert gf_ddf_degree_multiset(fm, p) == list(got[p])
 
     def test_run_counts_usable_primes_with_closed_walks(self, monkeypatch):
-        # made-up answers for a degree-7 f: an unusable prime neither
-        # counts nor breaks the run, and degrees {3, 4}, whose walk does
-        # not close (lcm 12 > 7), start it again; a block starts once
+        # made-up answers for a degree-7 f with lc(f)·disc(f) divisible by
+        # 2, 3, 5, 11 and 79: those primes are None with no walk, and the
+        # answers hold degrees at every other prime.  An unusable prime
+        # neither counts nor breaks the run, and degrees {3, 4}, whose walk
+        # does not close (lcm 12 > 7), start it again; a block starts once
         # _BLOCK_RUN closed walks follow, and the next one past its last
-        # prime, each cut at the usable samples the reader may still ask
+        # prime, each cut at the usable samples the reader may still ask,
+        # and no block holds an unusable prime
+        coeffs, wanted = (1, 1, -2, 2, 0, 0, 1, 3), 45
+        unusable = 3 * int(discriminant(IntPoly(coeffs)))
         primes = primes_in_range(2, 400)
-        answers = {primes[1]: None, primes[2]: (3, 4)}
+        usable = [q for q in primes if unusable % q]
+        assert [q for q in primes if q not in usable] == [2, 3, 5, 11, 79]
+        answers = {usable[0]: (3, 4)}
         blocks = []
 
         def block(coeffs, block_primes, walked):
             blocks.append(block_primes)
+            assert all(unusable % q for q in block_primes)
             return {q: answers.get(q, (7,)) for q in block_primes}
 
         monkeypatch.setattr(factor, "gf_block_degrees", block)
-        coeffs, wanted = (1,) * 8, 45
         table = factor._DegreeTable(coeffs)
         asked = iter(primes)
         while wanted:
             p = next(asked)
             degrees = table.degrees(p, (math.inf, wanted))
-            assert degrees == answers.get(p, (7,))
+            assert degrees == (answers.get(p, (7,)) if p in usable else None)
             wanted -= degrees is not None
         # one-prime walks up to the end of the run, then blocks of
         # FROBENIUS_BLOCK_PRIMES, the last cut at the samples still asked
-        start = 3 + factor._BLOCK_RUN
-        left = 45 - (start - 1)
+        start = 1 + factor._BLOCK_RUN
+        left = 45 - start
         assert 0 < left % FROBENIUS_BLOCK_PRIMES
         sizes = [FROBENIUS_BLOCK_PRIMES] * (left // FROBENIUS_BLOCK_PRIMES)
         sizes.append(left % FROBENIUS_BLOCK_PRIMES)
         cuts = [start + sum(sizes[:i]) for i in range(len(sizes) + 1)]
-        want = [[q] for q in primes[:start]]
-        want += [primes[a:b] for a, b in zip(cuts, cuts[1:])]
+        want = [[q] for q in usable[:start]]
+        want += [usable[a:b] for a, b in zip(cuts, cuts[1:])]
         assert blocks == want
+        assert 79 < blocks[-2][-1]
 
     def test_blocks_end_at_the_reach_of_the_read(self, monkeypatch):
         # a prime bound inside a block cuts it there, and a reader that may
         # ask for fewer samples than a block holds cuts it at that many
-        # primes; primes dividing lc(f) are answered None with no walk
+        # primes; primes dividing lc(f)·disc(f) are answered None with no
+        # walk, and no block holds one, 67 | lc(f) inside the first
         primes = primes_in_range(2, 400)
         blocks = []
 
@@ -1035,26 +1082,28 @@ class TestBlockWalk:
             return {q: (7,) for q in block_primes}
 
         monkeypatch.setattr(factor, "gf_block_degrees", block)
-        lead = 5 * 7 * 41
-        run = [q for q in primes if lead % q][: factor._BLOCK_RUN]
-        after = [q for q in primes if q > run[-1]]
-        cut = FROBENIUS_BLOCK_PRIMES // 2
+        lead = 5 * 7 * 67
         coeffs = (1,) * 7 + (lead,)
+        unusable = lead * int(discriminant(IntPoly(coeffs)))
+        usable = [q for q in primes if unusable % q]
+        assert [q for q in primes if q < 100 and q not in usable] == [
+            2, 5, 7, 13, 19, 67
+        ]
+        run, after = usable[: factor._BLOCK_RUN], usable[factor._BLOCK_RUN :]
+        cut = FROBENIUS_BLOCK_PRIMES // 2
         table = factor._DegreeTable(coeffs)
         for q in [q for q in primes if q < after[cut]]:
-            want = None if lead % q == 0 else (7,)
+            want = None if unusable % q == 0 else (7,)
             assert table.degrees(q, (after[cut - 1], math.inf)) == want
         assert table.degrees(after[cut], (math.inf, 3)) == (7,)
-        usable = [q for q in after if lead % q]
-        assert blocks == [[q] for q in run] + [
-            usable[: cut - 1],
-            usable[cut - 1 : cut + 2],
-        ]
+        assert blocks == [[q] for q in run] + [after[:cut], after[cut : cut + 3]]
+        assert blocks[-2][0] < 67 < blocks[-2][-1]
 
     def test_blocks_stop_at_a_prime_the_table_holds(self, monkeypatch):
         # a read from 13 leaves 13, 17 and 19 in the table; a read from 2
-        # then walks the primes below 13 in one block, reads the three
-        # back, and walks on from 23; a prime asked again walks nothing
+        # then walks the usable primes below 13 in one block, reads the
+        # three back, and walks on from 23; a prime asked again walks
+        # nothing
         monkeypatch.setattr(factor, "_BLOCK_RUN", 0)
         blocks = []
 
@@ -1063,14 +1112,17 @@ class TestBlockWalk:
             return {q: (7,) for q in block_primes}
 
         monkeypatch.setattr(factor, "gf_block_degrees", block)
+        # lc(f)·disc(f) = -2^18: 2 is None with no walk
         table = factor._DegreeTable((1,) * 8)
+        assert table.unusable == -(2**18)
         assert table.degrees(13, (math.inf, 3)) == (7,)
         for p in primes_in_range(2, 24):
-            assert table.degrees(p, (math.inf, math.inf)) == (7,)
+            want = None if p == 2 else (7,)
+            assert table.degrees(p, (math.inf, math.inf)) == want
         assert blocks == [
             [13, 17, 19],
-            [2, 3, 5, 7, 11],
-            block_of(23, 1),
+            [3, 5, 7, 11],
+            block_of(23, 2),
         ]
 
     @pytest.mark.parametrize(

@@ -6,8 +6,12 @@ of each degree in ``DEGREES``, this times ``dedekind_cycle_type(f, p)``
 once at each of the first ``USABLE_PRIMES`` usable primes (p not dividing
 the leading coefficient, f squarefree mod p) and reports the median of
 those times for each degree.  Nothing is cached between calls: every
-call factors f mod p afresh (see the memos below).  This is the mod-p DDF
-layer seen from above.  ``stream_per_sample_s`` is the median, over
+call factors f mod p afresh (see the memos below), and so also computes
+disc(f), which the degree table of f reads to tell usable primes from
+the others.  This is the mod-p DDF layer seen from above, with one
+discriminant a call; ``stream_per_sample_s``, which pays that
+discriminant once a stream, is the one to read beside it.
+``stream_per_sample_s`` is the median, over
 ``KERNEL_ROUNDS`` streams, of the time of one whole ``FrobeniusSamples``
 stream of f drawn to ``USABLE_PRIMES`` usable samples, divided by that
 count: the walks and all the work around them (the unusable primes, the
@@ -131,7 +135,11 @@ emptied memos: ``samples``, the ``dedekind_cycle_type`` calls;
 (``factor._DegreeTable.degrees``) and those the table already held;
 ``one_prime_walks`` and ``block_walks``, the ``gf_block_degrees`` calls
 of one prime and of more, and ``block_primes`` the primes of the latter;
-``unasked_block_primes``, those that no read asked in the operation that
+``unusable_walks``, the primes handed to ``gf_block_degrees`` that divide
+lc(f)·disc(f) of their polynomial, where f is not squarefree or drops in
+degree; ``good_prime_gcds``, the gcd(f, f') mod p that
+``factor.good_primes`` takes; ``unasked_block_primes``, those block
+primes that no read asked in the operation that
 walked them; ``distinct_degree_walks``, the ``gf_distinct_degree`` calls
 of factoring; ``rewalked_in_later_op``, the (f, p) walked in an
 operation that an earlier one had walked; ``verify_new_walks``, the (f,
@@ -815,6 +823,8 @@ def count_walks(ops) -> dict:
             "one_prime_walks",
             "block_walks",
             "block_primes",
+            "unusable_walks",
+            "good_prime_gcds",
             "distinct_degree_walks",
             "verify_new_walks",
             "verify_is_irreducible_calls",
@@ -828,7 +838,10 @@ def count_walks(ops) -> dict:
     sample, degrees = galois.dedekind_cycle_type, factor._DegreeTable.degrees
     block, distinct = factor.gf_block_degrees, factor.gf_distinct_degree
     verify, irreducible = galois.verify_identification, galois.is_irreducible
+    good, gcd = factor.good_primes, modp.gf_gcd
     verifying = []  # one entry while a verify is under way
+    in_good = []  # one entry while good_primes runs
+    unusable: dict = {}  # coefficients -> lc(f)·disc(f), off the memo
 
     def counting_sample(*args):
         counts["samples"] += 1
@@ -844,6 +857,11 @@ def count_walks(ops) -> dict:
         several = len(primes) > 1
         counts["block_walks" if several else "one_prime_walks"] += 1
         counts["block_primes"] += len(primes) if several else 0
+        key = tuple(coeffs)
+        if key not in unusable:
+            disc = polynomials._discriminant_memo.__wrapped__(IntPoly, key)
+            unusable[key] = key[-1] * int(disc)
+        counts["unusable_walks"] += sum(unusable[key] % p == 0 for p in primes)
         walked.extend(((tuple(coeffs), p), several) for p in primes)
         return block(coeffs, primes, *walk)
 
@@ -866,6 +884,30 @@ def count_walks(ops) -> dict:
         counts["verify_is_irreducible_calls"] += bool(verifying)
         return irreducible(*args)
 
+    def marked(step, *args):
+        in_good.append(True)
+        try:
+            return step(*args)
+        finally:
+            in_good.pop()
+
+    def counting_good(*args):
+        # the call may raise, and its primes may be drawn lazily: both marked
+        primes = marked(good, *args)
+        return iter(lambda: marked(next, primes, None), None)
+
+    def counting_gcd(*args):
+        counts["good_prime_gcds"] += bool(in_good)
+        return gcd(*args)
+
+    # gf_gcd under every name the package binds it to
+    gcd_names = [
+        (module, name)
+        for module in (modp, factor, galois)
+        for name, value in vars(module).items()
+        if value is gcd
+    ]
+
     galois.dedekind_cycle_type = counting_sample
     factor._DegreeTable.degrees = counting_degrees
     factor.gf_block_degrees = counting_block
@@ -873,6 +915,9 @@ def count_walks(ops) -> dict:
     galois.verify_identification = counting_verify
     tables.verify_identification = counting_verify
     galois.is_irreducible = counting_irreducible
+    factor.good_primes = counting_good
+    for module, name in gcd_names:
+        setattr(module, name, counting_gcd)
     clear_memos()
     try:
         for op in ops:
@@ -891,6 +936,9 @@ def count_walks(ops) -> dict:
         galois.verify_identification = verify
         tables.verify_identification = verify
         galois.is_irreducible = irreducible
+        factor.good_primes = good
+        for module, name in gcd_names:
+            setattr(module, name, gcd)
     return {
         **counts,
         "unasked_block_primes": unasked,
