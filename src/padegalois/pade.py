@@ -12,6 +12,12 @@ Construction runs the extended Euclidean algorithm on (x^n, T), stopping at
 the first remainder of degree <= n - 1 - floor(n/2); the remainder is the
 numerator and the Bezout cofactor of T is the denominator.
 
+The pair's common factor is a power of x.  Euclid gives Q = t and
+P = s*x^n + t*T with gcd(s, t) = 1 (Bezout cofactors are coprime), so
+gcd(P, Q) = gcd(s*x^n, t) divides x^n (Brent, Gustavson and Yun,
+J. Algorithms 1, 1980).  Dividing both by x^j, j = min(val P, val Q), is
+therefore the whole reduction; no polynomial gcd is run.
+
 Normalization: numerator and denominator are each reduced to primitive
 integer polynomials with positive leading coefficient.  That loses a
 positive rational factor and a sign, which are kept in the ``scale`` and
@@ -22,10 +28,15 @@ positive rational factor and a sign, which are kept in the ``scale`` and
 agrees with the series to order O(x^n).  (A plus/minus-one convention alone
 cannot represent these pairs: for the exponential at order 10 the published
 primitive pair differs from the value-normalized one by a factor of -5.)
+
+The defect check tests that congruence in integers: with T = N/D (N
+integral, D > 0) and scale = a/b, it is b*Q*N == D*sign*a*P mod x^n, one
+coefficient at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +93,11 @@ def _euclid_pade(order: int, trunc: RatPoly) -> tuple[RatPoly, RatPoly]:
     return r_cur, t_cur
 
 
+def _valuation(poly: RatPoly) -> float:
+    """Order of vanishing at 0; infinite for the zero polynomial."""
+    return next((k for k, c in enumerate(poly.coeffs) if c), math.inf)
+
+
 def pade_diagonal(series: SeriesId, order: int) -> PadePair:
     """Order-n diagonal approximant of the given series (n >= 1)."""
     if order < 1:
@@ -92,10 +108,10 @@ def pade_diagonal(series: SeriesId, order: int) -> PadePair:
     p_rat, q_rat = _euclid_pade(order, trunc)
     if p_rat.is_zero() and q_rat.is_zero():
         raise PadeDefectError(series, order, "euclidean stop produced the zero pair")
-    g = p_rat.gcd(q_rat)
-    if g.degree() > 0:
-        p_rat = p_rat // g
-        q_rat = q_rat // g
+    j = min(_valuation(p_rat), _valuation(q_rat))
+    if j:
+        p_rat = RatPoly(p_rat.coeffs[j:])
+        q_rat = RatPoly(q_rat.coeffs[j:])
     if q_rat.is_zero() or q_rat.constant_coefficient() == 0:
         raise PadeDefectError(series, order, "denominator vanishes at 0")
     if p_rat.is_zero():
@@ -123,10 +139,24 @@ def pade_diagonal(series: SeriesId, order: int) -> PadePair:
 
 
 def pade_defect_check(pair: PadePair) -> bool:
-    """Verify denominator * T - sign * scale * numerator == 0 mod x^order."""
-    trunc = taylor(pair.series, pair.order - 1)
-    lhs = pair.denominator.to_rat() * trunc - pair.value_numerator()
-    return lhs.truncate(pair.order).is_zero()
+    """Verify denominator * T - sign * scale * numerator == 0 mod x^order.
+
+    In integers: with T = N/D from ``clear_denominators`` and
+    scale = a/b, the k-th coefficient must satisfy
+    b * sum_i Q_i * N_(k-i) == D * sign * a * P_k for every k < order.
+    The test stops at the first k where the two sides differ.
+    """
+    den, trunc = taylor(pair.series, pair.order - 1).clear_denominators()
+    n, q, p = trunc.coeffs, pair.denominator.coeffs, pair.numerator.coeffs
+    b = pair.scale.denominator
+    da = den * pair.overall_sign * pair.scale.numerator
+    for k in range(pair.order):
+        lo, hi = max(0, k + 1 - len(n)), min(k + 1, len(q))
+        lhs = sum(q[i] * n[k - i] for i in range(lo, hi))
+        rhs = p[k] if k < len(p) else 0
+        if b * lhs != da * rhs:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The package names that tools/bench_modp.py reads exist.
 
-The tool reaches into ``factor``, ``galois``, ``modp`` and ``polynomials``
-by attribute, private helpers and memos included, and most of those reads
-run only in one of its sections; a rename in the package would otherwise
-surface only when that section runs.  These tests only parse the tool.
+The tool reaches into ``factor``, ``galois``, ``modp``, ``pade`` and
+``polynomials`` by attribute, private helpers and memos included, and most
+of those reads run only in one of its sections; a rename in the package
+would otherwise surface only when that section runs.  These tests only
+parse the tool.
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_modp.py"
-_MODULES = ("factor", "galois", "modp", "polynomials")
+_MODULES = ("factor", "galois", "modp", "pade", "polynomials")
 
 
 def _read_names() -> list[tuple[str, str]]:

@@ -1,6 +1,8 @@
 """Diagonal Pade approximants: frozen printed pairs, the Hankel-system
-oracle, the congruence property, and the divisor-pair scan."""
+oracle, the Fraction-gcd oracle, the exp closed form, the congruence
+property and its tampers, and the divisor-pair scan."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from padegalois.pade import (
     PadeDefectError,
+    _euclid_pade,
     divisibility_scan,
     pade_defect_check,
     pade_diagonal,
@@ -15,7 +18,13 @@ from padegalois.pade import (
 from padegalois.polynomials import IntPoly, RatPoly, format_poly
 from padegalois.series import SeriesId, taylor, taylor_coefficients
 
-from .oracles import hankel_pade
+from .oracles import (
+    defect_check_by_fractions,
+    exp_pade_closed_form,
+    gcd_over_q,
+    hankel_pade,
+    pade_by_fraction_gcd,
+)
 
 ALL_SERIES = sorted(SeriesId, key=lambda s: s.value)
 
@@ -162,6 +171,119 @@ class TestHankelOracle:
         lhs = pair.value_numerator() * q
         rhs = pair.denominator.to_rat() * p
         assert lhs == rhs
+
+
+def _outcome(build, series, order):
+    """The pair that build gives, or the message of its PadeDefectError."""
+    try:
+        return build(series, order)
+    except PadeDefectError as e:
+        return str(e)
+
+
+class TestFractionGcdOracle:
+    """The pair is reduced by x^j, j = min(val P, val Q), and checked in
+    integers; the oracle reduces by the monic gcd over Q and checks the
+    Fraction product.  Both must give the same pair or the same message."""
+
+    @pytest.mark.parametrize("series", ALL_SERIES, ids=lambda s: s.value)
+    def test_orders_1_to_60(self, series):
+        for order in range(1, 61):
+            assert _outcome(pade_diagonal, series, order) == _outcome(
+                pade_by_fraction_gcd, series, order
+            ), order
+
+    @pytest.mark.parametrize("series", ALL_SERIES, ids=lambda s: s.value)
+    def test_gcd_of_the_euclid_pair_is_the_fraction_gcd(self, series):
+        for order in range(1, 25):
+            trunc = taylor(series, order - 1)
+            if trunc.is_zero():
+                continue
+            p, q = _euclid_pade(order, trunc)
+            assert gcd_over_q(p, q) == p.gcd(q), order
+
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+    )
+    def test_gcd_over_q_off_a_power_of_x(self, f, g, h):
+        # a common factor that is not a power of x takes the Fraction path
+        f, g, h = (RatPoly(c) for c in (f, g, h))
+        a, b = f * g, f * h
+        assert gcd_over_q(a, b) == a.gcd(b)
+
+
+def _satisfying_pairs(orders):
+    for series in ALL_SERIES:
+        for order in orders:
+            try:
+                yield pade_diagonal(series, order)
+            except PadeDefectError:
+                continue
+
+
+_TAMPER_ORDERS = (1, 2, 5, 8, 13, 24, 31)
+
+
+class TestDefectCheckTampers:
+    """Each tamper breaks the congruence: the integer check and the
+    Fraction check both answer False."""
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda pair: replace(pair, scale=pair.scale * 2),
+            lambda pair: replace(pair, overall_sign=-pair.overall_sign),
+        ],
+        ids=["scale-doubled", "sign-flipped"],
+    )
+    def test_scale_and_sign(self, tamper):
+        for pair in _satisfying_pairs(_TAMPER_ORDERS):
+            assert pade_defect_check(pair) and defect_check_by_fractions(pair)
+            bad = tamper(pair)
+            assert not pade_defect_check(bad), pair
+            assert not defect_check_by_fractions(bad), pair
+
+    def test_order_one_past_the_reach(self):
+        for pair in _satisfying_pairs(_TAMPER_ORDERS):
+            reach = pair.order
+            while defect_check_by_fractions(replace(pair, order=reach + 1)):
+                reach += 1
+            assert pade_defect_check(replace(pair, order=reach)), pair
+            assert not pade_defect_check(replace(pair, order=reach + 1)), pair
+
+    @given(
+        st.sampled_from(ALL_SERIES),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from(["numerator", "denominator"]),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=-3, max_value=3).filter(bool),
+    )
+    def test_one_coefficient_changed(self, series, order, field, index, delta):
+        try:
+            pair = pade_diagonal(series, order)
+        except PadeDefectError:
+            return
+        coeffs = list(getattr(pair, field).coeffs)
+        coeffs[index % len(coeffs)] += delta
+        bad = replace(pair, **{field: IntPoly(coeffs)})
+        assert not pade_defect_check(bad)
+        assert not defect_check_by_fractions(bad)
+
+
+class TestExpClosedForm:
+    """The [m/k] approximant of exp from its factorial closed form
+    (Hajir 2009), m = deg P and k = deg Q = floor(n/2) at order n."""
+
+    @pytest.mark.parametrize("order", range(1, 61))
+    def test_primitive_forms_match(self, order):
+        k = order // 2
+        p, q = exp_pade_closed_form(order - 1 - k, k)
+        pair = pade_diagonal(SeriesId.EXP, order)
+        assert pair.numerator == p.clear_denominators()[1].primitive_part()
+        assert pair.denominator == q.clear_denominators()[1].primitive_part()
+        assert pair.value_numerator() * q == pair.denominator.to_rat() * p
 
 
 class TestDivisibilityScan:

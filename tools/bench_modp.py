@@ -88,7 +88,11 @@ memos, that read an answer an earlier call of the pass left in its memo.
 ``<table>_<order>``, 25 in all), the median time over ``PADE_REPS`` calls
 of ``tables._column_polys(table, order)``, which is ``pade_diagonal`` of
 that table's series at that order, and the sum of those medians
-(``total_s``).
+(``total_s``).  Two more sums of medians over the same 25 orders split
+that total: ``euclid_s``, the extended Euclid alone
+(``pade._euclid_pade`` on the Taylor truncation, made outside the span),
+and ``check_s``, the integer congruence check alone
+(``pade.pade_defect_check`` of the finished pair).
 
 ``census``: for each degree 2..7, the median time over ``CENSUS_REPS``
 rebuilds of ``transitive_groups(degree)``, each after
@@ -193,7 +197,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs as stream_inputs  # noqa: E402
 from speed import MachineSpeed  # noqa: E402
 
-from padegalois import factor, galois, modp, polynomials, tables  # noqa: E402
+from padegalois import factor, galois, modp, pade, polynomials, tables  # noqa: E402
 from padegalois.factor import factor_over_integers  # noqa: E402
 from padegalois.galois import (  # noqa: E402
     _TSCHIRNHAUS_TRIALS,
@@ -223,7 +227,7 @@ from padegalois.polynomials import (  # noqa: E402
     resultant,
 )
 from padegalois.primes import primes_from  # noqa: E402
-from padegalois.series import SeriesId, scale_to_monic_integer  # noqa: E402
+from padegalois.series import SeriesId, scale_to_monic_integer, taylor  # noqa: E402
 from padegalois.tables import TABLES, _column_polys, reproduce  # noqa: E402
 
 DEGREES = (6, 8, 10, 12, 15, 20)
@@ -238,7 +242,11 @@ PADE_ORDER = 42
 POLY_REPS = 25
 FACTOR_REPS = 3
 PADE_REPS = 5
-PADE_TABLES = ("ExpPade", "InvSqrtPade", "Atanh2Pade")
+PADE_TABLES = {
+    "ExpPade": SeriesId.EXP,
+    "InvSqrtPade": SeriesId.INV_SQRT_MINUS,
+    "Atanh2Pade": SeriesId.ATANH2,
+}
 CENSUS_REPS = 15
 KERNEL_ROUNDS = 3
 SEED = 20201
@@ -777,20 +785,41 @@ def time_factoring(
 
 
 def time_pade(speed: MachineSpeed) -> dict:
-    """Median seconds of pade_diagonal at every order of the Padé tables."""
-    out = {
-        f"{table_id}_{order}": median_call_s(
-            speed,
-            (
-                lambda t=table_id, order=order: _column_polys(t, order)
-                for _ in range(PADE_REPS)
-            ),
-        )
-        for table_id in PADE_TABLES
+    """Median seconds of pade_diagonal at every order of the Padé tables,
+    and the sums of the medians of its Euclid and of its check."""
+    cells = [
+        (table_id, series, order)
+        for table_id, series in PADE_TABLES.items()
         for order in TABLES[table_id].orders
+    ]
+
+    def medians(call_for) -> list:
+        return [
+            median_call_s(speed, (call_for(*cell) for _ in range(PADE_REPS)))
+            for cell in cells
+        ]
+
+    def column(table_id, series, order):
+        return lambda: _column_polys(table_id, order)
+
+    def euclid(table_id, series, order):
+        trunc = taylor(series, order - 1)
+        return lambda: pade._euclid_pade(order, trunc)
+
+    def check(table_id, series, order):
+        pair = pade_diagonal(series, order)
+        return lambda: pade.pade_defect_check(pair)
+
+    out = {
+        f"{table_id}_{order}": median
+        for (table_id, _, order), median in zip(cells, medians(column))
     }
-    medians = list(out.values())
-    out["total_s"] = lambda: sum(median() for median in medians)
+    for key, parts in (
+        ("total_s", list(out.values())),
+        ("euclid_s", medians(euclid)),
+        ("check_s", medians(check)),
+    ):
+        out[key] = lambda parts=parts: sum(median() for median in parts)
     return out
 
 
